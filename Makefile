@@ -32,10 +32,9 @@ perf:
 	$(PY) scripts/check_fig7_openloop.py /tmp/fig7_openloop.json
 
 # The campaign-throughput trajectory in one command: fresh -> two-tier
-# pooled -> prefix super-traces -> tail replay (the four sweeps of
+# pooled -> super-traces (the three sweeps of
 # bench_campaign_throughput.py, outcome-identity asserted), gated
-# against the committed baseline including the replayed-unit coverage
-# floor.
+# against the committed baseline's per-tier runs/s ratio floors.
 throughput:
 	$(PY) benchmarks/bench_campaign_throughput.py --json /tmp/campaign_throughput.json
 	$(PY) scripts/check_campaign_baseline.py /tmp/campaign_throughput.json

@@ -3,16 +3,14 @@
 
 Two measurements:
 
-* **campaign runs/sec** — the lock-service smoke campaign executed four
+* **campaign runs/sec** — the lock-service smoke campaign executed three
   times through the real per-run driver (``_drive_run``): with
   ``REPRO_SYSTEM_POOL=0`` (the old build-a-system-per-run behaviour),
   pooled with the super-trace engine disabled (``REPRO_SUPER_TRACE=0``,
-  the two-tier engine), pooled with prefix super-traces on but the
-  divergence-tail cache off (``REPRO_TAIL_REPLAY=0``), and the full
-  tier-3 engine with tail replay (``REPRO_TAIL_REPLAY=1``), which also
-  reports the replayed-unit coverage the tail cache reaches.  Outcomes
-  are asserted identical across all four sweeps — the speedups are only
-  meaningful if the faster paths are bit-exact.
+  the two-tier engine), and pooled with the tier-3 super-trace engine
+  on, which also reports the replayed-unit coverage it reaches.
+  Outcomes are asserted identical across all three sweeps — the
+  speedups are only meaningful if the faster paths are bit-exact.
 * **micro-reboot restore cost** — wall time of one ``MemoryImage``
   restore when a run dirtied a handful of pages (the SWIFI steady state)
   versus every page (the worst case, equivalent to the old whole-image
@@ -61,20 +59,18 @@ def _timed_sweep(spec, seeds, coverage=None) -> tuple:
     return time.perf_counter() - start, outcomes
 
 
-#: (label, REPRO_SYSTEM_POOL, REPRO_SUPER_TRACE, REPRO_TAIL_REPLAY) per sweep.
+#: (label, REPRO_SYSTEM_POOL, REPRO_SUPER_TRACE) per sweep.
 SWEEPS = (
-    ("fresh", "0", "0", "0"),
-    ("two_tier", "1", "0", "0"),
-    ("pooled", "1", "1", "0"),
-    ("tail", "1", "1", "1"),
+    ("fresh", "0", "0"),
+    ("two_tier", "1", "0"),
+    ("pooled", "1", "1"),
 )
 
-_SWEEP_GATES = ("REPRO_SYSTEM_POOL", "REPRO_SUPER_TRACE", "REPRO_TAIL_REPLAY")
+_SWEEP_GATES = ("REPRO_SYSTEM_POOL", "REPRO_SUPER_TRACE")
 
 
 def measure_campaign(n_faults: int, repeat: int = 3) -> dict:
-    """Runs/sec of the smoke campaign: fresh vs pooled vs super-traced
-    vs tail-replayed."""
+    """Runs/sec of the smoke campaign: fresh vs pooled vs super-traced."""
     from repro.swifi.campaign import _campaign_recording
 
     runner = CampaignRunner("lock", n_faults=n_faults, seed=1)
@@ -84,10 +80,9 @@ def measure_campaign(n_faults: int, repeat: int = 3) -> dict:
     try:
         results = {}
         coverage = None
-        for label, pool_gate, st_gate, tail_gate in SWEEPS:
+        for label, pool_gate, st_gate in SWEEPS:
             os.environ["REPRO_SYSTEM_POOL"] = pool_gate
             os.environ["REPRO_SUPER_TRACE"] = st_gate
-            os.environ["REPRO_TAIL_REPLAY"] = tail_gate
             if pool_gate == "1":
                 # Boot + seal (and, with super-traces on, record the
                 # clean invocation sequence) outside the timed region,
@@ -101,16 +96,12 @@ def measure_campaign(n_faults: int, repeat: int = 3) -> dict:
             for __ in range(repeat):
                 sweep_coverage = (
                     dict.fromkeys(COVERAGE_KEYS, 0)
-                    if tail_gate == "1" else None
+                    if st_gate == "1" else None
                 )
                 elapsed, sweep = _timed_sweep(spec, seeds, sweep_coverage)
                 best = min(best, elapsed)
-                if tail_gate == "1":
-                    # Keep the first repeat's coverage: the tail cache
-                    # warms across repeats (later repeats replay tails
-                    # the first one recorded), and the cold pass is the
-                    # honest campaign-shaped number.
-                    coverage = coverage or sweep_coverage
+                if st_gate == "1":
+                    coverage = sweep_coverage
                 if outcomes is None:
                     outcomes = sweep
                 elif sweep != outcomes:
@@ -125,7 +116,7 @@ def measure_campaign(n_faults: int, repeat: int = 3) -> dict:
             else:
                 os.environ[key] = value
     fresh_time, fresh_outcomes = results["fresh"]
-    for label in ("two_tier", "pooled", "tail"):
+    for label in ("two_tier", "pooled"):
         if results[label][1] != fresh_outcomes:
             raise AssertionError(
                 f"{label} sweep outcomes diverge from fresh-build "
@@ -134,13 +125,11 @@ def measure_campaign(n_faults: int, repeat: int = 3) -> dict:
             )
     two_tier_time = results["two_tier"][0]
     pooled_time = results["pooled"][0]
-    tail_time = results["tail"][0]
     return {
         "campaign_runs": len(seeds),
         "fresh_runs_per_sec": len(seeds) / fresh_time,
         "two_tier_runs_per_sec": len(seeds) / two_tier_time,
         "pooled_runs_per_sec": len(seeds) / pooled_time,
-        "tail_runs_per_sec": len(seeds) / tail_time,
         "pooled_over_fresh": fresh_time / pooled_time,
         "super_trace_over_two_tier": two_tier_time / pooled_time,
         "replayed_unit_coverage": coverage_ratio(coverage),
@@ -202,7 +191,6 @@ def main(argv=None) -> int:
     print(f"fresh-build runs/sec   : {results['fresh_runs_per_sec']:,.0f}")
     print(f"two-tier pooled r/s    : {results['two_tier_runs_per_sec']:,.0f}")
     print(f"super-traced runs/sec  : {results['pooled_runs_per_sec']:,.0f}")
-    print(f"tail-replay runs/sec   : {results['tail_runs_per_sec']:,.0f}")
     print(f"pooled/fresh speedup   : {results['pooled_over_fresh']:.2f}x")
     print(f"super-trace/two-tier   : "
           f"{results['super_trace_over_two_tier']:.2f}x")

@@ -41,7 +41,7 @@ def phase_breakdown(service: str, n_faults: int, seed: int) -> None:
     duplicated here (not instrumented in the hot path) so the campaign
     itself pays zero overhead for the existence of this tool.
     """
-    from repro.composite.supertrace import ReplaySession, tail_replay_enabled
+    from repro.composite.supertrace import ReplaySession
     from repro.errors import (
         BlockThread, ReproError, SimulatedFault, SystemHang,
     )
@@ -106,10 +106,8 @@ def phase_breakdown(service: str, n_faults: int, seed: int) -> None:
         t = tick("workload install", t)
         _arm_for_class(swifi, spec, injection_point(run_seed, spec.horizon))
         t = tick("arm", t)
-        session = None
         if recording is not None and recording.kernel is kernel:
-            session = ReplaySession(recording, tails=tail_replay_enabled())
-            kernel._supertrace = session
+            kernel._supertrace = ReplaySession(recording)
         t = tick("recording attach", t)
         crash, steps = None, 0
         try:
@@ -118,8 +116,6 @@ def phase_breakdown(service: str, n_faults: int, seed: int) -> None:
             crash = exc
         finally:
             kernel._supertrace = None
-            if session is not None:
-                session.finalize(kernel)
         t = tick("run", t)
         coverage = collect_coverage(kernel, coverage)
         if kernel.crashed is not None and crash is None:

@@ -268,7 +268,7 @@ class ClusterCampaignResult:
     setup_wall: float = 0.0
     exec_wall: float = 0.0
     #: Summed per-node supertrace coverage (also sidecar-only: engine
-    #: counters depend on the pooling/supertrace/tail knobs).
+    #: counters depend on the pooling/supertrace knobs).
     coverage: Optional[Dict[str, int]] = None
 
     def to_json_dict(self) -> Dict[str, object]:

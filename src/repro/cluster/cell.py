@@ -138,8 +138,7 @@ class Cell:
         """Supertrace coverage summed across nodes for the last scenario.
 
         Sidecar-only by the campaign discipline: engine counters depend
-        on the pooling/supertrace/tail knobs, and scenario rows must
-        not.
+        on the pooling/supertrace knobs, and scenario rows must not.
         """
         total = dict.fromkeys(COVERAGE_KEYS, 0)
         for node in self.nodes:

@@ -97,8 +97,8 @@ class Node:
 
         Pooled units go through ``_drive_run``'s ``instance`` path: the
         run acquires this node's private snapshot *and* the super-trace
-        recording keyed to it, so node units replay (prefix + tails)
-        exactly like flat campaign runs.  With pooling off each unit
+        recording keyed to it, so node units replay their prefix exactly
+        like flat campaign runs.  With pooling off each unit
         builds fresh and executes on the authoritative engine — same
         outcomes, by the supertrace correctness contract.
         """

@@ -94,11 +94,12 @@ class Kernel:
             # dispatch path while a replay session was attached.
             "super_trace_runs": 0,
             "super_trace_bypasses": 0,
-            # Divergence-tail accounting: prefix divergence events, units
-            # run plain-authoritative after divergence, tail units
-            # replayed from the tail cache, and tails sealed this run.
+            # Prefix divergence events and units run authoritatively
+            # after divergence.
             "super_trace_divergences": 0,
             "super_trace_divergent_units": 0,
+            # Always 0: the engine has no divergence-tail cache.  Kept
+            # because bench/tracer.py (their only reader) folds them.
             "super_trace_tail_runs": 0,
             "super_trace_tail_records": 0,
             # Times a run() call returned with its step budget exhausted

@@ -43,7 +43,10 @@ that recording:
 * Any guard failure — most importantly the first fault delivery —
   permanently **diverges** the session: every subsequent invocation
   runs authoritatively.  Replay never approximates; it either proves
-  equivalence or steps aside.
+  equivalence or steps aside.  Post-divergence units are not cached:
+  keying, recording and sealing them costs several times the
+  authoritative execution a cache would save (README, "No
+  divergence-tail cache").
 
 The SWIFI purity contract is preserved: the seeded RNG is consumed only
 at arm and delivery time (never while counting executions), replayed
@@ -62,7 +65,6 @@ from __future__ import annotations
 
 import os
 import types
-import zlib
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
@@ -72,7 +74,6 @@ from repro.errors import BlockThread
 
 __all__ = [
     "super_trace_enabled",
-    "tail_replay_enabled",
     "Recording",
     "RecordingSession",
     "ReplaySession",
@@ -84,284 +85,6 @@ __all__ = [
 def super_trace_enabled() -> bool:
     """Is the tier-3 engine on?  ``REPRO_SUPER_TRACE=0`` disables it."""
     return os.environ.get("REPRO_SUPER_TRACE", "1") != "0"
-
-
-def tail_replay_enabled() -> bool:
-    """Is divergence-tail re-recording on?  ``REPRO_TAIL_REPLAY=0``
-    disables the tail cache while leaving prefix replay untouched."""
-    return os.environ.get("REPRO_TAIL_REPLAY", "1") != "0"
-
-
-#: Cap on cached tails per recording: divergence signatures key on the
-#: *converged* post-divergence state (divergence cursor + SWIFI residue
-#: + exact system fingerprint), and most injected faults funnel through
-#: a handful of recovery paths into a small set of reachable states, so
-#: real campaigns saturate far below this; the cap only bounds memory if
-#: a workload produces pathological state churn.
-_MAX_TAILS = 256
-
-
-def _swifi_residue(kernel) -> tuple:
-    """Order-stable scalar summary of every piece of SWIFI + reboot
-    state that can influence execution from this point on.
-
-    This is both tail cache key material and the per-unit pre-state
-    guard for recorded tail units: the armed plan (component, reg, bit,
-    firing point, countdown), the in-flight idl / burst residue, the
-    reboot-log depth, and the *count* of delivered records.  Delivered
-    record contents and the last-delivery clock are deliberately left
-    out: their only readers are the flight recorder's detection-latency
-    stamp (``consume_delivery_latency`` runs solely under
-    ``recorder.enabled``, and traced runs never replay) and per-run
-    classification (``delivered_count``), neither of which a shared tail
-    can perturb.  Keying on the drawn values would make every seed's
-    signature unique and no tail would ever be shared.
-    """
-    booter = kernel.booter
-    reboots = len(booter.reboot_log) if booter is not None else 0
-    swifi = kernel.swifi
-    if swifi is None:
-        return (reboots, None, None, None, 0, 0, 0)
-    plan = swifi.pending
-    if plan is not None:
-        plan = (
-            plan.component, plan.reg, plan.bit, plan.after_executions,
-            plan.seen, plan.fault_class, plan.burst_k, plan.burst_window,
-        )
-    idl = swifi._idl_pending
-    return (
-        reboots,
-        plan,
-        None if idl is None else tuple(idl),
-        swifi._idl_ret_pending,
-        swifi._burst_remaining,
-        swifi._burst_deadline,
-        len(swifi.delivered),
-    )
-
-
-#: Lazily bound from :mod:`repro.system` on the first probe (a top-level
-#: import would be circular: system builds on the composite package).
-_FP_SKIP: Optional[frozenset] = None
-_FP_MAX_DEPTH = 8
-
-#: Per-class cache of fingerprint-relevant ``__slots__`` names: resolved
-#: over the MRO once, skip-filtered and sorted.  Re-deriving them on
-#: every probe is pure overhead — classes don't change mid-campaign.
-_FREEZE_SLOTS: Dict[type, tuple] = {}
-
-
-def _fp_slots(cls) -> tuple:
-    slots = _FREEZE_SLOTS.get(cls)
-    if slots is None:
-        names = set()
-        for klass in cls.__mro__:
-            names.update(getattr(klass, "__slots__", ()))
-        slots = _FREEZE_SLOTS[cls] = tuple(sorted(
-            name for name in names
-            if name not in _FP_SKIP and not name.startswith("_sealed")
-        ))
-    return slots
-
-
-def _fp_freeze(obj, depth: int = 0):
-    """Deterministic, hashable structural encoding of ``obj``.
-
-    The probe-speed sibling of :func:`repro.system._flatten`: the same
-    traversal semantics — slots + ``__dict__`` with the shared skip set,
-    the same depth cap, CRCs for byte blobs, qualnames for callables —
-    but it builds nested tuples instead of path-string -> value dicts.
-    Equality is all the tail key needs, and dropping the f-string path
-    assembly and flat-dict stores is most of the probe's speedup.
-    """
-    if obj is None:
-        return None
-    cls = obj.__class__
-    if cls is int or cls is str or cls is bool or cls is float:
-        return obj
-    if depth > _FP_MAX_DEPTH:
-        return ("<depth>", cls.__name__)
-    if isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, (bytes, bytearray)):
-        return ("b", len(obj), zlib.crc32(bytes(obj)))
-    if callable(obj):
-        return ("fn", getattr(obj, "__qualname__", repr(obj)))
-    if isinstance(obj, dict):
-        return ("d", tuple(
-            (repr(key), _fp_freeze(obj[key], depth + 1))
-            for key in sorted(obj, key=repr)
-        ))
-    if isinstance(obj, (list, tuple, deque)):
-        return ("l", tuple(_fp_freeze(item, depth + 1) for item in obj))
-    if isinstance(obj, (set, frozenset)):
-        return ("l", tuple(
-            _fp_freeze(item, depth) for item in sorted(obj, key=repr)
-        ))
-    items = []
-    for name in _fp_slots(cls):
-        try:
-            items.append((name, _fp_freeze(getattr(obj, name), depth + 1)))
-        except AttributeError:
-            pass
-    attrs = getattr(obj, "__dict__", None)
-    if attrs:
-        for name in sorted(attrs):
-            if name in _FP_SKIP or name.startswith("_sealed"):
-                continue
-            items.append((name, _fp_freeze(attrs[name], depth + 1)))
-    return ("o", cls.__name__, tuple(items))
-
-
-def _baseline_page_crcs(image) -> list:
-    """Per-page CRCs of the image's sealed good words (the restore
-    baseline).  Computed once per (recording, component) and cached —
-    ``freeze_good_image`` runs only at attach time, so the baseline is
-    stable for the kernel's lifetime."""
-    good = image._good_words
-    if good is None:
-        # Unsealed image (never the case for pooled campaign systems):
-        # impossible sentinel CRCs force every dirty page into the
-        # delta, which is exact — clean pages are the constant zeros.
-        return [-1] * len(image._dirty)
-    size = image.size
-    return [
-        zlib.crc32(good[page << PAGE_SHIFT:
-                        min((page + 1) << PAGE_SHIFT, size)].tobytes())
-        for page in range(len(image._dirty))
-    ]
-
-
-def _image_delta(image, baseline: list) -> tuple:
-    """Canonical content delta of ``image`` against its sealed baseline.
-
-    Only dirty pages can differ from the good words (every write sets
-    the page's dirty bit; restore copies good words back and clears it),
-    so CRC-ing dirty pages alone discriminates exactly as well as the
-    whole-image CRC — at a cost proportional to the run's footprint.
-    Dirty pages whose content CRC-matches the baseline are dropped, so
-    the delta is independent of *how* a page came to hold its bytes
-    (written-then-restored vs never written).  Tainted pages always
-    carry their taint-bit CRC: taint only exists on dirty pages, and
-    including the bit pattern makes this strictly stronger than the old
-    whole-image key (which summarised taint as a count).
-    """
-    words = image.words
-    dirty = image._dirty
-    taint = image._taint if image._taint_count else None
-    size = image.size
-    delta = []
-    for page, bit in enumerate(dirty):
-        if not bit:
-            continue
-        lo = page << PAGE_SHIFT
-        hi = min(lo + PAGE_WORDS, size)
-        tainted = taint is not None and any(taint[lo:hi])
-        crc = zlib.crc32(words[lo:hi].tobytes())
-        if tainted or crc != baseline[page]:
-            delta.append((
-                page, crc,
-                zlib.crc32(bytes(taint[lo:hi])) if tainted else 0,
-            ))
-    return tuple(delta)
-
-
-def _tail_state_key(kernel, page_crcs: Dict[str, list]) -> tuple:
-    """Exact, hashable fingerprint of the mutable system state at a
-    quiescent divergence point — the tail cache's pre-state proof.
-
-    Two runs share a tail only when this key matches, which is the same
-    induction the prefix rests on: the prefix proves its pre-state by
-    "sealed snapshot + nothing delivered", a tail proves its by "this
-    exact fingerprint".  Semantically the traversal matches
-    :func:`repro.system._flatten` (the machinery ``REPRO_POOL_DEBUG``
-    uses to prove restored == fresh) and covers everything a unit's
-    effects can read: the virtual clock, every thread (registers,
-    blocked/pending state, cycle counters), the run-queue order and
-    round-robin cursor, every component's image (content delta against
-    the sealed baseline + allocator, see :func:`_image_delta`) and state
-    dicts, and both stub tracking tables.  ``page_crcs`` caches each
-    image's baseline page CRCs across probes (one dict per recording —
-    a recording is bound to one kernel, whose good images never change).
-
-    Excluded on purpose: ``kernel.stats`` and engine counters (cold- vs
-    warm-cache runs reach identical virtual state with different
-    counters — the pooled==fresh differential proves cache state never
-    affects virtual evolution), the SWIFI controller (covered by
-    :func:`_swifi_residue`, and quiescence pins its RNG), and the
-    recovery manager's sample logs (accounting, not behavior).
-    """
-    global _FP_SKIP, _FP_MAX_DEPTH
-    if _FP_SKIP is None:
-        from repro.system import _FINGERPRINT_MAX_DEPTH, _FINGERPRINT_SKIP
-        _FP_SKIP = _FINGERPRINT_SKIP
-        _FP_MAX_DEPTH = _FINGERPRINT_MAX_DEPTH
-    threads = kernel.threads
-    rq = kernel.run_queue
-    key = [
-        kernel.clock.now,
-        kernel._next_tid,
-        repr(kernel.crashed),
-        tuple(t.tid for t in rq._threads),
-        rq._rr,
-        tuple((tid, _fp_freeze(threads[tid])) for tid in sorted(threads)),
-    ]
-    for name in sorted(kernel.components):
-        component = kernel.components[name]
-        image = component.image
-        # Untouched components encode as a marker: the pool_restore
-        # skip test already guarantees "pristine implies sealed state"
-        # (a wrong skip would fail the REPRO_POOL_DEBUG differential),
-        # and most of a system sits untouched at any divergence point.
-        if (
-            not (
-                component._ran
-                or component.reboot_epoch
-                or component.faults_detected
-            )
-            and image.is_pristine()
-        ):
-            key.append((name, image._alloc_ptr, "pristine"))
-            continue
-        baseline = page_crcs.get(name)
-        if baseline is None:
-            baseline = page_crcs[name] = _baseline_page_crcs(image)
-        key.append((
-            name,
-            image._alloc_ptr,
-            _image_delta(image, baseline),
-            _fp_freeze(image._free_lists),
-            _fp_freeze(component),
-        ))
-    for pair in sorted(kernel._stubs):
-        stub = kernel._stubs[pair]
-        pristine = getattr(stub, "pool_pristine", None)
-        if pristine is not None and pristine():
-            key.append((pair, "pristine"))
-        else:
-            key.append((pair, _fp_freeze(stub)))
-    for server in sorted(kernel._server_stubs):
-        stub = kernel._server_stubs[server]
-        pristine = getattr(stub, "pool_pristine", None)
-        if pristine is not None and pristine():
-            key.append((server, "pristine"))
-        else:
-            key.append((server, _fp_freeze(stub)))
-    return tuple(key)
-
-
-def _swifi_quiescent(swifi) -> bool:
-    """No future injector RNG draw is possible: nothing armed, no burst
-    in flight.  (A fired-but-unapplied retval flip is allowed — its bit
-    was already drawn, so its eventual delivery is deterministic and the
-    residue equality guards pin it.)  Only past this point can a
-    divergence tail be keyed and recorded: before it, the injector may
-    still consume the run's seeded RNG, which no recording can share."""
-    return swifi is None or (
-        swifi.pending is None
-        and swifi._idl_pending is None
-        and not swifi._burst_remaining
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +448,6 @@ class Unit:
         "wakes",          # ((tid, value, blocked_in, token, has_stub), ...)
         "stub",           # resolved client stub for thread._last_stub
         "fast",           # exec-compiled guard+apply, or None (interpreted)
-        "pre",            # tail units: required _swifi_residue pre-state
         "block",          # block units: (component, token, timeout, on_wake)
     )
 
@@ -778,37 +500,24 @@ def _compile_unit(unit: Unit):
     # ---- guards -----------------------------------------------------
     emit(f" if k.clock.now != {unit.start_clock}: return _NO")
     emit(" if k.crashed is not None: return _NO")
-    if unit.pre is None:
-        emit(" b = k.booter")
-        emit(" if b is not None and b.reboot_log: return _NO")
-        emit(" s = k.swifi")
-        emit(" if s is not None:")
-        emit("  if s.delivered or s._idl_ret_pending is not None"
-             " or s._burst_remaining: return _NO")
-        if unit.armed_hits:
-            emit("  p = s.pending")
-            emit("  if p is not None:")
-            for comp, hits in unit.armed_hits.items():
-                emit(f"   if p.component == {comp!r} and"
-                     f" p.seen + {hits} > p.after_executions: return _NO")
-        if unit.ic_map:
-            emit("  i = s._idl_pending")
-            emit("  if i is not None:")
-            for server, delta in unit.ic_map.items():
-                emit(f"   if i[0] == {server!r} and"
-                     f" i[2] + {delta} > i[1]: return _NO")
-    else:
-        # Tail unit: the run is past its injection.  Prove the live
-        # SWIFI + reboot residue — delivered-record count, pending
-        # retval flips, burst state, reboot-log depth — equals the
-        # residue the tail was recorded against; the full pre-state was
-        # proven once by the tail signature's exact state fingerprint,
-        # exactly as the primary path proves its "nothing delivered
-        # yet" pre-state against the sealed snapshot.
-        g["PRE"] = unit.pre
-        g["_RES"] = _swifi_residue
-        emit(" if _RES(k) != PRE: return _NO")
-        emit(" s = k.swifi")
+    emit(" b = k.booter")
+    emit(" if b is not None and b.reboot_log: return _NO")
+    emit(" s = k.swifi")
+    emit(" if s is not None:")
+    emit("  if s.delivered or s._idl_ret_pending is not None"
+         " or s._burst_remaining: return _NO")
+    if unit.armed_hits:
+        emit("  p = s.pending")
+        emit("  if p is not None:")
+        for comp, hits in unit.armed_hits.items():
+            emit(f"   if p.component == {comp!r} and"
+                 f" p.seen + {hits} > p.after_executions: return _NO")
+    if unit.ic_map:
+        emit("  i = s._idl_pending")
+        emit("  if i is not None:")
+        for server, delta in unit.ic_map.items():
+            emit(f"   if i[0] == {server!r} and"
+                 f" i[2] + {delta} > i[1]: return _NO")
     emit(" T = k.threads")
     tids = sorted(
         {tid for tid, __, __ in unit.threads_delta}
@@ -844,10 +553,7 @@ def _compile_unit(unit: Unit):
     emit(" S = k.stats")
     for key, d in unit.stats_delta:
         emit(f" S[{key!r}] += {d}")
-    if unit.pre is None:
-        emit(" S['super_trace_runs'] += 1")
-    else:
-        emit(" S['super_trace_tail_runs'] += 1")
+    emit(" S['super_trace_runs'] += 1")
     if unit.tc_delta or unit.ic_delta or unit.armed_hits or unit.ic_map:
         emit(" if s is not None:")
         emit("  c_ = s.trace_counts")
@@ -954,19 +660,12 @@ class Recording:
     declines.
     """
 
-    __slots__ = ("units", "kernel", "meta", "tails", "page_crcs")
+    __slots__ = ("units", "kernel", "meta")
 
     def __init__(self, units: List[Unit], kernel, meta: dict):
         self.units = units
         self.kernel = kernel
         self.meta = meta
-        #: Divergence-tail cache: signature -> compiled secondary unit
-        #: sequence (or ``None`` for a tail whose recording failed, so
-        #: runs diverging there never re-record it).  Shared by every
-        #: replay session on this recording within the process.
-        self.tails: Dict[tuple, Optional[List[Unit]]] = {}
-        #: Baseline page CRCs per component (see :func:`_tail_state_key`).
-        self.page_crcs: Dict[str, list] = {}
         for unit in units:
             unit.fast = (
                 _compile_unit(unit) if unit.kind != "bypass" else None
@@ -989,15 +688,8 @@ class RecordingSession:
     """Attached to a kernel (``kernel._supertrace``) during the one
     clean recording run; builds the unit list as the run executes."""
 
-    def __init__(self, kernel, tail: bool = False):
+    def __init__(self, kernel):
         self.kernel = kernel
-        #: Tail mode: recording the post-divergence remainder of a live
-        #: injected run (instead of the clean whole-run sequence).  Tail
-        #: units additionally capture the SWIFI residue at each unit
-        #: start, and any unit that *changes* that residue (a retval
-        #: flip landing, a delivery latency being consumed) demotes to a
-        #: bypass unit so the change replays authoritatively.
-        self.tail = tail
         self.units: List[Unit] = []
         self.failed: Optional[str] = None
         self.busy = False
@@ -1113,7 +805,6 @@ class RecordingSession:
         unit.sig = sig
         unit.start_clock = start
         unit.end_clock = end
-        unit.pre = None
         unit.block = None
         return unit
 
@@ -1179,7 +870,6 @@ class RecordingSession:
             "ic": dict(swifi.invoke_counts) if swifi is not None else {},
             "images": images,
             "roots": roots,
-            "residue": _swifi_residue(kernel) if self.tail else None,
         }
 
     # -- diff ------------------------------------------------------------
@@ -1197,10 +887,6 @@ class RecordingSession:
             raise _NotReplayable("unit micro-rebooted a component")
         if not _is_scalar_result(result):
             raise _NotReplayable("non-scalar return value")
-        if self.tail and _swifi_residue(kernel) != pre["residue"]:
-            # A delivery landed or latent injector state advanced inside
-            # this unit; it must re-execute authoritatively at replay.
-            raise _NotReplayable("swifi residue changed inside unit")
 
         threads_delta = []
         regs_end = []
@@ -1358,7 +1044,6 @@ class RecordingSession:
         unit.stub = (
             kernel._stubs.get((sig[1], sig[2])) if kind == "invoke" else None
         )
-        unit.pre = pre["residue"]
         unit.block = None
         return unit
 
@@ -1384,34 +1069,9 @@ class RecordingSession:
             )
         return Recording(list(self.units), kernel, dict(meta))
 
-    def finish_tail(self, sig: tuple) -> Optional[List[Unit]]:
-        """Validate and seal a divergence tail; ``None`` if unusable.
-
-        Unlike :meth:`finish`, a rebooted run is *expected* here — the
-        tail of a recovered injection contains the micro-reboot, demoted
-        to a bypass unit by the reboot-log growth check.  Crashed or
-        budget-exhausted runs are rejected: their ends are not unit-
-        shaped, so the signature is cached as a dead entry instead.
-        """
-        if self.failed is not None:
-            return None
-        kernel = self.kernel
-        if kernel.crashed is not None or kernel.last_run_exhausted:
-            return None
-        units = list(self.units)
-        for unit in units:
-            unit.fast = (
-                _compile_unit(unit) if unit.kind != "bypass" else None
-            )
-        recorder = kernel.recorder
-        if recorder.enabled:
-            recorder.emit(
-                "super_trace_tail_record",
-                unit_index=int(sig[0]),
-                units=len(units),
-                replayable=sum(1 for u in units if u.kind != "bypass"),
-            )
-        return units
+    def finish_tail(self, sig: tuple) -> None:
+        """No-op kept for ``bench/tracer.py``, its only reader: the
+        engine records no divergence tails."""
 
 
 def _is_scalar_result(result) -> bool:
@@ -1460,49 +1120,28 @@ def _replay_block(unit: Unit) -> BlockThread:
 class ReplaySession:
     """Attached to a kernel for one run; replays the recording prefix.
 
-    With ``tails=True`` the session also drives the **divergence-tail
-    cache**: once the prefix diverges (an injection fired), it waits for
-    the injector to go quiescent (no future RNG draw possible), keys the
-    remainder of the run by a signature — divergence cursor, the SWIFI +
-    reboot residue, and an exact fingerprint of the converged system
-    state — and either replays a previously recorded tail through the
-    same guard+apply machinery or records this run's tail for the next
-    run that diverges into the same state.  Keying on converged state
-    (not on the values the injector drew) is what makes tails *shared*:
-    dozens of distinct flips funnel through the same recovery path into
-    the same post-reboot state, and one recorded tail covers them all.
-    A guard failure inside a tail falls back to the authoritative
-    engine permanently, exactly like the prefix.
+    Once the prefix diverges, every later unit of the run executes
+    authoritatively.
     """
 
-    __slots__ = (
-        "recording", "cursor", "diverged", "busy",
-        "tails", "div_cursor",
-        "tail_units", "tail_cursor", "tail_rec", "tail_sig",
-    )
+    __slots__ = ("recording", "cursor", "diverged", "busy")
 
-    def __init__(self, recording: Recording, tails: bool = False):
+    def __init__(self, recording: Recording):
         self.recording = recording
         self.cursor = 0
         self.diverged = False
         self.busy = False
-        self.tails = recording.tails if tails else None
-        self.div_cursor = 0
-        self.tail_units: Optional[List[Unit]] = None
-        self.tail_cursor = 0
-        self.tail_rec: Optional[RecordingSession] = None
-        self.tail_sig: Optional[tuple] = None
 
     # -- kernel hooks ----------------------------------------------------
     def on_invoke(self, kernel, thread, action):
-        sig = (
-            thread.tid,
-            thread.executing_in or thread.home,
-            action.server,
-            action.fn,
-            action.args,
-        )
         if not self.diverged:
+            sig = (
+                thread.tid,
+                thread.executing_in or thread.home,
+                action.server,
+                action.fn,
+                action.args,
+            )
             units = self.recording.units
             cursor = self.cursor
             if cursor < len(units):
@@ -1531,20 +1170,19 @@ class ReplaySession:
                         return unit.retval
             self._diverge(kernel)
         return self._divergent(
-            kernel, thread, "invoke", sig,
-            lambda: kernel._invoke_impl(thread, action),
+            kernel, lambda: kernel._invoke_impl(thread, action)
         )
 
     def on_unblock(self, kernel, thread, stub, action, value):
-        sig = (
-            thread.tid,
-            getattr(stub, "client", None),
-            getattr(stub, "server", None),
-            action.fn,
-            action.args,
-            value if isinstance(value, _SCALARS) else "<nonscalar>",
-        )
         if not self.diverged:
+            sig = (
+                thread.tid,
+                getattr(stub, "client", None),
+                getattr(stub, "server", None),
+                action.fn,
+                action.args,
+                value if isinstance(value, _SCALARS) else "<nonscalar>",
+            )
             units = self.recording.units
             cursor = self.cursor
             if cursor < len(units):
@@ -1574,7 +1212,7 @@ class ReplaySession:
                         return unit.retval
             self._diverge(kernel)
         return self._divergent(
-            kernel, thread, "unblock", sig,
+            kernel,
             lambda: stub.post_unblock(
                 kernel, thread, action.fn, action.args, value
             ),
@@ -1585,101 +1223,21 @@ class ReplaySession:
         """Mark the permanent prefix divergence (counted exactly once)."""
         if not self.diverged:
             self.diverged = True
-            self.div_cursor = self.cursor
             kernel.stats["super_trace_divergences"] += 1
 
-    def _divergent(self, kernel, thread, kind, sig, body):
-        """One post-divergence unit: tail replay, tail recording, or
-        plain authoritative execution."""
-        stats = kernel.stats
-        tail = self.tail_units
-        if tail is None and self.tail_rec is None and self.tails is not None:
-            # Probing: the tail cache engages at the first unit boundary
-            # where the injector can draw no further RNG — before that,
-            # deliveries depend on the run's seed and no tail is shared.
-            if _swifi_quiescent(kernel.swifi):
-                tsig = (
-                    self.div_cursor,
-                    _swifi_residue(kernel),
-                    _tail_state_key(kernel, self.recording.page_crcs),
-                )
-                tails = self.tails
-                if tsig in tails:
-                    cached = tails[tsig]
-                    if cached is None:
-                        # Known-dead signature (crashed/exhausted tail):
-                        # authoritative for the rest of the run.
-                        self.tails = None
-                    else:
-                        self.tail_units = tail = cached
-                        self.tail_cursor = 0
-                        recorder = kernel.recorder
-                        if recorder.enabled:
-                            recorder.emit(
-                                "super_trace_tail_replay",
-                                unit_index=int(self.div_cursor),
-                                units=len(cached),
-                            )
-                elif len(tails) < _MAX_TAILS:
-                    self.tail_rec = RecordingSession(kernel, tail=True)
-                    self.tail_sig = tsig
-                else:
-                    self.tails = None
-        if tail is not None:
-            cursor = self.tail_cursor
-            if cursor < len(tail):
-                unit = tail[cursor]
-                if unit.okind == kind and unit.sig == sig:
-                    if unit.kind == "bypass":
-                        return self._run_tail_bypass(unit, kernel, body)
-                    fast = unit.fast
-                    if fast is not None:
-                        result = fast(kernel, thread)
-                        if result is not _NO:
-                            self.tail_cursor = cursor + 1
-                            if unit.kind == "block":
-                                raise _replay_block(unit)
-                            return result
-                    elif self._guard(kernel, unit):
-                        self.tail_cursor = cursor + 1
-                        self._apply(kernel, unit)
-                        if unit.okind == "invoke":
-                            thread._last_stub = unit.stub
-                        stats["super_trace_tail_runs"] += 1
-                        if unit.kind == "block":
-                            raise _replay_block(unit)
-                        return unit.retval
-            # Tail guard failure or overrun: authoritative, permanently.
-            self.tail_units = None
-            self.tails = None
-        stats["super_trace_divergent_units"] += 1
+    def _divergent(self, kernel, body):
+        """One post-divergence unit, executed authoritatively."""
+        kernel.stats["super_trace_divergent_units"] += 1
         self.busy = True
         try:
-            if self.tail_rec is not None:
-                return self.tail_rec._record_unit(kernel, kind, sig, body)
             return body()
         finally:
             self.busy = False
 
     # -- run completion --------------------------------------------------
     def finalize(self, kernel) -> None:
-        """Seal a tail recorded during this run; call once at run end.
-
-        A tail that failed to seal (crash, exhausted budget, recorder
-        anomaly) is cached as a dead signature so later runs diverging
-        identically go straight to the authoritative engine instead of
-        re-recording a tail that can never seal.
-        """
-        rec = self.tail_rec
-        if rec is None:
-            return
-        self.tail_rec = None
-        units = rec.finish_tail(self.tail_sig)
-        tails = self.recording.tails
-        if len(tails) < _MAX_TAILS:
-            tails[self.tail_sig] = units
-            if units is not None:
-                kernel.stats["super_trace_tail_records"] += 1
+        """No-op kept for ``bench/tracer.py``, its only reader: there is
+        no divergence tail to seal at run end."""
 
     # -- bypass units ----------------------------------------------------
     def _run_bypass(self, unit: Unit, kernel, body):
@@ -1687,12 +1245,7 @@ class ReplaySession:
         run is still on the recording's clock trajectory afterwards."""
         if kernel.clock.now != unit.start_clock:
             self._diverge(kernel)
-            kernel.stats["super_trace_divergent_units"] += 1
-            self.busy = True
-            try:
-                return body()
-            finally:
-                self.busy = False
+            return self._divergent(kernel, body)
         self.cursor += 1
         kernel.stats["super_trace_bypasses"] += 1
         self.busy = True
@@ -1708,68 +1261,33 @@ class ReplaySession:
             self._diverge(kernel)
         return result
 
-    def _run_tail_bypass(self, unit: Unit, kernel, body):
-        """A recorded tail bypass unit: authoritative with the same
-        start/end clock verification as the prefix bypass path."""
-        if kernel.clock.now != unit.start_clock:
-            self.tail_units = None
-            self.tails = None
-            kernel.stats["super_trace_divergent_units"] += 1
-            self.busy = True
-            try:
-                return body()
-            finally:
-                self.busy = False
-        self.tail_cursor += 1
-        kernel.stats["super_trace_bypasses"] += 1
-        self.busy = True
-        try:
-            result = body()
-        except BlockThread:
-            if kernel.clock.now != unit.end_clock:
-                self.tail_units = None
-                self.tails = None
-            raise
-        finally:
-            self.busy = False
-        if kernel.clock.now != unit.end_clock:
-            self.tail_units = None
-            self.tails = None
-        return result
-
     # -- guard -----------------------------------------------------------
     def _guard(self, kernel, unit: Unit) -> bool:
         if kernel.clock.now != unit.start_clock:
             return False
         if kernel.crashed is not None:
             return False
-        if unit.pre is not None:
-            # Tail unit: the live SWIFI + reboot residue must equal the
-            # recorded pre-state exactly.
-            if _swifi_residue(kernel) != unit.pre:
+        booter = kernel.booter
+        if booter is not None and booter.reboot_log:
+            return False
+        swifi = kernel.swifi
+        if swifi is not None:
+            if swifi.delivered:
                 return False
-        else:
-            booter = kernel.booter
-            if booter is not None and booter.reboot_log:
+            if swifi._idl_ret_pending is not None:
                 return False
-            swifi = kernel.swifi
-            if swifi is not None:
-                if swifi.delivered:
+            if swifi._burst_remaining:
+                return False
+            pending = swifi.pending
+            if pending is not None:
+                hits = unit.armed_hits.get(pending.component, 0)
+                if pending.seen + hits > pending.after_executions:
                     return False
-                if swifi._idl_ret_pending is not None:
+            idl = swifi._idl_pending
+            if idl is not None:
+                delta = unit.ic_map.get(idl[0], 0)
+                if idl[2] + delta > idl[1]:
                     return False
-                if swifi._burst_remaining:
-                    return False
-                pending = swifi.pending
-                if pending is not None:
-                    hits = unit.armed_hits.get(pending.component, 0)
-                    if pending.seen + hits > pending.after_executions:
-                        return False
-                idl = swifi._idl_pending
-                if idl is not None:
-                    delta = unit.ic_map.get(idl[0], 0)
-                    if idl[2] + delta > idl[1]:
-                        return False
         threads = kernel.threads
         for tid, value, blocked_in, token, has_stub in unit.wakes:
             t = threads.get(tid)

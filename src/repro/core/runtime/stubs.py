@@ -108,10 +108,8 @@ class ClientStubRuntime:
         """Is every piece of per-run state still at its sealed value?
 
         The predicate behind :meth:`pool_restore`'s skip — a stub the
-        run never drove needs no reset.  The tail cache's state probe
-        reuses it to encode untouched stubs as a constant marker
-        instead of deep-freezing them; both uses lean on the same
-        invariant (pristine implies sealed state), which the
+        run never drove needs no reset.  The skip leans on the
+        invariant "pristine implies sealed state", which the
         ``REPRO_POOL_DEBUG`` restored==fresh differential enforces.
         """
         return (

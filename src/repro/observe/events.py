@@ -66,10 +66,6 @@ EVENT_FIELDS: Dict[str, FrozenSet[str]] = {
     # Tier-3 super-trace recording sealed (build-time only, once per
     # run spec — never emitted per replayed unit).
     "super_trace_record": frozenset({"units", "replayable", "service"}),
-    # Divergence-tail cache: a post-injection tail sealed for reuse, or
-    # a cached tail engaged for replay (both at most once per run).
-    "super_trace_tail_record": frozenset({"unit_index", "units", "replayable"}),
-    "super_trace_tail_replay": frozenset({"unit_index", "units"}),
     # -- cluster supervision (node-level lifecycle) ----------------------
     "node_kill": frozenset({"node", "unit"}),
     "unit_failover": frozenset({"unit", "from_node", "to_node"}),

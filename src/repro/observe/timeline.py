@@ -137,16 +137,6 @@ def _describe(event: Dict[str, object]) -> str:
             f"super-trace   sealed {d['units']} units "
             f"({d['replayable']} replayable) for {d['service']}"
         )
-    if name == "super_trace_tail_record":
-        return (
-            f"super-trace   tail sealed at unit {d['unit_index']}: "
-            f"{d['units']} units ({d['replayable']} replayable)"
-        )
-    if name == "super_trace_tail_replay":
-        return (
-            f"super-trace   tail replay at unit {d['unit_index']} "
-            f"({d['units']} units)"
-        )
     if name == "node_kill":
         return f"NODE KILL     {d['node']} lost at unit {d['unit']} (correlated failure)"
     if name == "unit_failover":

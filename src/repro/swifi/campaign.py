@@ -32,7 +32,6 @@ from repro.composite.supertrace import (
     RecordingSession,
     ReplaySession,
     super_trace_enabled,
-    tail_replay_enabled,
 )
 from repro.errors import BlockThread, ReproError, SimulatedFault, SystemHang
 from repro.observe import tracing_enabled
@@ -54,8 +53,6 @@ MAX_STEPS = 60_000
 COVERAGE_KEYS = (
     "super_trace_runs",
     "super_trace_bypasses",
-    "super_trace_tail_runs",
-    "super_trace_tail_records",
     "super_trace_divergences",
     "super_trace_divergent_units",
 )
@@ -74,13 +71,11 @@ def collect_coverage(kernel, into: Optional[Dict[str, int]] = None):
 def coverage_ratio(coverage: Dict[str, int]) -> float:
     """Fraction of executed invocation units served by replay.
 
-    Replayed prefix units plus replayed tail units, over every unit that
-    crossed the session — replayed, recorded-bypass, and plain
-    post-divergence authoritative units alike.
+    Replayed prefix units over every unit that crossed the session —
+    replayed, recorded-bypass, and post-divergence authoritative units
+    alike.
     """
-    replayed = (
-        coverage["super_trace_runs"] + coverage["super_trace_tail_runs"]
-    )
+    replayed = coverage["super_trace_runs"]
     total = (
         replayed
         + coverage["super_trace_bypasses"]
@@ -181,7 +176,6 @@ def execute_run_traced(spec: RunSpec, run_seed: int):
             "trace_cache_hits", "trace_cache_misses",
             "super_trace_runs", "super_trace_bypasses",
             "super_trace_divergences", "super_trace_divergent_units",
-            "super_trace_tail_runs", "super_trace_tail_records",
             "budget_exhausted",
         ):
             metrics.counter(stat).inc(system.kernel.stats[stat])
@@ -346,10 +340,8 @@ def _drive_run(spec: RunSpec, run_seed: int, system=None, instance=None):
     workload = workload_for(spec.service)
     handle = workload.install(system, iterations=spec.iterations)
     _arm_for_class(swifi, spec, injection_point(run_seed, spec.horizon))
-    session = None
     if recording is not None and recording.kernel is kernel:
-        session = ReplaySession(recording, tails=tail_replay_enabled())
-        kernel._supertrace = session
+        kernel._supertrace = ReplaySession(recording)
     crash: Optional[BaseException] = None
     steps = 0
     try:
@@ -369,10 +361,6 @@ def _drive_run(spec: RunSpec, run_seed: int, system=None, instance=None):
         crash = error
     finally:
         kernel._supertrace = None
-        if session is not None:
-            # Seal (or dead-cache) a tail recorded during this run so
-            # the next run diverging with the same signature replays it.
-            session.finalize(kernel)
     if kernel.crashed is not None and crash is None:
         crash = kernel.crashed
     outcome = classify_run(spec.ft_mode, system, swifi, handle, crash, steps)
@@ -425,8 +413,8 @@ class CampaignResult:
     exec_wall: float = 0.0
     #: Summed supertrace engine counters (:data:`COVERAGE_KEYS`).  Also
     #: sidecar-only: the counters depend on the engine knobs
-    #: (``REPRO_SUPER_TRACE``/``REPRO_TAIL_REPLAY``/pooling), which the
-    #: main artifact must be invariant to.
+    #: (``REPRO_SUPER_TRACE``/pooling), which the main artifact must be
+    #: invariant to.
     coverage: Optional[Dict[str, int]] = None
 
     @property

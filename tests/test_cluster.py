@@ -200,7 +200,7 @@ class TestFailover:
         made against its own private snapshot (registry keys carry the
         pool instance).  The scenario rows — outcome mix, failovers,
         reboots, durations — must be identical to the authoritative
-        two-tier execution, tails included.
+        two-tier execution.
         """
         from repro.composite.supertrace import REGISTRY
 
@@ -210,7 +210,6 @@ class TestFailover:
         monkeypatch.setenv("REPRO_SUPER_TRACE", "0")
         baseline = [execute_scenario(spec, s) for s in seeds]
         monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
-        monkeypatch.setenv("REPRO_TAIL_REPLAY", "1")
         assert [execute_scenario(spec, s) for s in seeds] == baseline
         # The engine really engaged, with per-node recordings: the
         # registry holds instance-keyed entries for the cluster nodes.
