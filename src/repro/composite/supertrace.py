@@ -695,17 +695,6 @@ class RecordingSession:
         self.busy = False
         self._hits: Dict[str, int] = {}
         self._swifi = None
-        self._external = False
-
-    def mark_external(self) -> None:
-        """Force the unit currently executing to record as a bypass.
-
-        Called from workload-side hooks (e.g. the web server's
-        ``on_served`` arming callback) whose side effects live outside
-        the kernel state a unit diff captures: a replayed unit would
-        skip the hook, so the unit must stay authoritative forever.
-        """
-        self._external = True
 
     # -- swifi instrumentation -----------------------------------------
     def instrument(self, swifi) -> None:
@@ -750,7 +739,6 @@ class RecordingSession:
         pre = self._snapshot(kernel)
         start = kernel.clock.now
         self.busy = True
-        self._external = False
         try:
             result = body()
         except BlockThread as block:
@@ -761,7 +749,7 @@ class RecordingSession:
             # plus the reconstructible exception — so replay applies the
             # diff and re-raises instead of re-executing the server.
             unit = None
-            if not self._external and _block_replayable(block):
+            if _block_replayable(block):
                 try:
                     unit = self._finish_unit(
                         kernel, kind, sig, pre, start, None
@@ -783,11 +771,6 @@ class RecordingSession:
             raise
         finally:
             self.busy = False
-        if self._external:
-            self.units.append(
-                self._bypass_unit(kind, sig, start, kernel.clock.now)
-            )
-            return result
         try:
             self.units.append(
                 self._finish_unit(kernel, kind, sig, pre, start, result)

@@ -216,18 +216,17 @@ def _web_recording(spec: WebRunSpec):
 def _build_web_recording(spec: WebRunSpec):
     """Record the clean (fault-free) request stream for replay.
 
-    Web faults are not seed-positioned: every faulted run arms at the
-    same deterministic served-count crossings (see
-    ``run_webserver``'s ``arm_on_progress``), and only the armed
-    *target service's* execution differs between seeds.  So one clean
-    recording serves every seed — but the units in which an
-    ``on_served`` crossing fires must not be replayed, because replay
-    skips the Python that invokes the hook.  A probe mirroring the
-    arming cadence calls :meth:`RecordingSession.mark_external` during
-    exactly those units, recording them as bypasses: at replay the real
-    ``arm_on_progress`` runs inside them, arming faults authoritatively,
-    and any in-unit delivery diverges the replay for good (end-clock
-    verification).  Any anomaly in the clean run aborts to None.
+    Web faults are not seed-positioned: every faulted run arms its first
+    fault at the same deterministic served-count crossing (see
+    ``run_webserver``'s ``arm_on_progress``) with ``after_executions=0``,
+    so its replay always diverges right after that crossing.  One clean
+    recording therefore serves every seed, and only its prefix up to
+    the first crossing is ever replayed: a probe on the same cadence
+    detaches the session there, and the clean run finishes on the
+    authoritative engine.  Replay past the recording's end diverges to
+    the authoritative path, which keeps a short recording exact.
+    Fault-free specs record the whole run.  Any anomaly in the clean
+    run aborts to None.
     """
     gap = max(spec.n_requests // (spec.n_faults + 1), 1)
     session = None
@@ -242,17 +241,11 @@ def _build_web_recording(spec: WebRunSpec):
                 session.instrument(swifi)
                 kernel._supertrace = session
                 if spec.n_faults > 0:
-                    state = {"served": 0, "left": spec.n_faults}
-
                     def probe(served: int) -> None:
-                        # Mirrors arm_on_progress exactly: the cadence
-                        # anchor advances on every crossing, armed or
-                        # not, so late crossings line up too.
-                        if served - state["served"] >= gap:
-                            state["served"] = served
-                            if state["left"] > 0:
-                                state["left"] -= 1
-                                session.mark_external()
+                        # on_served fires between units, so the
+                        # recording ends on a whole unit.
+                        if served >= gap:
+                            kernel._supertrace = None
             try:
                 result = run_webserver(
                     ft_mode=spec.ft_mode,
@@ -528,8 +521,11 @@ def _init_web_worker(spec: WebRunSpec, trace: bool = False) -> None:
 
 def _execute_web_chunk(
     seeds: List[int],
-) -> List[Tuple[int, Dict[str, object], Optional[dict]]]:
-    """Worker entry point: one chunk of runs -> (seed, row, record|None)."""
+) -> Tuple[List[Tuple[int, Dict[str, object], Optional[dict]]], int]:
+    """Worker entry point: one chunk of runs -> ``(results,
+    recorded_units)``, each result a ``(seed, row, record|None)``
+    triple and ``recorded_units`` the size of the super-trace recording
+    the chunk replayed (0 without one)."""
     spec, trace = _WEB_SPEC, _WEB_TRACE
     results: List[Tuple[int, Dict[str, object], Optional[dict]]] = []
     for seed in seeds:
@@ -538,7 +534,8 @@ def _execute_web_chunk(
         else:
             row, record = execute_web_run(spec, seed), None
         results.append((seed, row, record))
-    return results
+    recording = None if trace else _web_recording(spec)
+    return results, len(recording.units) if recording is not None else 0
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +553,9 @@ class WebCampaignResult:
     #: Wall-clock split (sidecar-only: the artifact stays deterministic).
     setup_wall: float = 0.0
     exec_wall: float = 0.0
+    #: Units in the super-trace recording the runs replayed (0 without
+    #: one) — a work count for the sidecar, not an outcome.
+    recorded_units: int = 0
 
     def to_json_dict(self) -> Dict[str, object]:
         """The deterministic campaign artifact (no wall-clock anywhere)."""
@@ -591,6 +591,7 @@ class WebCampaignResult:
                 {
                     "runs": len(self.rows),
                     "setup_wall": self.setup_wall,
+                    "recorded_units": self.recorded_units,
                     "exec_wall": self.exec_wall,
                 },
                 handle,
@@ -682,9 +683,11 @@ def run_webserver_campaign(
     setup_start = time.perf_counter()
     rows_by_seed: Dict[int, Dict[str, object]] = {}
     records: Dict[int, dict] = {}
+    recorded = {"units": 0}
 
     def note(batch) -> None:
-        for run_seed, row, record in batch:
+        results, recorded["units"] = batch
+        for run_seed, row, record in results:
             rows_by_seed[run_seed] = row
             if record is not None:
                 records[run_seed] = record
@@ -711,6 +714,7 @@ def run_webserver_campaign(
         aggregate=aggregate_rows(spec, rows),
         setup_wall=exec_start - setup_start,
         exec_wall=exec_end - exec_start,
+        recorded_units=recorded["units"],
     )
 
 

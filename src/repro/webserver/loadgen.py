@@ -299,8 +299,8 @@ def run_webserver(
 
     ``progress_hook`` installs an ``on_served`` observer on fault-free
     runs (ignored with ``with_faults``, which owns the hook) — the
-    super-trace recorder uses it to mark the units where a faulted run
-    would arm, without perturbing the clean execution.
+    super-trace recorder uses it to stop recording where a faulted run
+    would first arm, without perturbing the clean execution.
     """
     if system is None:
         system = build_system(ft_mode=ft_mode)

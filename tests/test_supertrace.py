@@ -25,6 +25,7 @@ from repro.swifi import campaign as swifi_campaign
 from repro.swifi import parallel
 from repro.swifi.campaign import CampaignRunner, execute_run
 from repro.system import GLOBAL_POOL, build_system
+from repro.webserver import campaign as web_campaign
 from repro.webserver.campaign import (
     WebRunSpec,
     execute_web_run,
@@ -103,14 +104,73 @@ class TestOutcomeIdentity:
         assert [execute_web_run(spec, s) for s in seeds] == baseline
         assert {row["outcome"] for row in baseline} == {"ok"}
 
-    def test_web_campaign_identical(self, monkeypatch):
+    @pytest.mark.parametrize("arrivals", ["closed", "open"])
+    @pytest.mark.parametrize("fault_class", ["reg", "mem", "idl", "burst"])
+    def test_web_campaign_identical(self, monkeypatch, fault_class, arrivals):
+        # The recording stops at the first arming crossing, so every
+        # class's guards decide where replay hands over.
         monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        spec = WebRunSpec(ft_mode="superglue", n_requests=120, n_faults=3)
+        spec = WebRunSpec(
+            ft_mode="superglue", n_requests=120, n_faults=3,
+            fault_class=fault_class, arrivals=arrivals,
+        )
         seeds = web_run_seeds(1, 3)
         monkeypatch.setenv("REPRO_SUPER_TRACE", "0")
         baseline = [execute_web_run(spec, s) for s in seeds]
         monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
         assert [execute_web_run(spec, s) for s in seeds] == baseline
+
+
+class TestWebRecordingPrefix:
+    """A Fig. 7 recording is the clean prefix up to the first arming
+    crossing: faulted runs replay all of it, then diverge exactly once."""
+
+    def _run_stats(self, spec, recording):
+        # Pool restores zero the kernel stats, so after each run they
+        # hold that run's own counts.
+        stats = []
+        for seed in web_run_seeds(1, 3):
+            execute_web_run(spec, seed)
+            stats.append(dict(recording.kernel.stats))
+        return stats
+
+    @pytest.mark.parametrize("arrivals", ["closed", "open"])
+    def test_faulted_runs_replay_every_recorded_unit(
+        self, monkeypatch, arrivals
+    ):
+        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
+        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
+        spec = WebRunSpec(n_requests=120, n_faults=3, arrivals=arrivals)
+        recording = web_campaign._web_recording(spec)
+        assert recording is not None
+        full = web_campaign._web_recording(
+            WebRunSpec(n_requests=120, n_faults=0, arrivals=arrivals)
+        )
+        assert 0 < len(recording.units) < len(full.units)
+        for run in self._run_stats(spec, recording):
+            assert (
+                run["super_trace_runs"] + run["super_trace_bypasses"]
+                == len(recording.units)
+            )
+            assert run["super_trace_divergences"] == 1
+            assert run["super_trace_divergent_units"] > 0
+
+    @pytest.mark.parametrize("arrivals", ["closed", "open"])
+    def test_fault_free_recording_covers_the_whole_run(
+        self, monkeypatch, arrivals
+    ):
+        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
+        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
+        spec = WebRunSpec(n_requests=120, n_faults=0, arrivals=arrivals)
+        recording = web_campaign._web_recording(spec)
+        assert recording is not None
+        for run in self._run_stats(spec, recording):
+            assert (
+                run["super_trace_runs"] + run["super_trace_bypasses"]
+                == len(recording.units)
+            )
+            assert run["super_trace_divergences"] == 0
+            assert run["super_trace_divergent_units"] == 0
 
 
 class TestReplayAccounting:

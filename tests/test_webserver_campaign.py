@@ -298,6 +298,24 @@ class TestArtifacts:
         timing = json.loads((tmp_path / "fig7.json.timing.json").read_text())
         assert timing["runs"] == 2
 
+    @pytest.mark.parametrize("super_trace", ["0", "1"])
+    def test_timing_sidecar_counts_recorded_units(
+        self, tmp_path, monkeypatch, super_trace
+    ):
+        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
+        monkeypatch.setenv("REPRO_SUPER_TRACE", super_trace)
+        result = run_webserver_campaign(
+            web_run_seeds(1, 2), SMOKE_SPEC, workers=1
+        )
+        path = tmp_path / "fig7.json"
+        result.write_json(str(path))
+        assert "recorded_units" not in path.read_text()
+        timing = json.loads((tmp_path / "fig7.json.timing.json").read_text())
+        if super_trace == "1":
+            assert timing["recorded_units"] > 0
+        else:
+            assert timing["recorded_units"] == 0
+
 
 class TestOpenLoopCampaign:
     def test_spec_validation(self):
