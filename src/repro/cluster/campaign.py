@@ -13,9 +13,9 @@ Scenarios follow the repository's campaign discipline exactly:
 * a scenario's row is a pure function of ``(ClusterSpec,
   scenario_seed)`` — rows derive only from virtual-time outcomes,
   never from engine counters that warm caches shift;
-* scenario seeds fan out over
-  :func:`repro.swifi.parallel.fan_out_chunks`'s process pool and rows
-  merge in seed order, so the JSON artifact is byte-identical serial
+* scenario seeds run through the seeded-campaign core
+  (:func:`repro.swifi.parallel.run_seeded`) and rows merge in seed
+  order, so the JSON artifact is byte-identical serial
   vs parallel, pooled vs fresh; and
 * ``--trace`` records node-level events (kills, failovers, evictions,
   whole-node reboots, rejoins) on a per-cell flight recorder stamped
@@ -25,24 +25,21 @@ Scenarios follow the repository's campaign discipline exactly:
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.cell import Cell
 from repro.cluster.node import node_pool_instance
-from repro.observe import export as trace_export
 from repro.observe.metrics import canonical_metrics, merge_metrics
 from repro.swifi.campaign import (
     COVERAGE_KEYS,
     CampaignRunner,
     RunSpec,
-    _campaign_recording,
     coverage_ratio,
+    warm_up,
 )
 from repro.swifi.injector import FAULT_CLASSES
-from repro.swifi.parallel import default_workers, fan_out_chunks
-from repro.system import GLOBAL_POOL, compile_all_interfaces, pooling_enabled
+from repro.swifi.parallel import export_trace, run_seeded
 
 
 @dataclass(frozen=True)
@@ -165,22 +162,38 @@ def execute_scenario(
     return cell.run_scenario(scenario_seed)
 
 
-def execute_scenario_traced(
-    spec: ClusterSpec, scenario_seed: int, cell: Optional[Cell] = None
-) -> Tuple[Dict[str, object], Dict[str, object]]:
-    """One scenario with node-level tracing; returns ``(row, record)``.
+def _cluster_setup(spec: ClusterSpec, trace: bool) -> Cell:
+    """Per-process setup: build the cell and warm every node.
 
-    The cell's flight recorder (stamped with the cell's virtual clock)
-    captures the kill/failover/evict/reboot/rejoin arc; the row is
-    computed exactly as in the untraced path, so requesting a trace
-    never changes campaign artifacts.
+    Each node warms its private instance-keyed pool snapshot and
+    super-trace recording through the same :func:`warm_up` Table II
+    uses, so forked workers inherit them copy-on-write and the first
+    scenario doesn't pay the warm-up passes.  Node systems are
+    per-process pool entries, so worker cells never share mutable state.
     """
-    if cell is None or not cell.recorder.enabled:
-        cell = Cell(spec, trace=True)
-    row = cell.run_scenario(scenario_seed)
-    record = {
+    cell = Cell(spec, trace=trace)
+    run_spec = spec.run_spec()
+    for node in cell.nodes:
+        warm_up(run_spec, instance=node_pool_instance(node.node_id))
+    return cell
+
+
+def _cluster_run(spec: ClusterSpec, seed: int, trace: bool, cell, counters):
+    """One scenario on the worker's cell: ``(row, record_or_None)``.
+
+    Per-node supertrace coverage goes to ``counters`` (sidecar-only —
+    rows stay engine-invariant).  Traced cells stamp node-level events
+    (kill, failover, evict, reboot, rejoin) with the cell's virtual
+    clock; the row is computed exactly as untraced.
+    """
+    row = cell.run_scenario(seed)
+    for key, value in cell.coverage().items():
+        counters[key] = counters.get(key, 0) + value
+    if not trace:
+        return row, None
+    return row, {
         "fingerprint": spec.fingerprint(),
-        "run_seed": scenario_seed,
+        "run_seed": seed,
         "service": spec.service,
         "ft_mode": spec.ft_mode,
         "fault_class": spec.fault_class,
@@ -193,63 +206,6 @@ def execute_scenario_traced(
         "dropped_events": cell.recorder.dropped,
         "metrics": row["metrics"],
     }
-    return row, record
-
-
-#: Worker-side campaign state (see ``repro.swifi.parallel``): set once
-#: per process by the initializer so chunks carry only seed lists.
-_CLUSTER_SPEC: Optional[ClusterSpec] = None
-_CLUSTER_TRACE: bool = False
-_CLUSTER_CELL: Optional[Cell] = None
-
-
-def _init_cluster_worker(spec: ClusterSpec, trace: bool = False) -> None:
-    """Campaign initializer: compile, build the cell, warm node pools.
-
-    Under the fork start method this runs in the parent: workers
-    inherit the compiled interfaces and every node's sealed pooled
-    system copy-on-write.  Node systems are *per-process* pool entries
-    (instance-keyed), so worker cells never share mutable state.
-    """
-    global _CLUSTER_SPEC, _CLUSTER_TRACE, _CLUSTER_CELL
-    _CLUSTER_SPEC = spec
-    _CLUSTER_TRACE = trace
-    if spec.ft_mode == "superglue":
-        compile_all_interfaces()
-    _CLUSTER_CELL = Cell(spec, trace=trace)
-    if pooling_enabled():
-        run_spec = spec.run_spec()
-        for node in _CLUSTER_CELL.nodes:
-            node.acquire_system()
-            # Pre-build this node's instance-keyed super-trace recording
-            # (a no-op when the engine is off), so forked workers
-            # inherit every node's recording copy-on-write and the
-            # first scenario doesn't pay the warm-up passes.
-            _campaign_recording(
-                run_spec, instance=node_pool_instance(node.node_id)
-            )
-
-
-def _execute_cluster_chunk(seeds: List[int]):
-    """Worker entry point: one chunk of scenarios.
-
-    Returns ``(triples, coverage)``: ``(seed, row, record_or_None)``
-    per scenario, plus the chunk's summed per-node supertrace coverage
-    (sidecar-only — rows stay engine-invariant).
-    """
-    spec, trace, cell = _CLUSTER_SPEC, _CLUSTER_TRACE, _CLUSTER_CELL
-    results: List[Tuple[int, Dict[str, object], Optional[dict]]] = []
-    coverage = dict.fromkeys(COVERAGE_KEYS, 0)
-    for seed in seeds:
-        if trace:
-            row, record = execute_scenario_traced(spec, seed, cell=cell)
-        else:
-            row, record = execute_scenario(spec, seed, cell=cell), None
-        if cell is not None:
-            for key, value in cell.coverage().items():
-                coverage[key] += value
-        results.append((seed, row, record))
-    return results, coverage
 
 
 # ---------------------------------------------------------------------------
@@ -359,77 +315,28 @@ def run_cluster_campaign(
     is byte-identical across worker counts — and, because rows derive
     from virtual-time outcomes only, across pooling modes.
     """
-    if workers is None:
-        workers = default_workers()
     seeds = list(seeds)
-    tracing = trace is not None
-    setup_start = time.perf_counter()
-    rows_by_seed: Dict[int, Dict[str, object]] = {}
-    records: Dict[int, dict] = {}
-    coverage = dict.fromkeys(COVERAGE_KEYS, 0)
-
-    def note(batch) -> None:
-        triples, chunk_coverage = batch
-        for key, value in chunk_coverage.items():
-            coverage[key] += value
-        for scenario_seed, row, record in triples:
-            rows_by_seed[scenario_seed] = row
-            if record is not None:
-                records[scenario_seed] = record
-            if progress is not None:
-                progress(len(rows_by_seed), len(seeds), row)
-
-    exec_start = time.perf_counter()
-    fan_out_chunks(
-        _execute_cluster_chunk,
-        seeds,
-        workers,
-        initializer=_init_cluster_worker,
-        initargs=(spec, tracing),
-        on_batch=note,
+    campaign = run_seeded(
+        _cluster_setup, _cluster_run, spec, seeds, workers,
+        trace=trace is not None, progress=progress,
     )
-    exec_end = time.perf_counter()
-    rows = [rows_by_seed[seed] for seed in seeds]
-    if tracing:
-        _export_cluster_trace(trace, spec, seeds, rows, records)
+    rows = [campaign.results[seed] for seed in seeds]
+    if trace is not None:
+        export_trace(
+            trace, spec.fingerprint(), seeds,
+            [row["outcome"] for row in rows], campaign.records,
+        )
     return ClusterCampaignResult(
         spec=spec,
         seeds=seeds,
         rows=rows,
         aggregate=aggregate_cluster_rows(rows),
-        setup_wall=exec_start - setup_start,
-        exec_wall=exec_end - exec_start,
-        coverage=coverage,
+        setup_wall=campaign.setup_wall,
+        exec_wall=campaign.exec_wall,
+        coverage={
+            key: campaign.counters.get(key, 0) for key in COVERAGE_KEYS
+        },
     )
-
-
-def _export_cluster_trace(
-    path: str,
-    spec: ClusterSpec,
-    seeds: Sequence[int],
-    rows: Sequence[Dict[str, object]],
-    records: Dict[int, dict],
-) -> None:
-    """Parent-side trace export in seed order (serial == parallel)."""
-    merged_metrics: Dict[str, object] = {}
-    with open(path, "a", encoding="utf-8") as handle:
-        for seed in seeds:
-            record = records.get(seed)
-            if record is None:
-                continue
-            trace_export.write_run(handle, record)
-            merge_metrics(merged_metrics, record["metrics"])
-        tally: Dict[str, int] = {}
-        for row in rows:
-            tally[row["outcome"]] = tally.get(row["outcome"], 0) + 1
-        trace_export.write_summary(
-            handle,
-            fingerprint=spec.fingerprint(),
-            runs=len(seeds),
-            replayed=0,
-            outcomes=tally,
-            metrics=canonical_metrics(merged_metrics),
-        )
 
 
 def format_cluster_campaign(result: ClusterCampaignResult) -> str:

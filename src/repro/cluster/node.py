@@ -21,7 +21,7 @@ excluded so supervisor decisions stay identical across pooling modes.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.observe.metrics import MetricsRegistry
 from repro.swifi.campaign import (
@@ -31,7 +31,7 @@ from repro.swifi.campaign import (
     collect_coverage,
 )
 from repro.swifi.classify import Outcome
-from repro.system import GLOBAL_POOL, System, build_system, pooling_enabled
+from repro.system import GLOBAL_POOL, System
 
 #: Outcomes the supervisor counts as node-degrading crashes.
 FATAL_OUTCOMES = frozenset(
@@ -65,27 +65,6 @@ class Node:
         self.coverage = dict.fromkeys(COVERAGE_KEYS, 0)
 
     # ------------------------------------------------------------------
-    def acquire_system(self) -> System:
-        """This node's System, restored to its sealed post-boot state.
-
-        Pooled by default — the pool key carries ``instance=(cluster,
-        node_id)`` so every node holds its own snapshot — with the same
-        fresh-build fallback (``REPRO_SYSTEM_POOL=0``) the flat
-        campaigns use.  ``REPRO_POOL_DEBUG=1`` therefore verifies every
-        node restore against a fresh build, which is what the
-        whole-node-reboot differential test leans on.
-        """
-        if pooling_enabled():
-            return GLOBAL_POOL.acquire(
-                ft_mode=self.ft_mode,
-                recovery_mode=self.recovery_mode,
-                instance=("cluster", self.node_id),
-            )
-        return build_system(
-            ft_mode=self.ft_mode, recovery_mode=self.recovery_mode
-        )
-
-    # ------------------------------------------------------------------
     def run_unit(
         self, spec: RunSpec, unit_seed: int
     ) -> Tuple[Outcome, int, int]:
@@ -95,21 +74,16 @@ class Node:
         the end of the run) — the cell clock advances by it, keeping
         cluster timelines wall-clock-free and therefore deterministic.
 
-        Pooled units go through ``_drive_run``'s ``instance`` path: the
-        run acquires this node's private snapshot *and* the super-trace
+        The run goes through ``_drive_run``'s ``instance`` path: it
+        acquires this node's private snapshot *and* the super-trace
         recording keyed to it, so node units replay their prefix exactly
-        like flat campaign runs.  With pooling off each unit
-        builds fresh and executes on the authoritative engine — same
-        outcomes, by the supertrace correctness contract.
+        like flat campaign runs.  Without pooling each unit builds fresh
+        and executes on the authoritative engine — same outcomes, by the
+        supertrace correctness contract.
         """
-        if pooling_enabled():
-            outcome, system, __, steps, __ = _drive_run(
-                spec, unit_seed, instance=node_pool_instance(self.node_id)
-            )
-        else:
-            outcome, system, __, steps, __ = _drive_run(
-                spec, unit_seed, system=self.acquire_system()
-            )
+        outcome, system, __, steps, __ = _drive_run(
+            spec, unit_seed, instance=node_pool_instance(self.node_id)
+        )
         self.units_run += 1
         self._fold_health(system, outcome)
         collect_coverage(system.kernel, self.coverage)
@@ -145,20 +119,19 @@ class Node:
     def reboot(self) -> None:
         """Whole-node reboot: seal-restore the entire System.
 
-        With pooling on this is the pool's ~5us dirty-restore of the
-        node's private snapshot; with pooling off the next
-        :meth:`acquire_system` builds fresh, which is the same
-        post-boot state by construction.  Either way the node's health
-        window resets — a rebooted node is a healthy node.
+        This is the pool's ~5us dirty-restore of the node's private
+        snapshot; without pooling the next unit builds fresh anyway,
+        which is the same post-boot state by construction.
+        Either way the node's health window resets — a rebooted node is
+        a healthy node.
         """
-        if pooling_enabled():
-            snapshot = GLOBAL_POOL.snapshot_for(
-                ft_mode=self.ft_mode,
-                recovery_mode=self.recovery_mode,
-                instance=("cluster", self.node_id),
-            )
-            if snapshot is not None:
-                snapshot.restore()
+        snapshot = GLOBAL_POOL.snapshot_for(
+            ft_mode=self.ft_mode,
+            recovery_mode=self.recovery_mode,
+            instance=node_pool_instance(self.node_id),
+        )
+        if snapshot is not None:
+            snapshot.restore()
         self.killed = False
         self.reboots += 1
         self.metrics = MetricsRegistry()
@@ -178,6 +151,6 @@ class Node:
         )
 
 
-#: Snapshot identity helper used by tests and the campaign initializer.
-def node_pool_instance(node_id: int) -> Optional[tuple]:
+def node_pool_instance(node_id: int) -> tuple:
+    """The pool ``instance`` key of a node's private snapshot."""
     return ("cluster", node_id)

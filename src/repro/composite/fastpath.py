@@ -34,6 +34,7 @@ by ``REPRO_TRACE_CACHE`` (see :mod:`repro.composite.services.common`).
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from typing import Optional
 
 from repro.composite.machine import (
@@ -108,6 +109,24 @@ class FastProgram:
 #: tier-1 trace cache.
 _PROGRAM_CACHE: dict = {}
 _PROGRAM_CACHE_CAPACITY = 4096
+
+
+@contextmanager
+def program_cache_rolled_back():
+    """Forget, on exit, whatever the block changed in the program memo.
+
+    A traced campaign run records fast-path attaches and compiles, and
+    those depend on what earlier runs of the same process left in the
+    memo.  Rolling the memo back after each traced run keeps its record
+    a function of the run alone, so serial and forked campaigns export
+    identical traces.
+    """
+    saved = dict(_PROGRAM_CACHE)
+    try:
+        yield
+    finally:
+        _PROGRAM_CACHE.clear()
+        _PROGRAM_CACHE.update(saved)
 
 
 def _make_fault_helpers(component_name: str) -> dict:

@@ -24,9 +24,12 @@ from __future__ import annotations
 import json
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro import observe
+from repro.composite.fastpath import program_cache_rolled_back
 from repro.composite.supertrace import (
     REGISTRY,
     RecordingSession,
@@ -64,7 +67,7 @@ def collect_coverage(kernel, into: Optional[Dict[str, int]] = None):
         into = dict.fromkeys(COVERAGE_KEYS, 0)
     stats = kernel.stats
     for key in COVERAGE_KEYS:
-        into[key] += stats[key]
+        into[key] = into.get(key, 0) + stats[key]
     return into
 
 
@@ -149,73 +152,128 @@ def execute_run(spec: RunSpec, run_seed: int) -> Outcome:
     return outcome
 
 
+#: Kernel counters a traced Table II run folds into its metrics.
+RUN_STATS = (
+    "invocations", "upcalls", "faults_vectored", "micro_reboots",
+    "steps", "interp_fast_runs", "interp_slow_runs",
+    "trace_cache_hits", "trace_cache_misses",
+    "super_trace_runs", "super_trace_bypasses",
+    "super_trace_divergences", "super_trace_divergent_units",
+    "budget_exhausted",
+)
+
+
+def run_record(spec, run_seed: int, system, stats, **fields) -> dict:
+    """One traced run's record, ready for
+    :func:`repro.observe.export.write_run`.
+
+    Folds the kernel's whole-run ``stats`` counters into the run's
+    metrics registry, so campaign aggregation sees engine and recovery
+    statistics in one deterministic place; ``fields`` carry the
+    campaign kind's own header fields (service, outcome, steps, ...).
+    """
+    kernel = system.kernel
+    recorder = kernel.recorder
+    metrics = recorder.metrics
+    for stat in stats:
+        metrics.counter(stat).inc(kernel.stats[stat])
+    metrics.counter("runs").inc()
+    return {
+        "fingerprint": spec.fingerprint(),
+        "run_seed": run_seed,
+        **fields,
+        "events": recorder.events(),
+        "dropped_events": recorder.dropped,
+        "metrics": metrics.to_dict(),
+    }
+
+
+@contextmanager
+def traced_run():
+    """Scope one campaign run under the flight recorder.
+
+    Tracing is forced for the run only, so workers trace their runs
+    whether or not ``REPRO_TRACE`` is set in their environment, and the
+    run's fast-path compiles are rolled back after it, so its record
+    does not depend on which runs this process executed before.
+    """
+    with observe.tracing(True), program_cache_rolled_back():
+        yield
+
+
 def execute_run_traced(spec: RunSpec, run_seed: int):
     """Run one injection with the flight recorder on; returns
     ``(outcome, run_record)``.
 
-    The run record is a JSON-safe dict — the run's identity, its derived
-    injection point, outcome, recorded events, and per-run metrics —
-    ready for :func:`repro.observe.export.write_run`.  Tracing is forced
-    for the scope of the run only, so workers trace their runs whether
-    or not ``REPRO_TRACE`` is set in their environment.  Event emission
-    never feeds back into execution, so the outcome is identical to the
-    untraced :func:`execute_run` for the same ``(spec, run_seed)``.
+    Event emission never feeds back into execution, so the outcome is
+    identical to the untraced :func:`execute_run` for the same
+    ``(spec, run_seed)``.
     """
-    from repro import observe
-
-    with observe.tracing(True):
-        outcome, system, swifi, steps, __ = _drive_run(spec, run_seed)
-        recorder = system.kernel.recorder
-        metrics = recorder.metrics
-        # Fold the kernel's whole-run counters into the per-run registry
-        # so campaign aggregation sees engine + recovery statistics in
-        # one deterministic place.
-        for stat in (
-            "invocations", "upcalls", "faults_vectored", "micro_reboots",
-            "steps", "interp_fast_runs", "interp_slow_runs",
-            "trace_cache_hits", "trace_cache_misses",
-            "super_trace_runs", "super_trace_bypasses",
-            "super_trace_divergences", "super_trace_divergent_units",
-            "budget_exhausted",
-        ):
-            metrics.counter(stat).inc(system.kernel.stats[stat])
-        metrics.counter("runs").inc()
-        metrics.counter(f"outcome_{outcome.value}").inc()
-        record = {
-            "fingerprint": spec.fingerprint(),
-            "run_seed": run_seed,
-            "service": spec.service,
-            "ft_mode": spec.ft_mode,
-            "fault_class": spec.fault_class,
-            "injection_point": injection_point(run_seed, spec.horizon),
-            "horizon": spec.horizon,
-            "outcome": outcome.value,
-            "steps": steps,
-            "events": recorder.events(),
-            "dropped_events": recorder.dropped,
-            "metrics": metrics.to_dict(),
-        }
+    with traced_run():
+        outcome, system, __, steps, __ = _drive_run(spec, run_seed)
+        system.kernel.recorder.metrics.counter(
+            f"outcome_{outcome.value}"
+        ).inc()
+        record = run_record(
+            spec, run_seed, system, RUN_STATS,
+            service=spec.service,
+            ft_mode=spec.ft_mode,
+            fault_class=spec.fault_class,
+            injection_point=injection_point(run_seed, spec.horizon),
+            horizon=spec.horizon,
+            outcome=outcome.value,
+            steps=steps,
+        )
     return outcome, record
 
 
-def _campaign_system(ft_mode: str, recovery_mode: str, instance=None):
+def _pooled() -> bool:
+    """Do campaign runs execute on pooled systems right now?
+
+    The one place that decides "traced ⇒ fresh": warm trace caches shift
+    cache-hit counters that the flight recorder folds into per-run
+    metrics, and trace artifacts must stay byte-identical serial vs
+    parallel, so traced runs build fresh — and, since recordings bind
+    pooled systems, run without a super-trace.
+    """
+    return pooling_enabled() and not tracing_enabled()
+
+
+def _campaign_system(
+    ft_mode: str, recovery_mode: str, prepare=None, instance=None
+):
     """A system for one campaign run: pooled by default, fresh otherwise.
 
     Pooling reuses a per-process sealed system, dirty-restoring it to
     its post-boot state between runs — outcomes are bit-identical
     because a restored system is structurally indistinguishable from a
     fresh build (``REPRO_POOL_DEBUG=1`` verifies that per restore).
-    ``instance`` selects a private pool snapshot (e.g. one cluster
-    node's) instead of the process-shared one.  Traced runs always build
-    fresh: warm trace caches shift cache-hit counters that the flight
-    recorder folds into per-run metrics, and trace artifacts must stay
-    byte-identical serial vs parallel.
+    ``prepare`` is the pool's post-build hook (the web server registers
+    its own components with it); ``instance`` selects a private pool
+    snapshot (e.g. one cluster node's) instead of the process-shared
+    one.
     """
-    if pooling_enabled() and not tracing_enabled():
+    if _pooled():
         return GLOBAL_POOL.acquire(
-            ft_mode=ft_mode, recovery_mode=recovery_mode, instance=instance
+            ft_mode=ft_mode, recovery_mode=recovery_mode, prepare=prepare,
+            instance=instance,
         )
-    return build_system(ft_mode=ft_mode, recovery_mode=recovery_mode)
+    system = build_system(ft_mode=ft_mode, recovery_mode=recovery_mode)
+    if prepare is not None:
+        prepare(system)
+    return system
+
+
+def warm_up(spec: RunSpec, instance=None) -> None:
+    """Boot and seal the spec's pooled system and build its recording.
+
+    A campaign's per-process setup (a no-op without pooling), so its
+    first run pays neither.  ``instance`` warms a private snapshot, as
+    each cluster node does.
+    """
+    if _pooled():
+        _campaign_system(spec.ft_mode, spec.recovery_mode, instance=instance)
+        _campaign_recording(spec, instance=instance)
 
 
 def _arm_for_class(swifi: SwifiController, spec: RunSpec, point: int) -> None:
@@ -232,109 +290,139 @@ def _arm_for_class(swifi: SwifiController, spec: RunSpec, point: int) -> None:
         raise ValueError(f"unknown fault class {spec.fault_class!r}")
 
 
-def _campaign_recording(spec: RunSpec, instance=None):
-    """The super-trace recording for this spec, built once per process.
+def _recording_for(key: tuple, spec, build, prepare=None, instance=None):
+    """The super-trace recording registered under ``key``, built once
+    per process.
 
     Recordings exist only for pooled, untraced campaigns: a recording's
     units hold direct references into the sealed pooled system (images,
     stubs), so fresh-per-run and flight-recorder runs always execute on
     the authoritative two-tier path — which is also what makes
     ``REPRO_SUPER_TRACE=0/1 × REPRO_SYSTEM_POOL=0/1`` artifacts
-    byte-identical by construction.  ``instance`` keys the recording to
-    a private pool snapshot (a cluster node's), whose unit references
-    bind *that* snapshot's images and stubs — the shared-pool recording
-    would silently guard-fail against them every run.  A failed build is
-    cached as None so the campaign never retries it.
+    byte-identical by construction.  ``prepare``/``instance`` name the
+    pooled system the recording binds (see :func:`_campaign_system`).
+    ``build(spec, acquire)`` records on systems from ``acquire()``; a
+    failed build is cached as None so the campaign never retries it.
     """
-    if not (
-        super_trace_enabled() and pooling_enabled() and not tracing_enabled()
-    ):
+    if not (super_trace_enabled() and _pooled()):
         return None
-    key = (
-        spec.service, spec.ft_mode, spec.iterations, spec.recovery_mode,
-        instance,
-    )
     system = GLOBAL_POOL.peek(
         ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode,
-        instance=instance,
+        prepare=prepare, instance=instance,
     )
     if system is not None:
         found, recording = REGISTRY.lookup(key, system)
         if found:
             return recording
-    recording = _build_recording(spec, instance=instance)
+    recording = build(
+        spec,
+        lambda: _campaign_system(
+            spec.ft_mode, spec.recovery_mode, prepare, instance
+        ),
+    )
     system = GLOBAL_POOL.peek(
         ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode,
-        instance=instance,
+        prepare=prepare, instance=instance,
     )
     REGISTRY.store(key, system, recording)
     return recording
 
 
-def _build_recording(spec: RunSpec, instance=None):
-    """Record the spec's clean (fault-free) invocation sequence.
+def record_clean(acquire, run_clean, meta: dict, stop_at=None):
+    """Record one clean (fault-free) run for replay; None on any anomaly.
 
-    Two warm-up passes bring the pooled system's trace caches and
-    exec-compiled fast paths to steady state (the fast path compiles
-    after two clean runs), so the recorded per-unit statistics match the
-    warm state every pooled campaign run executes in.  Any anomaly —
-    workload failure, crash, reboot, exhausted budget — aborts to None:
-    the campaign then runs fully authoritative, never approximated.
+    Three clean passes on systems from ``acquire()``: two warm-up
+    passes bring the pooled system's trace caches and exec-compiled fast
+    paths to steady state (the fast path compiles after two clean runs),
+    so the recorded per-unit statistics match the warm state every
+    pooled campaign run executes in; the third runs under a
+    :class:`RecordingSession`.  ``run_clean(system, hook)`` executes one
+    pass and reports whether it stayed clean.  ``stop_at(progress)``,
+    if given, becomes the recording pass's progress ``hook``: once it
+    returns True the session detaches, so the recording ends on a whole
+    unit there.  Any anomaly — a failed or crashed run, a reboot, an
+    exhausted budget — aborts to None: the campaign then runs fully
+    authoritative, never approximated.
     """
-    workload = workload_for(spec.service)
     session = None
     try:
         for warm in range(3):
-            system = _campaign_system(
-                spec.ft_mode, spec.recovery_mode, instance=instance
-            )
+            system = acquire()
             kernel = system.kernel
             swifi = SwifiController(kernel, seed=0)  # never armed
-            handle = workload.install(system, iterations=spec.iterations)
+            hook = None
             if warm == 2:
                 session = RecordingSession(kernel)
                 session.instrument(swifi)
                 kernel._supertrace = session
+                if stop_at is not None:
+                    def hook(progress) -> None:
+                        if stop_at(progress):
+                            kernel._supertrace = None
             try:
-                system.run(max_steps=MAX_STEPS)
+                clean = run_clean(system, hook)
             finally:
                 kernel._supertrace = None
-            if (
-                not handle.check()
-                or kernel.crashed is not None
-                or kernel.budget_exhausted
-                or system.booter.reboots > 0
-            ):
+            if not clean:
                 return None
     except (SystemHang, SimulatedFault, ReproError, BlockThread):
         return None
-    return session.finish(
+    return session.finish(meta)
+
+
+def _campaign_recording(spec: RunSpec, instance=None):
+    """The spec's super-trace recording (see :func:`_recording_for`).
+
+    ``instance`` keys the recording to a private pool snapshot (a
+    cluster node's), whose unit references bind *that* snapshot's
+    images and stubs — the shared-pool recording would silently
+    guard-fail against them every run.
+    """
+    key = (
+        spec.service, spec.ft_mode, spec.iterations, spec.recovery_mode,
+        instance,
+    )
+    return _recording_for(key, spec, _build_recording, instance=instance)
+
+
+def _build_recording(spec: RunSpec, acquire):
+    """Record the spec's clean workload run (see :func:`record_clean`)."""
+    workload = workload_for(spec.service)
+
+    def run_clean(system, __) -> bool:
+        handle = workload.install(system, iterations=spec.iterations)
+        system.run(max_steps=MAX_STEPS)
+        kernel = system.kernel
+        return (
+            handle.check()
+            and kernel.crashed is None
+            and not kernel.budget_exhausted
+            and system.booter.reboots == 0
+        )
+
+    return record_clean(
+        acquire,
+        run_clean,
         {"service": spec.service, "ft_mode": spec.ft_mode,
-         "iterations": spec.iterations, "recovery_mode": spec.recovery_mode}
+         "iterations": spec.iterations, "recovery_mode": spec.recovery_mode},
     )
 
 
-def _drive_run(spec: RunSpec, run_seed: int, system=None, instance=None):
+def _drive_run(spec: RunSpec, run_seed: int, instance=None):
     """Boot (or pool-restore) a system, inject per the spec, run it.
 
     ``instance`` routes the run through a private instance-keyed pool
     snapshot (a cluster node's) with its own instance-keyed super-trace
     recording, so node runs replay exactly like shared-pool campaign
-    runs.  ``system`` lets a caller hand in a system it manages itself
-    (e.g. a fresh per-run build); such runs always execute on the
-    authoritative two-tier engine, since recordings bind direct
-    references into a pooled system the caller's is not.
+    runs.
     """
-    if system is None:
-        # Build the recording *before* the final acquire: the warm-up
-        # passes dirty the pooled snapshot, and this run must start from
-        # a clean restore of it.
-        recording = _campaign_recording(spec, instance=instance)
-        system = _campaign_system(
-            spec.ft_mode, spec.recovery_mode, instance=instance
-        )
-    else:
-        recording = None
+    # Build the recording *before* the final acquire: the warm-up passes
+    # dirty the pooled snapshot, and this run must start from a clean
+    # restore of it.
+    recording = _campaign_recording(spec, instance=instance)
+    system = _campaign_system(
+        spec.ft_mode, spec.recovery_mode, instance=instance
+    )
     kernel = system.kernel
     swifi = SwifiController(kernel, seed=run_seed)
     workload = workload_for(spec.service)
@@ -405,10 +493,11 @@ class CampaignResult:
     seed: int
     ft_mode: str
     fault_class: str = "reg"
-    #: Wall-clock split: calibration + spec construction vs run
-    #: execution.  Deliberately *not* part of :meth:`row` — the Table II
-    #: artifact must stay bit-identical across machines and pooling
-    #: modes; timings go to the ``.timing.json`` sidecar instead.
+    #: Wall-clock split: calibration plus per-process setup (IDL
+    #: compile, pool boot, recording) vs run execution.  Deliberately
+    #: *not* part of :meth:`row` — the Table II artifact must stay
+    #: bit-identical across machines and pooling modes; timings go to
+    #: the ``.timing.json`` sidecar instead.
     setup_wall: float = 0.0
     exec_wall: float = 0.0
     #: Summed supertrace engine counters (:data:`COVERAGE_KEYS`).  Also
@@ -533,30 +622,28 @@ class CampaignRunner:
         """
         from repro.swifi.parallel import run_campaign
 
-        setup_start = time.perf_counter()
+        start = time.perf_counter()
         spec = self.spec()
-        seeds = self.run_seeds()
-        coverage = dict.fromkeys(COVERAGE_KEYS, 0)
-        exec_start = time.perf_counter()
-        counter = run_campaign(
+        calibrate_wall = time.perf_counter() - start
+        counter, campaign = run_campaign(
             spec,
-            seeds,
+            self.run_seeds(),
             workers=workers,
             journal=journal,
             progress=progress,
             trace=trace,
-            coverage=coverage,
         )
-        exec_end = time.perf_counter()
         return CampaignResult(
             service=self.service,
             counter=counter,
             seed=self.seed,
             ft_mode=self.ft_mode,
             fault_class=self.fault_class,
-            setup_wall=exec_start - setup_start,
-            exec_wall=exec_end - exec_start,
-            coverage=coverage,
+            setup_wall=calibrate_wall + campaign.setup_wall,
+            exec_wall=campaign.exec_wall,
+            coverage={
+                key: campaign.counters.get(key, 0) for key in COVERAGE_KEYS
+            },
         )
 
 

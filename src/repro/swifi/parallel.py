@@ -1,21 +1,28 @@
-"""Parallel, resumable SWIFI campaign execution.
+"""The seeded-campaign core: parallel, resumable, traced campaigns.
 
-Injection campaigns are embarrassingly parallel: each run boots a fresh
-system (the paper reboots the machine between runs), so runs share
-nothing but the calibrated :class:`~repro.swifi.campaign.RunSpec`.  This
-module fans a campaign's run seeds out across a
-:class:`~concurrent.futures.ProcessPoolExecutor`, streams each chunk's
-``(run_seed, outcome)`` pairs back to the parent as it completes, and
-merges them in seed-schedule order so the aggregated
-:class:`~repro.swifi.classify.OutcomeCounter` is bit-identical to the
-serial path.
+Table II SWIFI campaigns, Fig. 7 web-server campaigns and cluster
+scenario campaigns are one discipline applied three times: many seeded
+runs, each a pure function of ``(spec, seed)`` sharing nothing but the
+spec, merged in seed order.  :func:`run_seeded` implements it once.  A
+campaign kind supplies only what differs — a per-process ``setup`` and a
+per-seed ``run`` — and the core owns the rest:
 
-A JSONL journal makes campaigns resumable: every completed run is
-appended as ``{"fingerprint", "run_seed", "outcome"}`` the moment its
-chunk finishes, and a rerun against the same journal replays those
-outcomes instead of re-executing them.  Entries are keyed by the spec
-fingerprint, so one journal file can checkpoint a whole multi-service
-Table II campaign.
+* one initializer per process (IDL compile plus the kind's setup: pool
+  boot, super-trace recording), run in the parent for serial and
+  ``fork`` campaigns so forked workers inherit it copy-on-write;
+* chunked fan-out over a :class:`~concurrent.futures.ProcessPoolExecutor`,
+  streaming each chunk's results back as it completes, and seed-keyed
+  merging of results, trace records and summed engine counters, so
+  aggregates are bit-identical to the serial path;
+* the setup/exec wall split of the ``.timing.json`` sidecars; and
+* :func:`export_trace`, the seed-order flight-recorder export.
+
+Table II adds a JSONL journal that makes campaigns resumable: every
+completed run is appended as ``{"fingerprint", "run_seed", "outcome"}``
+the moment its chunk finishes, and a rerun against the same journal
+replays those outcomes instead of re-executing them.  Entries are keyed
+by the spec fingerprint, so one journal file can checkpoint a whole
+multi-service Table II campaign.
 """
 
 from __future__ import annotations
@@ -23,21 +30,22 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.observe import export as trace_export
 from repro.observe.metrics import canonical_metrics, merge_metrics
 from repro.swifi.campaign import (
-    COVERAGE_KEYS,
     RunSpec,
-    _campaign_recording,
     _drive_run,
     collect_coverage,
     execute_run_traced,
+    warm_up,
 )
 from repro.swifi.classify import Outcome, OutcomeCounter
-from repro.system import GLOBAL_POOL, compile_all_interfaces, pooling_enabled
+from repro.system import compile_all_interfaces
 
 #: Target chunks per worker: small enough to stream progress and balance
 #: load, large enough to amortise task-submission overhead.
@@ -81,115 +89,174 @@ def chunk_seeds(seeds: Sequence[int], workers: int) -> List[List[int]]:
     return [list(seeds[i:i + size]) for i in range(0, len(seeds), size)]
 
 
-#: Worker-side campaign parameters, set once by the chunk initializer.
-#: Chunks then carry only seed lists: the spec crosses the process
-#: boundary exactly once per worker (spawn) or zero times (fork — the
-#: parent runs the initializer and workers inherit everything COW).
-_WORKER_SPEC: Optional[RunSpec] = None
-_WORKER_TRACE: bool = False
+@dataclass
+class SeededRun:
+    """A finished :func:`run_seeded` campaign.
 
-
-def _init_campaign_worker(spec: RunSpec, trace: bool = False) -> None:
-    """Campaign initializer: pay all per-process setup costs once.
-
-    Without this, every worker lazily recompiled the six IDL interfaces
-    on its first run (the ``compile_all_interfaces`` cache is
-    per-process and starts cold) and built a system per run.  Here each
-    process compiles once and — when pooling is enabled — boots and
-    seals its pooled system and builds the spec's super-trace recording
-    before the first chunk arrives, so chunk wall times measure
-    injection runs, not setup.  Under fork this runs in the *parent*
-    and workers inherit the whole warm state copy-on-write.
+    ``results`` and ``records`` are keyed by seed (callers read them in
+    seed-schedule order); ``counters`` sums the runs' engine counters,
+    which are knob-dependent and so ride the timing sidecar, never an
+    artifact.  ``setup_wall`` is the in-parent initializer (serial and
+    ``fork`` campaigns; ``spawn`` workers set up inside ``exec_wall``).
     """
-    global _WORKER_SPEC, _WORKER_TRACE
-    _WORKER_SPEC = spec
-    _WORKER_TRACE = trace
+
+    results: Dict[int, object] = field(default_factory=dict)
+    records: Dict[int, dict] = field(default_factory=dict)
+    counters: Dict[str, int] = field(default_factory=dict)
+    setup_wall: float = 0.0
+    exec_wall: float = 0.0
+
+
+#: The per-process campaign, ``(run, spec, trace, state)``, set once by
+#: :func:`_init_worker`.  Chunks then carry only seed lists: the spec
+#: crosses the process boundary exactly once per worker (spawn) or zero
+#: times (fork — the parent runs the initializer and workers inherit
+#: everything copy-on-write).
+_CAMPAIGN: Optional[tuple] = None
+
+
+def _init_worker(setup, run, spec, trace: bool) -> None:
+    """Pay a campaign's per-process setup once, before any chunk runs.
+
+    Each process compiles the IDL interfaces once (the
+    ``compile_all_interfaces`` cache is per-process and starts cold),
+    then ``setup(spec, trace)`` warms whatever the kind's runs share —
+    pooled systems, super-trace recordings, a cluster cell — and
+    returns the state handed to every ``run`` call.
+    """
+    global _CAMPAIGN
     if spec.ft_mode == "superglue":
         compile_all_interfaces()
-    if not trace and pooling_enabled():
-        GLOBAL_POOL.acquire(
-            ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode
-        )
-        _campaign_recording(spec)
-
-
-def fan_out_chunks(
-    execute,
-    pending: Sequence[int],
-    workers: int,
-    initializer=None,
-    initargs: tuple = (),
-    on_batch=None,
-) -> None:
-    """Fan ``execute`` out over chunked seeds — the shared campaign core.
-
-    ``execute(seeds)`` must be a picklable module-level function taking
-    only the chunk's seed list (per-campaign parameters travel through
-    ``initializer(*initargs)``, never per chunk) and returning one
-    result per seed; ``on_batch(results)`` is invoked in the parent as
-    each chunk completes (completion order — callers that need
-    determinism merge by seed afterwards, as :func:`run_campaign`
-    does).  With ``workers <= 1`` or at most one pending seed, the
-    initializer runs in-process and everything executes seed-by-seed
-    with no pool overhead but the identical per-run code path.  Under
-    the ``fork`` start method (see :func:`worker_start_method`) the
-    initializer also runs in the parent, *before* the pool exists, so
-    forked workers inherit its work — sealed pooled system, compiled
-    interfaces, super-trace recording — copy-on-write instead of
-    rebuilding it per worker.  Used by both the SWIFI table campaigns
-    and the web-server Fig. 7 campaign.
-    """
-    if workers <= 1 or len(pending) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        for seed in pending:
-            on_batch(execute([seed]))
-        return
-    chunks = chunk_seeds(pending, workers)
-    method = worker_start_method()
-    pool_initializer, pool_initargs = initializer, initargs
-    if method == "fork" and initializer is not None:
-        initializer(*initargs)
-        pool_initializer, pool_initargs = None, ()
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context(method),
-        initializer=pool_initializer,
-        initargs=pool_initargs,
-    ) as pool:
-        futures = [pool.submit(execute, chunk) for chunk in chunks]
-        for future in as_completed(futures):
-            on_batch(future.result())
+    _CAMPAIGN = (run, spec, trace, setup(spec, trace))
 
 
 def _execute_chunk(seeds: List[int]):
-    """Worker entry point: execute one chunk of runs.
+    """Worker entry point: run one chunk of seeds.
 
-    Reads the campaign parameters from the initializer-set module
-    globals — the submitted payload is just the seed list.  Returns
-    ``(triples, coverage)`` where the triples are ``(run_seed,
-    outcome.value, run_record_or_None)`` — plain strings/dicts, not
-    enum members, so results serialise cheaply across the process
-    boundary and into the journal — and ``coverage`` sums the chunk's
-    supertrace engine counters (zeros when the engine is off or the
-    run is traced).  With the trace flag set, each run executes under
-    the flight recorder and ships its event journal + per-run metrics
-    back to the parent, which merges and exports them
-    deterministically.
+    Returns ``(triples, counters)``: a ``(seed, result, record_or_None)``
+    triple per seed, plus the engine counters the chunk's runs added.
     """
-    spec, trace = _WORKER_SPEC, _WORKER_TRACE
-    coverage = dict.fromkeys(COVERAGE_KEYS, 0)
-    results: List[Tuple[int, str, Optional[dict]]] = []
-    if not trace:
+    run, spec, trace, state = _CAMPAIGN
+    counters: Dict[str, int] = {}
+    triples = [
+        (seed, *run(spec, seed, trace, state, counters)) for seed in seeds
+    ]
+    return triples, counters
+
+
+def run_seeded(
+    setup,
+    run,
+    spec,
+    seeds: Sequence[int],
+    workers: Optional[int] = None,
+    trace: bool = False,
+    progress=None,
+    on_batch=None,
+) -> SeededRun:
+    """Run ``spec``'s campaign over ``seeds`` — the shared campaign core.
+
+    ``setup(spec, trace)`` runs once per process (see
+    :func:`_init_worker`); ``run(spec, seed, trace, state, counters)``
+    executes one seed, adds its engine counters to ``counters`` and
+    returns ``(result, record_or_None)``, the record being the seed's
+    flight-recorder export when ``trace`` is set.  Both must be
+    picklable module-level functions.
+
+    ``workers=None`` uses one worker per CPU; with ``workers <= 1`` or
+    at most one seed everything runs in-process, seed by seed, with no
+    pool overhead but the identical per-run code path.  Under the
+    ``fork`` start method (see :func:`worker_start_method`) the
+    initializer also runs in the parent, *before* the pool exists.
+    ``on_batch(triples)`` and then ``progress(done, total, result)`` per
+    seed fire in the parent as each chunk completes (completion order;
+    results are keyed by seed, so the merge is order-free).
+    """
+    if workers is None:
+        workers = default_workers()
+    campaign = SeededRun()
+    if not seeds:
+        return campaign
+    totals = campaign.counters
+
+    def note(batch) -> None:
+        triples, counters = batch
+        for key, value in counters.items():
+            totals[key] = totals.get(key, 0) + value
+        if on_batch is not None:
+            on_batch(triples)
+        for seed, result, record in triples:
+            campaign.results[seed] = result
+            if record is not None:
+                campaign.records[seed] = record
+            if progress is not None:
+                progress(len(campaign.results), len(seeds), result)
+
+    initargs = (setup, run, spec, trace)
+    start = time.perf_counter()
+    if workers <= 1 or len(seeds) <= 1:
+        _init_worker(*initargs)
+        campaign.setup_wall = time.perf_counter() - start
         for seed in seeds:
-            outcome, system, __, __, __ = _drive_run(spec, seed)
-            collect_coverage(system.kernel, coverage)
-            results.append((seed, outcome.value, None))
-        return results, coverage
-    for seed in seeds:
-        outcome, record = execute_run_traced(spec, seed)
-        results.append((seed, outcome.value, record))
-    return results, coverage
+            note(_execute_chunk([seed]))
+    else:
+        method = worker_start_method()
+        pool_initializer, pool_initargs = _init_worker, initargs
+        if method == "fork":
+            _init_worker(*initargs)
+            pool_initializer, pool_initargs = None, ()
+        campaign.setup_wall = time.perf_counter() - start
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context(method),
+            initializer=pool_initializer,
+            initargs=pool_initargs,
+        ) as pool:
+            futures = [
+                pool.submit(_execute_chunk, chunk)
+                for chunk in chunk_seeds(seeds, workers)
+            ]
+            for future in as_completed(futures):
+                note(future.result())
+    campaign.exec_wall = time.perf_counter() - start - campaign.setup_wall
+    return campaign
+
+
+def export_trace(
+    path: str,
+    fingerprint: str,
+    seeds: Sequence[int],
+    outcomes: Iterable[str],
+    records: Dict[int, dict],
+    replayed: int = 0,
+) -> None:
+    """Append one campaign's traced runs and summary to ``path``.
+
+    Everything is written parent-side in seed-schedule order, and the
+    metrics merge follows the same order, so the artifact is
+    byte-identical whether the runs executed serially or across a
+    process pool.  ``outcomes`` lists every seed's outcome (seed order);
+    seeds without a record (``replayed`` from a journal) contribute no
+    events.
+    """
+    merged: Dict[str, object] = {}
+    tally: Dict[str, int] = {}
+    for outcome in outcomes:
+        tally[outcome] = tally.get(outcome, 0) + 1
+    with open(path, "a", encoding="utf-8") as handle:
+        for seed in seeds:
+            record = records.get(seed)
+            if record is not None:
+                trace_export.write_run(handle, record)
+                merge_metrics(merged, record["metrics"])
+        trace_export.write_summary(
+            handle,
+            fingerprint=fingerprint,
+            runs=len(seeds),
+            replayed=replayed,
+            outcomes=tally,
+            metrics=canonical_metrics(merged),
+        )
 
 
 class CampaignJournal:
@@ -243,6 +310,22 @@ class CampaignJournal:
             handle.flush()
 
 
+def _table2_setup(spec: RunSpec, trace: bool) -> None:
+    """Table II per-process setup: the pooled system and its recording
+    (traced runs build fresh, so they skip it)."""
+    if not trace:
+        warm_up(spec)
+
+
+def _table2_run(spec: RunSpec, seed: int, trace: bool, _state, counters):
+    """One Table II injection run: ``(outcome, record_or_None)``."""
+    if trace:
+        return execute_run_traced(spec, seed)
+    outcome, system, __, __, __ = _drive_run(spec, seed)
+    collect_coverage(system.kernel, counters)
+    return outcome, None
+
+
 def run_campaign(
     spec: RunSpec,
     run_seeds: Sequence[int],
@@ -250,109 +333,54 @@ def run_campaign(
     journal: Optional[str] = None,
     progress=None,
     trace: Optional[str] = None,
-    coverage: Optional[Dict[str, int]] = None,
-) -> OutcomeCounter:
-    """Execute a campaign's runs and aggregate their outcomes.
+) -> Tuple[OutcomeCounter, SeededRun]:
+    """Execute a Table II campaign's runs and aggregate their outcomes.
 
-    ``coverage``, if given, is filled in place with the campaign's
-    summed supertrace engine counters (see
-    :data:`~repro.swifi.campaign.COVERAGE_KEYS`) — engine statistics
-    are knob-dependent, so they ride the timing sidecar, never the
-    main artifact.  Journal-replayed runs were not re-executed and
-    contribute nothing.
+    Returns the outcome counter plus the core's :class:`SeededRun`,
+    whose ``counters`` sum the executed runs' supertrace coverage (see
+    :data:`~repro.swifi.campaign.COVERAGE_KEYS`) and whose walls split
+    setup from execution; journal-replayed runs were not re-executed and
+    contribute nothing to either.
 
-    ``workers=None`` uses one worker per CPU (:func:`default_workers`);
-    ``workers=1`` (or a single pending run) stays in-process with no
-    pool overhead.  The merge happens in ``run_seeds`` order regardless
-    of completion order (and regardless of how many runs were replayed
-    from the journal), so for a given seed schedule the resulting
-    counter is bit-identical across worker counts and across resumes.
+    The merge happens in ``run_seeds`` order regardless of completion
+    order (and regardless of how many runs were replayed from the
+    journal), so for a given seed schedule the resulting counter is
+    bit-identical across worker counts and across resumes.  ``progress``
+    sees ``(completed, total, outcome)`` with replayed runs counted.
 
     ``trace`` names a flight-recorder JSONL artifact to append to: each
-    run then executes with tracing on (workers serialize each run's
-    event journal + metrics back to the parent), and the parent writes
-    runs in seed-schedule order and merges per-run metrics in that same
-    order — so the exported file and the merged metrics are also
-    identical across worker counts.  Runs replayed from the journal were
-    not re-executed and contribute no events; the summary line counts
-    them.
+    run then executes with tracing on, and :func:`export_trace` writes
+    the runs and a summary line counting replayed runs.
     """
-    if workers is None:
-        workers = default_workers()
     book = CampaignJournal(journal) if journal else None
     outcomes: Dict[int, Outcome] = book.load(spec) if book else {}
-    replayed = {seed for seed in run_seeds if seed in outcomes}
     pending = [seed for seed in run_seeds if seed not in outcomes]
-    total = len(run_seeds)
-    completed = total - len(pending)
-    records: Dict[int, dict] = {}
-    tracing = trace is not None
+    replayed = len(run_seeds) - len(pending)
 
-    def note(batch) -> None:
-        nonlocal completed
-        triples, chunk_coverage = batch
-        if coverage is not None:
-            for key, value in chunk_coverage.items():
-                coverage[key] = coverage.get(key, 0) + value
-        if book is not None:
-            book.append(spec, [(seed, value) for seed, value, __ in triples])
-        for run_seed, value, record in triples:
-            outcomes[run_seed] = Outcome(value)
-            if record is not None:
-                records[run_seed] = record
-            completed += 1
-            if progress is not None:
-                progress(completed, total, outcomes[run_seed])
+    on_batch = None
+    if book is not None:
+        def on_batch(triples) -> None:
+            book.append(
+                spec, [(seed, outcome.value) for seed, outcome, __ in triples]
+            )
 
-    fan_out_chunks(
-        _execute_chunk,
-        pending,
-        workers,
-        initializer=_init_campaign_worker,
-        initargs=(spec, tracing),
-        on_batch=note,
+    report = None
+    if progress is not None:
+        def report(done: int, __, outcome: Outcome) -> None:
+            progress(replayed + done, len(run_seeds), outcome)
+
+    campaign = run_seeded(
+        _table2_setup, _table2_run, spec, pending, workers,
+        trace=trace is not None, progress=report, on_batch=on_batch,
     )
-
+    outcomes.update(campaign.results)
     counter = OutcomeCounter()
     for seed in run_seeds:
         counter.add(outcomes[seed])
-    if tracing:
-        _export_trace(trace, spec, run_seeds, outcomes, records, replayed)
-    return counter
-
-
-def _export_trace(
-    path: str,
-    spec: RunSpec,
-    run_seeds: Sequence[int],
-    outcomes: Dict[int, Outcome],
-    records: Dict[int, dict],
-    replayed,
-) -> None:
-    """Append this campaign's runs + summary to the trace artifact.
-
-    Everything is written parent-side in seed-schedule order, and the
-    metrics merge follows the same order, so the artifact is
-    byte-identical whether the runs executed serially or across a
-    process pool.
-    """
-    merged_metrics: Dict[str, object] = {}
-    with open(path, "a", encoding="utf-8") as handle:
-        for seed in run_seeds:
-            record = records.get(seed)
-            if record is None:
-                continue
-            trace_export.write_run(handle, record)
-            merge_metrics(merged_metrics, record["metrics"])
-        tally: Dict[str, int] = {}
-        for seed in run_seeds:
-            value = outcomes[seed].value
-            tally[value] = tally.get(value, 0) + 1
-        trace_export.write_summary(
-            handle,
-            fingerprint=spec.fingerprint(),
-            runs=len(run_seeds),
-            replayed=len(replayed),
-            outcomes=tally,
-            metrics=canonical_metrics(merged_metrics),
+    if trace is not None:
+        export_trace(
+            trace, spec.fingerprint(), run_seeds,
+            [outcomes[seed].value for seed in run_seeds],
+            campaign.records, replayed,
         )
+    return counter, campaign

@@ -365,6 +365,20 @@ def system_snapshot(system: System, prepare=None) -> SystemSnapshot:
     return SystemSnapshot(system, prepare=prepare)
 
 
+def _pool_key(ft_mode, apps, recovery_mode, prepare, instance) -> tuple:
+    """A pooled system's identity: its build parameters, the ``prepare``
+    hook by qualified name, and the private ``instance`` (if any)."""
+    return (
+        ft_mode,
+        tuple(apps),
+        recovery_mode,
+        None
+        if prepare is None
+        else f"{prepare.__module__}.{prepare.__qualname__}",
+        instance,
+    )
+
+
 class SystemPool:
     """Per-process pool of sealed systems, keyed by build parameters.
 
@@ -394,15 +408,7 @@ class SystemPool:
         private snapshot instead of all nodes sharing (and clobbering)
         one pooled image.
         """
-        key = (
-            ft_mode,
-            tuple(apps),
-            recovery_mode,
-            None
-            if prepare is None
-            else f"{prepare.__module__}.{prepare.__qualname__}",
-            instance,
-        )
+        key = _pool_key(ft_mode, apps, recovery_mode, prepare, instance)
         snapshot = self._snapshots.get(key)
         if snapshot is None:
             system = build_system(
@@ -439,15 +445,7 @@ class SystemPool:
         pooled system object (e.g. the super-trace registry): a restore
         here would double the per-run restore cost for nothing.
         """
-        key = (
-            ft_mode,
-            tuple(apps),
-            recovery_mode,
-            None
-            if prepare is None
-            else f"{prepare.__module__}.{prepare.__qualname__}",
-            instance,
-        )
+        key = _pool_key(ft_mode, apps, recovery_mode, prepare, instance)
         snapshot = self._snapshots.get(key)
         return None if snapshot is None else snapshot.system
 
@@ -465,16 +463,9 @@ class SystemPool:
         a node's snapshot *is* the node reboot (dirty-page restore of
         every component image plus per-run structure resets).
         """
-        key = (
-            ft_mode,
-            tuple(apps),
-            recovery_mode,
-            None
-            if prepare is None
-            else f"{prepare.__module__}.{prepare.__qualname__}",
-            instance,
+        return self._snapshots.get(
+            _pool_key(ft_mode, apps, recovery_mode, prepare, instance)
         )
-        return self._snapshots.get(key)
 
     def clear(self) -> None:
         self._snapshots.clear()

@@ -12,9 +12,10 @@ machinery:
   per process, dirty-restore per run) with the web server's application
   components registered *before* sealing via the pool's ``prepare``
   hook, so ``REPRO_POOL_DEBUG=1`` verification covers them too;
-* seeds are chunked across :func:`repro.swifi.parallel.fan_out_chunks`'s
-  process pool, and rows are merged in seed order, so a campaign's JSON
-  artifact is byte-identical serial vs parallel, pooled vs fresh;
+* seeds run through the seeded-campaign core
+  (:func:`repro.swifi.parallel.run_seeded`) and rows are merged in seed
+  order, so a campaign's JSON artifact is byte-identical serial vs
+  parallel, pooled vs fresh;
 * per-request latencies aggregate through
   :mod:`repro.observe.metrics` order-independent histograms (p50/p95/p99
   in virtual time), and traced runs export ``request_start`` /
@@ -26,34 +27,27 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.composite.scheduler import CYCLES_PER_US
-from repro.composite.supertrace import (
-    REGISTRY,
-    RecordingSession,
-    ReplaySession,
-    super_trace_enabled,
-)
-from repro.errors import BlockThread, ReproError, SimulatedFault, SystemHang
-from repro.observe import export as trace_export
-from repro.observe import tracing_enabled
+from repro.composite.supertrace import ReplaySession
 from repro.observe.metrics import (
     MetricsRegistry,
     bucket_bounds,
     canonical_metrics,
     merge_metrics,
 )
-from repro.swifi.injector import FAULT_CLASSES, SwifiController
-from repro.swifi.parallel import default_workers, fan_out_chunks
-from repro.system import (
-    GLOBAL_POOL,
-    build_system,
-    compile_all_interfaces,
-    pooling_enabled,
+from repro.swifi.campaign import (
+    _campaign_system,
+    _pooled,
+    _recording_for,
+    record_clean,
+    run_record,
+    traced_run,
 )
+from repro.swifi.injector import FAULT_CLASSES
+from repro.swifi.parallel import export_trace, run_seeded
 from repro.webserver.arrivals import ArrivalSpec
 from repro.webserver.loadgen import LoadResult, run_webserver
 from repro.webserver.server import (
@@ -164,56 +158,26 @@ def prepare_webserver(system) -> None:
 
 
 def _web_system(spec: WebRunSpec):
-    """A prepared system for one campaign run: pooled unless tracing."""
-    if pooling_enabled() and not tracing_enabled():
-        return GLOBAL_POOL.acquire(
-            ft_mode=spec.ft_mode,
-            recovery_mode=spec.recovery_mode,
-            prepare=prepare_webserver,
-        )
-    system = build_system(
-        ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode
+    """A prepared system for one campaign run (see ``_campaign_system``)."""
+    return _campaign_system(
+        spec.ft_mode, spec.recovery_mode, prepare=prepare_webserver
     )
-    prepare_webserver(system)
-    return system
 
 
 def _web_recording(spec: WebRunSpec):
-    """The web workload's super-trace recording, built once per process.
-
-    Same gating as the SWIFI campaigns' ``_campaign_recording``:
-    recordings bind direct references into the pooled sealed system, so
-    they exist only for pooled, untraced campaigns — everything else
-    stays on the authoritative two-tier path.  A failed build is cached
-    as None so the campaign never retries it.
-    """
-    if not (
-        super_trace_enabled() and pooling_enabled() and not tracing_enabled()
-    ):
-        return None
+    """The web workload's super-trace recording, built once per process
+    (see ``_recording_for``)."""
     # The fingerprint covers every behavior-relevant field (arrival
     # schedule included) except the step budget.
-    key = ("webserver", spec.fingerprint(), spec.max_steps)
-    system = GLOBAL_POOL.peek(
-        ft_mode=spec.ft_mode,
-        recovery_mode=spec.recovery_mode,
+    return _recording_for(
+        ("webserver", spec.fingerprint(), spec.max_steps),
+        spec,
+        _build_web_recording,
         prepare=prepare_webserver,
     )
-    if system is not None:
-        found, recording = REGISTRY.lookup(key, system)
-        if found:
-            return recording
-    recording = _build_web_recording(spec)
-    system = GLOBAL_POOL.peek(
-        ft_mode=spec.ft_mode,
-        recovery_mode=spec.recovery_mode,
-        prepare=prepare_webserver,
-    )
-    REGISTRY.store(key, system, recording)
-    return recording
 
 
-def _build_web_recording(spec: WebRunSpec):
+def _build_web_recording(spec: WebRunSpec, acquire):
     """Record the clean (fault-free) request stream for replay.
 
     Web faults are not seed-positioned: every faulted run arms its first
@@ -225,58 +189,52 @@ def _build_web_recording(spec: WebRunSpec):
     detaches the session there, and the clean run finishes on the
     authoritative engine.  Replay past the recording's end diverges to
     the authoritative path, which keeps a short recording exact.
-    Fault-free specs record the whole run.  Any anomaly in the clean
-    run aborts to None.
+    Fault-free specs record the whole run.
     """
     gap = max(spec.n_requests // (spec.n_faults + 1), 1)
-    session = None
-    try:
-        for warm in range(3):
-            system = _web_system(spec)
-            kernel = system.kernel
-            swifi = SwifiController(kernel, seed=0)  # never armed
-            probe = None
-            if warm == 2:
-                session = RecordingSession(kernel)
-                session.instrument(swifi)
-                kernel._supertrace = session
-                if spec.n_faults > 0:
-                    def probe(served: int) -> None:
-                        # on_served fires between units, so the
-                        # recording ends on a whole unit.
-                        if served >= gap:
-                            kernel._supertrace = None
-            try:
-                result = run_webserver(
-                    ft_mode=spec.ft_mode,
-                    n_requests=spec.n_requests,
-                    concurrency=spec.concurrency,
-                    n_workers=spec.n_workers,
-                    with_faults=False,
-                    seed=0,
-                    max_steps=spec.max_steps,
-                    system=system,
-                    warn_shortfall=False,
-                    progress_hook=probe,
-                    arrival_spec=spec.arrival_spec(),
-                    slo_us=spec.slo_us if spec.arrivals == "open" else None,
-                )
-            finally:
-                kernel._supertrace = None
-            if (
-                result.crashed is not None
-                or result.served < spec.n_requests
-                or result.reboots > 0
-            ):
-                return None
-    except (SystemHang, SimulatedFault, ReproError, BlockThread):
-        return None
-    return session.finish(
+
+    def run_clean(system, hook) -> bool:
+        result = _serve(spec, system, 0, False, progress_hook=hook)
+        return (
+            result.crashed is None
+            and result.served >= spec.n_requests
+            and result.reboots == 0
+        )
+
+    return record_clean(
+        acquire,
+        run_clean,
         {"service": "webserver", "ft_mode": spec.ft_mode,
          "n_requests": spec.n_requests, "concurrency": spec.concurrency,
          "n_workers": spec.n_workers, "n_faults": spec.n_faults,
          "recovery_mode": spec.recovery_mode, "arrivals": spec.arrivals,
-         "fingerprint": spec.fingerprint()}
+         "fingerprint": spec.fingerprint()},
+        # on_served fires between units, so the recording ends on a
+        # whole unit.
+        stop_at=(lambda served: served >= gap) if spec.n_faults > 0 else None,
+    )
+
+
+def _serve(spec: WebRunSpec, system, run_seed: int, with_faults: bool,
+           progress_hook=None) -> LoadResult:
+    """Serve the spec's request stream on ``system``."""
+    return run_webserver(
+        ft_mode=spec.ft_mode,
+        n_requests=spec.n_requests,
+        concurrency=spec.concurrency,
+        n_workers=spec.n_workers,
+        with_faults=with_faults,
+        n_faults=spec.n_faults,
+        seed=run_seed,
+        max_steps=spec.max_steps,
+        system=system,
+        # Shortfalls are first-class row data (faults_armed) in a
+        # campaign, not per-run stderr noise.
+        warn_shortfall=False,
+        progress_hook=progress_hook,
+        arrival_spec=spec.arrival_spec(),
+        slo_us=spec.slo_us if spec.arrivals == "open" else None,
+        fault_class=spec.fault_class,
     )
 
 
@@ -401,8 +359,8 @@ def _row_from_result(run_seed: int, result: LoadResult) -> Dict[str, object]:
 def execute_web_run(spec: WebRunSpec, run_seed: int) -> Dict[str, object]:
     """Execute one faulted web-server run; returns its campaign row.
 
-    Module-level and pure (given the spec and seed) so process-pool
-    workers can run it from chunks, like the SWIFI ``execute_run``.
+    Module-level and pure (given the spec and seed), like the SWIFI
+    ``execute_run``.
     """
     recording = _web_recording(spec)
     system = _web_system(spec)
@@ -410,132 +368,64 @@ def execute_web_run(spec: WebRunSpec, run_seed: int) -> Dict[str, object]:
     if recording is not None and recording.kernel is kernel:
         kernel._supertrace = ReplaySession(recording)
     try:
-        result = run_webserver(
-            ft_mode=spec.ft_mode,
-            n_requests=spec.n_requests,
-            concurrency=spec.concurrency,
-            n_workers=spec.n_workers,
-            with_faults=spec.n_faults > 0,
-            n_faults=spec.n_faults,
-            seed=run_seed,
-            max_steps=spec.max_steps,
-            system=system,
-            # Shortfalls are first-class row data (faults_armed) in a
-            # campaign, not per-run stderr noise.
-            warn_shortfall=False,
-            arrival_spec=spec.arrival_spec(),
-            slo_us=spec.slo_us if spec.arrivals == "open" else None,
-            fault_class=spec.fault_class,
-        )
+        result = _serve(spec, system, run_seed, spec.n_faults > 0)
     finally:
         kernel._supertrace = None
     return _row_from_result(run_seed, result)
 
 
-def execute_web_run_traced(
-    spec: WebRunSpec, run_seed: int
-) -> Tuple[Dict[str, object], Dict[str, object]]:
-    """One run under the flight recorder; returns ``(row, run_record)``.
+#: Kernel counters a traced web run folds into its metrics.
+WEB_RUN_STATS = (
+    "invocations", "upcalls", "faults_vectored", "micro_reboots",
+    "steps", "interp_fast_runs", "interp_slow_runs",
+    "trace_cache_hits", "trace_cache_misses", "budget_exhausted",
+    "super_trace_runs", "super_trace_bypasses",
+)
 
-    The record carries the request-path arcs (``request_start`` /
-    ``request_done`` / ``throughput_dip``) interleaved with the
-    injection/reboot/replay events, ready for
-    :func:`repro.observe.export.write_run`.  Rows are computed exactly
-    as in the untraced path, so campaign artifacts do not change when
-    tracing is requested.
+
+def _web_setup(spec: WebRunSpec, trace: bool):
+    """Per-process setup: boot + seal the prepared pooled system and
+    record the clean request stream; returns that recording (None when
+    traced or unpooled, since such runs never replay)."""
+    if trace or not _pooled():
+        return None
+    _web_system(spec)
+    return _web_recording(spec)
+
+
+def _web_run(spec: WebRunSpec, seed: int, trace: bool, recording, counters):
+    """One campaign run: ``(row, record_or_None)``.
+
+    Traced runs execute under the flight recorder; their record carries
+    the request-path arcs (``request_start`` / ``request_done`` /
+    ``throughput_dip``) interleaved with the injection/reboot/replay
+    events.  Rows are computed exactly as untraced, so requesting a
+    trace never changes the campaign artifact.
     """
-    from repro import observe
-
-    with observe.tracing(True):
+    # Every run of a process replays the same recording, so the summed
+    # count over runs is its size times the runs.
+    counters["recorded_units"] = counters.get("recorded_units", 0) + (
+        len(recording.units) if recording is not None else 0
+    )
+    if not trace:
+        return execute_web_run(spec, seed), None
+    with traced_run():
         system = _web_system(spec)
-        result = run_webserver(
+        result = _serve(spec, system, seed, spec.n_faults > 0)
+        row = _row_from_result(seed, result)
+        record = run_record(
+            spec, seed, system, WEB_RUN_STATS,
+            service="webserver",
             ft_mode=spec.ft_mode,
-            n_requests=spec.n_requests,
-            concurrency=spec.concurrency,
-            n_workers=spec.n_workers,
-            with_faults=spec.n_faults > 0,
-            n_faults=spec.n_faults,
-            seed=run_seed,
-            max_steps=spec.max_steps,
-            system=system,
-            warn_shortfall=False,
-            arrival_spec=spec.arrival_spec(),
-            slo_us=spec.slo_us if spec.arrivals == "open" else None,
-            fault_class=spec.fault_class,
-        )
-        row = _row_from_result(run_seed, result)
-        recorder = system.kernel.recorder
-        metrics = recorder.metrics
-        for stat in (
-            "invocations", "upcalls", "faults_vectored", "micro_reboots",
-            "steps", "interp_fast_runs", "interp_slow_runs",
-            "trace_cache_hits", "trace_cache_misses", "budget_exhausted",
-            "super_trace_runs", "super_trace_bypasses",
-        ):
-            metrics.counter(stat).inc(system.kernel.stats[stat])
-        metrics.counter("runs").inc()
-        record = {
-            "fingerprint": spec.fingerprint(),
-            "run_seed": run_seed,
-            "service": "webserver",
-            "ft_mode": spec.ft_mode,
             # Web-server faults are armed on serving progress, not at a
             # seed-drawn trace execution; the horizon is the request
             # stream itself.
-            "injection_point": 0,
-            "horizon": spec.n_requests,
-            "outcome": row["outcome"],
-            "steps": result.steps,
-            "events": recorder.events(),
-            "dropped_events": recorder.dropped,
-            "metrics": metrics.to_dict(),
-        }
-    return row, record
-
-
-#: Worker-side campaign parameters (see ``repro.swifi.parallel``): set
-#: once per process by the initializer so chunks carry only seed lists.
-_WEB_SPEC: Optional[WebRunSpec] = None
-_WEB_TRACE: bool = False
-
-
-def _init_web_worker(spec: WebRunSpec, trace: bool = False) -> None:
-    """Campaign initializer: compile + boot/seal + record up front.
-
-    Runs in the parent under the fork start method (workers inherit the
-    warm state copy-on-write) and per worker under spawn.
-    """
-    global _WEB_SPEC, _WEB_TRACE
-    _WEB_SPEC = spec
-    _WEB_TRACE = trace
-    if spec.ft_mode == "superglue":
-        compile_all_interfaces()
-    if not trace and pooling_enabled() and not tracing_enabled():
-        GLOBAL_POOL.acquire(
-            ft_mode=spec.ft_mode,
-            recovery_mode=spec.recovery_mode,
-            prepare=prepare_webserver,
+            injection_point=0,
+            horizon=spec.n_requests,
+            outcome=row["outcome"],
+            steps=result.steps,
         )
-        _web_recording(spec)
-
-
-def _execute_web_chunk(
-    seeds: List[int],
-) -> Tuple[List[Tuple[int, Dict[str, object], Optional[dict]]], int]:
-    """Worker entry point: one chunk of runs -> ``(results,
-    recorded_units)``, each result a ``(seed, row, record|None)``
-    triple and ``recorded_units`` the size of the super-trace recording
-    the chunk replayed (0 without one)."""
-    spec, trace = _WEB_SPEC, _WEB_TRACE
-    results: List[Tuple[int, Dict[str, object], Optional[dict]]] = []
-    for seed in seeds:
-        if trace:
-            row, record = execute_web_run_traced(spec, seed)
-        else:
-            row, record = execute_web_run(spec, seed), None
-        results.append((seed, row, record))
-    recording = None if trace else _web_recording(spec)
-    return results, len(recording.units) if recording is not None else 0
+    return row, record
 
 
 # ---------------------------------------------------------------------------
@@ -676,75 +566,28 @@ def run_webserver_campaign(
     seed order plus one summary line.
     """
     spec = spec or WebRunSpec()
-    if workers is None:
-        workers = default_workers()
     seeds = list(seeds)
-    tracing = trace is not None
-    setup_start = time.perf_counter()
-    rows_by_seed: Dict[int, Dict[str, object]] = {}
-    records: Dict[int, dict] = {}
-    recorded = {"units": 0}
-
-    def note(batch) -> None:
-        results, recorded["units"] = batch
-        for run_seed, row, record in results:
-            rows_by_seed[run_seed] = row
-            if record is not None:
-                records[run_seed] = record
-            if progress is not None:
-                progress(len(rows_by_seed), len(seeds), row)
-
-    exec_start = time.perf_counter()
-    fan_out_chunks(
-        _execute_web_chunk,
-        seeds,
-        workers,
-        initializer=_init_web_worker,
-        initargs=(spec, tracing),
-        on_batch=note,
+    campaign = run_seeded(
+        _web_setup, _web_run, spec, seeds, workers,
+        trace=trace is not None, progress=progress,
     )
-    exec_end = time.perf_counter()
-    rows = [rows_by_seed[seed] for seed in seeds]
-    if tracing:
-        _export_web_trace(trace, spec, seeds, rows, records)
+    rows = [campaign.results[seed] for seed in seeds]
+    if trace is not None:
+        export_trace(
+            trace, spec.fingerprint(), seeds,
+            [row["outcome"] for row in rows], campaign.records,
+        )
     return WebCampaignResult(
         spec=spec,
         seeds=seeds,
         rows=rows,
         aggregate=aggregate_rows(spec, rows),
-        setup_wall=exec_start - setup_start,
-        exec_wall=exec_end - exec_start,
-        recorded_units=recorded["units"],
+        setup_wall=campaign.setup_wall,
+        exec_wall=campaign.exec_wall,
+        recorded_units=(
+            campaign.counters.get("recorded_units", 0) // max(len(seeds), 1)
+        ),
     )
-
-
-def _export_web_trace(
-    path: str,
-    spec: WebRunSpec,
-    seeds: Sequence[int],
-    rows: Sequence[Dict[str, object]],
-    records: Dict[int, dict],
-) -> None:
-    """Parent-side trace export in seed order (serial == parallel)."""
-    merged_metrics: Dict[str, object] = {}
-    with open(path, "a", encoding="utf-8") as handle:
-        for seed in seeds:
-            record = records.get(seed)
-            if record is None:
-                continue
-            trace_export.write_run(handle, record)
-            merge_metrics(merged_metrics, record["metrics"])
-        tally: Dict[str, int] = {}
-        for row in rows:
-            tally[row["outcome"]] = tally.get(row["outcome"], 0) + 1
-        trace_export.write_summary(
-            handle,
-            fingerprint=spec.fingerprint(),
-            runs=len(seeds),
-            replayed=0,
-            outcomes=tally,
-            metrics=canonical_metrics(merged_metrics),
-        )
 
 
 def format_web_campaign(result: WebCampaignResult) -> str:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main
+from repro.cluster import ClusterSpec, cluster_run_seeds, run_cluster_campaign
 from repro.observe import EventSchemaError
 from repro.observe.export import load_runs, read_trace, validate_line
 from repro.observe.timeline import (
@@ -17,6 +18,11 @@ from repro.swifi.campaign import (
     execute_run_traced,
 )
 from repro.swifi.parallel import run_campaign
+from repro.webserver.campaign import (
+    WebRunSpec,
+    run_webserver_campaign,
+    web_run_seeds,
+)
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +34,36 @@ def lock_campaign(tmp_path_factory):
     return runner, result, path
 
 
+def _table2_traced(path, workers):
+    runner = CampaignRunner("timer", n_faults=6, seed=2)
+    counter, __ = run_campaign(
+        runner.spec(), runner.run_seeds(), workers=workers, trace=path
+    )
+    return counter.counts
+
+
+def _fig7_traced(path, workers):
+    return run_webserver_campaign(
+        web_run_seeds(2, 4), WebRunSpec(n_requests=40, n_faults=2),
+        workers=workers, trace=path,
+    ).to_json_dict()
+
+
+def _cluster_traced(path, workers):
+    spec = ClusterSpec(n_nodes=3, units=4, horizon=17)
+    return run_cluster_campaign(
+        cluster_run_seeds(2, 4), spec, workers=workers, trace=path
+    ).to_json_dict()
+
+
+#: One traced campaign per kind: ``(path, workers) -> artifact``.
+_TRACED_CAMPAIGNS = {
+    "table2": _table2_traced,
+    "fig7": _fig7_traced,
+    "cluster": _cluster_traced,
+}
+
+
 class TestOutcomeInvariance:
     def test_tracing_does_not_change_run_outcomes(self):
         spec = CampaignRunner("lock", n_faults=1, seed=1).spec()
@@ -36,15 +72,14 @@ class TestOutcomeInvariance:
             assert traced_outcome is execute_run(spec, seed)
             assert record["outcome"] == traced_outcome.value
 
-    def test_serial_and_parallel_traces_byte_identical(self, tmp_path):
-        runner = CampaignRunner("timer", n_faults=6, seed=2)
-        spec, seeds = runner.spec(), runner.run_seeds()
+    @pytest.mark.parametrize("kind", ["table2", "fig7", "cluster"])
+    def test_serial_and_parallel_traces_byte_identical(self, tmp_path, kind):
         serial = str(tmp_path / "serial.jsonl")
         pooled = str(tmp_path / "pooled.jsonl")
-        counter_s = run_campaign(spec, seeds, workers=1, trace=serial)
-        counter_p = run_campaign(spec, seeds, workers=2, trace=pooled)
-        assert counter_s.counts == counter_p.counts
+        campaign = _TRACED_CAMPAIGNS[kind]
+        assert campaign(serial, 1) == campaign(pooled, 2)
         assert open(serial).read() == open(pooled).read()
+        assert list(read_trace(serial, validate=True))
 
 
 class TestExportFormat:

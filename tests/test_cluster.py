@@ -32,10 +32,11 @@ from repro.cluster import (
     execute_scenario,
     run_cluster_campaign,
 )
-from repro.cluster.campaign import execute_scenario_traced
+from repro.cluster.node import node_pool_instance
 from repro.observe.events import validate_event
+from repro.observe.export import load_runs
 from repro.swifi.campaign import execute_run
-from repro.system import SystemPool, system_fingerprint
+from repro.system import GLOBAL_POOL, SystemPool, system_fingerprint
 
 
 def _spec(**overrides):
@@ -114,11 +115,9 @@ class TestWholeNodeReboot:
         for unit_seed in (41, 42, 43):
             node.run_unit(spec, unit_seed)
 
-    def test_nodes_hold_private_pool_snapshots(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        monkeypatch.setattr("repro.cluster.node.GLOBAL_POOL", SystemPool())
-        a = Node(0, "superglue", "ondemand").acquire_system()
-        b = Node(1, "superglue", "ondemand").acquire_system()
+    def test_nodes_hold_private_pool_snapshots(self):
+        a = GLOBAL_POOL.acquire(instance=node_pool_instance(0))
+        b = GLOBAL_POOL.acquire(instance=node_pool_instance(1))
         assert a is not b
         # Same sealed post-boot state, distinct live objects: this is
         # what makes unit outcomes node-independent.
@@ -250,11 +249,14 @@ class TestAggregateAndTrace:
         assert forward["scenarios"] == 3
         assert forward["units"] == 12
 
-    def test_traced_scenario_validates_and_matches_untraced(self):
+    def test_traced_scenario_validates_and_matches_untraced(self, tmp_path):
         spec = _spec(n_kill=2)
         seed = 29000021
-        row, record = execute_scenario_traced(spec, seed)
+        trace = str(tmp_path / "cluster.jsonl")
+        traced = run_cluster_campaign([seed], spec, workers=1, trace=trace)
+        row = traced.rows[0]
         assert row == execute_scenario(spec, seed)
+        (record,), (summary,) = load_runs(trace)
         names = set()
         for event in record["events"]:
             validate_event(event["event"], event["data"])
@@ -263,3 +265,4 @@ class TestAggregateAndTrace:
                 "unit_done"} <= names
         assert record["outcome"] == row["outcome"]
         assert record["run_seed"] == seed
+        assert summary["outcomes"] == {row["outcome"]: 1}

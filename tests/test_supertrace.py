@@ -373,19 +373,24 @@ class TestZeroCopyWorkers:
         )
         assert parallel.worker_start_method() == "spawn"
 
-    def test_in_process_path_runs_initializer(self):
-        calls = []
-        batches = []
-        parallel.fan_out_chunks(
-            lambda seeds: seeds,
+    def test_in_process_path_runs_setup_once(self):
+        calls, batches = [], []
+        spec = _lock_runner().spec()
+        campaign = parallel.run_seeded(
+            lambda spec, trace: calls.append((spec, trace)) or "state",
+            lambda spec, seed, trace, state, counters: (
+                (seed, state), None
+            ),
+            spec,
             [1, 2, 3],
             workers=1,
-            initializer=lambda *a: calls.append(a),
-            initargs=("spec", False),
             on_batch=batches.append,
         )
-        assert calls == [("spec", False)]
-        assert batches == [[1], [2], [3]]
+        assert calls == [(spec, False)]
+        assert batches == [[(1, (1, "state"), None)],
+                           [(2, (2, "state"), None)],
+                           [(3, (3, "state"), None)]]
+        assert campaign.results == {s: (s, "state") for s in (1, 2, 3)}
 
     @pytest.mark.parametrize("start", ["fork", "spawn"])
     def test_parallel_identical_to_serial(self, monkeypatch, start):
@@ -398,7 +403,7 @@ class TestZeroCopyWorkers:
         runner = _lock_runner(n_faults=8, seed=4)
         spec = runner.spec()
         seeds = runner.run_seeds()
-        serial = parallel.run_campaign(spec, seeds, workers=1)
+        serial, __ = parallel.run_campaign(spec, seeds, workers=1)
         monkeypatch.setenv("REPRO_WORKER_START", start)
-        fanned = parallel.run_campaign(spec, seeds, workers=2)
+        fanned, __ = parallel.run_campaign(spec, seeds, workers=2)
         assert fanned.counts == serial.counts

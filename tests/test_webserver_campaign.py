@@ -1,12 +1,15 @@
 """Tests for the multi-seed Fig. 7 web-server campaign engine."""
 
 import json
+import time
 
 import pytest
 
 from repro.__main__ import main
+from repro.composite.supertrace import REGISTRY
 from repro.observe.export import read_trace
 from repro.observe.metrics import SUB_BUCKET_BITS, LogLinearHistogram
+from repro.webserver import campaign as web_campaign
 from repro.webserver.campaign import (
     WebRunSpec,
     aggregate_rows,
@@ -297,6 +300,30 @@ class TestArtifacts:
         assert "wall" not in path.read_text()
         timing = json.loads((tmp_path / "fig7.json.timing.json").read_text())
         assert timing["runs"] == 2
+
+    def test_setup_wall_covers_the_recording(self, monkeypatch):
+        # The recording is per-process setup: an in-process campaign
+        # must time it as setup_wall, not as run execution.
+        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
+        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
+        REGISTRY.clear()
+        walls = []
+        build = web_campaign._build_web_recording
+
+        def timed(*args):
+            start = time.perf_counter()
+            try:
+                return build(*args)
+            finally:
+                walls.append(time.perf_counter() - start)
+
+        monkeypatch.setattr(web_campaign, "_build_web_recording", timed)
+        result = run_webserver_campaign(
+            web_run_seeds(1, 2), SMOKE_SPEC, workers=1
+        )
+        assert len(walls) == 1
+        assert result.recorded_units > 0
+        assert result.setup_wall >= walls[0]
 
     @pytest.mark.parametrize("super_trace", ["0", "1"])
     def test_timing_sidecar_counts_recorded_units(
