@@ -63,6 +63,7 @@ the sealed system object it was made on.
 
 from __future__ import annotations
 
+import builtins
 import os
 import types
 from collections import deque
@@ -71,6 +72,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.composite.memory import PAGE_SHIFT, PAGE_WORDS
 from repro.composite.thread import ThreadState
 from repro.errors import BlockThread
+from repro.system import _flatten, pool_debug_enabled
 
 __all__ = [
     "super_trace_enabled",
@@ -170,8 +172,6 @@ class _Frozen:
 
 def _fingerprint(value):
     """Order-stable structural fingerprint for non-whitelisted objects."""
-    from repro.system import _flatten
-
     out: Dict[str, object] = {}
     _flatten(value, "x", out)
     return out
@@ -474,31 +474,56 @@ def _key_expr(key) -> str:
     raise _NotReplayable(f"unliteralisable key {type(key).__name__}")
 
 
-def _compile_unit(unit: Unit):
+#: The one globals dict of every compiled unit function.  Everything
+#: unit-specific is a parameter instead, so functions that share a code
+#: object also share its global-lookup caches.
+_UNIT_GLOBALS = {
+    "__builtins__": builtins,
+    "_NO": _NO,
+    "_READY": ThreadState.READY,
+    "_BLOCKED": ThreadState.BLOCKED,
+    "_M": _materialize,
+}
+
+
+def _compile_unit(unit: Unit, codes: Dict[str, types.CodeType]):
     """Compile one replayable unit into a single guard+apply function.
 
     The generated function takes ``(kernel, thread)`` and either returns
     the unit's recorded value after applying its whole effect, or the
     :data:`_NO` sentinel if any guard fails (caller then diverges to the
     authoritative path).  All constant effects — clock delta, register
-    files, memory stores, patch targets — are inlined as literals or
-    bound through the function's globals, so a replayed invocation costs
-    one Python call of straight-line code.  Returns ``None`` (caller
-    keeps the interpreted guard/apply) when a unit's shape defeats the
-    code generator.
+    files, memory stores, patch targets — are straight-line code, so a
+    replayed invocation costs one Python call.  Everything the unit
+    binds is a parameter whose default is the unit's value: the objects
+    it patches (images, roots, payloads, the return value) and its
+    integers (clock values, deltas, register files, store indices and
+    values, pages, keys).  Units that differ only in those values
+    generate the same source, and ``codes`` (source -> code object)
+    compiles each such shape once.
+    Returns ``None`` (caller keeps the interpreted guard/apply) when a
+    unit's shape defeats the code generator.
     """
-    g = {
-        "_NO": _NO,
-        "_READY": ThreadState.READY,
-        "_BLOCKED": ThreadState.BLOCKED,
-        "_M": _materialize,
-        "RV": unit.retval,
-        "STUB": unit.stub,
-    }
-    L = ["def _fast(k, t):"]
+    params: Dict[str, object] = {}
+
+    def bind(name: str, value) -> str:
+        """Pass ``value`` in as parameter ``name`` (its default)."""
+        params[name] = value
+        return name
+
+    def lit(value, text=repr) -> str:
+        """``value`` as source: an integer (or tuple of integers) becomes
+        a parameter, anything else ``text(value)``."""
+        if type(value) is int or (
+            type(value) is tuple and all(type(v) is int for v in value)
+        ):
+            return bind(f"a{len(params)}", value)
+        return text(value)
+
+    L = [None]  # the ``def`` line, once the parameters are known
     emit = L.append
     # ---- guards -----------------------------------------------------
-    emit(f" if k.clock.now != {unit.start_clock}: return _NO")
+    emit(f" if k.clock.now != {lit(unit.start_clock)}: return _NO")
     emit(" if k.crashed is not None: return _NO")
     emit(" b = k.booter")
     emit(" if b is not None and b.reboot_log: return _NO")
@@ -511,13 +536,13 @@ def _compile_unit(unit: Unit):
         emit("  if p is not None:")
         for comp, hits in unit.armed_hits.items():
             emit(f"   if p.component == {comp!r} and"
-                 f" p.seen + {hits} > p.after_executions: return _NO")
+                 f" p.seen + {lit(hits)} > p.after_executions: return _NO")
     if unit.ic_map:
         emit("  i = s._idl_pending")
         emit("  if i is not None:")
         for server, delta in unit.ic_map.items():
             emit(f"   if i[0] == {server!r} and"
-                 f" i[2] + {delta} > i[1]: return _NO")
+                 f" i[2] + {lit(delta)} > i[1]: return _NO")
     emit(" T = k.threads")
     tids = sorted(
         {tid for tid, __, __ in unit.threads_delta}
@@ -530,85 +555,83 @@ def _compile_unit(unit: Unit):
     for tid, value, blocked_in, token, has_stub in unit.wakes:
         emit(f" if t{tid}.state is not _BLOCKED: return _NO")
         emit(f" if t{tid}.blocked_in != {blocked_in!r}"
-             f" or t{tid}.block_token != {token!r}: return _NO")
+             f" or t{tid}.block_token != {lit(token)}: return _NO")
         emit(f" if (t{tid}.block_stub is not None and"
              f" t{tid}.block_invoke is not None) != {bool(has_stub)}:"
              " return _NO")
     for tid, __ in unit.regs_end:
         emit(f" if True in t{tid}.regs.taint: return _NO")
     for n, (image, __, __, __, __) in enumerate(unit.images):
-        g[f"I{n}"] = image
-        emit(f" if I{n}._taint_count: return _NO")
+        emit(f" if {bind(f'I{n}', image)}._taint_count: return _NO")
     # ---- apply ------------------------------------------------------
     delta = unit.end_clock - unit.start_clock
     if delta:
-        emit(f" k.clock.now += {delta}")
+        emit(f" k.clock.now += {lit(delta)}")
     for tid, dc, di in unit.threads_delta:
         if dc:
-            emit(f" t{tid}.cycles += {dc}")
+            emit(f" t{tid}.cycles += {lit(dc)}")
         if di:
-            emit(f" t{tid}.invocations += {di}")
+            emit(f" t{tid}.invocations += {lit(di)}")
     for tid, values in unit.regs_end:
-        emit(f" t{tid}.regs.values[:] = {values!r}")
+        emit(f" t{tid}.regs.values[:] = {lit(values)}")
     emit(" S = k.stats")
     for key, d in unit.stats_delta:
-        emit(f" S[{key!r}] += {d}")
+        emit(f" S[{key!r}] += {lit(d)}")
     emit(" S['super_trace_runs'] += 1")
     if unit.tc_delta or unit.ic_delta or unit.armed_hits or unit.ic_map:
         emit(" if s is not None:")
         emit("  c_ = s.trace_counts")
         for comp, d in unit.tc_delta:
-            emit(f"  c_[{comp!r}] = c_.get({comp!r}, 0) + {d}")
+            emit(f"  c_[{comp!r}] = c_.get({comp!r}, 0) + {lit(d)}")
         emit("  v_ = s.invoke_counts")
         for server, d in unit.ic_delta:
-            emit(f"  v_[{server!r}] = v_.get({server!r}, 0) + {d}")
+            emit(f"  v_[{server!r}] = v_.get({server!r}, 0) + {lit(d)}")
         if unit.armed_hits:
             emit("  p = s.pending")
             emit("  if p is not None:")
             for comp, hits in unit.armed_hits.items():
-                emit(f"   if p.component == {comp!r}: p.seen += {hits}")
+                emit(f"   if p.component == {comp!r}: p.seen += {lit(hits)}")
         if unit.ic_map:
             emit("  i = s._idl_pending")
             emit("  if i is not None:")
             for server, d in unit.ic_map.items():
-                emit(f"   if i[0] == {server!r}: i[2] += {d}")
+                emit(f"   if i[0] == {server!r}: i[2] += {lit(d)}")
     for n, (image, stores, new_dirty, alloc, free) in enumerate(unit.images):
         if stores:
-            g[f"W{n}"] = image.words
+            bind(f"W{n}", image.words)
             for index, value in stores:
-                emit(f" W{n}[{index}] = {value}")
+                emit(f" W{n}[{lit(index)}] = {lit(value)}")
         if new_dirty:
-            g[f"D{n}"] = image._dirty
+            bind(f"D{n}", image._dirty)
             for page in new_dirty:
-                emit(f" D{n}[{page}] = 1")
+                emit(f" D{n}[{lit(page)}] = 1")
         if alloc is not None:
-            emit(f" I{n}._alloc_ptr = {alloc}")
+            emit(f" I{n}._alloc_ptr = {lit(alloc)}")
         if free is not None:
             emit(f" f_ = I{n}._free_lists")
             emit(" f_.clear()")
             for nwords, addrs in free:
-                emit(f" f_[{nwords}] = {list(addrs)!r}")
+                emit(f" f_[{lit(nwords)}] = [*{lit(addrs)}]")
     try:
         npay = 0
         for n, (root, (code, path, payload)) in enumerate(unit.ops):
-            rname = f"R{n}"
-            g[rname] = root
-            expr = rname
+            expr = bind(f"R{n}", root)
             for scode, skey in path[:-1]:
-                expr += f".{skey}" if scode == "a" else f"[{_key_expr(skey)}]"
+                expr += (
+                    f".{skey}" if scode == "a" else f"[{lit(skey, _key_expr)}]"
+                )
             scode, skey = path[-1]
-            last = f".{skey}" if scode == "a" else f"[{_key_expr(skey)}]"
+            last = f".{skey}" if scode == "a" else f"[{lit(skey, _key_expr)}]"
             if code == "set":
                 if isinstance(payload, _SCALARS):
-                    emit(f" {expr}{last} = {_key_expr(payload)}")
+                    emit(f" {expr}{last} = {lit(payload, _key_expr)}")
                 else:
-                    g[f"P{npay}"] = payload
-                    emit(f" {expr}{last} = _M(P{npay})")
+                    emit(f" {expr}{last} = _M({bind(f'P{npay}', payload)})")
                     npay += 1
             elif code == "del":
                 emit(f" del {expr}{last}")
             else:
-                g[f"P{npay}"] = payload
+                bind(f"P{npay}", payload)
                 target = expr + last
                 if code == "fill_list":
                     emit(f" {target}[:] = _M(P{npay})")
@@ -628,6 +651,7 @@ def _compile_unit(unit: Unit):
     except _NotReplayable:
         return None
     for tid, value, __, __, __ in unit.wakes:
+        value = lit(value)
         emit(f" t{tid}.state = _READY")
         emit(f" t{tid}.blocked_in = None")
         emit(f" t{tid}.block_token = None")
@@ -637,27 +661,37 @@ def _compile_unit(unit: Unit):
         emit(f" a_ = t{tid}.block_invoke")
         emit(f" t{tid}.block_invoke = None")
         emit(" if s_ is not None and a_ is not None:")
-        emit(f"  t{tid}.pending = ('unblock', s_, a_, {value!r})")
+        emit(f"  t{tid}.pending = ('unblock', s_, a_, {value})")
         emit(" else:")
-        emit(f"  t{tid}.pending = ('value', {value!r})")
+        emit(f"  t{tid}.pending = ('value', {value})")
     if unit.okind == "invoke":
-        emit(" t._last_stub = STUB")
-    emit(" return RV")
-    try:
-        exec(compile("\n".join(L), "<supertrace>", "exec"), g)
-    except SyntaxError:  # pragma: no cover - defensive
-        return None
-    return g["_fast"]
+        emit(f" t._last_stub = {bind('STUB', unit.stub)}")
+    emit(f" return {bind('RV', unit.retval)}")
+    L[0] = f"def _fast(k, t, {', '.join(params)}):"
+    source = "\n".join(L)
+    code = codes.get(source)
+    if code is None:
+        scope: dict = {}
+        try:
+            exec(compile(source, "<supertrace>", "exec"), scope)
+        except SyntaxError:  # pragma: no cover - defensive
+            return None
+        code = codes[source] = scope["_fast"].__code__
+    return types.FunctionType(
+        code, _UNIT_GLOBALS, "_fast", tuple(params.values())
+    )
 
 
 class Recording:
     """A finished super-trace: the unit sequence plus its provenance.
 
-    Each replayable unit is compiled into one exec-generated function
-    (guard checks and effect stores inlined as straight-line code, the
-    same technique as :mod:`repro.composite.fastpath`); the interpreted
-    guard/apply pair stays as the fallback for units the code generator
-    declines.
+    Each replayable unit carries one exec-generated function (guard
+    checks and effect stores inlined as straight-line code, the same
+    technique as :mod:`repro.composite.fastpath`), compiled when the
+    session seals the recording; the interpreted guard/apply pair stays
+    as the fallback for units the code generator declines.  ``meta``
+    also carries the recording's work counts (``root_snapshots``,
+    ``unit_shapes``, ``checked_units``).
     """
 
     __slots__ = ("units", "kernel", "meta")
@@ -666,10 +700,6 @@ class Recording:
         self.units = units
         self.kernel = kernel
         self.meta = meta
-        for unit in units:
-            unit.fast = (
-                _compile_unit(unit) if unit.kind != "bypass" else None
-            )
 
     @property
     def replayable_units(self) -> int:
@@ -684,9 +714,152 @@ class Recording:
 # Recording session
 # ---------------------------------------------------------------------------
 
+def _root_slots(kernel, key: tuple) -> Tuple[object, Dict[str, object]]:
+    """A root object and its diffed slots, by root key: ``("comp",
+    name)``, ``("cstub", client, server)`` or ``("sstub", server)``."""
+    tag = key[0]
+    if tag == "comp":
+        root = kernel.components[key[1]]
+        return root, {
+            attr: value
+            for attr, value in root.__dict__.items()
+            if attr not in _COMPONENT_SKIP and not attr.startswith("_sealed")
+        }
+    if tag == "cstub":
+        root, attrs = kernel._stubs[key[1:]], _CLIENT_STUB_ATTRS
+    else:
+        root, attrs = kernel._server_stubs[key[1]], _SERVER_STUB_ATTRS
+    return root, {
+        attr: getattr(root, attr) for attr in attrs if hasattr(root, attr)
+    }
+
+
+def _snap_image(image) -> tuple:
+    """``(dirty bitmap, dirty page words, alloc ptr, free lists)``."""
+    dirty = bytes(image._dirty)
+    pages = {}
+    words = image.words
+    size = image.size
+    for page in range(len(dirty)):
+        if dirty[page]:
+            lo = page << PAGE_SHIFT
+            pages[page] = words[lo:min(lo + PAGE_WORDS, size)]
+    return (
+        dirty, pages, image._alloc_ptr,
+        {k: tuple(v) for k, v in image._free_lists.items()},
+    )
+
+
+def _diff_images(kernel, snaps: dict, names) -> list:
+    """Image effects since ``snaps`` of the named components' images."""
+    images = []
+    for name in names:
+        image = kernel.components[name].image
+        if image._taint_count:
+            raise _NotReplayable("memory taint at unit end")
+        p_dirty, p_pages, p_alloc, p_free = snaps[name]
+        stores = []
+        new_dirty = []
+        dirty = image._dirty
+        words = image.words
+        good = image._good_words
+        size = image.size
+        for page in range(len(dirty)):
+            if not dirty[page]:
+                continue
+            lo = page << PAGE_SHIFT
+            hi = min(lo + PAGE_WORDS, size)
+            if p_dirty[page]:
+                old = p_pages[page]
+                if words[lo:hi] != old:
+                    stores.extend(
+                        (i, words[i])
+                        for i in range(lo, hi)
+                        if words[i] != old[i - lo]
+                    )
+            else:
+                new_dirty.append(page)
+                if good is not None and words[lo:hi] != good[lo:hi]:
+                    stores.extend(
+                        (i, words[i])
+                        for i in range(lo, hi)
+                        if words[i] != good[i]
+                    )
+        live_free = {k: tuple(v) for k, v in image._free_lists.items()}
+        alloc = image._alloc_ptr if image._alloc_ptr != p_alloc else None
+        free = tuple(live_free.items()) if live_free != p_free else None
+        if stores or new_dirty or alloc is not None or free is not None:
+            images.append(
+                (image, tuple(stores), tuple(new_dirty), alloc, free)
+            )
+    return images
+
+
+def _diff_roots(kernel, snaps: dict, keys) -> list:
+    """``(root, op)`` patch operations since ``snaps`` of the keyed roots."""
+    ops = []
+    for key in keys:
+        slots = snaps[key]
+        root, live_slots = _root_slots(kernel, key)
+        root_ops: List[tuple] = []
+        for attr in slots:
+            if attr not in live_slots:
+                root_ops.append(("del", (("a", attr),), None))
+        try:
+            for attr, value in live_slots.items():
+                _diff_slot(slots.get(attr), value, (("a", attr),), root_ops)
+        except _NotReplayable as exc:
+            raise _NotReplayable(f"root {key}: {exc}") from None
+        ops.extend((root, op) for op in root_ops)
+    return ops
+
+
+def _same(a, b) -> bool:
+    """Structural equality of recorded unit fields (frozen payloads
+    included); scalars must also match in type."""
+    if isinstance(a, _Frozen):
+        return (
+            isinstance(b, _Frozen) and a.kind == b.kind and a.cls is b.cls
+            and _same(a.data, b.data)
+        )
+    if isinstance(a, (tuple, list)):
+        return (
+            type(a) is type(b) and len(a) == len(b)
+            and all(_same(x, y) for x, y in zip(a, b))
+        )
+    if isinstance(a, dict):
+        return (
+            type(b) is dict and a.keys() == b.keys()
+            and all(_same(v, b[k]) for k, v in a.items())
+        )
+    return type(a) is type(b) and a == b
+
+
 class RecordingSession:
     """Attached to a kernel (``kernel._supertrace``) during the one
-    clean recording run; builds the unit list as the run executes."""
+    clean recording run; builds the unit list as the run executes.
+
+    Recording cost follows what each unit touches.  The session keeps a
+    *shadow* snapshot of every root (component, client stub, server
+    stub) and every memory image, taken when it attaches.  Each unit
+    runs with every component's ``_ran`` flag cleared; afterwards the
+    flags are put back, and only the *touched* roots are diffed against
+    the shadow and re-snapshotted into it: each component the unit
+    entered (``_ran`` set), its image and server stub, and every client
+    stub whose client or server it entered.  ``_ran`` is the signal
+    pooled restore's skip already trusts — components set it on every
+    dispatch, trace execution and direct entry — and nothing in-tree
+    changes a root between units (clock callbacks and ``on_wake``
+    lambdas change thread state only).
+
+    With ``REPRO_POOL_DEBUG=1`` every unit is checked against the
+    whole-system path: at unit start the shadow must diff empty against
+    the live system, and at unit end the touched-only unit must equal
+    the diff of every root and image, field by field.  A mismatch
+    raises :class:`AssertionError` naming the first differing root key
+    and path — never a ``ReproError``, which recording would turn into
+    a silent "no recording".
+    """
 
     def __init__(self, kernel):
         self.kernel = kernel
@@ -695,6 +868,23 @@ class RecordingSession:
         self.busy = False
         self._hits: Dict[str, int] = {}
         self._swifi = None
+        self._check = pool_debug_enabled()
+        #: Work counts, reported in the sealed recording's ``meta``.
+        self.root_snapshots = 0
+        self.checked_units = 0
+        components = kernel.components
+        self._components = tuple(components.values())
+        self._names = tuple(components)
+        #: Root key -> the components whose entry touches that root.
+        self._owners = {("comp", name): {name} for name in components}
+        self._owners.update(
+            {("cstub",) + key: set(key) for key in kernel._stubs}
+        )
+        self._owners.update(
+            {("sstub", name): {name} for name in kernel._server_stubs}
+        )
+        self._keys = tuple(self._owners)
+        self._shadow = self._snapshot_state(self._keys, self._names)
 
     # -- swifi instrumentation -----------------------------------------
     def instrument(self, swifi) -> None:
@@ -736,49 +926,65 @@ class RecordingSession:
         )
 
     def _record_unit(self, kernel, kind, sig, body):
-        pre = self._snapshot(kernel)
+        whole = None
+        if self._check:
+            self._check_shadow(kernel)
+            whole = self._snapshot_state(self._keys, self._names)
+        pre = self._snapshot_kernel(kernel)
         start = kernel.clock.now
+        components = self._components
+        saved = [comp._ran for comp in components]
+        for comp in components:
+            comp._ran = False
+        block = None
+        result = None
         self.busy = True
         try:
             result = body()
-        except BlockThread as block:
+        except BlockThread as exc:
             # A blocking invocation is unit-shaped too: its effects (wait
             # -queue insertion, trace-op accounting, cycle charges) end at
             # the raise, and the park itself happens in the kernel's run
             # loop *after* it.  Record a "block" unit — the effect diff
             # plus the reconstructible exception — so replay applies the
             # diff and re-raises instead of re-executing the server.
-            unit = None
-            if _block_replayable(block):
-                try:
-                    unit = self._finish_unit(
-                        kernel, kind, sig, pre, start, None
-                    )
-                except _NotReplayable:
-                    unit = None
-            if unit is None:
-                unit = self._bypass_unit(kind, sig, start, kernel.clock.now)
-            else:
-                unit.kind = "block"
-                unit.block = (
-                    block.component, block.token, block.timeout,
-                    block.on_wake,
-                )
-            self.units.append(unit)
-            raise
+            block = exc
         except BaseException as exc:
             self.failed = f"{type(exc).__name__}: {exc}"
             raise
         finally:
             self.busy = False
-        try:
-            self.units.append(
-                self._finish_unit(kernel, kind, sig, pre, start, result)
+            entered = {comp.name for comp in components if comp._ran}
+            for comp, ran in zip(components, saved):
+                if ran:
+                    comp._ran = True
+        keys = [
+            key for key in self._keys
+            if not self._owners[key].isdisjoint(entered)
+        ]
+        names = [name for name in self._names if name in entered]
+        unit = self._diff_unit(
+            kernel, kind, sig, pre, start, result, block, self._shadow,
+            keys, names,
+        )
+        if whole is not None:
+            self._check_unit(unit, self._diff_unit(
+                kernel, kind, sig, pre, start, result, block, whole,
+                self._keys, self._names,
+            ))
+        roots, images = self._snapshot_state(keys, names)
+        self._shadow[0].update(roots)
+        self._shadow[1].update(images)
+        if isinstance(unit, str):
+            unit = self._bypass_unit(kind, sig, start, kernel.clock.now)
+        elif block is not None:
+            unit.kind = "block"
+            unit.block = (
+                block.component, block.token, block.timeout, block.on_wake,
             )
-        except _NotReplayable:
-            self.units.append(
-                self._bypass_unit(kind, sig, start, kernel.clock.now)
-            )
+        self.units.append(unit)
+        if block is not None:
+            raise block
         return result
 
     def _bypass_unit(self, okind, sig, start, end) -> Unit:
@@ -792,7 +998,25 @@ class RecordingSession:
         return unit
 
     # -- snapshot --------------------------------------------------------
-    def _snapshot(self, kernel):
+    def _snapshot_state(self, keys, names) -> Tuple[dict, dict]:
+        """Snapshot the keyed roots and the named components' images."""
+        self.root_snapshots += len(keys)
+        kernel = self.kernel
+        roots = {}
+        for key in keys:
+            roots[key] = {
+                attr: _snap_value(value)
+                for attr, value in _root_slots(kernel, key)[1].items()
+            }
+        images = {
+            name: _snap_image(kernel.components[name].image)
+            for name in names
+        }
+        return roots, images
+
+    def _snapshot_kernel(self, kernel):
+        """The kernel-level state every unit diffs (threads, stats,
+        SWIFI counts)."""
         self._hits.clear()
         swifi = kernel.swifi
         threads = {
@@ -806,41 +1030,6 @@ class RecordingSession:
             )
             for tid, t in kernel.threads.items()
         }
-        images = {}
-        for name, comp in kernel.components.items():
-            image = comp.image
-            dirty = bytes(image._dirty)
-            pages = {}
-            words = image.words
-            size = image.size
-            for page in range(len(dirty)):
-                if dirty[page]:
-                    lo = page << PAGE_SHIFT
-                    pages[page] = words[lo:min(lo + PAGE_WORDS, size)]
-            images[name] = (
-                dirty, pages, image._alloc_ptr,
-                {k: tuple(v) for k, v in image._free_lists.items()},
-            )
-        roots = {}
-        for name, comp in kernel.components.items():
-            roots[("comp", name)] = {
-                attr: _snap_value(value)
-                for attr, value in comp.__dict__.items()
-                if attr not in _COMPONENT_SKIP
-                and not attr.startswith("_sealed")
-            }
-        for key, stub in kernel._stubs.items():
-            roots[("cstub",) + key] = {
-                attr: _snap_value(getattr(stub, attr))
-                for attr in _CLIENT_STUB_ATTRS
-                if hasattr(stub, attr)
-            }
-        for server, stub in kernel._server_stubs.items():
-            roots[("sstub", server)] = {
-                attr: _snap_value(getattr(stub, attr))
-                for attr in _SERVER_STUB_ATTRS
-                if hasattr(stub, attr)
-            }
         return {
             "timers": len(kernel.clock._timers),
             "next_tid": kernel._next_tid,
@@ -851,12 +1040,24 @@ class RecordingSession:
             "stats": dict(kernel.stats),
             "tc": dict(swifi.trace_counts) if swifi is not None else {},
             "ic": dict(swifi.invoke_counts) if swifi is not None else {},
-            "images": images,
-            "roots": roots,
         }
 
     # -- diff ------------------------------------------------------------
-    def _finish_unit(self, kernel, kind, sig, pre, start, result) -> Unit:
+    def _diff_unit(self, kernel, kind, sig, pre, start, result, block,
+                   state, keys, names):
+        """The unit diffed against ``state`` over ``keys``/``names``, or
+        why it cannot be replayed (a string)."""
+        if block is not None and not _block_replayable(block):
+            return "unreconstructible block"
+        try:
+            return self._finish_unit(
+                kernel, kind, sig, pre, start, result, state, keys, names
+            )
+        except _NotReplayable as exc:
+            return str(exc)
+
+    def _finish_unit(self, kernel, kind, sig, pre, start, result, state,
+                     keys, names) -> Unit:
         if kernel.crashed is not None:
             raise _NotReplayable("kernel crashed inside unit")
         if len(kernel.clock._timers) != pre["timers"]:
@@ -929,85 +1130,10 @@ class RecordingSession:
                 if n != pre["ic"].get(s, 0)
             )
 
-        images = []
-        for name, comp in kernel.components.items():
-            image = comp.image
-            if image._taint_count:
-                raise _NotReplayable("memory taint at unit end")
-            p_dirty, p_pages, p_alloc, p_free = pre["images"][name]
-            stores = []
-            new_dirty = []
-            dirty = image._dirty
-            words = image.words
-            good = image._good_words
-            size = image.size
-            for page in range(len(dirty)):
-                if not dirty[page]:
-                    continue
-                lo = page << PAGE_SHIFT
-                hi = min(lo + PAGE_WORDS, size)
-                if p_dirty[page]:
-                    old = p_pages[page]
-                    if words[lo:hi] != old:
-                        stores.extend(
-                            (i, words[i])
-                            for i in range(lo, hi)
-                            if words[i] != old[i - lo]
-                        )
-                else:
-                    new_dirty.append(page)
-                    if good is not None and words[lo:hi] != good[lo:hi]:
-                        stores.extend(
-                            (i, words[i])
-                            for i in range(lo, hi)
-                            if words[i] != good[i]
-                        )
-            live_free = {k: tuple(v) for k, v in image._free_lists.items()}
-            alloc = (
-                image._alloc_ptr if image._alloc_ptr != p_alloc else None
-            )
-            free = (
-                tuple(live_free.items()) if live_free != p_free else None
-            )
-            if stores or new_dirty or alloc is not None or free is not None:
-                images.append(
-                    (image, tuple(stores), tuple(new_dirty), alloc, free)
-                )
-
-        ops = []
-        for root_key, slots in pre["roots"].items():
-            tag = root_key[0]
-            if tag == "comp":
-                root = kernel.components[root_key[1]]
-                live_slots = {
-                    attr: value
-                    for attr, value in root.__dict__.items()
-                    if attr not in _COMPONENT_SKIP
-                    and not attr.startswith("_sealed")
-                }
-            elif tag == "cstub":
-                root = kernel._stubs[root_key[1:]]
-                live_slots = {
-                    attr: getattr(root, attr)
-                    for attr in _CLIENT_STUB_ATTRS
-                    if hasattr(root, attr)
-                }
-            else:
-                root = kernel._server_stubs[root_key[1]]
-                live_slots = {
-                    attr: getattr(root, attr)
-                    for attr in _SERVER_STUB_ATTRS
-                    if hasattr(root, attr)
-                }
-            root_ops: List[tuple] = []
-            for attr in slots:
-                if attr not in live_slots:
-                    root_ops.append(("del", (("a", attr),), None))
-            for attr, value in live_slots.items():
-                _diff_slot(slots.get(attr), value, (("a", attr),), root_ops)
-            ops.extend((root, op) for op in root_ops)
-
+        roots, images = state
         unit = Unit()
+        unit.images = tuple(_diff_images(kernel, images, names))
+        unit.ops = tuple(_diff_roots(kernel, roots, keys))
         unit.kind = kind
         unit.okind = kind
         unit.sig = sig
@@ -1021,8 +1147,6 @@ class RecordingSession:
         unit.ic_delta = ic_delta
         unit.ic_map = dict(ic_delta)
         unit.armed_hits = dict(self._hits)
-        unit.images = tuple(images)
-        unit.ops = tuple(ops)
         unit.wakes = tuple(wakes)
         unit.stub = (
             kernel._stubs.get((sig[1], sig[2])) if kind == "invoke" else None
@@ -1030,9 +1154,78 @@ class RecordingSession:
         unit.block = None
         return unit
 
+    # -- REPRO_POOL_DEBUG oracle ---------------------------------------
+    def _check_shadow(self, kernel) -> None:
+        """The shadow must diff empty against the live system."""
+        roots, images = self._shadow
+        try:
+            stale = (
+                _diff_roots(kernel, roots, self._keys)
+                or _diff_images(kernel, images, self._names)
+            )
+        except _NotReplayable as exc:
+            stale, detail = True, str(exc)
+        else:
+            detail = self._locate(stale[0]) if stale else ""
+        if stale:
+            raise AssertionError(
+                f"stale super-trace shadow before unit {len(self.units)}: "
+                f"{detail}"
+            )
+
+    def _check_unit(self, unit, expected) -> None:
+        """The touched-only unit must equal the whole-system one."""
+        index = len(self.units)
+        if isinstance(unit, str) or isinstance(expected, str):
+            if not (isinstance(unit, str) and isinstance(expected, str)):
+                raise AssertionError(
+                    f"super-trace unit {index}: touched roots gave "
+                    f"{unit if isinstance(unit, str) else 'a unit'}, "
+                    f"the whole system gave "
+                    f"{expected if isinstance(expected, str) else 'a unit'}"
+                )
+        else:
+            for field in Unit.__slots__:
+                mine = getattr(unit, field, None)
+                theirs = getattr(expected, field, None)
+                if not _same(mine, theirs):
+                    raise AssertionError(
+                        f"super-trace unit {index} differs from the "
+                        f"whole-system diff in {field}: "
+                        f"{self._first_difference(field, mine, theirs)}"
+                    )
+        self.checked_units += 1
+
+    def _first_difference(self, field, mine, theirs) -> str:
+        if field not in ("ops", "images"):
+            return f"touched={mine!r} whole={theirs!r}"
+        for index in range(max(len(mine), len(theirs))):
+            a = mine[index] if index < len(mine) else None
+            b = theirs[index] if index < len(theirs) else None
+            if not _same(a, b):
+                return self._locate(b if b is not None else a)
+        return "unknown"  # pragma: no cover - _same already differed
+
+    def _locate(self, entry) -> str:
+        """Name the root key and path of an ``ops`` entry, or the
+        component of an ``images`` entry."""
+        owner = entry[0]
+        kernel = self.kernel
+        for name in self._names:
+            if kernel.components[name].image is owner:
+                return f"image of {name!r}"
+        for key in self._keys:
+            if _root_slots(kernel, key)[0] is owner:
+                return f"root {key} path {entry[1][1]}"
+        return repr(owner)  # pragma: no cover - every entry has an owner
+
     # -- completion ------------------------------------------------------
     def finish(self, meta: dict) -> Optional[Recording]:
-        """Validate and seal the recording; ``None`` if the run failed."""
+        """Validate and seal the recording; ``None`` if the run failed.
+
+        Sealing compiles each replayable unit; units of one shape (the
+        same source once integers are parameters) share a code object.
+        """
         if self.failed is not None:
             return None
         kernel = self.kernel
@@ -1050,7 +1243,17 @@ class RecordingSession:
                 ),
                 service=str(meta.get("service", "")),
             )
-        return Recording(list(self.units), kernel, dict(meta))
+        codes: Dict[str, types.CodeType] = {}
+        for unit in self.units:
+            unit.fast = (
+                _compile_unit(unit, codes) if unit.kind != "bypass" else None
+            )
+        return Recording(list(self.units), kernel, dict(
+            meta,
+            root_snapshots=self.root_snapshots,
+            unit_shapes=len(codes),
+            checked_units=self.checked_units,
+        ))
 
     def finish_tail(self, sig: tuple) -> None:
         """No-op kept for ``bench/tracer.py``, its only reader: the

@@ -27,7 +27,6 @@ merging stays order-independent across either shape.
 
 from __future__ import annotations
 
-import os
 from typing import Dict
 
 #: Linear sub-buckets per power-of-two decade in
@@ -71,7 +70,10 @@ class Histogram:
     def observe(self, value: int) -> None:
         value = int(value)
         if value < 0:
-            if os.environ.get("REPRO_POOL_DEBUG") == "1":
+            # Imported here: repro.system imports this module.
+            from repro.system import pool_debug_enabled
+
+            if pool_debug_enabled():
                 raise AssertionError(
                     f"histogram observed negative value {value}: virtual "
                     "time ran backwards"

@@ -333,10 +333,11 @@ def record_clean(acquire, run_clean, meta: dict, stop_at=None):
 
     Three clean passes on systems from ``acquire()``: two warm-up
     passes bring the pooled system's trace caches and exec-compiled fast
-    paths to steady state (the fast path compiles after two clean runs),
-    so the recorded per-unit statistics match the warm state every
-    pooled campaign run executes in; the third runs under a
-    :class:`RecordingSession`.  ``run_clean(system, hook)`` executes one
+    paths to steady state, so the recorded per-unit statistics match the
+    warm state every pooled campaign run executes in (a trace attaches
+    an already-compiled program on its 2nd clean execution; a novel op
+    tuple compiles on its 9th, after ``NOVEL_COMPILE_RUNS`` = 8); the
+    third runs under a :class:`RecordingSession`.  ``run_clean(system, hook)`` executes one
     pass and reports whether it stayed clean.  ``stop_at(progress)``,
     if given, becomes the recording pass's progress ``hook``: once it
     returns True the session detaches, so the recording ends on a whole

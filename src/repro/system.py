@@ -161,6 +161,14 @@ def pooling_enabled() -> bool:
     return os.environ.get("REPRO_SYSTEM_POOL", "1") != "0"
 
 
+def pool_debug_enabled() -> bool:
+    """Is ``REPRO_POOL_DEBUG=1`` set?  Every pooled restore is then
+    diffed against a fresh build, every super-trace recording unit
+    against a whole-system diff, and negative histogram observations
+    raise instead of clamping."""
+    return os.environ.get("REPRO_POOL_DEBUG") == "1"
+
+
 #: Attributes excluded from structural fingerprints.  Back-references
 #: (kernel, component, booter, ...) would recurse; images are
 #: fingerprinted separately via their CRC; the trace caches
@@ -327,7 +335,7 @@ class SystemSnapshot:
         # never touched them.  Debug mode wants the opposite: exercise
         # the full restore path every run so the fingerprint diff checks
         # the durable sealed copies too, not just the touched subset.
-        if os.environ.get("REPRO_POOL_DEBUG") == "1":
+        if pool_debug_enabled():
             self._pool_restores = tuple(
                 getattr(r, "_pool_restore_impl", r.pool_restore)
                 for r in restorables
@@ -421,7 +429,7 @@ class SystemPool:
             return system
         system = snapshot.restore()
         self.stats["restores"] += 1
-        if os.environ.get("REPRO_POOL_DEBUG") == "1":
+        if pool_debug_enabled():
             diffs = snapshot.diff_against_fresh()
             if diffs:
                 detail = "; ".join(diffs[:10])

@@ -402,11 +402,16 @@ def _web_run(spec: WebRunSpec, seed: int, trace: bool, recording, counters):
     events.  Rows are computed exactly as untraced, so requesting a
     trace never changes the campaign artifact.
     """
-    # Every run of a process replays the same recording, so the summed
-    # count over runs is its size times the runs.
-    counters["recorded_units"] = counters.get("recorded_units", 0) + (
-        len(recording.units) if recording is not None else 0
-    )
+    # Every run of a process replays the same recording, so each summed
+    # count over runs is the recording's count times the runs.
+    if recording is not None:
+        counts = {
+            "recorded_units": len(recording.units),
+            "root_snapshots": recording.meta["root_snapshots"],
+            "unit_shapes": recording.meta["unit_shapes"],
+        }
+        for name, count in counts.items():
+            counters[name] = counters.get(name, 0) + count
     if not trace:
         return execute_web_run(spec, seed), None
     with traced_run():
@@ -443,9 +448,13 @@ class WebCampaignResult:
     #: Wall-clock split (sidecar-only: the artifact stays deterministic).
     setup_wall: float = 0.0
     exec_wall: float = 0.0
-    #: Units in the super-trace recording the runs replayed (0 without
-    #: one) — a work count for the sidecar, not an outcome.
+    #: Work counts of the super-trace recording the runs replayed (0
+    #: without one): its units, the root snapshots taken while
+    #: recording, and the unit shapes compiled.  Sidecar fields, not
+    #: outcomes.
     recorded_units: int = 0
+    root_snapshots: int = 0
+    unit_shapes: int = 0
 
     def to_json_dict(self) -> Dict[str, object]:
         """The deterministic campaign artifact (no wall-clock anywhere)."""
@@ -482,6 +491,8 @@ class WebCampaignResult:
                     "runs": len(self.rows),
                     "setup_wall": self.setup_wall,
                     "recorded_units": self.recorded_units,
+                    "root_snapshots": self.root_snapshots,
+                    "unit_shapes": self.unit_shapes,
                     "exec_wall": self.exec_wall,
                 },
                 handle,
@@ -584,9 +595,10 @@ def run_webserver_campaign(
         aggregate=aggregate_rows(spec, rows),
         setup_wall=campaign.setup_wall,
         exec_wall=campaign.exec_wall,
-        recorded_units=(
-            campaign.counters.get("recorded_units", 0) // max(len(seeds), 1)
-        ),
+        **{
+            name: campaign.counters.get(name, 0) // max(len(seeds), 1)
+            for name in ("recorded_units", "root_snapshots", "unit_shapes")
+        },
     )
 
 

@@ -10,27 +10,32 @@ outcome identity, bypass accounting, pool-debug fingerprints, and the
 zero-copy worker payload contract.
 """
 
+import json
 import pickle
 
 import pytest
 
 from repro import observe
+from repro.composite.component import export
 from repro.composite.supertrace import (
     REGISTRY,
     RecordingSession,
     ReplaySession,
     super_trace_enabled,
 )
+from repro.idl_specs import SERVICES
 from repro.swifi import campaign as swifi_campaign
 from repro.swifi import parallel
 from repro.swifi.campaign import CampaignRunner, execute_run
-from repro.system import GLOBAL_POOL, build_system
+from repro.system import GLOBAL_POOL, build_system, system_fingerprint
 from repro.webserver import campaign as web_campaign
 from repro.webserver.campaign import (
     WebRunSpec,
     execute_web_run,
+    run_webserver_campaign,
     web_run_seeds,
 )
+from repro.webserver.components import ConnectionManagerComponent
 
 
 def _lock_runner(n_faults=12, seed=1):
@@ -279,6 +284,183 @@ class TestColdWarmSymmetry:
         spec = runner.spec()
         for seed in runner.run_seeds() * 2:
             execute_run(spec, seed)  # raises ReproError on divergence
+
+
+#: Fingerprint keys of the engine counters replay legitimately changes.
+_ENGINE_STATS = tuple(
+    f"kernel.stats['{prefix}"
+    for prefix in ("super_trace_", "interp_", "trace_cache_")
+)
+
+#: Fig. 7 specs whose end states must not depend on the replay engine.
+_WEB_SPECS = {
+    "closed": WebRunSpec(n_requests=120, n_faults=3),
+    "open": WebRunSpec(
+        n_requests=120, n_faults=3, arrivals="open", load=2.0,
+        phases="burst", slo_us=500,
+    ),
+    "fault-free": WebRunSpec(n_requests=120, n_faults=0),
+}
+
+
+def _end_state(system):
+    """``system_fingerprint`` minus the engine counters."""
+    return {
+        key: value for key, value in system_fingerprint(system).items()
+        if not key.startswith(_ENGINE_STATS)
+    }
+
+
+def _web_pooled(spec):
+    return GLOBAL_POOL.peek(
+        ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode,
+        prepare=web_campaign.prepare_webserver,
+    )
+
+
+class TestEndStateIdentity:
+    """A run that replays leaves the pooled system exactly where the
+    authoritative run leaves it, stub statistics and tracking tables
+    included.  No campaign artifact shows those, so this is the test
+    that catches a recording which misses a root a unit changed."""
+
+    def _assert_same_end_states(self, monkeypatch, run, seeds):
+        states = {}
+        replayed = 0
+        for engine in ("0", "1"):
+            monkeypatch.setenv("REPRO_SUPER_TRACE", engine)
+            states[engine] = []
+            for seed in seeds:
+                system = run(seed)
+                states[engine].append(_end_state(system))
+                replayed += system.kernel.stats["super_trace_runs"]
+        assert replayed > 0
+        for seed, before, after in zip(seeds, states["0"], states["1"]):
+            differing = sorted(
+                key for key in set(before) | set(after)
+                if before.get(key) != after.get(key)
+            )
+            assert differing == [], f"seed {seed}"
+
+    @pytest.mark.parametrize("fault_class", ["reg", "idl"])
+    @pytest.mark.parametrize("service", SERVICES)
+    def test_table2_end_state(self, monkeypatch, service, fault_class):
+        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
+        runner = CampaignRunner(
+            service, n_faults=6, seed=1, fault_class=fault_class
+        )
+        spec = runner.spec()
+        self._assert_same_end_states(
+            monkeypatch,
+            lambda seed: swifi_campaign._drive_run(spec, seed)[1],
+            runner.run_seeds(),
+        )
+
+    @pytest.mark.parametrize("name", sorted(_WEB_SPECS))
+    def test_fig7_end_state(self, monkeypatch, name):
+        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
+        spec = _WEB_SPECS[name]
+
+        def run(seed):
+            execute_web_run(spec, seed)
+            return _web_pooled(spec)
+
+        self._assert_same_end_states(monkeypatch, run, web_run_seeds(1, 3))
+
+
+class TestRecordingOracle:
+    """``REPRO_POOL_DEBUG=1`` checks every recorded unit's touched-root
+    diff against the whole-system diff."""
+
+    @pytest.fixture(autouse=True)
+    def _debug(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
+        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
+        monkeypatch.setenv("REPRO_POOL_DEBUG", "1")
+        REGISTRY.clear()  # record afresh, under the oracle
+
+    @pytest.mark.parametrize("name", ["closed", "open"])
+    def test_every_fig7_unit_checked(self, name):
+        recording = web_campaign._web_recording(_WEB_SPECS[name])
+        assert recording is not None
+        assert recording.meta["checked_units"] == len(recording.units) > 0
+
+    @pytest.mark.parametrize("service", SERVICES)
+    def test_every_table2_unit_checked(self, service):
+        spec = CampaignRunner(service, n_faults=4, seed=1).spec()
+        recording = swifi_campaign._campaign_recording(spec)
+        assert recording is not None
+        assert recording.meta["checked_units"] == len(recording.units) > 0
+
+    def test_untouched_root_write_is_named(self, monkeypatch):
+        # conn_open also bumps httpparse's counter without entering
+        # httpparse: the touched-root diff misses it, the oracle must
+        # name it — and raise, not degrade to "no recording".
+        original = ConnectionManagerComponent.conn_open
+
+        @export
+        def conn_open(self, thread, peer):
+            self.kernel.components["httpparse"].parsed += 1
+            return original(self, thread, peer)
+
+        monkeypatch.setattr(ConnectionManagerComponent, "conn_open", conn_open)
+        GLOBAL_POOL.clear()  # rebuild with the planted export bound
+        try:
+            with pytest.raises(
+                AssertionError,
+                match=r"root \('comp', 'httpparse'\) path \(\('a', 'parsed'\),\)",
+            ):
+                web_campaign._web_recording(_WEB_SPECS["closed"])
+        finally:
+            GLOBAL_POOL.clear()
+
+    def test_untouched_root_write_in_table2_is_named(self, monkeypatch):
+        # Same bug on the Table II path: lock_take bumps a counter of
+        # the timer component, which the lock workload never enters
+        # (pool restores reset the counter, so only the oracle sees it).
+        spec = CampaignRunner("lock", n_faults=4, seed=1).spec()
+        kernel = swifi_campaign._campaign_system(
+            spec.ft_mode, spec.recovery_mode
+        ).kernel
+        timer = kernel.components["timer"]
+        exports = kernel.components["lock"]._exports
+        original = exports["lock_take"]
+
+        def lock_take(thread, *args):
+            timer.faults_detected += 1
+            return original(thread, *args)
+
+        monkeypatch.setitem(exports, "lock_take", lock_take)
+        with pytest.raises(
+            AssertionError,
+            match=r"root \('comp', 'timer'\) path \(\('a', 'faults_detected'\),\)",
+        ):
+            swifi_campaign._campaign_recording(spec)
+
+
+class TestRecordingWork:
+    """Recording cost follows what each unit touches: deterministic work
+    counts pin it on any host."""
+
+    def test_fig7_open_sidecar_counts(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
+        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
+        REGISTRY.clear()
+        # The benchmark's fig7-open workload spec.
+        spec = WebRunSpec(
+            arrivals="open", load=2.0, phases="burst", n_requests=400,
+            n_faults=3, slo_us=500, arrival_seed=1,
+        )
+        result = run_webserver_campaign(web_run_seeds(1, 1), spec, workers=1)
+        path = tmp_path / "fig7.json"
+        result.write_json(str(path))
+        timing = json.loads((tmp_path / "fig7.json.timing.json").read_text())
+        units = timing["recorded_units"]
+        assert units > 1000
+        # Whole-system recording took 37 root snapshots per unit and
+        # compiled every replayable unit separately (1,265 compiles).
+        assert timing["root_snapshots"] <= 10 * units
+        assert 0 < timing["unit_shapes"] <= 60
 
 
 class TestNoTailCache:

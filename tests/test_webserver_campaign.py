@@ -336,12 +336,14 @@ class TestArtifacts:
         )
         path = tmp_path / "fig7.json"
         result.write_json(str(path))
-        assert "recorded_units" not in path.read_text()
+        counts = ("recorded_units", "root_snapshots", "unit_shapes")
+        artifact = path.read_text()
+        assert not any(name in artifact for name in counts)
         timing = json.loads((tmp_path / "fig7.json.timing.json").read_text())
         if super_trace == "1":
-            assert timing["recorded_units"] > 0
+            assert all(timing[name] > 0 for name in counts)
         else:
-            assert timing["recorded_units"] == 0
+            assert all(timing[name] == 0 for name in counts)
 
 
 class TestOpenLoopCampaign:
