@@ -324,7 +324,7 @@ class TestEndStateIdentity:
     included.  No campaign artifact shows those, so this is the test
     that catches a recording which misses a root a unit changed."""
 
-    def _assert_same_end_states(self, monkeypatch, run, seeds):
+    def _assert_same_end_states(self, monkeypatch, label, run, seeds):
         states = {}
         replayed = 0
         for engine in ("0", "1"):
@@ -334,38 +334,40 @@ class TestEndStateIdentity:
                 system = run(seed)
                 states[engine].append(_end_state(system))
                 replayed += system.kernel.stats["super_trace_runs"]
-        assert replayed > 0
+        assert replayed > 0, label
         for seed, before, after in zip(seeds, states["0"], states["1"]):
             differing = sorted(
                 key for key in set(before) | set(after)
                 if before.get(key) != after.get(key)
             )
-            assert differing == [], f"seed {seed}"
+            assert differing == [], f"{label} seed {seed}"
 
-    @pytest.mark.parametrize("fault_class", ["reg", "idl"])
     @pytest.mark.parametrize("service", SERVICES)
-    def test_table2_end_state(self, monkeypatch, service, fault_class):
+    def test_table2_end_state(self, monkeypatch, service):
         monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        runner = CampaignRunner(
-            service, n_faults=6, seed=1, fault_class=fault_class
-        )
-        spec = runner.spec()
-        self._assert_same_end_states(
-            monkeypatch,
-            lambda seed: swifi_campaign._drive_run(spec, seed)[1],
-            runner.run_seeds(),
-        )
+        for fault_class in ("reg", "idl"):
+            runner = CampaignRunner(
+                service, n_faults=6, seed=1, fault_class=fault_class
+            )
+            spec = runner.spec()
+            self._assert_same_end_states(
+                monkeypatch,
+                fault_class,
+                lambda seed: swifi_campaign._drive_run(spec, seed)[1],
+                runner.run_seeds(),
+            )
 
-    @pytest.mark.parametrize("name", sorted(_WEB_SPECS))
-    def test_fig7_end_state(self, monkeypatch, name):
+    def test_fig7_end_state(self, monkeypatch):
         monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        spec = _WEB_SPECS[name]
+        for name, spec in sorted(_WEB_SPECS.items()):
 
-        def run(seed):
-            execute_web_run(spec, seed)
-            return _web_pooled(spec)
+            def run(seed, spec=spec):
+                execute_web_run(spec, seed)
+                return _web_pooled(spec)
 
-        self._assert_same_end_states(monkeypatch, run, web_run_seeds(1, 3))
+            self._assert_same_end_states(
+                monkeypatch, name, run, web_run_seeds(1, 3)
+            )
 
 
 class TestRecordingOracle:
@@ -379,18 +381,20 @@ class TestRecordingOracle:
         monkeypatch.setenv("REPRO_POOL_DEBUG", "1")
         REGISTRY.clear()  # record afresh, under the oracle
 
-    @pytest.mark.parametrize("name", ["closed", "open"])
-    def test_every_fig7_unit_checked(self, name):
-        recording = web_campaign._web_recording(_WEB_SPECS[name])
-        assert recording is not None
-        assert recording.meta["checked_units"] == len(recording.units) > 0
+    def test_every_fig7_unit_checked(self):
+        for name in ("closed", "open"):
+            recording = web_campaign._web_recording(_WEB_SPECS[name])
+            assert recording is not None, name
+            checked = recording.meta["checked_units"]
+            assert checked == len(recording.units) > 0, name
 
-    @pytest.mark.parametrize("service", SERVICES)
-    def test_every_table2_unit_checked(self, service):
-        spec = CampaignRunner(service, n_faults=4, seed=1).spec()
-        recording = swifi_campaign._campaign_recording(spec)
-        assert recording is not None
-        assert recording.meta["checked_units"] == len(recording.units) > 0
+    def test_every_table2_unit_checked(self):
+        for service in SERVICES:
+            spec = CampaignRunner(service, n_faults=4, seed=1).spec()
+            recording = swifi_campaign._campaign_recording(spec)
+            assert recording is not None, service
+            checked = recording.meta["checked_units"]
+            assert checked == len(recording.units) > 0, service
 
     def test_untouched_root_write_is_named(self, monkeypatch):
         # conn_open also bumps httpparse's counter without entering
