@@ -132,15 +132,10 @@ def measure_raw(n_execs: int, repeat: int = 3) -> dict:
                 result = execute_trace(trace, regs, image)
             return result
 
-        # Warm outside the timing: a novel op tuple must prove
-        # NOVEL_COMPILE_RUNS clean executions before the fast path
-        # compiles it (cached tuples attach on the second).
-        from repro.composite.fastpath import NOVEL_COMPILE_RUNS
-
-        for __ in range(NOVEL_COMPILE_RUNS + 1):
+        # Warm outside the timing: a trace attaches its compiled
+        # program on its second clean execution.
+        for __ in range(2):
             fast_once(_fresh_regs(image, trace))
-            if trace._compiled is not None:
-                break
         fast = time_path(fast_once)
     else:
         fast = slow

@@ -10,13 +10,24 @@ taint-free trace.  That clean path is ~100% of campaign executions (each
 run delivers at most one injection into exactly one trace) and 100% of
 webserver traffic.
 
-This module compiles a :class:`~repro.composite.machine.Trace` once into a
-single specialised Python function — straight-line direct-threaded code:
-one statement sequence per micro-op, operands and ``OP_CYCLES`` folded in
-as literals, memory bounds inlined as constants, no per-op dispatch and no
-taint tracking.  The compiled program runs against the register-value list
-and the image's ``array('I')`` words, and raises exactly the same fault
-types (and messages) as the slow path.
+This module turns a :class:`~repro.composite.machine.Trace` into a single
+specialised Python function — straight-line direct-threaded code: one
+statement sequence per micro-op, register operands and folded
+``OP_CYCLES`` totals as literals, no per-op dispatch and no taint
+tracking.  Every immediate (``li``/``addi`` values, ``ld``/``st``/``chk``
+offsets, the ``chk`` magic, assertion bounds, the ``loop`` cost), the
+image bounds and the component name are parameters whose defaults are
+the trace's values, so traces that differ only in those values generate
+the same source and share one ``compile()`` (a *shape*).  The program
+runs against the register-value list and the image's ``array('I')``
+words, and raises exactly the same fault types (and messages) as the
+slow path.
+
+A trace attaches its program on its second clean execution; one-shot
+traces stay on the slow path.  Attaching costs source generation and a
+function object, not a compile, once the shape is known, so when a trace
+goes fast depends on that trace alone, never on what the process ran
+before.
 
 The slow path remains authoritative: :func:`try_execute_fast` returns
 ``None`` whenever its preconditions do not hold (pending injection is
@@ -34,8 +45,8 @@ by ``REPRO_TRACE_CACHE`` (see :mod:`repro.composite.services.common`).
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from typing import Optional
+import types
+from typing import Dict, Optional
 
 from repro.composite.machine import (
     ESP,
@@ -58,34 +69,20 @@ from repro.errors import (
 #: monkeypatch this attribute to force the slow path.
 FAST_INTERP_ENABLED = os.environ.get("REPRO_FAST_INTERP", "1") != "0"
 
-#: Clean executions a trace must prove before the fast path will pay
-#: ``builtins.compile`` for a *novel* op tuple (a program-cache miss,
-#: ~1.4 ms).  Attaching an already-compiled program is nearly free, so
-#: that happens on the second clean execution regardless.  Without the
-#: higher bar, long-tail traces whose op lists are unique per cache key
-#: (seed-dependent record values folded into the ops) each burn one
-#: throwaway compile the moment a pooled system re-hits them — slower
-#: than just interpreting them forever.
-NOVEL_COMPILE_RUNS = 8
-
 
 class FastProgram:
-    """A trace compiled for one (image bounds, component) context.
+    """A trace's program for one (image bounds, component) context.
 
-    The generated code folds only the image's ``base``/``size`` and the
-    component name (in fault messages) — never the image object — so a
-    program is valid for *any* image with the same bounds.  That is what
-    lets the module-level program cache below share compiles across the
-    fresh systems a SWIFI campaign builds per run.
+    ``run`` is its shape's shared code with the trace's immediates, the
+    image's ``base``/``size`` and the component name (in fault messages)
+    bound as parameter defaults — never the image object — so a program
+    is valid for *any* image with the same bounds.
     """
 
-    __slots__ = (
-        "run", "base", "size", "component_name", "n_ops", "trace_len",
-        "source",
-    )
+    __slots__ = ("run", "base", "size", "component_name", "n_ops", "trace_len")
 
     def __init__(self, run, base: int, size: int, component_name: str,
-                 n_ops: int, trace_len: int, source: str):
+                 n_ops: int, trace_len: int):
         #: ``run(values, words, dirty) -> (ret_value, cycles)``; raises
         #: the simulated-fault family exactly as the slow path would.
         #: ``dirty`` is the image's dirty-page bitmap: every compiled
@@ -99,128 +96,106 @@ class FastProgram:
         #: len(trace.ops) at compile time — staleness guard against a
         #: builder appending ops after compilation.
         self.trace_len = trace_len
-        self.source = source
 
 
-#: Module-level compiled-program memo.  A SWIFI campaign builds a fresh
-#: system per run, so per-trace caching alone would recompile the same op
-#: lists hundreds of times; keying on the full op tuple amortises each
-#: compile across the whole campaign.  Bounded FIFO, same policy as the
-#: tier-1 trace cache.
-_PROGRAM_CACHE: dict = {}
-_PROGRAM_CACHE_CAPACITY = 4096
+#: Code object per trace shape, keyed by generated source: compiled once
+#: per process and shared by every trace of that shape.  Bounded FIFO,
+#: same policy as the tier-1 trace cache.
+_SHAPES: Dict[str, types.CodeType] = {}
+_SHAPES_CAPACITY = 4096
 
 
-@contextmanager
-def program_cache_rolled_back():
-    """Forget, on exit, whatever the block changed in the program memo.
+# Fault constructors matching the slow path's messages exactly, called
+# only from the generated fault branches.  The clean path carries no
+# taint, so a stack access through a bad ESP/EBP can only be an untainted
+# (recoverable) segmentation fault — the SystemCrash arm of
+# ``_check_addr`` is unreachable here.  Each receives the statically
+# folded partial cycle total and the faulting op index (literals in the
+# generated code, so the clean path pays nothing for them) and stamps
+# them onto the fault, keeping fast-path faults cycle-accountable exactly
+# like the slow path's.
 
-    A traced campaign run records fast-path attaches and compiles, and
-    those depend on what earlier runs of the same process left in the
-    memo.  Rolling the memo back after each traced run keeps its record
-    a function of the run alone, so serial and forked campaigns export
-    identical traces.
-    """
-    saved = dict(_PROGRAM_CACHE)
-    try:
-        yield
-    finally:
-        _PROGRAM_CACHE.clear()
-        _PROGRAM_CACHE.update(saved)
+def _stamp(fault, consumed: int, op_index: int):
+    fault.cycles_consumed = consumed
+    fault.op_index = op_index
+    raise fault
 
 
-def _make_fault_helpers(component_name: str) -> dict:
-    """Fault constructors matching the slow path's messages exactly.
+def _oob(addr: int, reg: int, consumed: int, op_index: int, component: str):
+    _stamp(
+        SegmentationFault(
+            f"access to unmapped address {addr:#x} (via {REG_NAMES[reg]})",
+            component=component,
+        ),
+        consumed, op_index,
+    )
 
-    The clean path carries no taint, so a stack access through a bad
-    ESP/EBP can only be an untainted (recoverable) segmentation fault —
-    the SystemCrash arm of ``_check_addr`` is unreachable here.
 
-    Each helper receives the statically folded partial cycle total and
-    the faulting op index (literals in the generated code, so the clean
-    path pays nothing for them) and stamps them onto the fault, keeping
-    fast-path faults cycle-accountable exactly like the slow path's.
-    """
+def _chk_fail(addr: int, word: int, magic: int, consumed: int,
+              op_index: int, component: str):
+    _stamp(
+        CorruptionDetected(
+            f"magic check failed at {addr:#x}: {word:#x} != {magic:#x}",
+            component=component,
+        ),
+        consumed, op_index,
+    )
 
-    def _stamp(fault, consumed: int, op_index: int):
-        fault.cycles_consumed = consumed
-        fault.op_index = op_index
-        raise fault
 
-    def oob(addr: int, reg: int, consumed: int, op_index: int):
-        _stamp(
-            SegmentationFault(
-                f"access to unmapped address {addr:#x} "
-                f"(via {REG_NAMES[reg]})",
-                component=component_name,
-            ),
-            consumed, op_index,
-        )
+def _aeq_fail(reg: int, value: int, imm: int, consumed: int,
+              op_index: int, component: str):
+    _stamp(
+        AssertionFault(
+            f"assertion failed: {REG_NAMES[reg]}={value:#x} != {imm:#x}",
+            component=component,
+        ),
+        consumed, op_index,
+    )
 
-    def chk_fail(addr: int, word: int, magic: int, consumed: int, op_index: int):
-        _stamp(
-            CorruptionDetected(
-                f"magic check failed at {addr:#x}: "
-                f"{word:#x} != {magic:#x}",
-                component=component_name,
-            ),
-            consumed, op_index,
-        )
 
-    def assert_eq_fail(reg: int, value: int, imm: int, consumed: int, op_index: int):
-        _stamp(
-            AssertionFault(
-                f"assertion failed: {REG_NAMES[reg]}="
-                f"{value:#x} != {imm:#x}",
-                component=component_name,
-            ),
-            consumed, op_index,
-        )
+def _arange_fail(reg: int, value: int, lo: int, hi: int, consumed: int,
+                 op_index: int, component: str):
+    _stamp(
+        AssertionFault(
+            f"range assertion failed: {REG_NAMES[reg]}="
+            f"{value:#x} not in [{lo:#x}, {hi:#x}]",
+            component=component,
+        ),
+        consumed, op_index,
+    )
 
-    def assert_range_fail(reg: int, value: int, lo: int, hi: int, consumed: int, op_index: int):
-        _stamp(
-            AssertionFault(
-                f"range assertion failed: {REG_NAMES[reg]}="
-                f"{value:#x} not in [{lo:#x}, {hi:#x}]",
-                component=component_name,
-            ),
-            consumed, op_index,
-        )
 
-    def hang(iters: int, consumed: int, op_index: int):
-        _stamp(
-            SystemHang(
-                f"loop bound {iters:#x} exceeds hang budget",
-                component=component_name,
-            ),
-            consumed, op_index,
-        )
-
-    return {
-        "_oob": oob,
-        "_chk_fail": chk_fail,
-        "_aeq_fail": assert_eq_fail,
-        "_arange_fail": assert_range_fail,
-        "_hang": hang,
-    }
+def _hang(iters: int, consumed: int, op_index: int, component: str):
+    _stamp(
+        SystemHang(
+            f"loop bound {iters:#x} exceeds hang budget",
+            component=component,
+        ),
+        consumed, op_index,
+    )
 
 
 def compile_trace(trace: Trace, memory, component_name: str = "?") -> FastProgram:
-    """Compile ``trace`` into a specialised clean-path function.
+    """Build ``trace``'s specialised clean-path function.
 
     ``memory`` is the :class:`~repro.composite.memory.MemoryImage` the
-    trace will execute against; its base/size are folded into the code as
-    literal bounds.  The ``words`` array is still passed per call so the
-    program survives ``micro_reboot`` (which restores words in place) and
-    transfers to any other image with the same bounds.
+    trace will execute against; its bounds become the defaults of the
+    ``b``/``e`` parameters, the component name that of ``c``, and each
+    immediate that of its own ``a<n>``.  The ``words`` array is still
+    passed per call so the program survives ``micro_reboot`` (which
+    restores words in place) and transfers to any other image with the
+    same bounds.  Only a shape's first trace pays ``compile()``.
     """
-    cache_key = (component_name, memory.base, memory.size, tuple(trace.ops))
-    cached = _PROGRAM_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
     base = memory.base
-    end = memory.base + memory.size
-    lines = ["def _compiled(v, w, d):"]
+    params = {"b": base, "e": base + memory.size, "c": component_name}
+
+    def imm(value) -> str:
+        """Pass ``value`` in as a new parameter (its default)."""
+        name = f"a{len(params)}"
+        params[name] = value
+        return name
+
+    lines = [None]  # the ``def`` line, once the parameters are known
     emit = lines.append
     cycles = 0  # static cycle total, folded at compile time
     has_loop = False
@@ -234,59 +209,57 @@ def compile_trace(trace: Trace, memory, component_name: str = "?") -> FastProgra
         # fault calls as a literal (plus the dynamic loop term once a
         # loop op has appeared) — mirrors the slow path's accounting.
         part = f"{cycles} + cyc" if has_loop or code == "loop" else str(cycles)
+        at = f"{part}, {op_index}, c"
         if code == "li":
-            emit(f"    v[{op[1]}] = {op[2]}")
+            emit(f"    v[{op[1]}] = {imm(op[2])}")
         elif code == "mov":
             emit(f"    v[{op[1]}] = v[{op[2]}]")
         elif code == "ld":
-            emit(f"    x = (v[{op[2]}] + {op[3]}) & {WORD_MASK}")
-            emit(f"    if not {base} <= x < {end}: "
-                 f"_oob(x, {op[2]}, {part}, {op_index})")
-            emit(f"    v[{op[1]}] = w[x - {base}]")
+            emit(f"    x = (v[{op[2]}] + {imm(op[3])}) & {WORD_MASK}")
+            emit(f"    if not b <= x < e: _oob(x, {op[2]}, {at})")
+            emit(f"    v[{op[1]}] = w[x - b]")
         elif code == "st":
-            emit(f"    x = (v[{op[2]}] + {op[3]}) & {WORD_MASK}")
-            emit(f"    if not {base} <= x < {end}: "
-                 f"_oob(x, {op[2]}, {part}, {op_index})")
-            emit(f"    x -= {base}")
+            emit(f"    x = (v[{op[2]}] + {imm(op[3])}) & {WORD_MASK}")
+            emit(f"    if not b <= x < e: _oob(x, {op[2]}, {at})")
+            emit("    x -= b")
             emit(f"    w[x] = v[{op[1]}]")
             emit(f"    d[x >> {PAGE_SHIFT}] = 1")
         elif code == "add":
             emit(f"    v[{op[1]}] = (v[{op[1]}] + v[{op[2]}]) & {WORD_MASK}")
         elif code == "addi":
-            emit(f"    v[{op[1]}] = (v[{op[1]}] + {op[2]}) & {WORD_MASK}")
+            emit(f"    v[{op[1]}] = (v[{op[1]}] + {imm(op[2])}) & {WORD_MASK}")
         elif code == "xor":
             emit(f"    v[{op[1]}] ^= v[{op[2]}]")
         elif code == "chk":
-            emit(f"    x = (v[{op[1]}] + {op[2]}) & {WORD_MASK}")
-            emit(f"    if not {base} <= x < {end}: "
-                 f"_oob(x, {op[1]}, {part}, {op_index})")
-            emit(f"    if w[x - {base}] != {op[3]}: "
-                 f"_chk_fail(x, w[x - {base}], {op[3]}, {part}, {op_index})")
+            magic = imm(op[3])
+            emit(f"    x = (v[{op[1]}] + {imm(op[2])}) & {WORD_MASK}")
+            emit(f"    if not b <= x < e: _oob(x, {op[1]}, {at})")
+            emit(f"    if w[x - b] != {magic}: "
+                 f"_chk_fail(x, w[x - b], {magic}, {at})")
         elif code == "assert_eq":
-            emit(f"    if v[{op[1]}] != {op[2]}: "
-                 f"_aeq_fail({op[1]}, v[{op[1]}], {op[2]}, {part}, {op_index})")
+            value = imm(op[2])
+            emit(f"    if v[{op[1]}] != {value}: "
+                 f"_aeq_fail({op[1]}, v[{op[1]}], {value}, {at})")
         elif code == "assert_range":
-            emit(f"    if not {op[2]} <= v[{op[1]}] <= {op[3]}: "
-                 f"_arange_fail({op[1]}, v[{op[1]}], {op[2]}, {op[3]}, "
-                 f"{part}, {op_index})")
+            lo, hi = imm(op[2]), imm(op[3])
+            emit(f"    if not {lo} <= v[{op[1]}] <= {hi}: "
+                 f"_arange_fail({op[1]}, v[{op[1]}], {lo}, {hi}, {at})")
         elif code == "loop":
             has_loop = True
             emit(f"    n = v[{op[1]}]")
-            emit(f"    if n > {HANG_LIMIT}: _hang(n, {part}, {op_index})")
-            emit(f"    cyc += n * {op[2]}")
+            emit(f"    if n > {HANG_LIMIT}: _hang(n, {at})")
+            emit(f"    cyc += n * {imm(op[2])}")
         elif code == "push":
             emit(f"    x = (v[{ESP}] - 1) & {WORD_MASK}")
             emit(f"    v[{ESP}] = x")
-            emit(f"    if not {base} <= x < {end}: "
-                 f"_oob(x, {ESP}, {part}, {op_index})")
-            emit(f"    x -= {base}")
+            emit(f"    if not b <= x < e: _oob(x, {ESP}, {at})")
+            emit("    x -= b")
             emit(f"    w[x] = v[{op[1]}]")
             emit(f"    d[x >> {PAGE_SHIFT}] = 1")
         elif code == "pop":
             emit(f"    x = v[{ESP}]")
-            emit(f"    if not {base} <= x < {end}: "
-                 f"_oob(x, {ESP}, {part}, {op_index})")
-            emit(f"    v[{op[1]}] = w[x - {base}]")
+            emit(f"    if not b <= x < e: _oob(x, {ESP}, {at})")
+            emit(f"    v[{op[1]}] = w[x - b]")
             emit(f"    v[{ESP}] = (x + 1) & {WORD_MASK}")
         elif code == "ret":
             total = f"{cycles} + cyc" if has_loop else str(cycles)
@@ -301,18 +274,21 @@ def compile_trace(trace: Trace, memory, component_name: str = "?") -> FastProgra
 
     if has_loop:
         lines.insert(1, "    cyc = 0")
+    lines[0] = f"def _compiled(v, w, d, {', '.join(params)}):"
     source = "\n".join(lines)
-    namespace = _make_fault_helpers(component_name)
-    exec(compile(source, f"<fastpath:{trace.label or component_name}>", "exec"),
-         namespace)
-    program = FastProgram(
-        namespace["_compiled"], memory.base, memory.size, component_name,
-        n_ops, len(trace.ops), source,
+    shape = _SHAPES.get(source)
+    if shape is None:
+        scope: dict = {}
+        exec(compile(source, "<fastpath>", "exec"), scope)
+        if len(_SHAPES) >= _SHAPES_CAPACITY:
+            _SHAPES.pop(next(iter(_SHAPES)))
+        shape = _SHAPES[source] = scope["_compiled"].__code__
+    run = types.FunctionType(
+        shape, globals(), "_compiled", tuple(params.values())
     )
-    if len(_PROGRAM_CACHE) >= _PROGRAM_CACHE_CAPACITY:
-        _PROGRAM_CACHE.pop(next(iter(_PROGRAM_CACHE)))
-    _PROGRAM_CACHE[cache_key] = program
-    return program
+    return FastProgram(
+        run, base, memory.size, component_name, n_ops, len(trace.ops)
+    )
 
 
 def try_execute_fast(
@@ -321,7 +297,8 @@ def try_execute_fast(
     """Execute ``trace`` on the compiled clean path, if eligible.
 
     Returns ``None`` when the fast path cannot be used (disabled, tainted
-    register, or tainted image word) — the caller must then fall back to
+    register, tainted image word, or the trace's first clean execution)
+    — the caller must then fall back to
     :func:`~repro.composite.machine.execute_trace`.  The caller is
     responsible for ensuring no injection is pending.  Simulated faults
     propagate exactly as from the slow path.
@@ -348,27 +325,11 @@ def try_execute_fast(
         or program.trace_len != len(trace.ops)
         or program.component_name != component_name
     ):
-        runs = trace._clean_runs
-        if runs == 0:
-            # Warm-up: compiling costs far more than one interpreted run,
-            # so a trace must prove it is re-executed (cache-hit service
-            # traces, reused tracking traces) before it is compiled.
-            # One-shot traces take the slow path forever.
+        if not trace._clean_runs:
+            # Warm-up: a trace attaches on its second clean execution,
+            # so one-shot traces never pay for building a program.
             trace._clean_runs = 1
             return None
-        if runs < NOVEL_COMPILE_RUNS:
-            # Re-executed, but not yet hot enough to justify compiling
-            # from scratch.  If an identical op tuple was already
-            # compiled elsewhere (fresh campaign systems rebuild the
-            # same traces every run), attach it — that is a dict lookup,
-            # not a compile.  Otherwise keep interpreting until the
-            # trace earns a novel compile.
-            cached = _PROGRAM_CACHE.get(
-                (component_name, memory.base, memory.size, tuple(trace.ops))
-            )
-            if cached is None:
-                trace._clean_runs = runs + 1
-                return None
         program = compile_trace(trace, memory, component_name)
         trace._compiled = program
         if recorder is not None:

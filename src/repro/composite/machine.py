@@ -147,11 +147,11 @@ class Trace:
         #: cached traces are sealed so a redundant finish cannot grow them.
         self.sealed = False
         #: Fast-path program (repro.composite.fastpath.FastProgram),
-        #: compiled lazily once the trace proves hot (second clean run).
+        #: attached lazily once the trace proves hot (second clean run).
         self._compiled = None
-        #: Clean executions seen so far; the fast path only compiles a
-        #: trace that is executed more than once, so single-shot traces
-        #: never pay the (comparatively large) compile cost.
+        #: 1 once a clean execution was seen; the fast path attaches a
+        #: program only to a trace executed more than once, so
+        #: single-shot traces never pay for building one.
         self._clean_runs = 0
 
     def __len__(self):

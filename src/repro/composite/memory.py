@@ -208,14 +208,15 @@ class MemoryImage:
         taint = self._taint
         size = self.size
         restored = 0
-        for page in range(len(dirty)):
-            if dirty[page]:
-                lo = page << PAGE_SHIFT
-                hi = min(lo + PAGE_WORDS, size)
-                words[lo:hi] = good[lo:hi]
-                taint[lo:hi] = bytes(hi - lo)
-                dirty[page] = 0
-                restored += 1
+        page = dirty.find(1)
+        while page >= 0:
+            lo = page << PAGE_SHIFT
+            hi = min(lo + PAGE_WORDS, size)
+            words[lo:hi] = good[lo:hi]
+            taint[lo:hi] = bytes(hi - lo)
+            dirty[page] = 0
+            restored += 1
+            page = dirty.find(1, page + 1)
         self._taint_count = 0
         return restored
 

@@ -24,12 +24,10 @@ from __future__ import annotations
 import json
 import random
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro import observe
-from repro.composite.fastpath import program_cache_rolled_back
 from repro.composite.supertrace import (
     REGISTRY,
     RecordingSession,
@@ -188,28 +186,17 @@ def run_record(spec, run_seed: int, system, stats, **fields) -> dict:
     }
 
 
-@contextmanager
-def traced_run():
-    """Scope one campaign run under the flight recorder.
-
-    Tracing is forced for the run only, so workers trace their runs
-    whether or not ``REPRO_TRACE`` is set in their environment, and the
-    run's fast-path compiles are rolled back after it, so its record
-    does not depend on which runs this process executed before.
-    """
-    with observe.tracing(True), program_cache_rolled_back():
-        yield
-
-
 def execute_run_traced(spec: RunSpec, run_seed: int):
     """Run one injection with the flight recorder on; returns
     ``(outcome, run_record)``.
 
     Event emission never feeds back into execution, so the outcome is
     identical to the untraced :func:`execute_run` for the same
-    ``(spec, run_seed)``.
+    ``(spec, run_seed)``.  Tracing is forced for the run only, so
+    workers trace their runs whether or not ``REPRO_TRACE`` is set in
+    their environment.
     """
-    with traced_run():
+    with observe.tracing(True):
         outcome, system, __, steps, __ = _drive_run(spec, run_seed)
         system.kernel.recorder.metrics.counter(
             f"outcome_{outcome.value}"
@@ -331,14 +318,13 @@ def _recording_for(key: tuple, spec, build, prepare=None, instance=None):
 def record_clean(acquire, run_clean, meta: dict, stop_at=None):
     """Record one clean (fault-free) run for replay; None on any anomaly.
 
-    Three clean passes on systems from ``acquire()``: two warm-up
-    passes bring the pooled system's trace caches and exec-compiled fast
-    paths to steady state, so the recorded per-unit statistics match the
-    warm state every pooled campaign run executes in (a trace attaches
-    an already-compiled program on its 2nd clean execution; a novel op
-    tuple compiles on its 9th, after ``NOVEL_COMPILE_RUNS`` = 8); the
-    third runs under a :class:`RecordingSession`.  ``run_clean(system, hook)`` executes one
-    pass and reports whether it stayed clean.  ``stop_at(progress)``,
+    Two clean passes on systems from ``acquire()``: one warm-up pass
+    brings the pooled system's trace caches and compiled fast paths to
+    steady state (every trace attaches its program on its 2nd clean
+    execution), so the recorded per-unit statistics match the warm
+    state every pooled campaign run executes in; the second runs under
+    a :class:`RecordingSession`.  ``run_clean(system, hook)`` executes
+    one pass and reports whether it stayed clean.  ``stop_at(progress)``,
     if given, becomes the recording pass's progress ``hook``: once it
     returns True the session detaches, so the recording ends on a whole
     unit there.  Any anomaly — a failed or crashed run, a reboot, an
@@ -347,12 +333,12 @@ def record_clean(acquire, run_clean, meta: dict, stop_at=None):
     """
     session = None
     try:
-        for warm in range(3):
+        for warm in range(2):
             system = acquire()
             kernel = system.kernel
             swifi = SwifiController(kernel, seed=0)  # never armed
             hook = None
-            if warm == 2:
+            if warm == 1:
                 session = RecordingSession(kernel)
                 session.instrument(swifi)
                 kernel._supertrace = session

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.composite.scheduler import CYCLES_PER_US
 from repro.composite.supertrace import ReplaySession
+from repro.observe import tracing
 from repro.observe.metrics import (
     MetricsRegistry,
     bucket_bounds,
@@ -44,7 +45,6 @@ from repro.swifi.campaign import (
     _recording_for,
     record_clean,
     run_record,
-    traced_run,
 )
 from repro.swifi.injector import FAULT_CLASSES
 from repro.swifi.parallel import export_trace, run_seeded
@@ -414,7 +414,7 @@ def _web_run(spec: WebRunSpec, seed: int, trace: bool, recording, counters):
             counters[name] = counters.get(name, 0) + count
     if not trace:
         return execute_web_run(spec, seed), None
-    with traced_run():
+    with tracing(True):
         system = _web_system(spec)
         result = _serve(spec, system, seed, spec.n_faults > 0)
         row = _row_from_result(seed, result)

@@ -6,11 +6,14 @@ every clean trace: same ``TraceResult`` fields, same final register and
 memory state, and — when the trace faults — the same exception type with
 the same message.  These tests hold the two tiers to that contract over
 a large seeded-random trace population, plus handwritten edge cases for
-every op and every fault family.
+every op and every fault family.  Traces of one shape share compiled
+code, so the random population also runs on code first compiled for a
+*different* trace of the same shape.
 """
 
 from __future__ import annotations
 
+import builtins
 import random
 
 import pytest
@@ -34,6 +37,9 @@ from repro.composite.machine import (
 )
 from repro.composite.memory import MemoryImage
 from repro.errors import SimulatedFault
+from repro.idl_specs import SERVICES
+from repro.swifi.campaign import CampaignRunner
+from repro.webserver.campaign import WebRunSpec, execute_web_run, web_run_seeds
 
 BASE = 0x0200_0000
 WORDS = 2048
@@ -43,9 +49,23 @@ MAGIC = 0x5EC0FFEE
 #: are exercised separately through push/pop and the harness entry values).
 GP_REGS = (EAX, EBX, ECX, EDX, ESI, EDI)
 
+#: Where each op keeps its immediates; everything else in an op (its
+#: code and register operands) is part of the trace's shape.
+IMMEDIATES = {
+    "li": (2,), "addi": (2,), "ld": (3,), "st": (3,), "chk": (2, 3),
+    "assert_eq": (2,), "assert_range": (2, 3), "loop": (2,),
+}
 
-def fresh_image() -> MemoryImage:
-    image = MemoryImage(BASE, WORDS)
+#: A second image with other bounds, for traces that share a shape.
+OTHER_BASE = BASE + 0x10000
+OTHER_WORDS = 2 * WORDS
+
+#: Every general-purpose register mapped to another one.
+RENAME = dict(zip(GP_REGS, GP_REGS[1:] + GP_REGS[:1]))
+
+
+def fresh_image(base: int = BASE, words: int = WORDS) -> MemoryImage:
+    image = MemoryImage(base, words)
     record = image.alloc_record(MAGIC, 8)
     for off in range(1, 9):
         image.write_word(record + off, off * 3)
@@ -147,52 +167,99 @@ def random_trace(rng: random.Random, image: MemoryImage) -> Trace:
     return trace
 
 
-def run_slow(trace: Trace):
-    image = fresh_image()
+def sibling(trace: Trace, rng: random.Random) -> Trace:
+    """``trace`` with every immediate redrawn: the same shape."""
+    twin = Trace(trace.label)
+    twin.entry_regs = dict(trace.entry_regs)
+    for op in trace.ops:
+        op = list(op)
+        for at in IMMEDIATES.get(op[0], ()):
+            op[at] = rng.randrange(1 << 16)
+        twin.ops.append(tuple(op))
+    return twin
+
+
+def renamed(trace: Trace) -> Trace:
+    """``trace`` with its general-purpose registers renamed: the same
+    values in other registers, so another shape."""
+    twin = Trace(trace.label)
+    twin.entry_regs = {
+        RENAME.get(reg, reg): value for reg, value in trace.entry_regs.items()
+    }
+    for op in trace.ops:
+        immediates = IMMEDIATES.get(op[0], ())
+        twin.ops.append(tuple(
+            RENAME.get(field, field) if 0 < at and at not in immediates
+            else field
+            for at, field in enumerate(op)
+        ))
+    return twin
+
+
+def _observe(execute, trace: Trace, image: MemoryImage):
+    """Outcome, register and memory end state of one execution; a fault
+    is its type, message, ``cycles_consumed`` and ``op_index``."""
     regs = fresh_regs(image, trace.entry_regs)
     try:
-        result = execute_trace(trace, regs, image, component_name="diff")
+        result = execute(trace, regs, image)
     except SimulatedFault as fault:
-        return ("fault", type(fault).__name__, str(fault)), None, None
-    return (
-        ("ok", result.value, result.tainted, result.cycles,
-         result.stores_tainted),
-        list(regs.values),
-        list(image.words),
+        outcome = ("fault", type(fault).__name__, str(fault),
+                   fault.cycles_consumed, fault.op_index)
+    else:
+        outcome = ("ok", result.value, result.tainted, result.cycles,
+                   result.stores_tainted)
+    return outcome, list(regs.values), list(image.words)
+
+
+def run_slow(trace: Trace, base: int = BASE, words: int = WORDS):
+    return _observe(
+        lambda t, regs, image: execute_trace(
+            t, regs, image, component_name="diff"
+        ),
+        trace, fresh_image(base, words),
     )
 
 
-def run_fast(trace: Trace):
-    image = fresh_image()
-    regs = fresh_regs(image, trace.entry_regs)
-    trace._clean_runs = fastpath.NOVEL_COMPILE_RUNS  # past warm-up: compile now
-    trace._compiled = None
-    try:
-        result = try_execute_fast(trace, regs, image, "diff")
-    except SimulatedFault as fault:
-        return ("fault", type(fault).__name__, str(fault)), None, None
+def _fast(trace: Trace, regs, image: MemoryImage):
+    result = try_execute_fast(trace, regs, image, "diff")
     assert result is not None, "fast path unexpectedly ineligible"
-    return (
-        ("ok", result.value, result.tainted, result.cycles,
-         result.stores_tainted),
-        list(regs.values),
-        list(image.words),
-    )
+    return result
+
+
+def run_fast(trace: Trace, base: int = BASE, words: int = WORDS):
+    trace._clean_runs = 1  # past warm-up: attach now
+    trace._compiled = None
+    return _observe(_fast, trace, fresh_image(base, words))
 
 
 class TestDifferentialRandomTraces:
     def test_five_hundred_random_traces_agree(self):
         rng = random.Random(0xD1FF)
+        twins = random.Random(0x7715)  # leaves the trace population as is
         faults = 0
         for __ in range(500):
             trace = random_trace(rng, fresh_image())
+            # A same-shape sibling (other immediates, other image bounds)
+            # compiles the shape first; ``trace`` then runs on its code.
+            twin = sibling(trace, twins)
+            assert run_slow(twin, OTHER_BASE, OTHER_WORDS) == run_fast(
+                twin, OTHER_BASE, OTHER_WORDS
+            )
             slow, slow_regs, slow_words = run_slow(trace)
             fast, fast_regs, fast_words = run_fast(trace)
+            assert trace._compiled.run.__code__ is twin._compiled.run.__code__
             assert slow == fast
             assert slow_regs == fast_regs
             assert slow_words == fast_words
             if slow[0] == "fault":
                 faults += 1
+            # Other registers are another shape: never the same code.
+            other = renamed(trace)
+            assert run_slow(other) == run_fast(other)
+            if other.ops != trace.ops:
+                assert other._compiled.run.__code__ is not (
+                    trace._compiled.run.__code__
+                )
         # The population must exercise both outcomes to mean anything.
         assert 0 < faults < 500
 
@@ -214,9 +281,7 @@ class TestDifferentialRandomTraces:
                 image = fresh_image()
                 regs = fresh_regs(image, trace.entry_regs)
                 if precompile:
-                    trace._clean_runs = fastpath.NOVEL_COMPILE_RUNS
-                    trace._compiled = None
-                    compile_trace(trace, image, "diff")
+                    trace._compiled = compile_trace(trace, image, "diff")
                 try:
                     result = execute_trace(
                         trace, regs, image, component_name="diff",
@@ -239,39 +304,46 @@ class TestEligibility:
         trace.li(EAX, 7).add(EAX, EBX).ret(EAX)
         return trace
 
-    def test_warmup_novel_tuple_defers_compile(self, monkeypatch):
-        # No pre-compiled program anywhere: the trace must earn a novel
-        # compile with NOVEL_COMPILE_RUNS clean executions.
-        monkeypatch.setattr(fastpath, "_PROGRAM_CACHE", {})
+    def test_novel_shape_attaches_on_second_run(self, monkeypatch):
+        # No shape compiled anywhere: the first clean execution declines,
+        # the second compiles the shape once and runs on it.
+        monkeypatch.setattr(fastpath, "_SHAPES", {})
         image = fresh_image()
         trace = self._simple_trace()
         regs = fresh_regs(image, trace.entry_regs)
-        for __ in range(fastpath.NOVEL_COMPILE_RUNS):
-            assert try_execute_fast(trace, regs, image, "t") is None
-            assert trace._compiled is None
+        assert try_execute_fast(trace, regs, image, "t") is None
+        assert trace._compiled is None
         result = try_execute_fast(trace, regs, image, "t")
         assert result is not None and result.value == 12
         assert trace._compiled is not None
+        assert len(fastpath._SHAPES) == 1
 
     def test_warmup_cached_tuple_attaches_on_second_run(self, monkeypatch):
-        # An identical op tuple already in the program cache attaches on
-        # the second clean execution — a dict lookup, not a compile.
-        monkeypatch.setattr(fastpath, "_PROGRAM_CACHE", {})
+        # A trace whose shape is already compiled attaches on its second
+        # clean execution onto the same code — no ``compile()`` call.
+        monkeypatch.setattr(fastpath, "_SHAPES", {})
         image = fresh_image()
         donor = self._simple_trace()
         program = compile_trace(donor, image, "t")
+        compiles = []
+        real_compile = builtins.compile
+        monkeypatch.setattr(
+            builtins, "compile",
+            lambda *a, **k: compiles.append(a) or real_compile(*a, **k),
+        )
         trace = self._simple_trace()
         regs = fresh_regs(image, trace.entry_regs)
         assert try_execute_fast(trace, regs, image, "t") is None
         result = try_execute_fast(trace, regs, image, "t")
         assert result is not None and result.value == 12
-        assert trace._compiled is program
+        assert trace._compiled.run.__code__ is program.run.__code__
+        assert compiles == []
 
     def test_disabled_flag_declines(self, monkeypatch):
         monkeypatch.setattr(fastpath, "FAST_INTERP_ENABLED", False)
         image = fresh_image()
         trace = self._simple_trace()
-        trace._clean_runs = fastpath.NOVEL_COMPILE_RUNS
+        trace._clean_runs = 1
         assert try_execute_fast(
             trace, fresh_regs(image, trace.entry_regs), image, "t"
         ) is None
@@ -279,7 +351,7 @@ class TestEligibility:
     def test_tainted_register_declines(self):
         image = fresh_image()
         trace = self._simple_trace()
-        trace._clean_runs = fastpath.NOVEL_COMPILE_RUNS
+        trace._clean_runs = 1
         regs = fresh_regs(image, trace.entry_regs)
         regs.flip_bit(ECX, 3)
         assert try_execute_fast(trace, regs, image, "t") is None
@@ -287,7 +359,7 @@ class TestEligibility:
     def test_tainted_memory_declines(self):
         image = fresh_image()
         trace = self._simple_trace()
-        trace._clean_runs = fastpath.NOVEL_COMPILE_RUNS
+        trace._clean_runs = 1
         image.write_word(image.base + 2, 0xBAD, tainted=True)
         assert image.taint_count == 1
         assert try_execute_fast(
@@ -307,7 +379,7 @@ class TestCompiledProgramLifecycle:
         image = fresh_image()
         trace = Trace("cached")
         trace.li(EAX, 1).ret(EAX)
-        trace._clean_runs = fastpath.NOVEL_COMPILE_RUNS
+        trace._clean_runs = 1
         regs = fresh_regs(image, {})
         try_execute_fast(trace, regs, image, "t")
         program = trace._compiled
@@ -319,7 +391,7 @@ class TestCompiledProgramLifecycle:
         image = fresh_image()
         trace = Trace("grow")
         trace.li(EAX, 1).ret(EAX)
-        trace._clean_runs = fastpath.NOVEL_COMPILE_RUNS
+        trace._clean_runs = 1
         regs = fresh_regs(image, {})
         assert try_execute_fast(trace, regs, image, "t").value == 1
         stale = trace._compiled
@@ -333,12 +405,14 @@ class TestCompiledProgramLifecycle:
         image_b = MemoryImage(BASE + 0x1000, WORDS)
         trace = Trace("move")
         trace.li(EAX, 3).ret(EAX)
-        trace._clean_runs = fastpath.NOVEL_COMPILE_RUNS
+        trace._clean_runs = 1
         try_execute_fast(trace, fresh_regs(image_a, {}), image_a, "t")
         in_a = trace._compiled
         try_execute_fast(trace, fresh_regs(image_b, {}), image_b, "t")
         assert trace._compiled is not in_a
         assert trace._compiled.base == image_b.base
+        # Other bounds rebind the same shape: no second compile.
+        assert trace._compiled.run.__code__ is in_a.run.__code__
 
     def test_fall_off_end_returns_zero(self):
         trace = Trace("noend")
@@ -383,3 +457,33 @@ class TestFaultMessageParity:
         fast = run_fast(trace)[0]
         assert slow == fast
         assert slow[0] == "fault" and slow[1] == expected
+
+
+class TestShapeWork:
+    def test_second_campaign_pass_compiles_nothing(self, monkeypatch):
+        """A campaign's first pass compiles every shape it needs: a
+        second identical pass attaches programs without ``compile()``."""
+        spec = WebRunSpec(n_requests=120, n_faults=3)
+        seeds = web_run_seeds(1, 3)
+        campaigns = {
+            "table2 reg": lambda: [
+                CampaignRunner(
+                    service, fault_class="reg", n_faults=20, seed=1
+                ).run(workers=1).row()
+                for service in SERVICES
+            ],
+            "fig7 closed": lambda: [
+                execute_web_run(spec, seed) for seed in seeds
+            ],
+        }
+        real_compile = builtins.compile
+        for name, campaign in campaigns.items():
+            first = campaign()
+            compiles = []
+            monkeypatch.setattr(
+                builtins, "compile",
+                lambda *a, **k: compiles.append(a) or real_compile(*a, **k),
+            )
+            assert campaign() == first, name
+            monkeypatch.setattr(builtins, "compile", real_compile)
+            assert compiles == [], name
