@@ -6,9 +6,10 @@ every clean trace: same ``TraceResult`` fields, same final register and
 memory state, and — when the trace faults — the same exception type with
 the same message.  These tests hold the two tiers to that contract over
 a large seeded-random trace population, plus handwritten edge cases for
-every op and every fault family.  Traces of one shape share compiled
-code, so the random population also runs on code first compiled for a
-*different* trace of the same shape.
+every op and every fault family.  A trace compiles to the residual its
+static decisions leave, so the same trace relocated to another image of
+the same size shares its compiled code, while a sibling with redrawn
+immediates only has to agree with the interpreter.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.composite.machine import (
     execute_trace,
 )
 from repro.composite.memory import MemoryImage
+from repro.composite.services.common import ServiceComponent
 from repro.errors import SimulatedFault
 from repro.idl_specs import SERVICES
 from repro.swifi.campaign import CampaignRunner
@@ -56,7 +58,8 @@ IMMEDIATES = {
     "assert_eq": (2,), "assert_range": (2, 3), "loop": (2,),
 }
 
-#: A second image with other bounds, for traces that share a shape.
+#: A second image base, for relocated twins (same size) and redrawn
+#: siblings (other size).
 OTHER_BASE = BASE + 0x10000
 OTHER_WORDS = 2 * WORDS
 
@@ -67,13 +70,19 @@ RENAME = dict(zip(GP_REGS, GP_REGS[1:] + GP_REGS[:1]))
 def fresh_image(base: int = BASE, words: int = WORDS) -> MemoryImage:
     image = MemoryImage(base, words)
     record = image.alloc_record(MAGIC, 8)
-    for off in range(1, 9):
+    for off in range(1, 8):
         image.write_word(record + off, off * 3)
+    image.write_word(record + 8, record)  # a pointer to the record itself
+    image.freeze_good_image()  # every page clean: stores must mark theirs
     return image
 
 
-def fresh_regs(image: MemoryImage, entry: dict) -> RegisterFile:
+def fresh_regs(image: MemoryImage, entry: dict, junk=()) -> RegisterFile:
+    """The entry state ``Component.execute`` gives both tiers; ``junk``
+    is what the general-purpose registers held before it."""
     regs = RegisterFile()
+    for reg, value in zip(GP_REGS, junk):
+        regs.write(reg, value)
     regs.write(ESP, image.stack_top)
     regs.write(EBP, image.stack_top)
     for reg, value in entry.items():
@@ -87,7 +96,9 @@ def random_trace(rng: random.Random, image: MemoryImage) -> Trace:
     Valid-biased: address registers usually point into the record, checks
     usually pass.  A deliberate minority of ops is broken (bad address,
     wrong magic, failing assertion, hang-sized loop) so the fault paths
-    are exercised too — parity matters on both.
+    are exercised too — parity matters on both.  Some registers are not
+    delivered on entry (they keep whatever the thread left there), and
+    some ops move, load, push and pop the stack registers themselves.
     """
     record = image.base + 16  # first record allocated by fresh_image
     trace = Trace(f"rand{rng.randrange(1 << 16)}")
@@ -99,6 +110,9 @@ def random_trace(rng: random.Random, image: MemoryImage) -> Trace:
         ESI: rng.randrange(1 << 8),
         EDI: rng.randrange(1 << 8),
     }
+    for reg in GP_REGS:
+        if rng.random() < 0.15:
+            del trace.entry_regs[reg]
     if rng.random() < 0.8:
         trace.prologue()
     depth = 0  # words pushed so far (keeps most pops balanced)
@@ -118,9 +132,19 @@ def random_trace(rng: random.Random, image: MemoryImage) -> Trace:
             else:
                 trace.ld(reg, src, rng.randrange(16))
         elif choice < 0.52:
-            if rng.random() < 0.85:
+            if rng.random() < 0.8:
                 trace.li(EAX, record)
                 trace.st(reg, EAX, rng.randrange(1, 9))
+            elif rng.random() < 0.5:
+                # Store through the record's self pointer (an address
+                # only the run knows), then reload the field directly:
+                # often a word the trace has already loaded.
+                field = rng.choice((8, rng.randrange(9)))
+                trace.li(EAX, record)
+                trace.ld(src, EAX, 8)
+                trace.st(reg, src, field)
+                trace.li(EAX, record)
+                trace.ld(reg, EAX, field)
             else:
                 trace.st(reg, src, rng.randrange(16))
         elif choice < 0.62:
@@ -136,11 +160,14 @@ def random_trace(rng: random.Random, image: MemoryImage) -> Trace:
             else:
                 trace.chk(src, rng.randrange(4), rng.randrange(1 << 32))
         elif choice < 0.84:
-            # Mostly-true assertion: set then assert the same value.
+            # Mostly-true assertion: set then assert the same value, or
+            # bound whatever the register holds (often a loaded field).
             value = rng.randrange(1 << 16)
-            if rng.random() < 0.8:
+            if rng.random() < 0.7:
                 trace.li(reg, value)
                 trace.assert_range(reg, value, value + rng.randrange(4))
+            elif rng.random() < 0.5:
+                trace.assert_range(reg, rng.randrange(4), rng.randrange(64))
             else:
                 trace.assert_eq(reg, rng.randrange(1 << 16))
         elif choice < 0.90:
@@ -151,9 +178,11 @@ def random_trace(rng: random.Random, image: MemoryImage) -> Trace:
             )
             trace.li(ESI, bound)
             trace.loop(ESI, rng.randrange(1, 5))
-        elif choice < 0.96:
+        elif choice < 0.93:
             trace.push(reg)
             depth += 1
+        elif choice < 0.96:
+            stack_op(trace, rng, reg, image.stack_top)
         else:
             if depth > 0 or rng.random() < 0.2:
                 trace.pop(reg)
@@ -165,6 +194,27 @@ def random_trace(rng: random.Random, image: MemoryImage) -> Trace:
         else:
             trace.ret(EAX)
     return trace
+
+
+def stack_op(trace: Trace, rng: random.Random, reg: int, top: int) -> None:
+    """One op (or a short idiom) that reads or writes ESP or EBP."""
+    stack = rng.choice((ESP, EBP))
+    kind = rng.randrange(6)
+    if kind == 0:
+        # Point the stack a few words below the top, through the stack.
+        trace.li(reg, top - rng.randrange(1, 9))
+        trace.push(reg)
+        trace.pop(stack)
+    elif kind == 1:
+        trace.push(stack)
+    elif kind == 2:
+        trace.pop(stack)
+    elif kind == 3:
+        trace.mov(stack, reg) if rng.random() < 0.5 else trace.mov(reg, stack)
+    elif kind == 4:
+        trace.ld(stack, reg, rng.randrange(4))
+    else:
+        trace.ld(reg, stack, rng.randrange(4))
 
 
 def sibling(trace: Trace, rng: random.Random) -> Trace:
@@ -179,9 +229,29 @@ def sibling(trace: Trace, rng: random.Random) -> Trace:
     return twin
 
 
+def relocated(trace: Trace, delta: int) -> Trace:
+    """``trace`` moved ``delta`` words up together with its image: every
+    address it carries (an immediate or entry value inside the image,
+    stack top included) shifts, every other value stays."""
+    def move(value: int) -> int:
+        return value + delta if BASE <= value <= BASE + WORDS else value
+
+    twin = Trace(trace.label)
+    twin.entry_regs = {
+        reg: move(value) for reg, value in trace.entry_regs.items()
+    }
+    for op in trace.ops:
+        immediates = IMMEDIATES.get(op[0], ())
+        twin.ops.append(tuple(
+            move(field) if at in immediates else field
+            for at, field in enumerate(op)
+        ))
+    return twin
+
+
 def renamed(trace: Trace) -> Trace:
     """``trace`` with its general-purpose registers renamed: the same
-    values in other registers, so another shape."""
+    values in other registers."""
     twin = Trace(trace.label)
     twin.entry_regs = {
         RENAME.get(reg, reg): value for reg, value in trace.entry_regs.items()
@@ -196,10 +266,11 @@ def renamed(trace: Trace) -> Trace:
     return twin
 
 
-def _observe(execute, trace: Trace, image: MemoryImage):
-    """Outcome, register and memory end state of one execution; a fault
-    is its type, message, ``cycles_consumed`` and ``op_index``."""
-    regs = fresh_regs(image, trace.entry_regs)
+def _observe(execute, trace: Trace, image: MemoryImage, junk=()):
+    """Outcome, register and memory end state (words and dirty pages) of
+    one execution; a fault is its type, message, ``cycles_consumed`` and
+    ``op_index``."""
+    regs = fresh_regs(image, trace.entry_regs, junk)
     try:
         result = execute(trace, regs, image)
     except SimulatedFault as fault:
@@ -208,15 +279,15 @@ def _observe(execute, trace: Trace, image: MemoryImage):
     else:
         outcome = ("ok", result.value, result.tainted, result.cycles,
                    result.stores_tainted)
-    return outcome, list(regs.values), list(image.words)
+    return outcome, list(regs.values), (list(image.words), bytes(image._dirty))
 
 
-def run_slow(trace: Trace, base: int = BASE, words: int = WORDS):
+def run_slow(trace: Trace, base: int = BASE, words: int = WORDS, junk=()):
     return _observe(
         lambda t, regs, image: execute_trace(
             t, regs, image, component_name="diff"
         ),
-        trace, fresh_image(base, words),
+        trace, fresh_image(base, words), junk,
     )
 
 
@@ -226,10 +297,25 @@ def _fast(trace: Trace, regs, image: MemoryImage):
     return result
 
 
-def run_fast(trace: Trace, base: int = BASE, words: int = WORDS):
+class CountingWords:
+    """An indexable stand-in for an image's words that counts reads."""
+
+    def __init__(self, words):
+        self.words = words
+        self.reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.words[index]
+
+    def __setitem__(self, index, value):
+        self.words[index] = value
+
+
+def run_fast(trace: Trace, base: int = BASE, words: int = WORDS, junk=()):
     trace._clean_runs = 1  # past warm-up: attach now
     trace._compiled = None
-    return _observe(_fast, trace, fresh_image(base, words))
+    return _observe(_fast, trace, fresh_image(base, words), junk)
 
 
 class TestDifferentialRandomTraces:
@@ -239,27 +325,43 @@ class TestDifferentialRandomTraces:
         faults = 0
         for __ in range(500):
             trace = random_trace(rng, fresh_image())
-            # A same-shape sibling (other immediates, other image bounds)
-            # compiles the shape first; ``trace`` then runs on its code.
+            # What the registers held before entry, the same for both
+            # tiers: words in the record (so stores through them alias
+            # words the trace addresses directly), anywhere in the
+            # image, or arbitrary.
+            junk = [
+                twins.choice((
+                    BASE + 16 + twins.randrange(9),
+                    BASE + twins.randrange(WORDS),
+                    twins.randrange(1 << 32),
+                ))
+                for __ in GP_REGS
+            ]
+            # A sibling (other immediates, other image bounds) may flip
+            # a static decision, so it only has to agree.
             twin = sibling(trace, twins)
-            assert run_slow(twin, OTHER_BASE, OTHER_WORDS) == run_fast(
-                twin, OTHER_BASE, OTHER_WORDS
+            assert run_slow(twin, OTHER_BASE, OTHER_WORDS, junk) == run_fast(
+                twin, OTHER_BASE, OTHER_WORDS, junk
             )
-            slow, slow_regs, slow_words = run_slow(trace)
-            fast, fast_regs, fast_words = run_fast(trace)
-            assert trace._compiled.run.__code__ is twin._compiled.run.__code__
+            slow, slow_regs, slow_memory = run_slow(trace, junk=junk)
+            fast, fast_regs, fast_memory = run_fast(trace, junk=junk)
+            # Relocated to an image of the same size, every static
+            # decision holds: the twin runs on ``trace``'s code.
+            moved = relocated(trace, OTHER_BASE - BASE)
+            assert run_slow(moved, OTHER_BASE, WORDS, junk) == run_fast(
+                moved, OTHER_BASE, WORDS, junk
+            )
+            assert moved._compiled.run.__code__ is trace._compiled.run.__code__
             assert slow == fast
             assert slow_regs == fast_regs
-            assert slow_words == fast_words
+            assert slow_memory == fast_memory
             if slow[0] == "fault":
                 faults += 1
-            # Other registers are another shape: never the same code.
+            # Other registers: a residual that keeps no register's
+            # run-time value names no register (the fault table and the
+            # defaults carry them), so it may run on ``trace``'s code.
             other = renamed(trace)
-            assert run_slow(other) == run_fast(other)
-            if other.ops != trace.ops:
-                assert other._compiled.run.__code__ is not (
-                    trace._compiled.run.__code__
-                )
+            assert run_slow(other, junk=junk) == run_fast(other, junk=junk)
         # The population must exercise both outcomes to mean anything.
         assert 0 < faults < 500
 
@@ -386,6 +488,38 @@ class TestCompiledProgramLifecycle:
         assert program is not None
         try_execute_fast(trace, regs, image, "t")
         assert trace._compiled is program  # no recompilation
+        # The program does only its residual's reads: a clean
+        # ``checked_touch`` with k expected fields reads its magic word
+        # and those k fields, nothing its own stores or checks
+        # established; a ``checked_create`` reads nothing.
+        service = ServiceComponent("svc")
+        service.attach(None, BASE)
+        image = service.image
+        touched = service.new_record("touched", (7, 3, 0, 42))
+        created = service.new_record("created", (5, 6))
+        fields = ((1, 7), (2, 3), (3, 0), (4, 42))
+        cases = [
+            (service.checked_touch(
+                touched, args=(k,), expected=fields[:k], stores=[(4, 42)],
+                scan=k, label=f"touch{k}", retval=k,
+            ), 1 + k)
+            for k in range(len(fields) + 1)
+        ]
+        cases.append(
+            (service.checked_create(created, args=(9,), retval=0), 0)
+        )
+        for trace, reads in cases:
+            slow = execute_trace(
+                trace, fresh_regs(image, trace.entry_regs), image, "svc"
+            )
+            program = compile_trace(trace, image, "svc")
+            words = CountingWords(image.words)
+            fast = program.run(
+                fresh_regs(image, trace.entry_regs).values, words,
+                image._dirty,
+            )
+            assert (fast.value, fast.cycles) == (slow.value, slow.cycles)
+            assert words.reads == reads, trace.label
 
     def test_appending_ops_invalidates_program(self):
         image = fresh_image()
