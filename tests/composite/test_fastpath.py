@@ -9,7 +9,9 @@ a large seeded-random trace population, plus handwritten edge cases for
 every op and every fault family.  A trace compiles to the residual its
 static decisions leave, so the same trace relocated to another image of
 the same size shares its compiled code, while a sibling with redrawn
-immediates only has to agree with the interpreter.
+immediates only has to agree with the interpreter.  A twin with renamed
+registers runs other code whenever the residual holds a run-time
+register value, since the residual then names that register.
 """
 
 from __future__ import annotations
@@ -291,6 +293,19 @@ def run_slow(trace: Trace, base: int = BASE, words: int = WORDS, junk=()):
     )
 
 
+def reads_junk(trace: Trace, junk) -> bool:
+    """Whether what the registers held before entry reaches ``trace``'s
+    outcome or memory, or its registers when it returns: if so, its
+    residual holds a run-time register value (an entry-unknown register
+    it reads, or one it writes back untouched)."""
+    first = run_slow(trace, junk=junk)
+    second = run_slow(trace, junk=[value ^ 1 for value in junk])
+    if first[0][0] == "fault":
+        # A fault leaves untouched registers as the thread left them.
+        first, second = first[::2], second[::2]
+    return first != second
+
+
 def _fast(trace: Trace, regs, image: MemoryImage):
     result = try_execute_fast(trace, regs, image, "diff")
     assert result is not None, "fast path unexpectedly ineligible"
@@ -322,7 +337,7 @@ class TestDifferentialRandomTraces:
     def test_five_hundred_random_traces_agree(self):
         rng = random.Random(0xD1FF)
         twins = random.Random(0x7715)  # leaves the trace population as is
-        faults = 0
+        faults = named = 0
         for __ in range(500):
             trace = random_trace(rng, fresh_image())
             # What the registers held before entry, the same for both
@@ -357,13 +372,20 @@ class TestDifferentialRandomTraces:
             assert slow_memory == fast_memory
             if slow[0] == "fault":
                 faults += 1
-            # Other registers: a residual that keeps no register's
-            # run-time value names no register (the fault table and the
-            # defaults carry them), so it may run on ``trace``'s code.
+            # Other registers: a residual that holds a run-time register
+            # value names that register, so its renamed twin never runs
+            # on ``trace``'s code.  One that holds none names no register
+            # (the fault table and the defaults carry them) and may.
             other = renamed(trace)
             assert run_slow(other, junk=junk) == run_fast(other, junk=junk)
+            if reads_junk(trace, junk):
+                named += 1
+                assert other._compiled.run.__code__ is not (
+                    trace._compiled.run.__code__
+                )
         # The population must exercise both outcomes to mean anything.
         assert 0 < faults < 500
+        assert 0 < named < 500
 
     def test_random_traces_with_injection_agree_through_dispatch(self):
         """With an injection pending, both tiers are the slow tier.
