@@ -90,8 +90,10 @@ class Kernel:
             "trace_cache_hits": 0,
             "trace_cache_misses": 0,
             # Tier-3 super-trace accounting (see composite.supertrace):
-            # invocation units replayed vs routed to the authoritative
-            # dispatch path while a replay session was attached.
+            # invocation units replayed while a replay session was
+            # attached.  Bypasses are always 0 (recordings hold no
+            # bypass units); traced run metrics and bench/tracer.py
+            # still fold the key.
             "super_trace_runs": 0,
             "super_trace_bypasses": 0,
             # Prefix divergence events and units run authoritatively

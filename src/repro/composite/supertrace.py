@@ -10,18 +10,27 @@ post-wakeup stub tracking that runs when a blocked invocation completes
 carrying the unit's complete observable effect (virtual-clock delta,
 per-thread cycle/register end state, kernel statistics deltas, memory-
 image stores and dirty-page transitions, Python-state patch operations,
-and thread wakeups).  Replaying a unit applies those effects directly —
-one guard check and one batch of stores instead of the full dispatch
-pipeline — while ``execute_trace`` remains authoritative for everything
-a recording cannot soundly capture.
+thread wakeups, and its return value).  Replaying a unit applies those
+effects directly — one compiled guard+apply call instead of the full
+dispatch pipeline — while ``execute_trace`` stays authoritative for
+everything after the replayed prefix.
 
 Soundness model
 ---------------
 
 A recording is made once per run spec, on the *pooled* system (the same
 sealed system every pooled campaign run restores), by running the spec's
-workload with no fault armed.  Replay is a strict prefix discipline over
-that recording:
+workload with no fault armed.  A recording is its **replayable prefix**:
+the recorder diffs every unit against a model of everything its roots
+hold (every instance attribute of each component, client stub and server
+stub, minus one skip set of wiring and warm caches), and the first unit
+whose effect it cannot prove reproducible — it schedules a timer,
+creates a thread, leaves register or memory taint, changes an opaque
+object, returns or stores a value it cannot freeze, or defeats the code
+generator — ends the recording just before that unit.  There are no
+bypass units and no interpreted fallback: every recorded unit replays
+through one compiled function, and replay is a strict prefix discipline
+over the units:
 
 * Each unit's **guard** proves the run's trajectory is still identical
   to the recording's: same invocation signature, same virtual clock,
@@ -29,24 +38,21 @@ that recording:
   *would not have fired inside this unit* (the unit records how many
   eligible trace executions each component would have contributed to an
   armed fault's countdown; the guard adds that to the live countdown
-  and bypasses the unit if it would cross the firing threshold, so the
-  fault is delivered by the authoritative path at exactly the execution
-  the two-tier engine would deliver it).
-* Units that park a thread, schedule timers, create threads, return
-  non-scalar values, leave register or memory taint, or mutate Python
-  state the patch engine cannot prove it can reproduce are recorded as
-  **bypass units**: at replay they execute authoritatively (the real
-  stub/trace pipeline), then the session verifies the unit ended on the
-  recording's virtual clock and keeps replaying.  Blocking workloads
-  (lock contention, event waits) therefore stay replayable around
-  their parks.
-* Any guard failure — most importantly the first fault delivery —
-  permanently **diverges** the session: every subsequent invocation
-  runs authoritatively.  Replay never approximates; it either proves
-  equivalence or steps aside.  Post-divergence units are not cached:
-  keying, recording and sealing them costs several times the
-  authoritative execution a cache would save (README, "No
-  divergence-tail cache").
+  and fails if it would cross the firing threshold, so the fault is
+  delivered by the authoritative path at exactly the execution the
+  two-tier engine would deliver it).
+* A unit that parks its thread replays its effects and re-raises a
+  fresh, equivalent :class:`BlockThread`, so blocking workloads (lock
+  contention, event waits) stay replayable around their parks.  A
+  non-scalar return value is frozen at record time and materialised
+  fresh on every replay, so no run sees another run's objects.
+* Any guard failure — most importantly the first fault delivery — and
+  running past the recording's last unit permanently **diverge** the
+  session: every subsequent invocation runs authoritatively.  Replay
+  never approximates; it either proves equivalence or steps aside.
+  Post-divergence units are not cached: keying, recording and sealing
+  them costs several times the authoritative execution a cache would
+  save (README, "No divergence-tail cache").
 
 The SWIFI purity contract is preserved: the seeded RNG is consumed only
 at arm and delivery time (never while counting executions), replayed
@@ -94,7 +100,8 @@ def super_trace_enabled() -> bool:
 # ---------------------------------------------------------------------------
 
 class _NotReplayable(Exception):
-    """This unit's effects cannot be proven reproducible; record a bypass."""
+    """This unit's effects cannot be proven reproducible; the recording
+    ends before it."""
 
 
 _SCALARS = (bool, int, float, str, bytes, type(None))
@@ -104,7 +111,7 @@ _SCALARS = (bool, int, float, str, bytes, type(None))
 #: cdescs, event ids, mapping keys), never by object identity, which is
 #: what makes attribute-level patching and per-apply materialisation
 #: sound.  Anything outside this set is compared by structural
-#: fingerprint and forces a bypass unit if it changed.
+#: fingerprint, and a unit that changes it ends the recording.
 _STATE_CLASSES = frozenset(
     {
         "_LockState",
@@ -116,19 +123,24 @@ _STATE_CLASSES = frozenset(
         "Record",
         "DescriptorEntry",
         "TrackingTable",
+        "HttpRequest",
     }
 )
 
-#: Component attributes outside the diff: identity/wiring, the memory
-#: image (diffed separately via its dirty-page bitmap), and the trace
-#: caches that are deliberately kept warm across pooled runs.
-_COMPONENT_SKIP = frozenset(
-    {"name", "kernel", "image", "_exports", "_trace_cache", "_track_traces"}
+#: Root attributes outside the diff (besides ``_sealed*`` pool-seal
+#: copies): identity and wiring, the memory image (diffed separately
+#: via its dirty-page bitmap), and the trace and method caches that are
+#: deliberately kept warm across pooled runs.  Every other instance
+#: attribute of a component, client stub or server stub is state.
+#: Not ``system._FINGERPRINT_SKIP``: that skips ``_ran``, which replay
+#: must reproduce so pooled restore knows a component was entered.
+_ROOT_SKIP = frozenset(
+    {
+        "name", "kernel", "image", "_exports", "ir", "client", "server",
+        "component", "storage_name", "_trace_cache", "_track_traces",
+        "_stub_methods",
+    }
 )
-
-#: Client-stub attributes the diff covers (the rest is build-time wiring).
-_CLIENT_STUB_ATTRS = ("table", "seen_epoch", "stats")
-_SERVER_STUB_ATTRS = ("stats",)
 
 _MAX_DEPTH = 12
 
@@ -377,49 +389,9 @@ def _diff_slot(snap: Optional[_Snap], live, path: tuple, ops: list) -> None:
         if live is not snap.ref:
             raise _NotReplayable("callable slot rebound")
         return
-    # opaque object: any structural change forces a bypass unit
+    # opaque object: any structural change ends the recording
     if live is not snap.ref or _fingerprint(live) != snap.data:
         raise _NotReplayable(f"opaque object changed: {type(live).__name__}")
-
-
-def _navigate(root, steps):
-    obj = root
-    for code, key in steps:
-        obj = getattr(obj, key) if code == "a" else obj[key]
-    return obj
-
-
-def _apply_op(root, op) -> None:
-    code, path, payload = op
-    if code == "set":
-        parent = _navigate(root, path[:-1])
-        scode, skey = path[-1]
-        if scode == "a":
-            setattr(parent, skey, _materialize(payload))
-        else:
-            parent[skey] = _materialize(payload)
-        return
-    if code == "del":
-        parent = _navigate(root, path[:-1])
-        scode, skey = path[-1]
-        if scode == "a":
-            delattr(parent, skey)
-        else:
-            del parent[skey]
-        return
-    target = _navigate(root, path)
-    if code == "fill_list":
-        target[:] = _materialize(payload)
-    elif code == "fill_deque":
-        target.clear()
-        target.extend(_materialize(payload))
-    elif code == "fill_set":
-        target.clear()
-        target.update(payload)
-    elif code == "fill_bytes":
-        target[:] = payload
-    else:  # pragma: no cover - defensive
-        raise AssertionError(f"bad op {code!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -430,31 +402,30 @@ class Unit:
     """One recorded invocation (or post-wakeup tracking) unit."""
 
     __slots__ = (
-        "kind",          # "invoke" | "unblock" | "block" | "bypass"
-        "okind",         # for bypass units: the original unit kind
+        "kind",          # "invoke" | "unblock"
         "sig",           # (tid, client, server, fn, args[, value_in])
         "start_clock",
         "end_clock",
-        "retval",
+        "retval",         # scalar (or scalar tuple), else a _Frozen copy
         "threads_delta",  # ((tid, dcycles, dinvocations), ...)
         "regs_end",       # ((tid, (v0..v7)), ...)
         "stats_delta",    # ((key, delta), ...)
         "tc_delta",       # ((component, delta), ...) swifi.trace_counts
         "ic_delta",       # ((server, delta), ...)    swifi.invoke_counts
-        "ic_map",         # dict view of ic_delta for the idl guard
         "armed_hits",     # {component: eligible trace executions}
         "images",         # ((image, stores, dirty_pages, alloc, free), ...)
         "ops",            # ((root_obj, op), ...)
         "wakes",          # ((tid, value, blocked_in, token, has_stub), ...)
         "stub",           # resolved client stub for thread._last_stub
-        "fast",           # exec-compiled guard+apply, or None (interpreted)
-        "block",          # block units: (component, token, timeout, on_wake)
+        "fast",           # exec-compiled guard+apply function
+        "block",          # parking units: (component, token, timeout,
+                          # on_wake) of the BlockThread, else None
     )
 
 
-#: Divergence sentinel returned by compiled unit functions.  Unit return
-#: values are scalars (or tuples of scalars), so an ``is`` check against
-#: this unique object can never collide with a real result.
+#: Divergence sentinel returned by compiled unit functions.  A unique
+#: object, so an ``is`` check against it can never collide with a real
+#: result (a scalar or a freshly materialised value).
 _NO = object()
 
 
@@ -500,9 +471,9 @@ def _compile_unit(unit: Unit, codes: Dict[str, types.CodeType]):
     integers (clock values, deltas, register files, store indices and
     values, pages, keys).  Units that differ only in those values
     generate the same source, and ``codes`` (source -> code object)
-    compiles each such shape once.
-    Returns ``None`` (caller keeps the interpreted guard/apply) when a
-    unit's shape defeats the code generator.
+    compiles each such shape once.  A frozen return value is
+    materialised fresh on every call.  Raises :class:`_NotReplayable`
+    when a key or value has no source literal.
     """
     params: Dict[str, object] = {}
 
@@ -537,10 +508,10 @@ def _compile_unit(unit: Unit, codes: Dict[str, types.CodeType]):
         for comp, hits in unit.armed_hits.items():
             emit(f"   if p.component == {comp!r} and"
                  f" p.seen + {lit(hits)} > p.after_executions: return _NO")
-    if unit.ic_map:
+    if unit.ic_delta:
         emit("  i = s._idl_pending")
         emit("  if i is not None:")
-        for server, delta in unit.ic_map.items():
+        for server, delta in unit.ic_delta:
             emit(f"   if i[0] == {server!r} and"
                  f" i[2] + {lit(delta)} > i[1]: return _NO")
     emit(" T = k.threads")
@@ -578,7 +549,7 @@ def _compile_unit(unit: Unit, codes: Dict[str, types.CodeType]):
     for key, d in unit.stats_delta:
         emit(f" S[{key!r}] += {lit(d)}")
     emit(" S['super_trace_runs'] += 1")
-    if unit.tc_delta or unit.ic_delta or unit.armed_hits or unit.ic_map:
+    if unit.tc_delta or unit.ic_delta or unit.armed_hits:
         emit(" if s is not None:")
         emit("  c_ = s.trace_counts")
         for comp, d in unit.tc_delta:
@@ -591,10 +562,10 @@ def _compile_unit(unit: Unit, codes: Dict[str, types.CodeType]):
             emit("  if p is not None:")
             for comp, hits in unit.armed_hits.items():
                 emit(f"   if p.component == {comp!r}: p.seen += {lit(hits)}")
-        if unit.ic_map:
+        if unit.ic_delta:
             emit("  i = s._idl_pending")
             emit("  if i is not None:")
-            for server, d in unit.ic_map.items():
+            for server, d in unit.ic_delta:
                 emit(f"   if i[0] == {server!r}: i[2] += {lit(d)}")
     for n, (image, stores, new_dirty, alloc, free) in enumerate(unit.images):
         if stores:
@@ -612,44 +583,39 @@ def _compile_unit(unit: Unit, codes: Dict[str, types.CodeType]):
             emit(" f_.clear()")
             for nwords, addrs in free:
                 emit(f" f_[{lit(nwords)}] = [*{lit(addrs)}]")
-    try:
-        npay = 0
-        for n, (root, (code, path, payload)) in enumerate(unit.ops):
-            expr = bind(f"R{n}", root)
-            for scode, skey in path[:-1]:
-                expr += (
-                    f".{skey}" if scode == "a" else f"[{lit(skey, _key_expr)}]"
-                )
-            scode, skey = path[-1]
-            last = f".{skey}" if scode == "a" else f"[{lit(skey, _key_expr)}]"
-            if code == "set":
-                if isinstance(payload, _SCALARS):
-                    emit(f" {expr}{last} = {lit(payload, _key_expr)}")
-                else:
-                    emit(f" {expr}{last} = _M({bind(f'P{npay}', payload)})")
-                    npay += 1
-            elif code == "del":
-                emit(f" del {expr}{last}")
+    npay = 0
+    for n, (root, (code, path, payload)) in enumerate(unit.ops):
+        expr = bind(f"R{n}", root)
+        for scode, skey in path[:-1]:
+            expr += (
+                f".{skey}" if scode == "a" else f"[{lit(skey, _key_expr)}]"
+            )
+        scode, skey = path[-1]
+        last = f".{skey}" if scode == "a" else f"[{lit(skey, _key_expr)}]"
+        if code == "set":
+            if isinstance(payload, _SCALARS):
+                emit(f" {expr}{last} = {lit(payload, _key_expr)}")
             else:
-                bind(f"P{npay}", payload)
-                target = expr + last
-                if code == "fill_list":
-                    emit(f" {target}[:] = _M(P{npay})")
-                elif code == "fill_deque":
-                    emit(f" x_ = {target}")
-                    emit(" x_.clear()")
-                    emit(f" x_.extend(_M(P{npay}))")
-                elif code == "fill_set":
-                    emit(f" x_ = {target}")
-                    emit(" x_.clear()")
-                    emit(f" x_.update(P{npay})")
-                elif code == "fill_bytes":
-                    emit(f" {target}[:] = P{npay}")
-                else:
-                    return None
+                emit(f" {expr}{last} = _M({bind(f'P{npay}', payload)})")
                 npay += 1
-    except _NotReplayable:
-        return None
+        elif code == "del":
+            emit(f" del {expr}{last}")
+        else:
+            bind(f"P{npay}", payload)
+            target = expr + last
+            if code == "fill_list":
+                emit(f" {target}[:] = _M(P{npay})")
+            elif code == "fill_deque":
+                emit(f" x_ = {target}")
+                emit(" x_.clear()")
+                emit(f" x_.extend(_M(P{npay}))")
+            elif code == "fill_set":
+                emit(f" x_ = {target}")
+                emit(" x_.clear()")
+                emit(f" x_.update(P{npay})")
+            else:  # fill_bytes
+                emit(f" {target}[:] = P{npay}")
+            npay += 1
     for tid, value, __, __, __ in unit.wakes:
         value = lit(value)
         emit(f" t{tid}.state = _READY")
@@ -664,18 +630,17 @@ def _compile_unit(unit: Unit, codes: Dict[str, types.CodeType]):
         emit(f"  t{tid}.pending = ('unblock', s_, a_, {value})")
         emit(" else:")
         emit(f"  t{tid}.pending = ('value', {value})")
-    if unit.okind == "invoke":
+    if unit.kind == "invoke":
         emit(f" t._last_stub = {bind('STUB', unit.stub)}")
-    emit(f" return {bind('RV', unit.retval)}")
+    rv = bind("RV", unit.retval)
+    emit(f" return _M({rv})" if isinstance(unit.retval, _Frozen)
+         else f" return {rv}")
     L[0] = f"def _fast(k, t, {', '.join(params)}):"
     source = "\n".join(L)
     code = codes.get(source)
     if code is None:
         scope: dict = {}
-        try:
-            exec(compile(source, "<supertrace>", "exec"), scope)
-        except SyntaxError:  # pragma: no cover - defensive
-            return None
+        exec(compile(source, "<supertrace>", "exec"), scope)
         code = codes[source] = scope["_fast"].__code__
     return types.FunctionType(
         code, _UNIT_GLOBALS, "_fast", tuple(params.values())
@@ -683,15 +648,15 @@ def _compile_unit(unit: Unit, codes: Dict[str, types.CodeType]):
 
 
 class Recording:
-    """A finished super-trace: the unit sequence plus its provenance.
+    """A finished super-trace: the replayable prefix of a clean run.
 
-    Each replayable unit carries one exec-generated function (guard
-    checks and effect stores inlined as straight-line code, the same
-    technique as :mod:`repro.composite.fastpath`), compiled when the
-    session seals the recording; the interpreted guard/apply pair stays
-    as the fallback for units the code generator declines.  ``meta``
-    also carries the recording's work counts (``root_snapshots``,
-    ``unit_shapes``, ``checked_units``).
+    Every unit carries one exec-generated function (guard checks and
+    effect stores inlined as straight-line code, the same technique as
+    :mod:`repro.composite.fastpath`), compiled as the unit is recorded;
+    a unit that cannot be compiled ends the recording like any other
+    unit the recorder cannot replay.  ``meta`` also carries the
+    recording's work counts (``root_snapshots``, ``unit_shapes``,
+    ``checked_units``).
     """
 
     __slots__ = ("units", "kernel", "meta")
@@ -701,14 +666,6 @@ class Recording:
         self.kernel = kernel
         self.meta = meta
 
-    @property
-    def replayable_units(self) -> int:
-        return sum(1 for u in self.units if u.kind != "bypass")
-
-    @property
-    def bypass_units(self) -> int:
-        return sum(1 for u in self.units if u.kind == "bypass")
-
 
 # ---------------------------------------------------------------------------
 # Recording session
@@ -716,21 +673,20 @@ class Recording:
 
 def _root_slots(kernel, key: tuple) -> Tuple[object, Dict[str, object]]:
     """A root object and its diffed slots, by root key: ``("comp",
-    name)``, ``("cstub", client, server)`` or ``("sstub", server)``."""
+    name)``, ``("cstub", client, server)`` or ``("sstub", server)``.
+    Every root follows one rule: its instance attributes minus
+    :data:`_ROOT_SKIP` and ``_sealed*``."""
     tag = key[0]
     if tag == "comp":
         root = kernel.components[key[1]]
-        return root, {
-            attr: value
-            for attr, value in root.__dict__.items()
-            if attr not in _COMPONENT_SKIP and not attr.startswith("_sealed")
-        }
-    if tag == "cstub":
-        root, attrs = kernel._stubs[key[1:]], _CLIENT_STUB_ATTRS
+    elif tag == "cstub":
+        root = kernel._stubs[key[1:]]
     else:
-        root, attrs = kernel._server_stubs[key[1]], _SERVER_STUB_ATTRS
+        root = kernel._server_stubs[key[1]]
     return root, {
-        attr: getattr(root, attr) for attr in attrs if hasattr(root, attr)
+        attr: value
+        for attr, value in root.__dict__.items()
+        if attr not in _ROOT_SKIP and not attr.startswith("_sealed")
     }
 
 
@@ -852,6 +808,11 @@ class RecordingSession:
     changes a root between units (clock callbacks and ``on_wake``
     lambdas change thread state only).
 
+    Each diffed unit is compiled on the spot (see :func:`_compile_unit`).
+    The first unit that cannot be diffed or compiled ends the recording:
+    the session detaches there, the run finishes authoritatively, and
+    the recording is the prefix before that unit.
+
     With ``REPRO_POOL_DEBUG=1`` every unit is checked against the
     whole-system path: at unit start the shadow must diff empty against
     the live system, and at unit end the touched-only unit must equal
@@ -869,6 +830,8 @@ class RecordingSession:
         self._hits: Dict[str, int] = {}
         self._swifi = None
         self._check = pool_debug_enabled()
+        #: Unit source -> code object: one compile per unit shape.
+        self._codes: Dict[str, types.CodeType] = {}
         #: Work counts, reported in the sealed recording's ``meta``.
         self.root_snapshots = 0
         self.checked_units = 0
@@ -945,9 +908,9 @@ class RecordingSession:
             # A blocking invocation is unit-shaped too: its effects (wait
             # -queue insertion, trace-op accounting, cycle charges) end at
             # the raise, and the park itself happens in the kernel's run
-            # loop *after* it.  Record a "block" unit — the effect diff
-            # plus the reconstructible exception — so replay applies the
-            # diff and re-raises instead of re-executing the server.
+            # loop *after* it.  The unit records the effect diff plus the
+            # reconstructible exception, so replay applies the diff and
+            # re-raises instead of re-executing the server.
             block = exc
         except BaseException as exc:
             self.failed = f"{type(exc).__name__}: {exc}"
@@ -972,30 +935,21 @@ class RecordingSession:
                 kernel, kind, sig, pre, start, result, block, whole,
                 self._keys, self._names,
             ))
-        roots, images = self._snapshot_state(keys, names)
-        self._shadow[0].update(roots)
-        self._shadow[1].update(images)
+        if not isinstance(unit, str):
+            try:
+                unit.fast = _compile_unit(unit, self._codes)
+            except _NotReplayable as exc:
+                unit = str(exc)
         if isinstance(unit, str):
-            unit = self._bypass_unit(kind, sig, start, kernel.clock.now)
-        elif block is not None:
-            unit.kind = "block"
-            unit.block = (
-                block.component, block.token, block.timeout, block.on_wake,
-            )
-        self.units.append(unit)
+            kernel._supertrace = None  # the recording ends before this unit
+        else:
+            roots, images = self._snapshot_state(keys, names)
+            self._shadow[0].update(roots)
+            self._shadow[1].update(images)
+            self.units.append(unit)
         if block is not None:
             raise block
         return result
-
-    def _bypass_unit(self, okind, sig, start, end) -> Unit:
-        unit = Unit()
-        unit.kind = "bypass"
-        unit.okind = okind
-        unit.sig = sig
-        unit.start_clock = start
-        unit.end_clock = end
-        unit.block = None
-        return unit
 
     # -- snapshot --------------------------------------------------------
     def _snapshot_state(self, keys, names) -> Tuple[dict, dict]:
@@ -1047,17 +1001,18 @@ class RecordingSession:
                    state, keys, names):
         """The unit diffed against ``state`` over ``keys``/``names``, or
         why it cannot be replayed (a string)."""
-        if block is not None and not _block_replayable(block):
-            return "unreconstructible block"
         try:
             return self._finish_unit(
-                kernel, kind, sig, pre, start, result, state, keys, names
+                kernel, kind, sig, pre, start, result, block, state, keys,
+                names,
             )
         except _NotReplayable as exc:
             return str(exc)
 
-    def _finish_unit(self, kernel, kind, sig, pre, start, result, state,
-                     keys, names) -> Unit:
+    def _finish_unit(self, kernel, kind, sig, pre, start, result, block,
+                     state, keys, names) -> Unit:
+        if block is not None and not _block_replayable(block):
+            raise _NotReplayable("unreconstructible block")
         if kernel.crashed is not None:
             raise _NotReplayable("kernel crashed inside unit")
         if len(kernel.clock._timers) != pre["timers"]:
@@ -1069,8 +1024,6 @@ class RecordingSession:
         booter = kernel.booter
         if booter is not None and len(booter.reboot_log) != pre["reboots"]:
             raise _NotReplayable("unit micro-rebooted a component")
-        if not _is_scalar_result(result):
-            raise _NotReplayable("non-scalar return value")
 
         threads_delta = []
         regs_end = []
@@ -1135,23 +1088,23 @@ class RecordingSession:
         unit.images = tuple(_diff_images(kernel, images, names))
         unit.ops = tuple(_diff_roots(kernel, roots, keys))
         unit.kind = kind
-        unit.okind = kind
         unit.sig = sig
         unit.start_clock = start
         unit.end_clock = kernel.clock.now
-        unit.retval = result
+        unit.retval = result if _is_scalar_result(result) else _freeze(result)
         unit.threads_delta = tuple(threads_delta)
         unit.regs_end = tuple(regs_end)
         unit.stats_delta = stats_delta
         unit.tc_delta = tc_delta
         unit.ic_delta = ic_delta
-        unit.ic_map = dict(ic_delta)
         unit.armed_hits = dict(self._hits)
         unit.wakes = tuple(wakes)
         unit.stub = (
             kernel._stubs.get((sig[1], sig[2])) if kind == "invoke" else None
         )
-        unit.block = None
+        unit.block = None if block is None else (
+            block.component, block.token, block.timeout, block.on_wake,
+        )
         return unit
 
     # -- REPRO_POOL_DEBUG oracle ---------------------------------------
@@ -1223,8 +1176,9 @@ class RecordingSession:
     def finish(self, meta: dict) -> Optional[Recording]:
         """Validate and seal the recording; ``None`` if the run failed.
 
-        Sealing compiles each replayable unit; units of one shape (the
-        same source once integers are parameters) share a code object.
+        ``unit_shapes`` counts the code objects the units share: units
+        of one shape (the same source once integers are parameters)
+        share one.
         """
         if self.failed is not None:
             return None
@@ -1238,20 +1192,13 @@ class RecordingSession:
             recorder.emit(
                 "super_trace_record",
                 units=len(self.units),
-                replayable=sum(
-                    1 for u in self.units if u.kind != "bypass"
-                ),
+                replayable=len(self.units),
                 service=str(meta.get("service", "")),
-            )
-        codes: Dict[str, types.CodeType] = {}
-        for unit in self.units:
-            unit.fast = (
-                _compile_unit(unit, codes) if unit.kind != "bypass" else None
             )
         return Recording(list(self.units), kernel, dict(
             meta,
             root_snapshots=self.root_snapshots,
-            unit_shapes=len(codes),
+            unit_shapes=len(self._codes),
             checked_units=self.checked_units,
         ))
 
@@ -1276,7 +1223,7 @@ def _block_replayable(block: BlockThread) -> bool:
     ``lambda t, token, timeout: 0``), so its behavior depends only on
     its arguments and module globals.  A closure could capture
     record-run locals no replay can prove equal, and a bound method
-    could pin record-run object identity — both force a bypass unit.
+    could pin record-run object identity — both end the recording.
     """
     on_wake = block.on_wake
     if on_wake is not None and (
@@ -1321,82 +1268,31 @@ class ReplaySession:
     # -- kernel hooks ----------------------------------------------------
     def on_invoke(self, kernel, thread, action):
         if not self.diverged:
-            sig = (
+            result = self._replay(kernel, thread, "invoke", (
                 thread.tid,
                 thread.executing_in or thread.home,
                 action.server,
                 action.fn,
                 action.args,
-            )
-            units = self.recording.units
-            cursor = self.cursor
-            if cursor < len(units):
-                unit = units[cursor]
-                if unit.okind == "invoke" and unit.sig == sig:
-                    if unit.kind == "bypass":
-                        return self._run_bypass(
-                            unit, kernel,
-                            lambda: kernel._invoke_impl(thread, action),
-                        )
-                    fast = unit.fast
-                    if fast is not None:
-                        result = fast(kernel, thread)
-                        if result is not _NO:
-                            self.cursor = cursor + 1
-                            if unit.kind == "block":
-                                raise _replay_block(unit)
-                            return result
-                    elif self._guard(kernel, unit):
-                        self.cursor = cursor + 1
-                        self._apply(kernel, unit)
-                        thread._last_stub = unit.stub
-                        kernel.stats["super_trace_runs"] += 1
-                        if unit.kind == "block":
-                            raise _replay_block(unit)
-                        return unit.retval
-            self._diverge(kernel)
+            ))
+            if result is not _NO:
+                return result
         return self._divergent(
             kernel, lambda: kernel._invoke_impl(thread, action)
         )
 
     def on_unblock(self, kernel, thread, stub, action, value):
         if not self.diverged:
-            sig = (
+            result = self._replay(kernel, thread, "unblock", (
                 thread.tid,
                 getattr(stub, "client", None),
                 getattr(stub, "server", None),
                 action.fn,
                 action.args,
                 value if isinstance(value, _SCALARS) else "<nonscalar>",
-            )
-            units = self.recording.units
-            cursor = self.cursor
-            if cursor < len(units):
-                unit = units[cursor]
-                if unit.okind == "unblock" and unit.sig == sig:
-                    if unit.kind == "bypass":
-                        return self._run_bypass(
-                            unit, kernel,
-                            lambda: stub.post_unblock(
-                                kernel, thread, action.fn, action.args, value
-                            ),
-                        )
-                    fast = unit.fast
-                    if fast is not None:
-                        result = fast(kernel, thread)
-                        if result is not _NO:
-                            self.cursor = cursor + 1
-                            if unit.kind == "block":
-                                raise _replay_block(unit)
-                            return result
-                    elif self._guard(kernel, unit):
-                        self.cursor = cursor + 1
-                        self._apply(kernel, unit)
-                        kernel.stats["super_trace_runs"] += 1
-                        if unit.kind == "block":
-                            raise _replay_block(unit)
-                        return unit.retval
-            self._diverge(kernel)
+            ))
+            if result is not _NO:
+                return result
         return self._divergent(
             kernel,
             lambda: stub.post_unblock(
@@ -1404,12 +1300,23 @@ class ReplaySession:
             ),
         )
 
-    # -- divergence ------------------------------------------------------
-    def _diverge(self, kernel) -> None:
-        """Mark the permanent prefix divergence (counted exactly once)."""
-        if not self.diverged:
-            self.diverged = True
-            kernel.stats["super_trace_divergences"] += 1
+    def _replay(self, kernel, thread, kind, sig):
+        """Replay the next unit if it is this one and its guard holds;
+        otherwise diverge (counted once per run) and return :data:`_NO`."""
+        units = self.recording.units
+        cursor = self.cursor
+        if cursor < len(units):
+            unit = units[cursor]
+            if unit.kind == kind and unit.sig == sig:
+                result = unit.fast(kernel, thread)
+                if result is not _NO:
+                    self.cursor = cursor + 1
+                    if unit.block is not None:
+                        raise _replay_block(unit)
+                    return result
+        self.diverged = True
+        kernel.stats["super_trace_divergences"] += 1
+        return _NO
 
     def _divergent(self, kernel, body):
         """One post-divergence unit, executed authoritatively."""
@@ -1424,137 +1331,6 @@ class ReplaySession:
     def finalize(self, kernel) -> None:
         """No-op kept for ``bench/tracer.py``, its only reader: there is
         no divergence tail to seal at run end."""
-
-    # -- bypass units ----------------------------------------------------
-    def _run_bypass(self, unit: Unit, kernel, body):
-        """Execute a recorded bypass unit authoritatively, verifying the
-        run is still on the recording's clock trajectory afterwards."""
-        if kernel.clock.now != unit.start_clock:
-            self._diverge(kernel)
-            return self._divergent(kernel, body)
-        self.cursor += 1
-        kernel.stats["super_trace_bypasses"] += 1
-        self.busy = True
-        try:
-            result = body()
-        except BlockThread:
-            if kernel.clock.now != unit.end_clock:
-                self._diverge(kernel)
-            raise
-        finally:
-            self.busy = False
-        if kernel.clock.now != unit.end_clock:
-            self._diverge(kernel)
-        return result
-
-    # -- guard -----------------------------------------------------------
-    def _guard(self, kernel, unit: Unit) -> bool:
-        if kernel.clock.now != unit.start_clock:
-            return False
-        if kernel.crashed is not None:
-            return False
-        booter = kernel.booter
-        if booter is not None and booter.reboot_log:
-            return False
-        swifi = kernel.swifi
-        if swifi is not None:
-            if swifi.delivered:
-                return False
-            if swifi._idl_ret_pending is not None:
-                return False
-            if swifi._burst_remaining:
-                return False
-            pending = swifi.pending
-            if pending is not None:
-                hits = unit.armed_hits.get(pending.component, 0)
-                if pending.seen + hits > pending.after_executions:
-                    return False
-            idl = swifi._idl_pending
-            if idl is not None:
-                delta = unit.ic_map.get(idl[0], 0)
-                if idl[2] + delta > idl[1]:
-                    return False
-        threads = kernel.threads
-        for tid, value, blocked_in, token, has_stub in unit.wakes:
-            t = threads.get(tid)
-            if t is None or t.state is not ThreadState.BLOCKED:
-                return False
-            if t.blocked_in != blocked_in or t.block_token != token:
-                return False
-            if (
-                t.block_stub is not None and t.block_invoke is not None
-            ) != has_stub:
-                return False
-        for tid, __ in unit.regs_end:
-            t = threads.get(tid)
-            if t is None or True in t.regs.taint:
-                return False
-        for image, __, __, __, __ in unit.images:
-            if image._taint_count:
-                return False
-        return True
-
-    # -- apply -----------------------------------------------------------
-    def _apply(self, kernel, unit: Unit) -> None:
-        kernel.clock.now += unit.end_clock - unit.start_clock
-        threads = kernel.threads
-        for tid, dc, di in unit.threads_delta:
-            t = threads[tid]
-            t.cycles += dc
-            t.invocations += di
-        for tid, values in unit.regs_end:
-            threads[tid].regs.values[:] = values
-        stats = kernel.stats
-        for key, delta in unit.stats_delta:
-            stats[key] += delta
-        swifi = kernel.swifi
-        if swifi is not None:
-            tc = swifi.trace_counts
-            for component, delta in unit.tc_delta:
-                tc[component] = tc.get(component, 0) + delta
-            ic = swifi.invoke_counts
-            for server, delta in unit.ic_delta:
-                ic[server] = ic.get(server, 0) + delta
-            pending = swifi.pending
-            if pending is not None:
-                hits = unit.armed_hits.get(pending.component)
-                if hits:
-                    pending.seen += hits
-            idl = swifi._idl_pending
-            if idl is not None:
-                delta = unit.ic_map.get(idl[0])
-                if delta:
-                    idl[2] += delta
-        for image, stores, new_dirty, alloc, free in unit.images:
-            words = image.words
-            for index, value in stores:
-                words[index] = value
-            dirty = image._dirty
-            for page in new_dirty:
-                dirty[page] = 1
-            if alloc is not None:
-                image._alloc_ptr = alloc
-            if free is not None:
-                lists = image._free_lists
-                lists.clear()
-                for nwords, addrs in free:
-                    lists[nwords] = list(addrs)
-        for root, op in unit.ops:
-            _apply_op(root, op)
-        for tid, value, __, __, __ in unit.wakes:
-            t = threads[tid]
-            t.state = ThreadState.READY
-            t.blocked_in = None
-            t.block_token = None
-            t.block_on_wake = None
-            stub = t.block_stub
-            t.block_stub = None
-            action = t.block_invoke
-            t.block_invoke = None
-            if stub is not None and action is not None:
-                t.pending = ("unblock", stub, action, value)
-            else:
-                t.pending = ("value", value)
 
 
 # ---------------------------------------------------------------------------
@@ -1573,21 +1349,15 @@ class SuperTraceRegistry:
 
     def __init__(self):
         self._entries: Dict[tuple, Tuple[object, Optional[Recording]]] = {}
-        self.stats = {"builds": 0, "failed_builds": 0, "hits": 0}
 
     def lookup(self, key: tuple, system) -> Tuple[bool, Optional[Recording]]:
         entry = self._entries.get(key)
         if entry is None or entry[0] is not system:
             return False, None
-        self.stats["hits"] += 1
         return True, entry[1]
 
     def store(self, key: tuple, system, recording: Optional[Recording]):
         self._entries[key] = (system, recording)
-        if recording is None:
-            self.stats["failed_builds"] += 1
-        else:
-            self.stats["builds"] += 1
 
     def clear(self) -> None:
         self._entries.clear()

@@ -53,7 +53,6 @@ MAX_STEPS = 60_000
 #: knob-dependent, so they must stay out of the main artifact).
 COVERAGE_KEYS = (
     "super_trace_runs",
-    "super_trace_bypasses",
     "super_trace_divergences",
     "super_trace_divergent_units",
 )
@@ -73,15 +72,10 @@ def coverage_ratio(coverage: Dict[str, int]) -> float:
     """Fraction of executed invocation units served by replay.
 
     Replayed prefix units over every unit that crossed the session —
-    replayed, recorded-bypass, and post-divergence authoritative units
-    alike.
+    replayed and post-divergence authoritative units alike.
     """
     replayed = coverage["super_trace_runs"]
-    total = (
-        replayed
-        + coverage["super_trace_bypasses"]
-        + coverage["super_trace_divergent_units"]
-    )
+    total = replayed + coverage["super_trace_divergent_units"]
     return replayed / total if total else 0.0
 
 

@@ -2,12 +2,15 @@
 
 The engine's contract is absolute: with ``REPRO_SUPER_TRACE=1`` a
 campaign must produce *exactly* the outcomes the two-tier authoritative
-path produces — replay is a cache of the clean invocation sequence, and
-anything the cache cannot prove identical (injections, taint, parked
-threads, diverged clocks) must bypass to ``execute_trace``.  These
-tests drive real campaigns through every gate combination and check
-outcome identity, bypass accounting, pool-debug fingerprints, and the
-zero-copy worker payload contract.
+path produces.  Replay is a cache of the clean invocation sequence's
+replayable prefix: a recording ends before the first unit the recorder
+cannot prove reproducible, and anything a replayed unit's guard cannot
+prove identical (injections, taint, diverged clocks) diverges the run
+to ``execute_trace``.  These tests drive real campaigns, superglue and
+C^3 stubs alike, through every gate combination and check outcome and
+end-state identity, replay and divergence accounting, where a
+recording ends, fresh return values per replay, pool-debug
+fingerprints, and the zero-copy worker payload contract.
 """
 
 import json
@@ -16,6 +19,7 @@ import pickle
 import pytest
 
 from repro import observe
+from repro.composite import supertrace
 from repro.composite.component import export
 from repro.composite.supertrace import (
     REGISTRY,
@@ -36,6 +40,7 @@ from repro.webserver.campaign import (
     web_run_seeds,
 )
 from repro.webserver.components import ConnectionManagerComponent
+from repro.webserver.http import HttpRequest
 
 
 def _lock_runner(n_faults=12, seed=1):
@@ -106,8 +111,24 @@ class TestOutcomeIdentity:
         monkeypatch.setenv("REPRO_SUPER_TRACE", "0")
         baseline = [execute_web_run(spec, s) for s in seeds]
         monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
+        # Every replay materialises a unit's frozen return value afresh:
+        # no two replayed http_parse calls, in one run or across runs,
+        # hand back the same HttpRequest object.
+        parsed = []
+        on_invoke = ReplaySession.on_invoke
+
+        def spy(self, kernel, thread, action):
+            result = on_invoke(self, kernel, thread, action)
+            if action.fn == "http_parse":
+                parsed.append(result)
+            return result
+
+        monkeypatch.setattr(ReplaySession, "on_invoke", spy)
         assert [execute_web_run(spec, s) for s in seeds] == baseline
         assert {row["outcome"] for row in baseline} == {"ok"}
+        assert parsed
+        assert all(type(request) is HttpRequest for request in parsed)
+        assert len({id(request) for request in parsed}) == len(parsed)
 
     @pytest.mark.parametrize("arrivals", ["closed", "open"])
     @pytest.mark.parametrize("fault_class", ["reg", "mem", "idl", "burst"])
@@ -128,16 +149,17 @@ class TestOutcomeIdentity:
 
 class TestWebRecordingPrefix:
     """A Fig. 7 recording is the clean prefix up to the first arming
-    crossing: faulted runs replay all of it, then diverge exactly once."""
+    crossing, or up to the first unit the recorder cannot replay:
+    faulted runs replay all of it, then diverge exactly once."""
 
     def _run_stats(self, spec, recording):
         # Pool restores zero the kernel stats, so after each run they
         # hold that run's own counts.
-        stats = []
+        rows, stats = [], []
         for seed in web_run_seeds(1, 3):
-            execute_web_run(spec, seed)
+            rows.append(execute_web_run(spec, seed))
             stats.append(dict(recording.kernel.stats))
-        return stats
+        return rows, stats
 
     @pytest.mark.parametrize("arrivals", ["closed", "open"])
     def test_faulted_runs_replay_every_recorded_unit(
@@ -152,13 +174,38 @@ class TestWebRecordingPrefix:
             WebRunSpec(n_requests=120, n_faults=0, arrivals=arrivals)
         )
         assert 0 < len(recording.units) < len(full.units)
-        for run in self._run_stats(spec, recording):
-            assert (
-                run["super_trace_runs"] + run["super_trace_bypasses"]
-                == len(recording.units)
-            )
+        for run in self._run_stats(spec, recording)[1]:
+            assert run["super_trace_runs"] == len(recording.units)
             assert run["super_trace_divergences"] == 1
             assert run["super_trace_divergent_units"] > 0
+        # Without HttpRequest in the state model the recorder cannot
+        # freeze http_parse's result, so the recording ends just before
+        # the first http_parse unit, and runs still match the
+        # authoritative engine.
+        first = next(
+            index for index, unit in enumerate(recording.units)
+            if unit.sig[3] == "http_parse"
+        )
+        monkeypatch.setattr(
+            supertrace, "_STATE_CLASSES",
+            supertrace._STATE_CLASSES - {"HttpRequest"},
+        )
+        REGISTRY.clear()
+        try:
+            short = web_campaign._web_recording(spec)
+            assert [unit.sig for unit in short.units] == [
+                unit.sig for unit in recording.units[:first]
+            ]
+            rows, stats = self._run_stats(spec, short)
+        finally:
+            REGISTRY.clear()
+        for run in stats:
+            assert run["super_trace_runs"] == first
+            assert run["super_trace_divergences"] == 1
+        monkeypatch.setenv("REPRO_SUPER_TRACE", "0")
+        assert rows == [
+            execute_web_run(spec, seed) for seed in web_run_seeds(1, 3)
+        ]
 
     @pytest.mark.parametrize("arrivals", ["closed", "open"])
     def test_fault_free_recording_covers_the_whole_run(
@@ -169,11 +216,8 @@ class TestWebRecordingPrefix:
         spec = WebRunSpec(n_requests=120, n_faults=0, arrivals=arrivals)
         recording = web_campaign._web_recording(spec)
         assert recording is not None
-        for run in self._run_stats(spec, recording):
-            assert (
-                run["super_trace_runs"] + run["super_trace_bypasses"]
-                == len(recording.units)
-            )
+        for run in self._run_stats(spec, recording)[1]:
+            assert run["super_trace_runs"] == len(recording.units)
             assert run["super_trace_divergences"] == 0
             assert run["super_trace_divergent_units"] == 0
 
@@ -300,6 +344,7 @@ _WEB_SPECS = {
         phases="burst", slo_us=500,
     ),
     "fault-free": WebRunSpec(n_requests=120, n_faults=0),
+    "c3": WebRunSpec(ft_mode="c3", n_requests=120, n_faults=3),
 }
 
 
@@ -321,8 +366,9 @@ def _web_pooled(spec):
 class TestEndStateIdentity:
     """A run that replays leaves the pooled system exactly where the
     authoritative run leaves it, stub statistics and tracking tables
-    included.  No campaign artifact shows those, so this is the test
-    that catches a recording which misses a root a unit changed."""
+    included, for generated and hand-written C^3 stubs alike.  No
+    campaign artifact shows those, so this is the test that catches a
+    recording which misses a root a unit changed."""
 
     def _assert_same_end_states(self, monkeypatch, label, run, seeds):
         states = {}
@@ -345,17 +391,19 @@ class TestEndStateIdentity:
     @pytest.mark.parametrize("service", SERVICES)
     def test_table2_end_state(self, monkeypatch, service):
         monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        for fault_class in ("reg", "idl"):
-            runner = CampaignRunner(
-                service, n_faults=6, seed=1, fault_class=fault_class
-            )
-            spec = runner.spec()
-            self._assert_same_end_states(
-                monkeypatch,
-                fault_class,
-                lambda seed: swifi_campaign._drive_run(spec, seed)[1],
-                runner.run_seeds(),
-            )
+        for ft_mode in ("superglue", "c3"):
+            for fault_class in ("reg", "idl"):
+                runner = CampaignRunner(
+                    service, ft_mode=ft_mode, n_faults=6, seed=1,
+                    fault_class=fault_class,
+                )
+                spec = runner.spec()
+                self._assert_same_end_states(
+                    monkeypatch,
+                    f"{ft_mode} {fault_class}",
+                    lambda seed: swifi_campaign._drive_run(spec, seed)[1],
+                    runner.run_seeds(),
+                )
 
     def test_fig7_end_state(self, monkeypatch):
         monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
