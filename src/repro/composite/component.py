@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.composite.fastpath import try_execute_fast
+from repro.composite.fastpath import attached_program, try_execute_fast
 from repro.composite.machine import (
     EBP,
     ESP,
@@ -151,6 +151,9 @@ class Component:
         Sets up the stack registers for entry into this component, pulls a
         pending SWIFI injection (if one is armed for this component), and
         charges the consumed cycles to the thread and the global clock.
+        A clean execution (no injection, no taint, untraced) of a trace
+        with an attached program runs that residual from the thread's
+        registers as they are: the residual sets the entry registers.
 
         A tainted return value models a corrupted value crossing the
         interface; whether that becomes a *propagated* fault is decided by
@@ -158,65 +161,74 @@ class Component:
         """
         self._ran = True
         regs = thread.regs
-        # Entry-register setup is the per-trace hot path (one execute per
-        # service/tracking trace): poke the register file's lists
-        # directly instead of paying a method call per register.
-        values = regs.values
-        taint = regs.taint
-        top = self.image.stack_top
-        values[ESP] = top
-        taint[ESP] = False
-        values[EBP] = top
-        taint[EBP] = False
-        for reg, value in trace.entry_regs.items():
-            values[reg] = value & WORD_MASK
-            taint[reg] = False
+        image = self.image
         kernel = self.kernel
-        if kernel is None:
-            # Unattached execution (unit tests drive traces directly):
-            # no SWIFI, no stats, no cycle accounting.
-            result = try_execute_fast(trace, regs, self.image, self.name)
-            if result is None:
-                result = execute_trace(
-                    trace, regs, self.image, component_name=self.name,
-                    injection=None,
+        program = injection = None
+        if kernel is not None:
+            recorder = kernel.recorder
+            traced = recorder.enabled
+            swifi = kernel.swifi
+            if swifi is not None:
+                injection = swifi.take_injection(self.name, len(trace.ops))
+            if not (
+                injection is not None or traced or image._taint_count
+                or True in regs.taint
+            ):
+                program = attached_program(trace, image, self.name)
+        if program is None:
+            # Entry-register setup: poke the register file's lists
+            # directly instead of paying a method call per register.
+            values = regs.values
+            taint = regs.taint
+            top = image.stack_top
+            values[ESP] = top
+            taint[ESP] = False
+            values[EBP] = top
+            taint[EBP] = False
+            for reg, value in trace.entry_regs.items():
+                values[reg] = value & WORD_MASK
+                taint[reg] = False
+            if kernel is None:
+                # Unattached execution (unit tests drive traces directly):
+                # no SWIFI, no stats, no cycle accounting.
+                result = try_execute_fast(trace, regs, image, self.name)
+                if result is None:
+                    result = execute_trace(
+                        trace, regs, image, component_name=self.name,
+                        injection=None,
+                    )
+                return result
+            if injection is not None and traced:
+                # The flip is applied inside the upcoming execution;
+                # record exactly where it lands.  Events are emitted only
+                # here, at the trace-execution boundary — never from
+                # inside the interpreter or the compiled fast path.
+                recorder.emit(
+                    "swifi_inject",
+                    component=self.name,
+                    reg=injection.reg,
+                    bit=injection.bit,
+                    op_index=injection.op_index,
+                    trace_len=len(trace),
+                    label=trace.label,
                 )
-            return result
-        recorder = kernel.recorder
-        traced = recorder.enabled
-        swifi = kernel.swifi
-        injection = (
-            swifi.take_injection(self.name, len(trace))
-            if swifi is not None else None
-        )
-        if injection is not None and traced:
-            # The flip is applied inside the upcoming execution;
-            # record exactly where it lands.  Events are emitted only
-            # here, at the trace-execution boundary — never from
-            # inside the interpreter or the compiled fast path.
-            recorder.emit(
-                "swifi_inject",
-                component=self.name,
-                reg=injection.reg,
-                bit=injection.bit,
-                op_index=injection.op_index,
-                trace_len=len(trace),
-                label=trace.label,
-            )
         try:
             # Tier 2: no pending injection and no live taint means the
             # taint machinery is provably inert — run the compiled clean
             # path.  Anything else takes the authoritative interpreter.
-            result = None
-            if injection is None:
+            if program is not None:
+                result = program.run(regs.values, image.words, image._dirty)
+            elif injection is None:
                 result = try_execute_fast(
-                    trace, regs, self.image, self.name,
+                    trace, regs, image, self.name,
                     recorder=recorder if traced else None,
                 )
+            else:
+                result = None
             fast = result is not None
             if not fast:
                 result = execute_trace(
-                    trace, regs, self.image, component_name=self.name,
+                    trace, regs, image, component_name=self.name,
                     injection=injection,
                 )
                 kernel.stats["interp_slow_runs"] += 1

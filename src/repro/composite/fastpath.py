@@ -10,13 +10,19 @@ taint-free trace.  That clean path is ~100% of campaign executions (each
 run delivers at most one injection into exactly one trace) and 100% of
 webserver traffic.
 
-**Entry-state contract.**  ``Component.execute`` starts both tiers from
-the same state: ``ESP = EBP = memory.stack_top``, then
-``trace.entry_regs``; every other register holds whatever the thread
-left there.  :func:`compile_trace` runs the trace once, abstractly, from
-that state.  It folds every register value the ops determine, and
-remembers every image word this execution has stored or checked (a
-store through an address only the run knows forgets them all).
+**Entry-state contract.**  Both tiers start from the same state:
+``ESP = EBP = memory.stack_top``, then ``trace.entry_regs``; every other
+register holds whatever the thread left there.  ``Component.execute``
+writes those entry registers (clearing their taint) before the
+interpreter or :func:`try_execute_fast` runs.  When it runs an attached
+program directly (no injection, no taint, untraced), the residual sets
+them itself: it reads only registers the entry state leaves alone, and
+writes the whole register file on return, or :func:`_fault` writes
+every register the entry state or the ops have set.
+:func:`compile_trace` runs the trace once, abstractly, from the entry
+state.  It folds every register value the ops determine, and remembers
+every image word this execution has stored or checked (a store through
+an address only the run knows forgets them all).
 
 **The residual** is what is left: the reads nothing has established yet
 and the checks on them, every store in op order (marking each page dirty
@@ -416,6 +422,24 @@ def compile_trace(trace: Trace, memory, component_name: str = "?") -> FastProgra
     )
 
 
+def attached_program(
+    trace: Trace, memory, component_name: str
+) -> Optional[FastProgram]:
+    """``trace``'s attached program if it is valid for ``memory``'s
+    bounds and ``component_name`` (and tier 2 is on), else ``None``."""
+    program = trace._compiled
+    if (
+        FAST_INTERP_ENABLED
+        and program is not None
+        and program.base == memory.base
+        and program.size == memory.size
+        and program.trace_len == len(trace.ops)
+        and program.component_name == component_name
+    ):
+        return program
+    return None
+
+
 def try_execute_fast(
     trace: Trace, regs, memory, component_name: str = "?", recorder=None
 ) -> Optional[TraceResult]:
@@ -442,14 +466,8 @@ def try_execute_fast(
         return None
     if tainted or True in regs.taint:
         return None
-    program = trace._compiled
-    if (
-        program is None
-        or program.base != memory.base
-        or program.size != memory.size
-        or program.trace_len != len(trace.ops)
-        or program.component_name != component_name
-    ):
+    program = attached_program(trace, memory, component_name)
+    if program is None:
         if not trace._clean_runs:
             # Warm-up: a trace attaches on its second clean execution,
             # so one-shot traces never pay for building a program.

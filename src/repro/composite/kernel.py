@@ -222,47 +222,50 @@ class Kernel:
     # Invocation path
     # ------------------------------------------------------------------
     def invoke(self, thread: SimThread, action: Invoke):
-        """Top-level component invocation, interposed by a client stub.
+        """Nested component invocation, interposed by a client stub.
 
-        With a tier-3 session attached (``composite.supertrace``), the
-        session interposes here: a ReplaySession applies the recorded
-        unit when its guard proves equivalence, and a RecordingSession
-        diffs the authoritative execution into a new unit.  Nested
-        invocations made *inside* a unit (``Component.call``) re-enter
-        with ``busy`` set and run authoritatively.
+        Serves callers already inside an invocation: a service's own
+        server dependencies (``Component.call``) and a stub's helper
+        calls.  These always run the authoritative path.  A thread's
+        top-level invocations enter through the run loop instead
+        (:meth:`_perform`), which hands them to an attached tier-3
+        session (``composite.supertrace``) when there is one.
         """
-        st = self._supertrace
-        if st is not None and not st.busy:
-            return st.on_invoke(self, thread, action)
         return self._invoke_impl(thread, action)
 
     def _invoke_impl(self, thread: SimThread, action: Invoke):
-        """The authoritative invocation path (two-tier engine)."""
+        """The authoritative invocation path (two-tier engine): the
+        client stub if one is registered, else the server directly."""
         client = thread.executing_in or thread.home
-        if not self._caps.get((client, action.server)):
-            raise CapabilityError(
-                f"{client} holds no capability for {action.server}"
-            )
-        stub = self._stubs.get((client, action.server))
-        thread._last_stub = stub
+        server = action.server
+        if not self._caps.get((client, server)):
+            raise CapabilityError(f"{client} holds no capability for {server}")
+        stub = self._stubs.get((client, server))
         self.stats["invocations"] += 1
         thread.invocations += 1
         recorder = self.recorder
-        if not recorder.enabled:
-            return self._dispatch_invoke(thread, action, stub)
-        # Traced invocation span: entry event plus a completion event
-        # carrying the span's status and virtual-cycle cost.
-        recorder.emit(
-            "invoke",
-            tid=thread.tid,
-            client=client,
-            server=action.server,
-            fn=action.fn,
-        )
-        start = self.clock.now
+        traced = recorder.enabled
+        if traced:
+            # Traced invocation span: entry event plus a completion event
+            # carrying the span's status and virtual-cycle cost.
+            recorder.emit(
+                "invoke", tid=thread.tid, client=client, server=server,
+                fn=action.fn,
+            )
+            start = self.clock.now
         status = "ok"
         try:
-            return self._dispatch_invoke(thread, action, stub)
+            if stub is not None:
+                return stub.invoke(self, thread, action.fn, action.args)
+            result = self.raw_invoke(thread, server, action.fn, action.args)
+            if result is FAULT:
+                # No stub means no recovery protocol: surface as a crash.
+                raise SimulatedFault(
+                    f"unrecovered fault in {server}",
+                    component=server,
+                    recoverable=False,
+                )
+            return result
         except BlockThread:
             status = "blocked"
             raise
@@ -270,28 +273,15 @@ class Kernel:
             status = "crash"
             raise
         finally:
-            recorder.emit(
-                "invoke_end",
-                tid=thread.tid,
-                server=action.server,
-                fn=action.fn,
-                status=status,
-                cycles=self.clock.now - start,
-            )
-
-    def _dispatch_invoke(self, thread: SimThread, action: Invoke, stub):
-        """Route an invocation through its client stub (if any)."""
-        if stub is None:
-            result = self.raw_invoke(thread, action.server, action.fn, action.args)
-            if result is FAULT:
-                # No stub means no recovery protocol: surface as a crash.
-                raise SimulatedFault(
-                    f"unrecovered fault in {action.server}",
-                    component=action.server,
-                    recoverable=False,
+            if traced:
+                recorder.emit(
+                    "invoke_end",
+                    tid=thread.tid,
+                    server=server,
+                    fn=action.fn,
+                    status=status,
+                    cycles=self.clock.now - start,
                 )
-            return result
-        return stub.invoke(self, thread, action.fn, action.args)
 
     def raw_invoke(self, thread: SimThread, server: str, fn: str, args):
         """Capability-checked entry into the server's dispatch.
@@ -301,8 +291,9 @@ class Kernel:
         tolerant mode).  :class:`~repro.errors.BlockThread` propagates to
         the run loop, which parks the thread.
         """
-        component = self.component(server)
-        self.charge(thread, INVOCATION_CYCLES)
+        component = self.components[server]
+        self.clock.now += INVOCATION_CYCLES
+        thread.cycles += INVOCATION_CYCLES
         prev = thread.executing_in
         thread.executing_in = server
         server_stub = self._server_stubs.get(server)
@@ -390,7 +381,11 @@ class Kernel:
         thread.block_token = block.token
         thread.block_invoke = action
         thread.block_on_wake = block.on_wake
-        thread.block_stub = getattr(thread, "_last_stub", None)
+        # The stub of the blocked top-level call itself, never that of
+        # a nested call the server made before blocking.
+        thread.block_stub = self._stubs.get(
+            (thread.executing_in or thread.home, action.server)
+        )
         if block.timeout is not None:
             tid = thread.tid
             expected_token = block.token
@@ -593,12 +588,12 @@ class Kernel:
             # Run the stub's post-wakeup tracking on the woken thread.
             __, stub, action, value = pending
             st = self._supertrace
-            if st is not None and not st.busy:
-                value = st.on_unblock(self, thread, stub, action, value)
-            else:
+            if st is None:
                 value = stub.post_unblock(
                     self, thread, action.fn, action.args, value
                 )
+            else:
+                value = st.on_unblock(self, thread, stub, action, value)
             pending = ("value", value)
 
         try:
@@ -606,8 +601,6 @@ class Kernel:
                 action = thread.body.send(None)
             elif pending[0] == "value":
                 action = thread.body.send(pending[1])
-            elif pending[0] == "throw":
-                action = thread.body.throw(pending[1])
             else:  # pragma: no cover - defensive
                 raise ReproError(f"bad pending {pending!r}")
         except StopIteration:
@@ -628,8 +621,14 @@ class Kernel:
             raise ReproError(f"thread {thread.name} yielded {action!r}")
 
     def _perform(self, thread: SimThread, action: Invoke) -> None:
+        """Run a thread's top-level invocation: through the attached
+        tier-3 session if any, else on the authoritative path."""
+        st = self._supertrace
         try:
-            result = self.invoke(thread, action)
+            if st is None:
+                result = self._invoke_impl(thread, action)
+            else:
+                result = st.on_invoke(self, thread, action)
         except BlockThread as block:
             self._park(thread, block, action)
             return

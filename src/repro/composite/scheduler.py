@@ -15,6 +15,10 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.composite.thread import SimThread, ThreadState
 
+#: Bound once: looking the member up on the enum costs ``RunQueue.pick``
+#: about as much as its second pass.
+_READY = ThreadState.READY
+
 #: Virtual cycles per microsecond: the paper's testbed is an Intel
 #: i7-2760QM at 2.4 GHz with one core enabled.
 CYCLES_PER_US = 2400
@@ -98,26 +102,29 @@ class RunQueue:
 
     def pick(self) -> Optional[SimThread]:
         """Highest-priority runnable thread; round-robin within a priority."""
-        # Hot path (called once per scheduler step): one pass collecting
-        # the best-priority peer list in place of the three comprehension
-        # passes this used to take.
-        ready = ThreadState.READY
-        best_prio = None
-        peers = None
-        for t in self._threads:
-            if t.state is not ready:
-                continue
-            prio = t.prio
-            if best_prio is None or prio < best_prio:
-                best_prio = prio
-                peers = [t]
-            elif prio == best_prio:
-                peers.append(t)
-        if peers is None:
+        # Hot path (called once per scheduler step), so no per-step list:
+        # one pass counts the ready peers at the best priority, a second
+        # takes the ``_rr``-th of them.
+        threads = self._threads
+        best = None
+        n = 0
+        for t in threads:
+            if t.state is _READY:
+                prio = t.prio
+                if not n or prio < best:
+                    best = prio
+                    n = 1
+                elif prio == best:
+                    n += 1
+        if not n:
             return None
-        choice = peers[self._rr % len(peers)]
+        k = self._rr % n
         self._rr += 1
-        return choice
+        for t in threads:
+            if t.state is _READY and t.prio == best:
+                if not k:
+                    return t
+                k -= 1
 
     def all_done(self) -> bool:
         return all(

@@ -416,7 +416,6 @@ class Unit:
         "images",         # ((image, stores, dirty_pages, alloc, free), ...)
         "ops",            # ((root_obj, op), ...)
         "wakes",          # ((tid, value, blocked_in, token, has_stub), ...)
-        "stub",           # resolved client stub for thread._last_stub
         "fast",           # exec-compiled guard+apply function
         "block",          # parking units: (component, token, timeout,
                           # on_wake) of the BlockThread, else None
@@ -460,8 +459,8 @@ _UNIT_GLOBALS = {
 def _compile_unit(unit: Unit, codes: Dict[str, types.CodeType]):
     """Compile one replayable unit into a single guard+apply function.
 
-    The generated function takes ``(kernel, thread)`` and either returns
-    the unit's recorded value after applying its whole effect, or the
+    The generated function takes the kernel and either returns the
+    unit's recorded value after applying its whole effect, or the
     :data:`_NO` sentinel if any guard fails (caller then diverges to the
     authoritative path).  All constant effects — clock delta, register
     files, memory stores, patch targets — are straight-line code, so a
@@ -630,12 +629,10 @@ def _compile_unit(unit: Unit, codes: Dict[str, types.CodeType]):
         emit(f"  t{tid}.pending = ('unblock', s_, a_, {value})")
         emit(" else:")
         emit(f"  t{tid}.pending = ('value', {value})")
-    if unit.kind == "invoke":
-        emit(f" t._last_stub = {bind('STUB', unit.stub)}")
     rv = bind("RV", unit.retval)
     emit(f" return _M({rv})" if isinstance(unit.retval, _Frozen)
          else f" return {rv}")
-    L[0] = f"def _fast(k, t, {', '.join(params)}):"
+    L[0] = f"def _fast(k, {', '.join(params)}):"
     source = "\n".join(L)
     code = codes.get(source)
     if code is None:
@@ -826,7 +823,6 @@ class RecordingSession:
         self.kernel = kernel
         self.units: List[Unit] = []
         self.failed: Optional[str] = None
-        self.busy = False
         self._hits: Dict[str, int] = {}
         self._swifi = None
         self._check = pool_debug_enabled()
@@ -901,7 +897,6 @@ class RecordingSession:
             comp._ran = False
         block = None
         result = None
-        self.busy = True
         try:
             result = body()
         except BlockThread as exc:
@@ -916,7 +911,6 @@ class RecordingSession:
             self.failed = f"{type(exc).__name__}: {exc}"
             raise
         finally:
-            self.busy = False
             entered = {comp.name for comp in components if comp._ran}
             for comp, ran in zip(components, saved):
                 if ran:
@@ -1099,9 +1093,6 @@ class RecordingSession:
         unit.ic_delta = ic_delta
         unit.armed_hits = dict(self._hits)
         unit.wakes = tuple(wakes)
-        unit.stub = (
-            kernel._stubs.get((sig[1], sig[2])) if kind == "invoke" else None
-        )
         unit.block = None if block is None else (
             block.component, block.token, block.timeout, block.on_wake,
         )
@@ -1257,18 +1248,17 @@ class ReplaySession:
     authoritatively.
     """
 
-    __slots__ = ("recording", "cursor", "diverged", "busy")
+    __slots__ = ("recording", "cursor", "diverged")
 
     def __init__(self, recording: Recording):
         self.recording = recording
         self.cursor = 0
         self.diverged = False
-        self.busy = False
 
     # -- kernel hooks ----------------------------------------------------
     def on_invoke(self, kernel, thread, action):
         if not self.diverged:
-            result = self._replay(kernel, thread, "invoke", (
+            result = self._replay(kernel, "invoke", (
                 thread.tid,
                 thread.executing_in or thread.home,
                 action.server,
@@ -1277,13 +1267,12 @@ class ReplaySession:
             ))
             if result is not _NO:
                 return result
-        return self._divergent(
-            kernel, lambda: kernel._invoke_impl(thread, action)
-        )
+        kernel.stats["super_trace_divergent_units"] += 1
+        return kernel._invoke_impl(thread, action)
 
     def on_unblock(self, kernel, thread, stub, action, value):
         if not self.diverged:
-            result = self._replay(kernel, thread, "unblock", (
+            result = self._replay(kernel, "unblock", (
                 thread.tid,
                 getattr(stub, "client", None),
                 getattr(stub, "server", None),
@@ -1293,14 +1282,10 @@ class ReplaySession:
             ))
             if result is not _NO:
                 return result
-        return self._divergent(
-            kernel,
-            lambda: stub.post_unblock(
-                kernel, thread, action.fn, action.args, value
-            ),
-        )
+        kernel.stats["super_trace_divergent_units"] += 1
+        return stub.post_unblock(kernel, thread, action.fn, action.args, value)
 
-    def _replay(self, kernel, thread, kind, sig):
+    def _replay(self, kernel, kind, sig):
         """Replay the next unit if it is this one and its guard holds;
         otherwise diverge (counted once per run) and return :data:`_NO`."""
         units = self.recording.units
@@ -1308,7 +1293,7 @@ class ReplaySession:
         if cursor < len(units):
             unit = units[cursor]
             if unit.kind == kind and unit.sig == sig:
-                result = unit.fast(kernel, thread)
+                result = unit.fast(kernel)
                 if result is not _NO:
                     self.cursor = cursor + 1
                     if unit.block is not None:
@@ -1317,15 +1302,6 @@ class ReplaySession:
         self.diverged = True
         kernel.stats["super_trace_divergences"] += 1
         return _NO
-
-    def _divergent(self, kernel, body):
-        """One post-divergence unit, executed authoritatively."""
-        kernel.stats["super_trace_divergent_units"] += 1
-        self.busy = True
-        try:
-            return body()
-        finally:
-            self.busy = False
 
     # -- run completion --------------------------------------------------
     def finalize(self, kernel) -> None:

@@ -107,8 +107,8 @@ class SimThread:
         self.regs = RegisterFile()
         self.state = ThreadState.READY
         self.body: Optional[Iterator] = None
-        # Value delivered to the body on next resume: ("value", v) or
-        # ("throw", exc).  None means "first resume".
+        # The next resume: ("value", v), ("redo", invoke) or ("unblock",
+        # stub, invoke, v) (see Kernel._step).  None means "first resume".
         self.pending = None
         # While blocked: the component name we are blocked in, the wait
         # token, and the original Invoke (for fault-redo), plus the client

@@ -21,8 +21,10 @@ import random
 
 import pytest
 
-from repro.composite import fastpath
+from repro.composite import component, fastpath
+from repro.composite.component import Component
 from repro.composite.fastpath import compile_trace, try_execute_fast
+from repro.composite.kernel import Kernel
 from repro.composite.machine import (
     EAX,
     EBP,
@@ -40,6 +42,7 @@ from repro.composite.machine import (
 )
 from repro.composite.memory import MemoryImage
 from repro.composite.services.common import ServiceComponent
+from repro.composite.thread import SimThread
 from repro.errors import SimulatedFault
 from repro.idl_specs import SERVICES
 from repro.swifi.campaign import CampaignRunner
@@ -69,14 +72,27 @@ OTHER_WORDS = 2 * WORDS
 RENAME = dict(zip(GP_REGS, GP_REGS[1:] + GP_REGS[:1]))
 
 
-def fresh_image(base: int = BASE, words: int = WORDS) -> MemoryImage:
-    image = MemoryImage(base, words)
+def fill_record(image: MemoryImage) -> None:
     record = image.alloc_record(MAGIC, 8)
     for off in range(1, 8):
         image.write_word(record + off, off * 3)
     image.write_word(record + 8, record)  # a pointer to the record itself
+
+
+def fresh_image(base: int = BASE, words: int = WORDS) -> MemoryImage:
+    image = MemoryImage(base, words)
+    fill_record(image)
     image.freeze_good_image()  # every page clean: stores must mark theirs
     return image
+
+
+class TraceHost(Component):
+    """A component whose attached image is :func:`fresh_image`'s."""
+
+    image_words = WORDS
+
+    def reinit(self):
+        fill_record(self.image)
 
 
 def fresh_regs(image: MemoryImage, entry: dict, junk=()) -> RegisterFile:
@@ -268,19 +284,23 @@ def renamed(trace: Trace) -> Trace:
     return twin
 
 
+def _outcome(execute):
+    """The outcome of ``execute()``; a fault is its type, message,
+    ``cycles_consumed`` and ``op_index``."""
+    try:
+        result = execute()
+    except SimulatedFault as fault:
+        return ("fault", type(fault).__name__, str(fault),
+                fault.cycles_consumed, fault.op_index)
+    return ("ok", result.value, result.tainted, result.cycles,
+            result.stores_tainted)
+
+
 def _observe(execute, trace: Trace, image: MemoryImage, junk=()):
     """Outcome, register and memory end state (words and dirty pages) of
-    one execution; a fault is its type, message, ``cycles_consumed`` and
-    ``op_index``."""
+    one execution."""
     regs = fresh_regs(image, trace.entry_regs, junk)
-    try:
-        result = execute(trace, regs, image)
-    except SimulatedFault as fault:
-        outcome = ("fault", type(fault).__name__, str(fault),
-                   fault.cycles_consumed, fault.op_index)
-    else:
-        outcome = ("ok", result.value, result.tainted, result.cycles,
-                   result.stores_tainted)
+    outcome = _outcome(lambda: execute(trace, regs, image))
     return outcome, list(regs.values), (list(image.words), bytes(image._dirty))
 
 
@@ -333,11 +353,47 @@ def run_fast(trace: Trace, base: int = BASE, words: int = WORDS, junk=()):
     return _observe(_fast, trace, fresh_image(base, words), junk)
 
 
+def run_attached(trace: Trace, junk, tainted, monkeypatch):
+    """``Component.execute`` of ``trace`` on an attached component, with
+    tier 2 off and then on, each from ``junk`` in all eight registers
+    and ``tainted`` registers tainted.  Each side is its outcome, end
+    state (registers, taint, words, dirty pages), charged cycles and
+    ``(interp_fast_runs, interp_slow_runs)``."""
+    sides = []
+    for enabled in (False, True):
+        monkeypatch.setattr(fastpath, "FAST_INTERP_ENABLED", enabled)
+        kernel = Kernel()
+        host = TraceHost("diff")
+        host.attach(kernel, BASE)
+        thread = SimThread(1, "t", 1, "diff", None)
+        regs = thread.regs
+        regs.values[:] = junk
+        for reg in tainted:
+            regs.taint[reg] = True
+        outcome = _outcome(lambda: host.execute(thread, trace))
+        image = host.image
+        sides.append((
+            outcome, list(regs.values), list(regs.taint), list(image.words),
+            bytes(image._dirty), thread.cycles, kernel.clock.now,
+            (kernel.stats["interp_fast_runs"],
+             kernel.stats["interp_slow_runs"]),
+        ))
+    return sides
+
+
 class TestDifferentialRandomTraces:
-    def test_five_hundred_random_traces_agree(self):
+    def test_five_hundred_random_traces_agree(self, monkeypatch):
         rng = random.Random(0xD1FF)
         twins = random.Random(0x7715)  # leaves the trace population as is
-        faults = named = 0
+        entries = random.Random(0xE7)  # attached pre-states, likewise
+        faults = named = shortcuts = 0
+        fast_calls = []
+
+        def counted(*args, **kwargs):
+            fast_calls.append(1)
+            return try_execute_fast(*args, **kwargs)
+
+        monkeypatch.setattr(component, "try_execute_fast", counted)
         for __ in range(500):
             trace = random_trace(rng, fresh_image())
             # What the registers held before entry, the same for both
@@ -383,9 +439,39 @@ class TestDifferentialRandomTraces:
                 assert other._compiled.run.__code__ is not (
                     trace._compiled.run.__code__
                 )
+            # Through ``Component.execute`` (``trace``'s program is
+            # attached for these bounds), from junk in all eight
+            # registers: untainted, it runs the residual with no entry
+            # setup; taint only on entry registers is cleared on entry
+            # and still goes fast; taint elsewhere goes slow.  Tier 2
+            # off, from the same pre-state, is the reference.
+            entry = sorted({ESP, EBP, *trace.entry_regs})
+            others = [reg for reg in GP_REGS if reg not in trace.entry_regs]
+            cases = [((), 1), (entries.sample(entry, 2), 1)]
+            if others:
+                cases.append(([entries.choice(others)], 0))
+            junk8 = [
+                entries.choice((
+                    BASE + 16 + entries.randrange(9),
+                    BASE + entries.randrange(WORDS),
+                    entries.randrange(1 << 32),
+                ))
+                for __ in range(8)
+            ]
+            for tainted, fast in cases:
+                calls = len(fast_calls)
+                off, on = run_attached(trace, junk8, tainted, monkeypatch)
+                assert on[:-1] == off[:-1]
+                ran = 0 if on[0][0] == "fault" else 1
+                assert off[-1] == (0, ran)
+                assert on[-1] == (ran * fast, ran * (1 - fast))
+                assert len(fast_calls) - calls == (2 if tainted else 1)
+                if not tainted and ran:
+                    shortcuts += 1
         # The population must exercise both outcomes to mean anything.
         assert 0 < faults < 500
         assert 0 < named < 500
+        assert 0 < shortcuts < 500
 
     def test_random_traces_with_injection_agree_through_dispatch(self):
         """With an injection pending, both tiers are the slow tier.

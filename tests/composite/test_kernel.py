@@ -47,8 +47,28 @@ class EchoService(Component):
         )
 
     @export
+    def call_then_park(self, thread, token):
+        self.call(thread, "echo", "echo", token)  # no stub for echo->echo
+        return self.park(thread, token)
+
+    @export
     def wake(self, thread, token):
         return self.kernel.wake_token(self.name, token)
+
+
+class TrackingStub:
+    """A client stub for app0 -> echo that records its post-wakeup
+    tracking."""
+
+    def __init__(self):
+        self.unblocked = []
+
+    def invoke(self, kernel, thread, fn, args):
+        return kernel.raw_invoke(thread, "echo", fn, args)
+
+    def post_unblock(self, kernel, thread, fn, args, value):
+        self.unblocked.append(fn)
+        return value
 
 
 def make_kernel(ft_mode="superglue"):
@@ -152,21 +172,27 @@ class TestInvocation:
 
 class TestBlocking:
     def test_block_and_wake(self):
-        kernel = make_kernel()
-        results = {}
+        # With a client stub, the wake runs the stub's tracking for the
+        # blocked call, even after a stub-less nested call by the server.
+        for fn, stub in (("park", None), ("call_then_park", TrackingStub())):
+            kernel = make_kernel()
+            if stub is not None:
+                kernel.register_stub("app0", "echo", stub)
+            results = {}
 
-        def sleeper(system, thread):
-            results["slept"] = yield Invoke("echo", "park", "tok")
+            def sleeper(system, thread):
+                results["slept"] = yield Invoke("echo", fn, "tok")
 
-        def waker(system, thread):
-            yield Yield()  # let the sleeper block first
-            results["woken_count"] = yield Invoke("echo", "wake", "tok")
+            def waker(system, thread):
+                yield Yield()  # let the sleeper block first
+                results["woken_count"] = yield Invoke("echo", "wake", "tok")
 
-        kernel.create_thread("s", prio=5, home="app0", body_factory=sleeper)
-        kernel.create_thread("w", prio=5, home="app0", body_factory=waker)
-        kernel.run()
-        assert results["slept"] == "woken"
-        assert results["woken_count"] == 1
+            kernel.create_thread("s", prio=5, home="app0", body_factory=sleeper)
+            kernel.create_thread("w", prio=5, home="app0", body_factory=waker)
+            kernel.run()
+            assert results["slept"] == "woken"
+            assert results["woken_count"] == 1
+        assert stub.unblocked == ["call_then_park"]
 
     def test_block_timeout_fires(self):
         kernel = make_kernel()

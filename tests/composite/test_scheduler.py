@@ -1,5 +1,7 @@
 """Unit tests for the virtual clock and the fixed-priority run queue."""
 
+import random
+
 import pytest
 
 from repro.composite.scheduler import (
@@ -13,6 +15,24 @@ from repro.composite.thread import SimThread, ThreadState
 
 def make_thread(tid, prio):
     return SimThread(tid, f"t{tid}", prio, "app0", lambda s, t: iter(()))
+
+
+def list_building_pick(threads, rr):
+    """The reference pick: the best-priority ready peers as a list, the
+    ``rr``-th of them; returns ``(thread, rr after the pick)``."""
+    best_prio = None
+    peers = None
+    for t in threads:
+        if t.state is not ThreadState.READY:
+            continue
+        if best_prio is None or t.prio < best_prio:
+            best_prio = t.prio
+            peers = [t]
+        elif t.prio == best_prio:
+            peers.append(t)
+    if peers is None:
+        return None, rr
+    return peers[rr % len(peers)], rr + 1
 
 
 class TestVirtualClock:
@@ -107,6 +127,22 @@ class TestRunQueue:
         q.add(b)
         picks = {q.pick(), q.pick()}
         assert picks == {a, b}
+        # ``pick`` takes no per-step list; the list-building pick it
+        # replaced is the reference, tie-break counter included.
+        rng = random.Random(0x5C4ED)
+        states = (ThreadState.READY,) * 3 + (
+            ThreadState.BLOCKED, ThreadState.DONE, ThreadState.CRASHED,
+        )
+        for __ in range(1000):
+            q = RunQueue()
+            for tid in range(rng.randrange(8)):
+                t = make_thread(tid, prio=rng.choice((1, 3, 5, 5, 6)))
+                t.state = rng.choice(states)
+                q.add(t)
+            q._rr = rr = rng.randrange(1000)
+            expected, expected_rr = list_building_pick(q._threads, rr)
+            assert q.pick() is expected
+            assert q._rr == expected_rr
 
     def test_all_done(self):
         q = RunQueue()
