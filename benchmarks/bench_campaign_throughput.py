@@ -3,14 +3,16 @@
 
 Two measurements:
 
-* **campaign runs/sec** — the lock-service smoke campaign executed three
-  times through the real per-run driver (``_drive_run``): with
-  ``REPRO_SYSTEM_POOL=0`` (the old build-a-system-per-run behaviour),
-  pooled with the super-trace engine disabled (``REPRO_SUPER_TRACE=0``,
-  the two-tier engine), and pooled with the tier-3 super-trace engine
-  on, which also reports the replayed-unit coverage it reaches.
-  Outcomes are asserted identical across all three sweeps — the
-  speedups are only meaningful if the faster paths are bit-exact.
+* **campaign runs/sec** — the lock-service smoke campaign executed
+  through the real per-run driver (``_drive_run``) in three kinds of
+  sweep: with ``REPRO_SYSTEM_POOL=0`` (the old build-a-system-per-run
+  behaviour), pooled with the super-trace engine disabled
+  (``REPRO_SUPER_TRACE=0``, the two-tier engine), and pooled with the
+  tier-3 super-trace engine on, which also reports the replayed-unit
+  coverage it reaches.  The last two run in alternating pairs, and
+  their ratio is the median of the per-round ratios.  Outcomes are
+  asserted identical across all sweeps — the speedups are only
+  meaningful if the faster paths are bit-exact.
 * **micro-reboot restore cost** — wall time of one ``MemoryImage``
   restore when a run dirtied a handful of pages (the SWIFI steady state)
   versus every page (the worst case, equivalent to the old whole-image
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -59,79 +62,100 @@ def _timed_sweep(spec, seeds, coverage=None) -> tuple:
     return time.perf_counter() - start, outcomes
 
 
-#: (label, REPRO_SYSTEM_POOL, REPRO_SUPER_TRACE) per sweep.
-SWEEPS = (
-    ("fresh", "0", "0"),
-    ("two_tier", "1", "0"),
-    ("pooled", "1", "1"),
-)
+#: (REPRO_SYSTEM_POOL, REPRO_SUPER_TRACE) per sweep.
+SWEEPS = {
+    "fresh": ("0", "0"),
+    "two_tier": ("1", "0"),
+    "pooled": ("1", "1"),
+}
 
 _SWEEP_GATES = ("REPRO_SYSTEM_POOL", "REPRO_SUPER_TRACE")
 
+#: Back-to-back two-tier/super-traced sweep pairs per measurement.
+PAIRED_ROUNDS = 21
+
 
 def measure_campaign(n_faults: int, repeat: int = 3) -> dict:
-    """Runs/sec of the smoke campaign: fresh vs pooled vs super-traced."""
+    """Runs/sec of the smoke campaign: fresh vs pooled vs super-traced.
+
+    The fresh sweep is timed best-of-``repeat``.  The two-tier and
+    super-traced sweeps run in :data:`PAIRED_ROUNDS` back-to-back pairs,
+    alternating which of the two goes first, and the super-trace/two-tier
+    ratio is the median of the per-round ratios: a slow spell on a shared
+    host then hits both sides of a pair instead of one side's best-of.
+    """
     from repro.swifi.campaign import _campaign_recording
 
     runner = CampaignRunner("lock", n_faults=n_faults, seed=1)
     spec = runner.spec()
     seeds = runner.run_seeds()
     saved = {key: os.environ.get(key) for key in _SWEEP_GATES}
+    times = {label: [] for label in SWEEPS}
+    results = {}
+    coverage = None
+
+    def sweep(label, timed=True):
+        nonlocal coverage
+        os.environ.update(zip(_SWEEP_GATES, SWEEPS[label]))
+        sweep_coverage = (
+            dict.fromkeys(COVERAGE_KEYS, 0) if label == "pooled" else None
+        )
+        elapsed, outcomes = _timed_sweep(spec, seeds, sweep_coverage)
+        if timed:
+            times[label].append(elapsed)
+        if sweep_coverage is not None:
+            coverage = sweep_coverage
+        if results.setdefault(label, outcomes) != outcomes:
+            raise AssertionError(
+                f"{label} sweep outcomes changed between repeats"
+            )
+
     try:
-        results = {}
-        coverage = None
-        for label, pool_gate, st_gate in SWEEPS:
-            os.environ["REPRO_SYSTEM_POOL"] = pool_gate
-            os.environ["REPRO_SUPER_TRACE"] = st_gate
-            if pool_gate == "1":
-                # Boot + seal (and, with super-traces on, record the
-                # clean invocation sequence) outside the timed region,
-                # as the campaign worker initializer does.
-                GLOBAL_POOL.acquire(
-                    ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode
-                )
-                if st_gate == "1":
-                    _campaign_recording(spec)
-            best, outcomes = float("inf"), None
-            for __ in range(repeat):
-                sweep_coverage = (
-                    dict.fromkeys(COVERAGE_KEYS, 0)
-                    if st_gate == "1" else None
-                )
-                elapsed, sweep = _timed_sweep(spec, seeds, sweep_coverage)
-                best = min(best, elapsed)
-                if st_gate == "1":
-                    coverage = sweep_coverage
-                if outcomes is None:
-                    outcomes = sweep
-                elif sweep != outcomes:
-                    raise AssertionError(
-                        f"{label} sweep outcomes changed between repeats"
-                    )
-            results[label] = (best, outcomes)
+        for __ in range(repeat):
+            sweep("fresh")
+        # Boot + seal and record the clean invocation sequence outside
+        # the timed region, as the campaign worker initializer does, and
+        # warm both engines' caches with one untimed sweep each.
+        os.environ.update(zip(_SWEEP_GATES, SWEEPS["pooled"]))
+        GLOBAL_POOL.acquire(
+            ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode
+        )
+        _campaign_recording(spec)
+        sweep("two_tier", timed=False)
+        sweep("pooled", timed=False)
+        pair = ["two_tier", "pooled"]
+        for __ in range(PAIRED_ROUNDS):
+            for label in pair:
+                sweep(label)
+            pair.reverse()
     finally:
         for key, value in saved.items():
             if value is None:
                 os.environ.pop(key, None)
             else:
                 os.environ[key] = value
-    fresh_time, fresh_outcomes = results["fresh"]
     for label in ("two_tier", "pooled"):
-        if results[label][1] != fresh_outcomes:
+        if results[label] != results["fresh"]:
             raise AssertionError(
                 f"{label} sweep outcomes diverge from fresh-build "
                 f"outcomes; the fast path is not bit-exact — do not "
                 f"trust the speedup"
             )
-    two_tier_time = results["two_tier"][0]
-    pooled_time = results["pooled"][0]
+    ratios = [
+        two_tier / pooled
+        for two_tier, pooled in zip(times["two_tier"], times["pooled"])
+    ]
+    fresh_time, two_tier_time, pooled_time = (
+        min(times[label]) for label in ("fresh", "two_tier", "pooled")
+    )
     return {
         "campaign_runs": len(seeds),
         "fresh_runs_per_sec": len(seeds) / fresh_time,
         "two_tier_runs_per_sec": len(seeds) / two_tier_time,
         "pooled_runs_per_sec": len(seeds) / pooled_time,
         "pooled_over_fresh": fresh_time / pooled_time,
-        "super_trace_over_two_tier": two_tier_time / pooled_time,
+        "super_trace_over_two_tier": statistics.median(ratios),
+        "super_trace_over_two_tier_rounds": ratios,
         "replayed_unit_coverage": coverage_ratio(coverage),
     }
 
@@ -177,7 +201,7 @@ def main(argv=None) -> int:
     parser.add_argument("--faults", type=int, default=50,
                         help="injection runs per sweep (lock service)")
     parser.add_argument("--repeat", type=int, default=3,
-                        help="timing repetitions (best-of)")
+                        help="fresh-build timing repetitions (best-of)")
     parser.add_argument("--quick", action="store_true",
                         help="reduced sizes for CI smoke runs")
     parser.add_argument("--json", metavar="PATH", default=None,
@@ -193,7 +217,9 @@ def main(argv=None) -> int:
     print(f"super-traced runs/sec  : {results['pooled_runs_per_sec']:,.0f}")
     print(f"pooled/fresh speedup   : {results['pooled_over_fresh']:.2f}x")
     print(f"super-trace/two-tier   : "
-          f"{results['super_trace_over_two_tier']:.2f}x")
+          f"{results['super_trace_over_two_tier']:.2f}x (median of "
+          f"{len(results['super_trace_over_two_tier_rounds'])} paired "
+          f"rounds)")
     print(f"replayed-unit coverage : "
           f"{results['replayed_unit_coverage']:.1%}")
     print(f"restore, sparse dirty  : {results['restore_sparse_us']:,.1f} us")

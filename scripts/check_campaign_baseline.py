@@ -20,7 +20,9 @@ Two kinds of gate:
   sweeps execute the same runs on the same host, so a collapsing
   pooled/fresh ratio always means system pooling broke or stopped
   being used, and a collapsing super-trace/two-tier ratio means the
-  tier-3 replay engine stopped paying for itself end to end.
+  tier-3 replay engine stopped paying for itself end to end.  The
+  super-trace/two-tier ratio is the median over paired rounds (see
+  ``measure_campaign``), so one slow spell cannot sink it.
 
 Exits non-zero on any violation.
 """

@@ -63,8 +63,8 @@ results — (value, taint, cycles, stores_tainted), register/memory end
 state, and raised-fault parity — over randomized traces.
 
 Set ``REPRO_FAST_INTERP=0`` to disable compilation (every execution then
-takes the slow path); the companion tier-1 trace cache is gated separately
-by ``REPRO_TRACE_CACHE`` (see :mod:`repro.composite.services.common`).
+takes the slow path); the companion tier-1 trace cache
+(:class:`repro.composite.services.common.TraceCache`) has no gate.
 """
 
 from __future__ import annotations

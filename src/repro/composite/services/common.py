@@ -30,7 +30,6 @@ goes unobserved, which is the paper's small "undetected" residue.
 
 from __future__ import annotations
 
-import os
 import zlib
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
@@ -81,6 +80,25 @@ def arg_word(value) -> int:
     return zlib.crc32(str(value).encode("utf-8")) & WORD_MASK
 
 
+#: Argument types whose raw equality implies equal :func:`arg_word` words.
+#: A float does not qualify (``1.0 == 1``, but its word is a CRC), and
+#: neither does anything unhashable.
+_RAW_ARG_TYPES = frozenset((int, bool, str, bytes, type(None)))
+
+
+def _args_key(args: Sequence) -> tuple:
+    """The trace-cache key part for a call's interface arguments.
+
+    Arguments of :data:`_RAW_ARG_TYPES` key as themselves; a call with
+    any other argument keys on its argument words.  Such a word tuple can
+    only equal a raw one whose arguments map to the same words.
+    """
+    for value in args:
+        if type(value) not in _RAW_ARG_TYPES:
+            return tuple([arg_word(a) for a in args])
+    return tuple(args)
+
+
 class Record:
     """A python-side handle onto an in-image record."""
 
@@ -100,14 +118,27 @@ TRACE_CACHE_CAPACITY = 2048
 class TraceCache:
     """Bounded memo of finished operation traces (tier 1 of the engine).
 
-    Keys capture *every* input that determines the built op list — the
-    operation kind and label, the record address, the words read from the
-    image, the argument words delivered in registers, scan bounds, the
-    return value, and any extension key — so a hit is exactly the trace
-    the builder would have produced.  Values are sealed
-    :class:`~repro.composite.machine.Trace` objects (epilogue already
-    appended, fast-path program attached on first clean execution), shared
-    across invocations.
+    Keys capture *every* input that determines the built op list, as the
+    service passed it: the operation kind and label, the record address,
+    the ``expected``/``stores`` pairs of a touch (the words read from the
+    image for a create), the interface arguments, scan bounds, the return
+    value, and any extension key.  A hit is one dict lookup: nothing is
+    masked or mapped to an argument word on the way.
+
+    Exactness rule: two calls share an entry only if their *word* keys
+    (values masked to 32 bits, arguments mapped through :func:`arg_word`)
+    are equal, so a hit is exactly the trace the builder would have
+    produced.  Raw equality implies word equality for ``int``, ``bool``,
+    ``str``, ``bytes`` and ``None``; a call carrying any other argument
+    type (a float, a bytearray) keys on its argument words instead
+    (:func:`_args_key`), so a float never hits an int's entry.  Record
+    values are ints by contract.  The converse need not hold: word-equal
+    but raw-unequal inputs (an int outside ``[0, 2**32)``, a ``str`` and
+    a ``bytes`` with equal CRCs) get two entries with equal op lists.
+
+    Values are sealed :class:`~repro.composite.machine.Trace` objects
+    (epilogue already appended, fast-path program attached on its second
+    clean execution), shared across invocations.
 
     Eviction is insertion-ordered (FIFO): steady-state working sets are
     tiny and re-inserted keys are rare, so LRU bookkeeping isn't worth its
@@ -241,14 +272,8 @@ class ServiceComponent(Component):
     def __init__(self, name: str):
         super().__init__(name)
         self._records: Dict[object, Record] = {}
-        #: Tier-1 trace compilation cache; ``REPRO_TRACE_CACHE=0`` disables
-        #: it (every invocation then rebuilds its trace from scratch —
-        #: useful when debugging the builder itself).
-        self._trace_cache: Optional[TraceCache] = (
-            TraceCache()
-            if os.environ.get("REPRO_TRACE_CACHE", "1") != "0"
-            else None
-        )
+        #: Tier-1 trace compilation cache.
+        self._trace_cache = TraceCache()
 
     def reinit(self) -> None:
         self._records = {}
@@ -285,28 +310,25 @@ class ServiceComponent(Component):
         self.image.write_word(self._records[key].addr + field, value & WORD_MASK)
 
     # -- trace builders --------------------------------------------------------
-    def _cache_lookup(self, key: Optional[tuple]) -> Optional[Trace]:
-        if key is None:
-            return None
+    def _cache_lookup(self, key: tuple) -> Optional[Trace]:
         trace = self._trace_cache.get(key)
         if self.kernel is not None:
             stat = "trace_cache_hits" if trace is not None else "trace_cache_misses"
             self.kernel.stats[stat] += 1
         return trace
 
-    def _cache_store(self, key: Optional[tuple], trace: Trace) -> None:
-        if key is not None:
-            self._trace_cache.put(key, trace)
-            if self.kernel is not None and self.kernel.recorder.enabled:
-                # A store follows a cache miss: the builder just
-                # constructed this trace from scratch.  Steady state hits
-                # the cache, so these events mark working-set growth.
-                self.kernel.recorder.emit(
-                    "trace_build",
-                    component=self.name,
-                    label=trace.label,
-                    ops=len(trace),
-                )
+    def _cache_store(self, key: tuple, trace: Trace) -> None:
+        self._trace_cache.put(key, trace)
+        if self.kernel is not None and self.kernel.recorder.enabled:
+            # A store follows a cache miss: the builder just constructed
+            # this trace from scratch.  Steady state hits the cache, so
+            # these events mark working-set growth.
+            self.kernel.recorder.emit(
+                "trace_build",
+                component=self.name,
+                label=trace.label,
+                ops=len(trace),
+            )
 
     def checked_create(
         self,
@@ -332,11 +354,10 @@ class ServiceComponent(Component):
             self.image.read_word(record.addr + off)
             for off in range(1, record.nfields + 1)
         )
-        key = None
-        if retval is not None and self._trace_cache is not None:
+        if retval is not None:
             key = (
-                "create", label, record.addr, values,
-                tuple([arg_word(a) for a in args]), scan, retval, extend_key,
+                "create", label, record.addr, values, _args_key(args), scan,
+                retval, extend_key,
             )
             cached = self._cache_lookup(key)
             if cached is not None:
@@ -387,13 +408,10 @@ class ServiceComponent(Component):
         :meth:`checked_create`: a ``retval`` makes the result a finished,
         sealed trace memoized in the component's trace cache.
         """
-        key = None
-        if retval is not None and self._trace_cache is not None:
+        if retval is not None:
             key = (
-                "touch", label, record.addr,
-                tuple([(off, value & WORD_MASK) for off, value in expected]),
-                tuple([(off, value & WORD_MASK) for off, value in stores]),
-                tuple([arg_word(a) for a in args]), scan, retval, extend_key,
+                "touch", label, record.addr, tuple(expected), tuple(stores),
+                _args_key(args), scan, retval, extend_key,
             )
             cached = self._cache_lookup(key)
             if cached is not None:

@@ -19,6 +19,7 @@ requests answered within deadline).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from dataclasses import dataclass, field
@@ -188,6 +189,19 @@ class LoadGenerator:
         )
 
 
+@functools.lru_cache(maxsize=16)
+def _schedule(
+    spec: ArrivalSpec, site_paths: Tuple[str, ...]
+) -> Tuple[Arrival, ...]:
+    """``spec``'s arrival schedule, built once per process and shared.
+
+    The schedule is seed-pure and its arrivals are frozen, so every run
+    of a campaign can share one immutable tuple.  Fork workers inherit
+    the built schedule; spawn workers build it once each.
+    """
+    return tuple(spec.build(site_paths))
+
+
 class OpenLoopGenerator:
     """Submits requests at their arrival instants, backlog be damned.
 
@@ -210,11 +224,11 @@ class OpenLoopGenerator:
     def __init__(self, spec: ArrivalSpec, client_home: str = "app1"):
         self.spec = spec
         self.client_home = client_home
-        #: The built schedule (populated by :meth:`install`).
-        self.arrivals: List[Arrival] = []
+        #: The shared, immutable schedule (set by :meth:`install`).
+        self.arrivals: Tuple[Arrival, ...] = ()
 
     def install(self, system, server: WebServer) -> None:
-        self.arrivals = self.spec.build(tuple(sorted(DEFAULT_SITE)))
+        self.arrivals = _schedule(self.spec, tuple(sorted(DEFAULT_SITE)))
         kernel = system.kernel
 
         def body(sys_, thread):

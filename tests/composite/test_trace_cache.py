@@ -1,8 +1,8 @@
-"""Tier-1 trace compilation cache: hit behaviour, gating, determinism.
+"""Tier-1 trace compilation cache: hit behaviour, exactness, determinism.
 
 The cache memoizes finished ``checked_create``/``checked_touch`` traces
-per (operation, label, record address, image words, argument words, …)
-key, so steady-state invocations reuse the prebuilt op list.  Correctness
+per (operation, label, record address, record values, arguments, …) key,
+so steady-state invocations reuse the prebuilt op list.  Correctness
 hinges on two properties tested here: a hit is bit-identical to the trace
 the builder would have produced (so campaign outcomes cannot move), and
 shared cached traces never grow (sealing).
@@ -10,12 +10,16 @@ shared cached traces never grow (sealing).
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.composite import fastpath
 from repro.composite.machine import Trace
-from repro.composite.services.common import TraceCache
+from repro.composite.services.common import ServiceComponent, TraceCache
 from repro.composite.thread import Invoke
+from repro.idl_specs import SERVICES
 from repro.swifi.campaign import CampaignRunner
 from repro.system import build_system
+from repro.webserver.campaign import WebRunSpec, execute_web_run, web_run_seeds
 
 
 def run_lock_workload(iterations: int = 25):
@@ -31,6 +35,44 @@ def run_lock_workload(iterations: int = 25):
     system.kernel.create_thread("w", prio=5, home="app0", body_factory=body)
     system.run(max_steps=20 * iterations + 100)
     return system
+
+
+def check_builds_against_fresh(monkeypatch) -> Counter:
+    """Compare every ``checked_*`` result with a build from an empty cache.
+
+    Each call, hit or miss, is rebuilt with the component's cache swapped
+    for an empty one (its kernel counters put back afterwards), and the
+    two traces must agree on ops, entry registers, label and sealing.
+    Returns each builder's cache hits, counted as calls arrive.
+    """
+    counts = Counter()
+
+    def wrap(name):
+        build = getattr(ServiceComponent, name)
+
+        def checked(self, record, *args, **kwargs):
+            hits = self._trace_cache.hits
+            trace = build(self, record, *args, **kwargs)
+            counts[name] += self._trace_cache.hits - hits
+            cache, stats = self._trace_cache, dict(self.kernel.stats)
+            self._trace_cache = TraceCache()
+            try:
+                fresh = build(self, record, *args, **kwargs)
+            finally:
+                self._trace_cache = cache
+                self.kernel.stats.update(stats)
+            assert (trace.label, trace.ops, trace.entry_regs, trace.sealed) \
+                == (fresh.label, fresh.ops, fresh.entry_regs, fresh.sealed), (
+                    f"{self.name}.{name} {trace.label}: cached trace differs "
+                    f"from a fresh build"
+                )
+            return trace
+
+        monkeypatch.setattr(ServiceComponent, name, checked)
+
+    wrap("checked_touch")
+    wrap("checked_create")
+    return counts
 
 
 class TestTraceCacheBehaviour:
@@ -53,13 +95,34 @@ class TestTraceCacheBehaviour:
             assert trace.ops[-1][0] == "ret"  # epilogue appended exactly once
         assert len(cache.entries) <= cache.capacity
 
-    def test_env_gate_disables_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-        system = run_lock_workload(5)
+    def test_every_hit_equals_a_fresh_build(self, monkeypatch):
+        counts = check_builds_against_fresh(monkeypatch)
+        # Table II over the six services: reg flips, and idl fuzzing,
+        # which delivers bit-flipped int arguments to the services.
+        for fault_class in ("reg", "idl"):
+            for service in SERVICES:
+                CampaignRunner(
+                    service, n_faults=4, seed=5, fault_class=fault_class
+                ).run(workers=1)
+        execute_web_run(
+            WebRunSpec(n_requests=60, n_faults=2, arrivals="open", load=2.0,
+                       phases="burst"),
+            web_run_seeds(1, 1)[0],
+        )
+        assert counts["checked_touch"] > 100
+        assert counts["checked_create"] > 0
+        # A float argument equals an int (1.0 == 1) but travels as a
+        # different word: it must never hit the int call's entry.
+        system = build_system(ft_mode="superglue")
         lock = system.kernel.component("lock")
-        assert lock._trace_cache is None
-        assert system.kernel.stats["trace_cache_hits"] == 0
-        assert system.kernel.stats["trace_cache_misses"] == 0
+        record = lock.new_record("exactness", [7])
+        touch = dict(expected=[(1, 7)], label="exactness", retval=0)
+        as_int = lock.checked_touch(record, args=["app0", 1], **touch)
+        as_float = lock.checked_touch(record, args=["app0", 1.0], **touch)
+        assert as_float is not as_int
+        assert as_float.entry_regs != as_int.entry_regs
+        assert lock.checked_touch(record, args=["app0", 1.0], **touch) \
+            is as_float
 
     def test_fifo_eviction_bounds_entries(self):
         cache = TraceCache(capacity=4)
@@ -105,7 +168,8 @@ class TestDeterminism:
 
     def test_outcomes_identical_with_engine_disabled(self, monkeypatch):
         with_engine = self._campaign_counts()
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
+        # Tier 1 off: every lookup misses, so every call rebuilds.
+        monkeypatch.setattr(TraceCache, "get", lambda self, key: None)
         monkeypatch.setattr(fastpath, "FAST_INTERP_ENABLED", False)
         without_engine = self._campaign_counts()
         assert with_engine == without_engine

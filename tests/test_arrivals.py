@@ -1,5 +1,7 @@
 """Open-loop arrival schedules: purity, phases, heavy tails."""
 
+import dataclasses
+
 import pytest
 
 from repro.composite.scheduler import CYCLES_PER_US
@@ -13,6 +15,9 @@ from repro.webserver.arrivals import (
     offered_rps,
     parse_phases,
 )
+from repro.system import build_system
+from repro.webserver.loadgen import OpenLoopGenerator
+from repro.webserver.server import DEFAULT_SITE
 
 SITE = ("about.html", "data.bin", "index.html")
 
@@ -96,6 +101,21 @@ class TestArrivalSpec:
         a = ArrivalSpec(n_requests=80, load=2.0, seed=3)
         b = ArrivalSpec(n_requests=80, load=2.0, seed=3)
         assert a.build(SITE) == b.build(SITE)
+        # Open-loop installs share one immutable schedule per spec: equal
+        # specs get the same tuple, equal to a fresh build, and another
+        # arrival seed gets its own.
+        system = build_system(ft_mode="superglue")
+        installed = []
+        for spec in (a, b, ArrivalSpec(n_requests=80, load=2.0, seed=4)):
+            generator = OpenLoopGenerator(spec)
+            generator.install(system, server=None)
+            installed.append(generator.arrivals)
+        assert installed[0] is installed[1]
+        assert isinstance(installed[0], tuple)
+        assert list(installed[0]) == a.build(tuple(sorted(DEFAULT_SITE)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            installed[0][0].at = 0
+        assert installed[2] != installed[0]
 
     def test_times_strictly_increase(self):
         arrivals = ArrivalSpec(n_requests=200, load=5.0).build(SITE)
