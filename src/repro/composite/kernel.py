@@ -113,6 +113,9 @@ class Kernel:
         #: Attached tier-3 session (RecordingSession / ReplaySession),
         #: or None for plain two-tier execution.
         self._supertrace = None
+        #: The client stubs entered during the current super-trace
+        #: recording unit (set up by ``RecordingSession``), else None.
+        self._entered_stubs: Optional[set] = None
         #: Hooks observing every fault vectoring: f(component, fault).
         self.fault_observers: List[Callable] = []
         self._sealed_fault_observers: Optional[List[Callable]] = None
@@ -256,6 +259,9 @@ class Kernel:
         status = "ok"
         try:
             if stub is not None:
+                entered = self._entered_stubs
+                if entered is not None:
+                    entered.add(stub)
                 return stub.invoke(self, thread, action.fn, action.args)
             result = self.raw_invoke(thread, server, action.fn, action.args)
             if result is FAULT:

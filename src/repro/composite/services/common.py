@@ -145,21 +145,14 @@ class TraceCache:
     per-hit cost.
     """
 
-    __slots__ = ("capacity", "entries", "hits", "misses")
+    __slots__ = ("capacity", "entries")
 
     def __init__(self, capacity: int = TRACE_CACHE_CAPACITY):
         self.capacity = capacity
         self.entries: Dict[tuple, object] = {}
-        self.hits = 0
-        self.misses = 0
 
     def get(self, key: tuple):
-        trace = self.entries.get(key)
-        if trace is not None:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return trace
+        return self.entries.get(key)
 
     def put(self, key: tuple, trace) -> None:
         if len(self.entries) >= self.capacity:

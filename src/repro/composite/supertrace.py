@@ -312,27 +312,36 @@ def _snap_equal(snap: _Snap, live) -> bool:
     return False  # dict / obj / opaque: diffed structurally, not by value
 
 
-def _diff_slot(snap: Optional[_Snap], live, path: tuple, ops: list) -> None:
-    """Emit patch operations turning the snapshotted slot into ``live``.
+def _diff_slot(snap: Optional[_Snap], live, path: tuple, ops: list) -> _Snap:
+    """Emit patch operations turning the snapshotted slot into ``live``,
+    and return the slot's refreshed snapshot.
 
     ``path`` is the navigation from the root object: ``("a", name)`` for
     an attribute step, ``("k", key)`` for a container key.  Containers
     and whitelisted state objects are patched *in place* (closures and
     wait queues alias them); rebound or newly created values are frozen
     at record time and materialised fresh on every apply.
+
+    The refreshed snapshot is ``snap`` itself when nothing changed, else
+    a node equal to ``_snap_value(live)`` that shares ``snap``'s
+    unchanged children (dict and object nodes keep ``live``'s key order,
+    which orders the ``del`` operations of a later diff).
     """
+    depth = len(path) - 1
     if snap is None:  # newly added slot
         ops.append(("set", path, _freeze(live)))
-        return
+        return _snap_value(live, depth)
     kind = snap.kind
     if kind == "s":
-        if not (isinstance(live, _SCALARS) and _scalar_equal(snap.data, live)):
-            ops.append(("set", path, _freeze(live)))
-        return
+        if isinstance(live, _SCALARS) and _scalar_equal(snap.data, live):
+            return snap
+        ops.append(("set", path, _freeze(live)))
+        return _snap_value(live, depth)
     if kind == "t":
-        if not _snap_equal(snap, live):
-            ops.append(("set", path, _freeze(live)))
-        return
+        if _snap_equal(snap, live):
+            return snap
+        ops.append(("set", path, _freeze(live)))
+        return _snap_value(live, depth)
     if kind in ("l", "q"):
         if live is not snap.ref:
             ops.append(("set", path, _freeze(live)))
@@ -342,56 +351,59 @@ def _diff_slot(snap: Optional[_Snap], live, path: tuple, ops: list) -> None:
         ):
             code = "fill_list" if kind == "l" else "fill_deque"
             ops.append((code, path, _freeze(list(live))))
-        return
+        else:
+            return snap
+        return _snap_value(live, depth)
     if kind == "e":
         if live is not snap.ref:
             ops.append(("set", path, _freeze(live)))
         elif frozenset(live) != snap.data:
             ops.append(("fill_set", path, frozenset(live)))
-        return
+        else:
+            return snap
+        return _snap_value(live, depth)
     if kind == "b":
         if live is not snap.ref:
             ops.append(("set", path, _freeze(live)))
         elif bytes(live) != snap.data:
             ops.append(("fill_bytes", path, bytes(live)))
-        return
-    if kind == "d":
+        else:
+            return snap
+        return _snap_value(live, depth)
+    if kind == "d" or kind == "o":
         if live is not snap.ref:
             ops.append(("set", path, _freeze(live)))
-            return
-        snap_children = snap.data
-        for key in snap_children:
-            if key not in live:
-                ops.append(("del", path + (("k", key),), None))
-        for key, value in live.items():
-            _diff_slot(
-                snap_children.get(key), value, path + (("k", key),), ops
+            return _snap_value(live, depth)
+        if kind == "d":
+            step, names, items = "k", live, live.items()
+        else:
+            names = _obj_attrs(live)
+            step, items = "a", ((a, getattr(live, a)) for a in names)
+        old = snap.data
+        same = True
+        for key in old:
+            if key not in names:
+                ops.append(("del", path + ((step, key),), None))
+                same = False
+        new = {}
+        for key, value in items:
+            child = old.get(key)
+            new[key] = fresh = _diff_slot(
+                child, value, path + ((step, key),), ops
             )
-        return
-    if kind == "o":
-        if live is not snap.ref:
-            ops.append(("set", path, _freeze(live)))
-            return
-        snap_children = snap.data
-        live_attrs = _obj_attrs(live)
-        for attr in snap_children:
-            if attr not in live_attrs:
-                ops.append(("del", path + (("a", attr),), None))
-        for attr in live_attrs:
-            _diff_slot(
-                snap_children.get(attr),
-                getattr(live, attr),
-                path + (("a", attr),),
-                ops,
-            )
-        return
+            if fresh is not child:
+                same = False
+        if same and list(old) == list(new):
+            return snap
+        return _Snap(kind, new, live)
     if kind == "c":
         if live is not snap.ref:
             raise _NotReplayable("callable slot rebound")
-        return
+        return snap
     # opaque object: any structural change ends the recording
     if live is not snap.ref or _fingerprint(live) != snap.data:
         raise _NotReplayable(f"opaque object changed: {type(live).__name__}")
+    return snap
 
 
 # ---------------------------------------------------------------------------
@@ -703,41 +715,53 @@ def _snap_image(image) -> tuple:
     )
 
 
-def _diff_images(kernel, snaps: dict, names) -> list:
-    """Image effects since ``snaps`` of the named components' images."""
+def _diff_images(kernel, snaps: dict, names) -> Tuple[list, dict]:
+    """Image effects since ``snaps`` of the named components' images, and
+    each image's refreshed snapshot (``snaps``' own when it is unchanged;
+    only the pages whose words changed are copied)."""
     images = []
+    fresh = {}
     for name in names:
         image = kernel.components[name].image
         if image._taint_count:
             raise _NotReplayable("memory taint at unit end")
-        p_dirty, p_pages, p_alloc, p_free = snaps[name]
+        snap = snaps[name]
+        p_dirty, p_pages, p_alloc, p_free = snap
         stores = []
         new_dirty = []
+        pages = None  # copy of p_pages, made on the first changed page
         dirty = image._dirty
         words = image.words
         good = image._good_words
         size = image.size
-        for page in range(len(dirty)):
-            if not dirty[page]:
-                continue
+        page = dirty.find(1)
+        while page >= 0:
             lo = page << PAGE_SHIFT
             hi = min(lo + PAGE_WORDS, size)
+            now = words[lo:hi]
             if p_dirty[page]:
                 old = p_pages[page]
-                if words[lo:hi] != old:
+                changed = now != old
+                if changed:
                     stores.extend(
                         (i, words[i])
                         for i in range(lo, hi)
                         if words[i] != old[i - lo]
                     )
             else:
+                changed = True
                 new_dirty.append(page)
-                if good is not None and words[lo:hi] != good[lo:hi]:
+                if good is not None and now != good[lo:hi]:
                     stores.extend(
                         (i, words[i])
                         for i in range(lo, hi)
                         if words[i] != good[i]
                     )
+            if changed:
+                if pages is None:
+                    pages = dict(p_pages)
+                pages[page] = now
+            page = dirty.find(1, page + 1)
         live_free = {k: tuple(v) for k, v in image._free_lists.items()}
         alloc = image._alloc_ptr if image._alloc_ptr != p_alloc else None
         free = tuple(live_free.items()) if live_free != p_free else None
@@ -745,12 +769,23 @@ def _diff_images(kernel, snaps: dict, names) -> list:
             images.append(
                 (image, tuple(stores), tuple(new_dirty), alloc, free)
             )
-    return images
+        if pages is None and alloc is None and free is None:
+            fresh[name] = snap
+        else:
+            fresh[name] = (
+                bytes(dirty),
+                p_pages if pages is None else pages,
+                image._alloc_ptr,
+                live_free,
+            )
+    return images, fresh
 
 
-def _diff_roots(kernel, snaps: dict, keys) -> list:
-    """``(root, op)`` patch operations since ``snaps`` of the keyed roots."""
+def _diff_roots(kernel, snaps: dict, keys) -> Tuple[list, dict]:
+    """``(root, op)`` patch operations since ``snaps`` of the keyed
+    roots, and each root's refreshed snapshot."""
     ops = []
+    fresh = {}
     for key in keys:
         slots = snaps[key]
         root, live_slots = _root_slots(kernel, key)
@@ -759,12 +794,16 @@ def _diff_roots(kernel, snaps: dict, keys) -> list:
             if attr not in live_slots:
                 root_ops.append(("del", (("a", attr),), None))
         try:
-            for attr, value in live_slots.items():
-                _diff_slot(slots.get(attr), value, (("a", attr),), root_ops)
+            fresh[key] = {
+                attr: _diff_slot(
+                    slots.get(attr), value, (("a", attr),), root_ops
+                )
+                for attr, value in live_slots.items()
+            }
         except _NotReplayable as exc:
             raise _NotReplayable(f"root {key}: {exc}") from None
         ops.extend((root, op) for op in root_ops)
-    return ops
+    return ops, fresh
 
 
 def _same(a, b) -> bool:
@@ -795,15 +834,24 @@ class RecordingSession:
     Recording cost follows what each unit touches.  The session keeps a
     *shadow* snapshot of every root (component, client stub, server
     stub) and every memory image, taken when it attaches.  Each unit
-    runs with every component's ``_ran`` flag cleared; afterwards the
-    flags are put back, and only the *touched* roots are diffed against
-    the shadow and re-snapshotted into it: each component the unit
-    entered (``_ran`` set), its image and server stub, and every client
-    stub whose client or server it entered.  ``_ran`` is the signal
-    pooled restore's skip already trusts — components set it on every
-    dispatch, trace execution and direct entry — and nothing in-tree
-    changes a root between units (clock callbacks and ``on_wake``
-    lambdas change thread state only).
+    runs with every component's ``_ran`` flag cleared and an empty
+    ``kernel._entered_stubs`` set; afterwards the flags are put back,
+    and only the *touched* roots are diffed against the shadow: each
+    component the unit entered (``_ran`` set), its image and server
+    stub, and each client stub the unit entered.  ``_ran`` is the
+    signal pooled restore's skip already trusts — components set it on
+    every dispatch, trace execution and direct entry.  A client stub's
+    tracking state (Fig. 4) changes only inside the stub, and the kernel
+    adds every stub it enters to the set (top-level and nested calls);
+    an unblock unit starts with the stub whose ``post_unblock`` it runs.
+    Nothing in-tree changes a root between units (clock callbacks and
+    ``on_wake`` lambdas change thread state only).
+
+    The diff is also the refresh: it returns each touched root's and
+    image's new snapshot, which replaces the shadow's.  A snapshot node
+    nothing changed is kept as it is, a changed one is rebuilt around
+    its unchanged children, and an image copies only the pages whose
+    words changed, so a unit costs one walk over the roots it entered.
 
     Each diffed unit is compiled on the spot (see :func:`_compile_unit`).
     The first unit that cannot be diffed or compiled ends the recording:
@@ -834,15 +882,16 @@ class RecordingSession:
         components = kernel.components
         self._components = tuple(components.values())
         self._names = tuple(components)
-        #: Root key -> the components whose entry touches that root.
-        self._owners = {("comp", name): {name} for name in components}
-        self._owners.update(
-            {("cstub",) + key: set(key) for key in kernel._stubs}
+        #: ``(root key, owner)`` pairs: a unit touches the root only if
+        #: it entered the owner — the component itself for a component
+        #: or server stub root (by name), the stub object for a client
+        #: stub root.
+        self._owners = tuple(
+            [(("comp", name), name) for name in components]
+            + [(("cstub",) + key, stub) for key, stub in kernel._stubs.items()]
+            + [(("sstub", name), name) for name in kernel._server_stubs]
         )
-        self._owners.update(
-            {("sstub", name): {name} for name in kernel._server_stubs}
-        )
-        self._keys = tuple(self._owners)
+        self._keys = tuple(key for key, __ in self._owners)
         self._shadow = self._snapshot_state(self._keys, self._names)
 
     # -- swifi instrumentation -----------------------------------------
@@ -882,9 +931,12 @@ class RecordingSession:
             kernel, "unblock", sig,
             lambda: stub.post_unblock(kernel, thread, action.fn,
                                       action.args, value),
+            stub,
         )
 
-    def _record_unit(self, kernel, kind, sig, body):
+    def _record_unit(self, kernel, kind, sig, body, stub=None):
+        """Run ``body`` as one unit.  ``stub`` is the client stub an
+        unblock unit enters before its body runs."""
         whole = None
         if self._check:
             self._check_shadow(kernel)
@@ -895,6 +947,8 @@ class RecordingSession:
         saved = [comp._ran for comp in components]
         for comp in components:
             comp._ran = False
+        entered = set() if stub is None else {stub}
+        kernel._entered_stubs = entered
         block = None
         result = None
         try:
@@ -911,16 +965,14 @@ class RecordingSession:
             self.failed = f"{type(exc).__name__}: {exc}"
             raise
         finally:
-            entered = {comp.name for comp in components if comp._ran}
+            kernel._entered_stubs = None
+            names = [comp.name for comp in components if comp._ran]
             for comp, ran in zip(components, saved):
                 if ran:
                     comp._ran = True
-        keys = [
-            key for key in self._keys
-            if not self._owners[key].isdisjoint(entered)
-        ]
-        names = [name for name in self._names if name in entered]
-        unit = self._diff_unit(
+        entered.update(names)
+        keys = [key for key, owner in self._owners if owner in entered]
+        unit, fresh = self._diff_unit(
             kernel, kind, sig, pre, start, result, block, self._shadow,
             keys, names,
         )
@@ -928,7 +980,7 @@ class RecordingSession:
             self._check_unit(unit, self._diff_unit(
                 kernel, kind, sig, pre, start, result, block, whole,
                 self._keys, self._names,
-            ))
+            )[0])
         if not isinstance(unit, str):
             try:
                 unit.fast = _compile_unit(unit, self._codes)
@@ -937,9 +989,9 @@ class RecordingSession:
         if isinstance(unit, str):
             kernel._supertrace = None  # the recording ends before this unit
         else:
-            roots, images = self._snapshot_state(keys, names)
-            self._shadow[0].update(roots)
-            self._shadow[1].update(images)
+            self.root_snapshots += len(keys)
+            self._shadow[0].update(fresh[0])
+            self._shadow[1].update(fresh[1])
             self.units.append(unit)
         if block is not None:
             raise block
@@ -993,18 +1045,19 @@ class RecordingSession:
     # -- diff ------------------------------------------------------------
     def _diff_unit(self, kernel, kind, sig, pre, start, result, block,
                    state, keys, names):
-        """The unit diffed against ``state`` over ``keys``/``names``, or
-        why it cannot be replayed (a string)."""
+        """``(unit, refreshed state)``: the unit diffed against ``state``
+        over ``keys``/``names`` and the refreshed snapshots of those
+        roots and images, or ``(why it cannot be replayed, None)``."""
         try:
             return self._finish_unit(
                 kernel, kind, sig, pre, start, result, block, state, keys,
                 names,
             )
         except _NotReplayable as exc:
-            return str(exc)
+            return str(exc), None
 
     def _finish_unit(self, kernel, kind, sig, pre, start, result, block,
-                     state, keys, names) -> Unit:
+                     state, keys, names) -> Tuple[Unit, tuple]:
         if block is not None and not _block_replayable(block):
             raise _NotReplayable("unreconstructible block")
         if kernel.crashed is not None:
@@ -1079,8 +1132,10 @@ class RecordingSession:
 
         roots, images = state
         unit = Unit()
-        unit.images = tuple(_diff_images(kernel, images, names))
-        unit.ops = tuple(_diff_roots(kernel, roots, keys))
+        image_effects, images = _diff_images(kernel, images, names)
+        unit.images = tuple(image_effects)
+        ops, roots = _diff_roots(kernel, roots, keys)
+        unit.ops = tuple(ops)
         unit.kind = kind
         unit.sig = sig
         unit.start_clock = start
@@ -1096,7 +1151,7 @@ class RecordingSession:
         unit.block = None if block is None else (
             block.component, block.token, block.timeout, block.on_wake,
         )
-        return unit
+        return unit, (roots, images)
 
     # -- REPRO_POOL_DEBUG oracle ---------------------------------------
     def _check_shadow(self, kernel) -> None:
@@ -1104,8 +1159,8 @@ class RecordingSession:
         roots, images = self._shadow
         try:
             stale = (
-                _diff_roots(kernel, roots, self._keys)
-                or _diff_images(kernel, images, self._names)
+                _diff_roots(kernel, roots, self._keys)[0]
+                or _diff_images(kernel, images, self._names)[0]
             )
         except _NotReplayable as exc:
             stale, detail = True, str(exc)

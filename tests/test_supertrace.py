@@ -21,6 +21,7 @@ import pytest
 from repro import observe
 from repro.composite import supertrace
 from repro.composite.component import export
+from repro.composite.services.ramfs import RamFSService
 from repro.composite.supertrace import (
     REGISTRY,
     RecordingSession,
@@ -430,41 +431,61 @@ class TestRecordingOracle:
         REGISTRY.clear()  # record afresh, under the oracle
 
     def test_every_fig7_unit_checked(self):
-        for name in ("closed", "open"):
+        for name in ("closed", "open", "c3"):
             recording = web_campaign._web_recording(_WEB_SPECS[name])
             assert recording is not None, name
             checked = recording.meta["checked_units"]
             assert checked == len(recording.units) > 0, name
 
     def test_every_table2_unit_checked(self):
-        for service in SERVICES:
-            spec = CampaignRunner(service, n_faults=4, seed=1).spec()
-            recording = swifi_campaign._campaign_recording(spec)
-            assert recording is not None, service
-            checked = recording.meta["checked_units"]
-            assert checked == len(recording.units) > 0, service
+        for ft_mode in ("superglue", "c3"):
+            for service in SERVICES:
+                spec = CampaignRunner(
+                    service, ft_mode=ft_mode, n_faults=4, seed=1
+                ).spec()
+                recording = swifi_campaign._campaign_recording(spec)
+                assert recording is not None, (ft_mode, service)
+                checked = recording.meta["checked_units"]
+                assert checked == len(recording.units) > 0, (ft_mode, service)
 
     def test_untouched_root_write_is_named(self, monkeypatch):
-        # conn_open also bumps httpparse's counter without entering
-        # httpparse: the touched-root diff misses it, the oracle must
+        # Each planted export also writes a root its unit never enters:
+        # the touched-root diff misses the write, and the oracle must
         # name it — and raise, not degrade to "no recording".
-        original = ConnectionManagerComponent.conn_open
+        # conn_open bumps httpparse's counter without entering httpparse.
+        # tread bumps a counter of app0's lock stub, which its unit does
+        # not enter although it runs app0's ramfs stub (a client stub is
+        # diffed only when the unit enters that stub).
+        def bump_httpparse(component):
+            component.kernel.components["httpparse"].parsed += 1
 
-        @export
-        def conn_open(self, thread, peer):
-            self.kernel.components["httpparse"].parsed += 1
-            return original(self, thread, peer)
+        def bump_lock_stub(component):
+            component.kernel._stubs[("app0", "lock")].stats["redos"] += 1
 
-        monkeypatch.setattr(ConnectionManagerComponent, "conn_open", conn_open)
-        GLOBAL_POOL.clear()  # rebuild with the planted export bound
-        try:
-            with pytest.raises(
-                AssertionError,
-                match=r"root \('comp', 'httpparse'\) path \(\('a', 'parsed'\),\)",
-            ):
-                web_campaign._web_recording(_WEB_SPECS["closed"])
-        finally:
-            GLOBAL_POOL.clear()
+        planted = (
+            (ConnectionManagerComponent, "conn_open", bump_httpparse,
+             r"root \('comp', 'httpparse'\) path \(\('a', 'parsed'\),\)"),
+            (RamFSService, "tread", bump_lock_stub,
+             r"root \('cstub', 'app0', 'lock'\) "
+             r"path \(\('a', 'stats'\), \('k', 'redos'\)\)"),
+        )
+        for cls, name, bump, named in planted:
+            original = getattr(cls, name)
+
+            @export
+            def planted_export(self, thread, *args, original=original,
+                               bump=bump):
+                bump(self)
+                return original(self, thread, *args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(cls, name, planted_export)
+                GLOBAL_POOL.clear()  # rebuild with the planted export bound
+                try:
+                    with pytest.raises(AssertionError, match=named):
+                        web_campaign._web_recording(_WEB_SPECS["closed"])
+                finally:
+                    GLOBAL_POOL.clear()
 
     def test_untouched_root_write_in_table2_is_named(self, monkeypatch):
         # Same bug on the Table II path: lock_take bumps a counter of
@@ -509,9 +530,11 @@ class TestRecordingWork:
         timing = json.loads((tmp_path / "fig7.json.timing.json").read_text())
         units = timing["recorded_units"]
         assert units > 1000
-        # Whole-system recording took 37 root snapshots per unit and
-        # compiled every replayable unit separately (1,265 compiles).
-        assert timing["root_snapshots"] <= 10 * units
+        # Diffing only the roots a unit entered takes ~3.3 root
+        # snapshots per unit; counting every client stub of an entered
+        # component takes ~7, and whole-system recording 37.  Compiling
+        # every unit on its own would take ~1,300 shapes.
+        assert timing["root_snapshots"] <= 4 * units
         assert 0 < timing["unit_shapes"] <= 60
 
 
