@@ -32,6 +32,53 @@ import os
 import sys
 
 
+def _artifacts_writable(args) -> bool:
+    """Campaign preflight: can ``--json`` and ``--trace`` be written?
+
+    Fails before the campaign runs, not after: a paper-scale run is
+    minutes of work.  The trace exporter appends one section per
+    campaign, so the ``--trace`` artifact starts empty.
+    """
+    for flag, path, mode in (
+        ("--json", args.json, "a"), ("--trace", args.trace, "w")
+    ):
+        if not path:
+            continue
+        try:
+            with open(path, mode, encoding="utf-8"):
+                pass
+        except OSError as exc:
+            print(f"cannot write {flag} {path}: {exc}", file=sys.stderr)
+            return False
+    return True
+
+
+def _report_campaign(
+    args, setup_wall: float, exec_wall: float, runs: int, unit: str,
+    write_json,
+) -> None:
+    """Campaign epilogue: the wall clock, ``write_json(args.json)`` and
+    where the artifacts went.
+
+    The wall clock goes to stderr, so stdout stays deterministic across
+    hosts and reruns (journal replays must reproduce it byte for byte).
+    """
+    if exec_wall > 0:
+        print(
+            f"wall clock: setup {setup_wall:.2f}s + exec {exec_wall:.2f}s "
+            f"({runs / exec_wall:.1f} {unit}/s)",
+            file=sys.stderr,
+        )
+    if args.json:
+        write_json(args.json)
+        print(f"wrote {args.json} (+ .timing.json sidecar)")
+    if args.trace:
+        print(
+            f"wrote {args.trace} "
+            f"(render with: python -m repro trace {args.trace})"
+        )
+
+
 def _cmd_table2(args) -> int:
     from repro.swifi.campaign import (
         format_table2,
@@ -39,24 +86,8 @@ def _cmd_table2(args) -> int:
         write_table2_json,
     )
 
-    if args.json:
-        # Fail on an unwritable artifact path before the campaign runs,
-        # not after: a paper-scale run is minutes of work.
-        try:
-            with open(args.json, "a", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            print(f"cannot write --json {args.json}: {exc}", file=sys.stderr)
-            return 1
-    if args.trace:
-        # The exporter appends one section per service campaign, so the
-        # artifact must start empty (and be writable) up front.
-        try:
-            with open(args.trace, "w", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            print(f"cannot write --trace {args.trace}: {exc}", file=sys.stderr)
-            return 1
+    if not _artifacts_writable(args):
+        return 1
     print(
         f"SWIFI campaign: {args.faults} {args.fault_class} faults per "
         f"service ({args.mode} stubs, {args.workers} worker(s))"
@@ -71,26 +102,14 @@ def _cmd_table2(args) -> int:
         fault_class=args.fault_class,
     )
     print(format_table2(results))
-    setup_wall = sum(r.setup_wall for r in results)
-    exec_wall = sum(r.exec_wall for r in results)
-    total_runs = sum(r.injected for r in results)
-    if exec_wall > 0:
-        # stderr: the table on stdout stays deterministic (journal
-        # replays must reproduce it byte-for-byte); wall clock is
-        # host-dependent diagnostics.
-        print(
-            f"wall clock: setup {setup_wall:.2f}s + exec {exec_wall:.2f}s "
-            f"({total_runs / exec_wall:.0f} runs/s)",
-            file=sys.stderr,
-        )
-    if args.json:
-        write_table2_json(results, args.json)
-        print(f"wrote {args.json} (+ .timing.json sidecar)")
-    if args.trace:
-        print(
-            f"wrote {args.trace} "
-            f"(render with: python -m repro trace {args.trace})"
-        )
+    _report_campaign(
+        args,
+        sum(r.setup_wall for r in results),
+        sum(r.exec_wall for r in results),
+        sum(r.injected for r in results),
+        "runs",
+        lambda path: write_table2_json(results, path),
+    )
     return 0
 
 
@@ -265,22 +284,8 @@ def _cmd_fig7_campaign(args) -> int:
         web_run_seeds,
     )
 
-    if args.json:
-        # Fail on an unwritable artifact path before running the campaign.
-        try:
-            with open(args.json, "a", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            print(f"cannot write --json {args.json}: {exc}", file=sys.stderr)
-            return 1
-    if args.trace:
-        # The exporter appends; the artifact must start empty.
-        try:
-            with open(args.trace, "w", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            print(f"cannot write --trace {args.trace}: {exc}", file=sys.stderr)
-            return 1
+    if not _artifacts_writable(args):
+        return 1
     try:
         spec = WebRunSpec(
             ft_mode=args.mode,
@@ -316,22 +321,10 @@ def _cmd_fig7_campaign(args) -> int:
         trace=args.trace,
     )
     print(format_web_campaign(result))
-    if result.exec_wall > 0:
-        # stderr: stdout stays deterministic across hosts and reruns.
-        print(
-            f"wall clock: setup {result.setup_wall:.2f}s + "
-            f"exec {result.exec_wall:.2f}s "
-            f"({len(result.rows) / result.exec_wall:.1f} runs/s)",
-            file=sys.stderr,
-        )
-    if args.json:
-        result.write_json(args.json)
-        print(f"wrote {args.json} (+ .timing.json sidecar)")
-    if args.trace:
-        print(
-            f"wrote {args.trace} "
-            f"(render with: python -m repro trace {args.trace})"
-        )
+    _report_campaign(
+        args, result.setup_wall, result.exec_wall, len(result.rows), "runs",
+        result.write_json,
+    )
     return 0
 
 
@@ -343,22 +336,8 @@ def _cmd_cluster(args) -> int:
         run_cluster_campaign,
     )
 
-    if args.json:
-        # Fail on an unwritable artifact path before running the campaign.
-        try:
-            with open(args.json, "a", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            print(f"cannot write --json {args.json}: {exc}", file=sys.stderr)
-            return 1
-    if args.trace:
-        # The exporter appends; the artifact must start empty.
-        try:
-            with open(args.trace, "w", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            print(f"cannot write --trace {args.trace}: {exc}", file=sys.stderr)
-            return 1
+    if not _artifacts_writable(args):
+        return 1
     try:
         spec = calibrate_cluster_spec(
             service=args.service,
@@ -387,22 +366,10 @@ def _cmd_cluster(args) -> int:
         trace=args.trace,
     )
     print(format_cluster_campaign(result))
-    if result.exec_wall > 0:
-        # stderr: stdout stays deterministic across hosts and reruns.
-        print(
-            f"wall clock: setup {result.setup_wall:.2f}s + "
-            f"exec {result.exec_wall:.2f}s "
-            f"({len(result.rows) / result.exec_wall:.1f} scenarios/s)",
-            file=sys.stderr,
-        )
-    if args.json:
-        result.write_json(args.json)
-        print(f"wrote {args.json} (+ .timing.json sidecar)")
-    if args.trace:
-        print(
-            f"wrote {args.trace} "
-            f"(render with: python -m repro trace {args.trace})"
-        )
+    _report_campaign(
+        args, result.setup_wall, result.exec_wall, len(result.rows),
+        "scenarios", result.write_json,
+    )
     return 0
 
 

@@ -25,7 +25,7 @@ Scenarios follow the repository's campaign discipline exactly:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.cell import Cell
@@ -231,19 +231,7 @@ class ClusterCampaignResult:
         """The deterministic campaign artifact (no wall-clock anywhere)."""
         return {
             "fingerprint": self.spec.fingerprint(),
-            "spec": {
-                "service": self.spec.service,
-                "ft_mode": self.spec.ft_mode,
-                "n_nodes": self.spec.n_nodes,
-                "n_kill": self.spec.n_kill,
-                "units": self.spec.units,
-                "iterations": self.spec.iterations,
-                "horizon": self.spec.horizon,
-                "recovery_mode": self.spec.recovery_mode,
-                "fault_class": self.spec.fault_class,
-                "evict_threshold": self.spec.evict_threshold,
-                "cooldown": self.spec.cooldown,
-            },
+            "spec": asdict(self.spec),
             "seeds": list(self.seeds),
             "rows": self.rows,
             "aggregate": self.aggregate,

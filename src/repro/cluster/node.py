@@ -4,11 +4,13 @@ Each node owns a *private* sealed snapshot in the process-wide
 :data:`~repro.system.GLOBAL_POOL`, keyed by the node id through the
 pool's ``instance`` parameter — N nodes means N live Systems in one
 process, none of them clobbering another's sealed image.  A node runs
-workload units through the SWIFI campaign's ``_drive_run`` path, so a
-unit's outcome is the same pure function of ``(RunSpec, unit_seed)``
-the flat campaigns compute — which is exactly what makes failover
-sound: re-executing a killed node's unit on any other node yields the
-identical outcome.
+workload units through the SWIFI campaign's ``_drive_run``, and so
+through the one run driver every campaign run executes in
+(:func:`~repro.swifi.campaign.run_system`).  A unit's outcome and step
+count are therefore the same pure function of ``(RunSpec, unit_seed)``
+the flat campaigns compute, a unit whose run raised included — which is
+exactly what makes failover sound: re-executing a killed node's unit on
+any other node yields the identical outcome.
 
 Health is tracked in a :class:`~repro.observe.metrics.MetricsRegistry`
 — the flight recorder's integer-only registry — folding only

@@ -876,8 +876,6 @@ class RecordingSession:
         self._check = pool_debug_enabled()
         #: Unit source -> code object: one compile per unit shape.
         self._codes: Dict[str, types.CodeType] = {}
-        #: Work counts, reported in the sealed recording's ``meta``.
-        self.root_snapshots = 0
         self.checked_units = 0
         components = kernel.components
         self._components = tuple(components.values())
@@ -893,6 +891,11 @@ class RecordingSession:
         )
         self._keys = tuple(key for key, __ in self._owners)
         self._shadow = self._snapshot_state(self._keys, self._names)
+        #: Work count, reported in the sealed recording's ``meta``: the
+        #: attach shadow plus each recorded unit's touched roots (the
+        #: ``REPRO_POOL_DEBUG`` oracle's whole-system snapshots are not
+        #: recording work).
+        self.root_snapshots = len(self._keys)
 
     # -- swifi instrumentation -----------------------------------------
     def instrument(self, swifi) -> None:
@@ -1000,7 +1003,6 @@ class RecordingSession:
     # -- snapshot --------------------------------------------------------
     def _snapshot_state(self, keys, names) -> Tuple[dict, dict]:
         """Snapshot the keyed roots and the named components' images."""
-        self.root_snapshots += len(keys)
         kernel = self.kernel
         roots = {}
         for key in keys:

@@ -27,14 +27,13 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro import observe
 from repro.composite.supertrace import (
     REGISTRY,
     RecordingSession,
     ReplaySession,
     super_trace_enabled,
 )
-from repro.errors import BlockThread, ReproError, SimulatedFault, SystemHang
+from repro.errors import ReproError, SimulatedFault
 from repro.observe import tracing_enabled
 from repro.swifi.classify import Outcome, OutcomeCounter
 from repro.swifi.injector import FAULT_CLASSES, SwifiController
@@ -159,10 +158,12 @@ def run_record(spec, run_seed: int, system, stats, **fields) -> dict:
     """One traced run's record, ready for
     :func:`repro.observe.export.write_run`.
 
-    Folds the kernel's whole-run ``stats`` counters into the run's
+    A traced run is the plain run under ``observe.tracing(True)``; this
+    folds the kernel's whole-run ``stats`` counters into the run's
     metrics registry, so campaign aggregation sees engine and recovery
-    statistics in one deterministic place; ``fields`` carry the
-    campaign kind's own header fields (service, outcome, steps, ...).
+    statistics in one deterministic place.  The spec gives the header's
+    fingerprint, ft_mode and fault class; ``fields`` carry the campaign
+    kind's own header fields (service, outcome, steps, ...).
     """
     kernel = system.kernel
     recorder = kernel.recorder
@@ -173,39 +174,13 @@ def run_record(spec, run_seed: int, system, stats, **fields) -> dict:
     return {
         "fingerprint": spec.fingerprint(),
         "run_seed": run_seed,
+        "ft_mode": spec.ft_mode,
+        "fault_class": spec.fault_class,
         **fields,
         "events": recorder.events(),
         "dropped_events": recorder.dropped,
         "metrics": metrics.to_dict(),
     }
-
-
-def execute_run_traced(spec: RunSpec, run_seed: int):
-    """Run one injection with the flight recorder on; returns
-    ``(outcome, run_record)``.
-
-    Event emission never feeds back into execution, so the outcome is
-    identical to the untraced :func:`execute_run` for the same
-    ``(spec, run_seed)``.  Tracing is forced for the run only, so
-    workers trace their runs whether or not ``REPRO_TRACE`` is set in
-    their environment.
-    """
-    with observe.tracing(True):
-        outcome, system, __, steps, __ = _drive_run(spec, run_seed)
-        system.kernel.recorder.metrics.counter(
-            f"outcome_{outcome.value}"
-        ).inc()
-        record = run_record(
-            spec, run_seed, system, RUN_STATS,
-            service=spec.service,
-            ft_mode=spec.ft_mode,
-            fault_class=spec.fault_class,
-            injection_point=injection_point(run_seed, spec.horizon),
-            horizon=spec.horizon,
-            outcome=outcome.value,
-            steps=steps,
-        )
-    return outcome, record
 
 
 def _pooled() -> bool:
@@ -257,18 +232,24 @@ def warm_up(spec: RunSpec, instance=None) -> None:
         _campaign_recording(spec, instance=instance)
 
 
-def _arm_for_class(swifi: SwifiController, spec: RunSpec, point: int) -> None:
-    """Arm the spec's fault class at the derived injection point."""
-    if spec.fault_class == "reg":
-        swifi.arm(spec.service, after_executions=point)
-    elif spec.fault_class == "mem":
-        swifi.arm_mem(spec.service, after_executions=point)
-    elif spec.fault_class == "idl":
-        swifi.arm_idl(spec.service, after_invocations=point)
-    elif spec.fault_class == "burst":
-        swifi.arm_burst(spec.service, after_executions=point)
-    else:  # pragma: no cover - RunSpec validates the class
-        raise ValueError(f"unknown fault class {spec.fault_class!r}")
+def _arm_for_class(
+    swifi: SwifiController, fault_class: str, target: str, point: int
+) -> None:
+    """Arm one ``fault_class`` fault against ``target`` at ``point``.
+
+    Table II arms at the run's derived injection point; Fig. 7 arms at
+    point 0 each time serving progress crosses its injection period.
+    """
+    if fault_class == "reg":
+        swifi.arm(target, after_executions=point)
+    elif fault_class == "mem":
+        swifi.arm_mem(target, after_executions=point)
+    elif fault_class == "idl":
+        swifi.arm_idl(target, after_invocations=point)
+    elif fault_class == "burst":
+        swifi.arm_burst(target, after_executions=point)
+    else:  # pragma: no cover - the run specs validate the class
+        raise ValueError(f"unknown fault class {fault_class!r}")
 
 
 def _recording_for(key: tuple, spec, build, prepare=None, instance=None):
@@ -318,36 +299,30 @@ def record_clean(acquire, run_clean, meta: dict, stop_at=None):
     execution), so the recorded per-unit statistics match the warm
     state every pooled campaign run executes in; the second runs under
     a :class:`RecordingSession`.  ``run_clean(system, hook)`` executes
-    one pass and reports whether it stayed clean.  ``stop_at(progress)``,
-    if given, becomes the recording pass's progress ``hook``: once it
-    returns True the session detaches, so the recording ends on a whole
-    unit there.  Any anomaly — a failed or crashed run, a reboot, an
-    exhausted budget — aborts to None: the campaign then runs fully
-    authoritative, never approximated.
+    one pass through :func:`run_system` and reports whether it stayed
+    clean.  ``stop_at(progress)``, if given, becomes the recording
+    pass's progress ``hook``: once it returns True the session
+    detaches, so the recording ends on a whole unit there.  Any anomaly
+    — a crashed run, a reboot, an exhausted budget — aborts to None:
+    the campaign then runs fully authoritative, never approximated.  A
+    harness error propagates.
     """
     session = None
-    try:
-        for warm in range(2):
-            system = acquire()
-            kernel = system.kernel
-            swifi = SwifiController(kernel, seed=0)  # never armed
-            hook = None
-            if warm == 1:
-                session = RecordingSession(kernel)
-                session.instrument(swifi)
-                kernel._supertrace = session
-                if stop_at is not None:
-                    def hook(progress) -> None:
-                        if stop_at(progress):
-                            kernel._supertrace = None
-            try:
-                clean = run_clean(system, hook)
-            finally:
-                kernel._supertrace = None
-            if not clean:
-                return None
-    except (SystemHang, SimulatedFault, ReproError, BlockThread):
-        return None
+    for warm in range(2):
+        system = acquire()
+        kernel = system.kernel
+        swifi = SwifiController(kernel, seed=0)  # never armed
+        hook = None
+        if warm == 1:
+            session = RecordingSession(kernel)
+            session.instrument(swifi)
+            kernel._supertrace = session
+            if stop_at is not None:
+                def hook(progress) -> None:
+                    if stop_at(progress):
+                        kernel._supertrace = None
+        if not run_clean(system, hook):
+            return None
     return session.finish(meta)
 
 
@@ -372,12 +347,11 @@ def _build_recording(spec: RunSpec, acquire):
 
     def run_clean(system, __) -> bool:
         handle = workload.install(system, iterations=spec.iterations)
-        system.run(max_steps=MAX_STEPS)
-        kernel = system.kernel
+        crash, __ = run_system(system, None, MAX_STEPS)
         return (
-            handle.check()
-            and kernel.crashed is None
-            and not kernel.budget_exhausted
+            crash is None
+            and handle.check()
+            and not system.kernel.budget_exhausted
             and system.booter.reboots == 0
         )
 
@@ -389,13 +363,49 @@ def _build_recording(spec: RunSpec, acquire):
     )
 
 
+def run_system(system, recording, max_steps: int):
+    """Run one campaign system to its end; returns ``(crash, steps)``.
+
+    The one place a campaign run executes: Table II runs, cluster
+    units, Fig. 7 runs (campaign and CLI) and both clean recording
+    passes.  Each kind installs and arms before the call and maps
+    ``crash`` onto its own outcome vocabulary after it.  ``recording``'s
+    prefix is replayed when it binds this kernel (see
+    :func:`_recording_for`); the session always detaches.
+
+    ``crash`` is the failure that ended the run: the ``SimulatedFault``
+    (``SystemHang`` included) or ``ReproError`` that escaped
+    ``system.run``, else ``kernel.crashed``.  ``steps`` is the delta of
+    the kernel's step counter, which ``Kernel.run`` updates on every
+    exit path, so a run that raised counts its steps too.
+    """
+    kernel = system.kernel
+    if recording is not None and recording.kernel is kernel:
+        kernel._supertrace = ReplaySession(recording)
+    steps = kernel.stats["steps"]
+    crash = None
+    try:
+        system.run(max_steps=max_steps)
+    except (SimulatedFault, ReproError) as error:
+        # Fuzzed interface values (idl) and mid-recovery re-faults
+        # (burst) surface library errors too, e.g. an InvalidDescriptor
+        # escaping every recovery tier: real not-recovered outcomes of
+        # the fault, not harness bugs.  Anything else propagates.
+        crash = error
+    finally:
+        kernel._supertrace = None
+    if crash is None:
+        crash = kernel.crashed
+    return crash, kernel.stats["steps"] - steps
+
+
 def _drive_run(spec: RunSpec, run_seed: int, instance=None):
     """Boot (or pool-restore) a system, inject per the spec, run it.
 
-    ``instance`` routes the run through a private instance-keyed pool
-    snapshot (a cluster node's) with its own instance-keyed super-trace
-    recording, so node runs replay exactly like shared-pool campaign
-    runs.
+    Returns ``(outcome, system, swifi, steps, handle)``.  ``instance``
+    routes the run through a private instance-keyed pool snapshot (a
+    cluster node's) with its own instance-keyed super-trace recording,
+    so node runs replay exactly like shared-pool campaign runs.
     """
     # Build the recording *before* the final acquire: the warm-up passes
     # dirty the pooled snapshot, and this run must start from a clean
@@ -404,34 +414,14 @@ def _drive_run(spec: RunSpec, run_seed: int, instance=None):
     system = _campaign_system(
         spec.ft_mode, spec.recovery_mode, instance=instance
     )
-    kernel = system.kernel
-    swifi = SwifiController(kernel, seed=run_seed)
+    swifi = SwifiController(system.kernel, seed=run_seed)
     workload = workload_for(spec.service)
     handle = workload.install(system, iterations=spec.iterations)
-    _arm_for_class(swifi, spec, injection_point(run_seed, spec.horizon))
-    if recording is not None and recording.kernel is kernel:
-        kernel._supertrace = ReplaySession(recording)
-    crash: Optional[BaseException] = None
-    steps = 0
-    try:
-        steps = system.run(max_steps=MAX_STEPS)
-    except SystemHang as hang:
-        crash = hang
-    except SimulatedFault as fault:
-        crash = fault
-    except ReproError as error:
-        # Fuzzed interface values (idl) and mid-recovery re-faults
-        # (burst) can surface library-level contract violations that are
-        # not SimulatedFaults — e.g. an InvalidDescriptor escaping every
-        # recovery tier, or a RecoveryError from a replay that keeps
-        # re-faulting.  Those are real not-recovered outcomes of the
-        # fault, not harness bugs: classify them instead of killing the
-        # whole campaign.
-        crash = error
-    finally:
-        kernel._supertrace = None
-    if kernel.crashed is not None and crash is None:
-        crash = kernel.crashed
+    _arm_for_class(
+        swifi, spec.fault_class, spec.service,
+        injection_point(run_seed, spec.horizon),
+    )
+    crash, steps = run_system(system, recording, MAX_STEPS)
     outcome = classify_run(spec.ft_mode, system, swifi, handle, crash, steps)
     return outcome, system, swifi, steps, handle
 

@@ -36,12 +36,15 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.observe import export as trace_export
+from repro.observe import tracing
 from repro.observe.metrics import canonical_metrics, merge_metrics
 from repro.swifi.campaign import (
+    RUN_STATS,
     RunSpec,
     _drive_run,
     collect_coverage,
-    execute_run_traced,
+    injection_point,
+    run_record,
     warm_up,
 )
 from repro.swifi.classify import Outcome, OutcomeCounter
@@ -318,12 +321,30 @@ def _table2_setup(spec: RunSpec, trace: bool) -> None:
 
 
 def _table2_run(spec: RunSpec, seed: int, trace: bool, _state, counters):
-    """One Table II injection run: ``(outcome, record_or_None)``."""
-    if trace:
-        return execute_run_traced(spec, seed)
-    outcome, system, __, __, __ = _drive_run(spec, seed)
-    collect_coverage(system.kernel, counters)
-    return outcome, None
+    """One Table II injection run: ``(outcome, record_or_None)``.
+
+    A traced run is the same :func:`_drive_run` under the flight
+    recorder.  Event emission never feeds back into execution, so its
+    outcome is the untraced one; tracing is forced for the run only, so
+    workers trace whether or not ``REPRO_TRACE`` is set.
+    """
+    if not trace:
+        outcome, system, __, __, __ = _drive_run(spec, seed)
+        collect_coverage(system.kernel, counters)
+        return outcome, None
+    with tracing(True):
+        outcome, system, __, steps, __ = _drive_run(spec, seed)
+        system.kernel.recorder.metrics.counter(
+            f"outcome_{outcome.value}"
+        ).inc()
+        return outcome, run_record(
+            spec, seed, system, RUN_STATS,
+            service=spec.service,
+            injection_point=injection_point(seed, spec.horizon),
+            horizon=spec.horizon,
+            outcome=outcome.value,
+            steps=steps,
+        )
 
 
 def run_campaign(

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.composite.scheduler import CYCLES_PER_US
-from repro.composite.supertrace import ReplaySession
 from repro.observe import tracing
 from repro.observe.metrics import (
     MetricsRegistry,
@@ -216,8 +215,9 @@ def _build_web_recording(spec: WebRunSpec, acquire):
 
 
 def _serve(spec: WebRunSpec, system, run_seed: int, with_faults: bool,
-           progress_hook=None) -> LoadResult:
-    """Serve the spec's request stream on ``system``."""
+           progress_hook=None, recording=None) -> LoadResult:
+    """Serve the spec's request stream on ``system``, replaying
+    ``recording``'s prefix when it binds the system."""
     return run_webserver(
         ft_mode=spec.ft_mode,
         n_requests=spec.n_requests,
@@ -235,6 +235,7 @@ def _serve(spec: WebRunSpec, system, run_seed: int, with_faults: bool,
         arrival_spec=spec.arrival_spec(),
         slo_us=spec.slo_us if spec.arrivals == "open" else None,
         fault_class=spec.fault_class,
+        recording=recording,
     )
 
 
@@ -356,22 +357,25 @@ def _row_from_result(run_seed: int, result: LoadResult) -> Dict[str, object]:
     return row
 
 
+def _drive_web_run(spec: WebRunSpec, run_seed: int):
+    """Boot (or pool-restore) a prepared system and serve one run on
+    it; returns ``(row, system)``."""
+    # Build the recording *before* the final acquire, as _drive_run does.
+    recording = _web_recording(spec)
+    system = _web_system(spec)
+    result = _serve(
+        spec, system, run_seed, spec.n_faults > 0, recording=recording
+    )
+    return _row_from_result(run_seed, result), system
+
+
 def execute_web_run(spec: WebRunSpec, run_seed: int) -> Dict[str, object]:
     """Execute one faulted web-server run; returns its campaign row.
 
     Module-level and pure (given the spec and seed), like the SWIFI
     ``execute_run``.
     """
-    recording = _web_recording(spec)
-    system = _web_system(spec)
-    kernel = system.kernel
-    if recording is not None and recording.kernel is kernel:
-        kernel._supertrace = ReplaySession(recording)
-    try:
-        result = _serve(spec, system, run_seed, spec.n_faults > 0)
-    finally:
-        kernel._supertrace = None
-    return _row_from_result(run_seed, result)
+    return _drive_web_run(spec, run_seed)[0]
 
 
 #: Kernel counters a traced web run folds into its metrics.
@@ -396,11 +400,11 @@ def _web_setup(spec: WebRunSpec, trace: bool):
 def _web_run(spec: WebRunSpec, seed: int, trace: bool, recording, counters):
     """One campaign run: ``(row, record_or_None)``.
 
-    Traced runs execute under the flight recorder; their record carries
-    the request-path arcs (``request_start`` / ``request_done`` /
-    ``throughput_dip``) interleaved with the injection/reboot/replay
-    events.  Rows are computed exactly as untraced, so requesting a
-    trace never changes the campaign artifact.
+    A traced run is the same run under the flight recorder; its record
+    carries the request-path arcs (``request_start`` / ``request_done``
+    / ``throughput_dip``) interleaved with the injection/reboot/replay
+    events.  Event emission never feeds back into execution, so
+    requesting a trace never changes the campaign artifact.
     """
     # Every run of a process replays the same recording, so each summed
     # count over runs is the recording's count times the runs.
@@ -415,22 +419,18 @@ def _web_run(spec: WebRunSpec, seed: int, trace: bool, recording, counters):
     if not trace:
         return execute_web_run(spec, seed), None
     with tracing(True):
-        system = _web_system(spec)
-        result = _serve(spec, system, seed, spec.n_faults > 0)
-        row = _row_from_result(seed, result)
-        record = run_record(
+        row, system = _drive_web_run(spec, seed)
+        return row, run_record(
             spec, seed, system, WEB_RUN_STATS,
             service="webserver",
-            ft_mode=spec.ft_mode,
             # Web-server faults are armed on serving progress, not at a
             # seed-drawn trace execution; the horizon is the request
             # stream itself.
             injection_point=0,
             horizon=spec.n_requests,
             outcome=row["outcome"],
-            steps=result.steps,
+            steps=row["steps"],
         )
-    return row, record
 
 
 # ---------------------------------------------------------------------------
@@ -460,21 +460,7 @@ class WebCampaignResult:
         """The deterministic campaign artifact (no wall-clock anywhere)."""
         return {
             "fingerprint": self.spec.fingerprint(),
-            "spec": {
-                "ft_mode": self.spec.ft_mode,
-                "n_requests": self.spec.n_requests,
-                "concurrency": self.spec.concurrency,
-                "n_workers": self.spec.n_workers,
-                "n_faults": self.spec.n_faults,
-                "max_steps": self.spec.max_steps,
-                "recovery_mode": self.spec.recovery_mode,
-                "fault_class": self.spec.fault_class,
-                "arrivals": self.spec.arrivals,
-                "load": self.spec.load,
-                "phases": self.spec.phases,
-                "slo_us": self.spec.slo_us,
-                "arrival_seed": self.spec.arrival_seed,
-            },
+            "spec": asdict(self.spec),
             "seeds": list(self.seeds),
             "rows": self.rows,
             "aggregate": self.aggregate,

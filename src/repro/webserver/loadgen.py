@@ -27,7 +27,8 @@ from typing import List, Optional, Tuple
 
 from repro.composite.scheduler import CYCLES_PER_US
 from repro.composite.thread import Invoke, Sleep, Yield
-from repro.errors import ReproError, SimulatedFault, SystemHang
+from repro.errors import SimulatedFault, SystemHang
+from repro.swifi.campaign import _arm_for_class, run_system
 from repro.swifi.injector import SwifiController
 from repro.system import build_system
 from repro.webserver.arrivals import Arrival, ArrivalSpec
@@ -76,8 +77,9 @@ class LoadResult:
     #: kernel accumulates its step counter on *every* exit path).
     steps: int = 0
     #: Terminal condition when the run did not complete cleanly:
-    #: ``"hang"`` (deadlock), ``"<kind>:<component>"`` (unrecovered
-    #: fault), ``"exhausted"`` (step budget), else ``None``.
+    #: ``"hang"`` (the kernel's deadlock raise), ``"<kind>:<component>"``
+    #: (unrecovered fault), ``"error:<Name>"`` (library error),
+    #: ``"exhausted"`` (step budget), else ``None``.
     crashed: Optional[str] = None
     #: (clock, served) progress samples.
     series: List[Tuple[int, int]] = field(default_factory=list)
@@ -258,22 +260,20 @@ class OpenLoopGenerator:
         )
 
 
-def _arm_fault(swifi: SwifiController, fault_class: str, target: str) -> None:
-    """Arm one fault of ``fault_class`` against ``target``.
+def _crashed(crash, kernel) -> Optional[str]:
+    """:attr:`LoadResult.crashed` for the run core's crash value.
 
-    The reg path keeps its historical RNG draw pattern (reg + bit drawn
-    at arm time), so pre-existing seeded campaigns reproduce exactly.
+    ``"hang"`` marks a :class:`SystemHang` that escaped the run (the
+    kernel's deadlock raise); a hang the kernel recorded in
+    ``kernel.crashed`` reads ``"hang:<component>"`` like any fault.
     """
-    if fault_class == "reg":
-        swifi.arm(target, after_executions=0)
-    elif fault_class == "mem":
-        swifi.arm_mem(target, after_executions=0)
-    elif fault_class == "idl":
-        swifi.arm_idl(target, after_invocations=0)
-    elif fault_class == "burst":
-        swifi.arm_burst(target, after_executions=0)
-    else:
-        raise ValueError(f"unknown fault class {fault_class!r}")
+    if crash is None:
+        return "exhausted" if kernel.budget_exhausted else None
+    if not isinstance(crash, SimulatedFault):
+        return f"error:{type(crash).__name__}"
+    if isinstance(crash, SystemHang) and crash is not kernel.crashed:
+        return "hang"
+    return f"{crash.kind}:{crash.component}"
 
 
 def run_webserver(
@@ -291,6 +291,7 @@ def run_webserver(
     arrival_spec: Optional[ArrivalSpec] = None,
     slo_us: Optional[int] = None,
     fault_class: str = "reg",
+    recording=None,
 ) -> LoadResult:
     """Build a system, serve ``n_requests``, and measure throughput.
 
@@ -315,6 +316,13 @@ def run_webserver(
     runs (ignored with ``with_faults``, which owns the hook) — the
     super-trace recorder uses it to stop recording where a faulted run
     would first arm, without perturbing the clean execution.
+
+    ``recording`` is a tier-3 super-trace recording of the clean
+    request stream: the run replays its prefix when the recording binds
+    ``system``'s kernel.  The campaign passes its recording; single
+    runs (the CLI, tests) pass none and execute authoritatively.  Either
+    way the run executes through the campaign run core,
+    :func:`repro.swifi.campaign.run_system`.
     """
     if system is None:
         system = build_system(ft_mode=ft_mode)
@@ -346,40 +354,15 @@ def run_webserver(
                 last_armed["served"] = served
                 target = next(targets, None)
                 if target is not None:
-                    _arm_fault(swifi, fault_class, target)
+                    _arm_for_class(swifi, fault_class, target, 0)
                     armed["count"] += 1
 
         server.on_served = arm_on_progress
     elif progress_hook is not None:
         server.on_served = progress_hook
 
-    kernel = system.kernel
-    crashed: Optional[str] = None
-    # The kernel folds each run's step count into stats["steps"] on
-    # every exit path (its run loop increments inside a finally), so a
-    # before/after delta survives a SystemHang — which used to be
-    # reported as steps=0, hiding how much work a deadlocked run burned.
-    steps_before = kernel.stats["steps"]
-    try:
-        steps = system.run(max_steps=max_steps)
-    except SystemHang:
-        crashed = "hang"
-        steps = kernel.stats["steps"] - steps_before
-    except SimulatedFault as fault:
-        crashed = f"{fault.kind}:{fault.component}"
-        steps = kernel.stats["steps"] - steps_before
-    except ReproError as error:
-        # Fuzzed interface values (idl) and mid-recovery re-faults
-        # (burst) can surface contract violations that escape every
-        # recovery tier — a real not-recovered outcome of the fault,
-        # classified like the SWIFI campaigns classify it.
-        crashed = f"error:{type(error).__name__}"
-        steps = kernel.stats["steps"] - steps_before
-    if crashed is None:
-        if kernel.crashed is not None:
-            crashed = f"{kernel.crashed.kind}:{kernel.crashed.component}"
-        elif kernel.budget_exhausted:
-            crashed = "exhausted"
+    crash, steps = run_system(system, recording, max_steps)
+    crashed = _crashed(crash, system.kernel)
     if with_faults and warn_shortfall and armed["count"] < n_faults:
         print(
             f"run_webserver: armed only {armed['count']}/{n_faults} faults "

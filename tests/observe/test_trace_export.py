@@ -5,21 +5,24 @@ import pytest
 from repro.__main__ import main
 from repro.cluster import ClusterSpec, cluster_run_seeds, run_cluster_campaign
 from repro.observe import EventSchemaError
-from repro.observe.export import load_runs, read_trace, validate_line
+from repro.observe.export import (
+    load_runs,
+    read_trace,
+    run_header,
+    validate_line,
+)
 from repro.observe.timeline import (
     RECOVERY_EVENTS,
     pick_default_run,
     render_rollup,
     render_run_timeline,
 )
-from repro.swifi.campaign import (
-    CampaignRunner,
-    execute_run,
-    execute_run_traced,
-)
-from repro.swifi.parallel import run_campaign
+from repro.swifi.campaign import CampaignRunner, execute_run
+from repro.swifi.parallel import _table2_run, run_campaign
 from repro.webserver.campaign import (
     WebRunSpec,
+    _web_run,
+    execute_web_run,
     run_webserver_campaign,
     web_run_seeds,
 )
@@ -66,11 +69,34 @@ _TRACED_CAMPAIGNS = {
 
 class TestOutcomeInvariance:
     def test_tracing_does_not_change_run_outcomes(self):
-        spec = CampaignRunner("lock", n_faults=1, seed=1).spec()
-        for seed in (1_000_003, 1_000_004, 12345):
-            traced_outcome, record = execute_run_traced(spec, seed)
-            assert traced_outcome is execute_run(spec, seed)
-            assert record["outcome"] == traced_outcome.value
+        """A traced run is the plain run under the flight recorder: the
+        same outcome (Fig. 7: the same row), and a header true to the
+        spec and to the kernel's step count, also when the run raised
+        (the lock idl seeds do)."""
+        cases = [
+            (_table2_run, execute_run, spec, lambda outcome: outcome.value)
+            for spec in (
+                CampaignRunner("lock", n_faults=1, seed=1).spec(),
+                CampaignRunner(
+                    "lock", n_faults=1, seed=1, fault_class="idl"
+                ).spec(),
+            )
+        ]
+        cases.append((
+            _web_run, execute_web_run,
+            WebRunSpec(n_requests=40, n_faults=2, fault_class="mem"),
+            lambda row: row["outcome"],
+        ))
+        for traced_run, plain_run, spec, outcome_of in cases:
+            for seed in (1_000_003, 1_000_004, 12345):
+                result, record = traced_run(spec, seed, True, None, {})
+                assert result == plain_run(spec, seed)
+                header = run_header(record)
+                assert header["outcome"] == outcome_of(result)
+                assert header["fault_class"] == spec.fault_class
+                assert header["steps"] == (
+                    record["metrics"]["counters"]["steps"]
+                )
 
     @pytest.mark.parametrize("kind", ["table2", "fig7", "cluster"])
     def test_serial_and_parallel_traces_byte_identical(self, tmp_path, kind):

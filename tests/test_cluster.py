@@ -35,7 +35,7 @@ from repro.cluster import (
 from repro.cluster.node import node_pool_instance
 from repro.observe.events import validate_event
 from repro.observe.export import load_runs
-from repro.swifi.campaign import execute_run
+from repro.swifi.campaign import _drive_run
 from repro.system import GLOBAL_POOL, SystemPool, system_fingerprint
 
 
@@ -226,17 +226,25 @@ class TestFailover:
         This is the soundness argument for failover: any node (or the
         flat campaign itself) computes the identical outcome for a unit,
         so re-running a dead node's unit on a survivor loses nothing.
+        Steps agree too: every unit counts its steps, also a unit whose
+        run raised (idl fuzzing fail-stops), and the row sums them.
         """
-        spec = _spec()
-        run_spec = spec.run_spec()
         scenario_seed = 19000021
-        row = execute_scenario(spec, scenario_seed)
-        flat = {}
-        for unit in range(spec.units):
-            unit_seed = scenario_seed * 1_000_003 + unit
-            outcome = execute_run(run_spec, unit_seed)
-            flat[outcome.value] = flat.get(outcome.value, 0) + 1
-        assert row["outcomes"] == dict(sorted(flat.items()))
+        for fault_class in ("reg", "idl"):
+            spec = _spec(fault_class=fault_class)
+            run_spec = spec.run_spec()
+            row = execute_scenario(spec, scenario_seed)
+            flat, steps = {}, []
+            for unit in range(spec.units):
+                unit_seed = scenario_seed * 1_000_003 + unit
+                outcome, __, __, unit_steps, __ = _drive_run(
+                    run_spec, unit_seed
+                )
+                flat[outcome.value] = flat.get(outcome.value, 0) + 1
+                steps.append(unit_steps)
+            assert row["outcomes"] == dict(sorted(flat.items()))
+            assert all(unit_steps > 0 for unit_steps in steps)
+            assert row["steps"] == sum(steps)
 
 
 class TestAggregateAndTrace:

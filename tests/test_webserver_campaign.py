@@ -342,6 +342,16 @@ class TestArtifacts:
         timing = json.loads((tmp_path / "fig7.json.timing.json").read_text())
         if super_trace == "1":
             assert all(timing[name] > 0 for name in counts)
+            # Deterministic work counts: the REPRO_POOL_DEBUG oracle's
+            # whole-system snapshots are not recording work.
+            monkeypatch.setenv("REPRO_POOL_DEBUG", "1")
+            REGISTRY.clear()
+            checked = run_webserver_campaign(
+                web_run_seeds(1, 2), SMOKE_SPEC, workers=1
+            )
+            assert [getattr(checked, name) for name in counts] == [
+                timing[name] for name in counts
+            ]
         else:
             assert all(timing[name] == 0 for name in counts)
 
