@@ -33,9 +33,15 @@ class C3ClientStubBase:
 
     SERVICE = ""
 
+    #: Pooled-root declaration (see :class:`repro.system.StateModel`).
+    STATE_WIRING = ("client", "server")
+    STATE_TOUCHED = "_ran"
+
     def __init__(self, client: str, server: str):
         self.client = client
         self.server = server
+        #: Touched flag: the kernel sets it on every entry.
+        self._ran = False
         #: cdesc -> per-service dict (each stub defines its own layout).
         self.descs: Dict[object, dict] = {}
         self.seen_epoch = 0
@@ -46,23 +52,6 @@ class C3ClientStubBase:
             "fault_updates": 0,
             "redos": 0,
         }
-
-    def pool_pristine(self) -> bool:
-        """All per-run state at sealed values (mirrors the generated
-        stubs' predicate; see ``ClientStubRuntime.pool_pristine``)."""
-        return (
-            not self.descs
-            and self.seen_epoch == 0
-            and not any(self.stats.values())
-        )
-
-    def pool_restore(self) -> None:
-        if self.pool_pristine():
-            return
-        self.descs = {}
-        self.seen_epoch = 0
-        for key in self.stats:
-            self.stats[key] = 0
 
     # -- kernel contract -----------------------------------------------------
     def invoke(self, kernel, thread, fn: str, args: Tuple):
@@ -168,18 +157,13 @@ class C3ClientStubBase:
 class C3ServerStubBase:
     """Hand-written server-side stub base."""
 
+    #: Pooled-root declaration (see :class:`repro.system.StateModel`).
+    STATE_WIRING = ("component", "storage_name")
+
     def __init__(self, component, storage: str = "storage"):
         self.component = component
         self.storage_name = storage
         self.stats = {"einval_recoveries": 0, "replays": 0}
-
-    def pool_pristine(self) -> bool:
-        return not any(self.stats.values())
-
-    def pool_restore(self) -> None:
-        if not self.pool_pristine():
-            for key in self.stats:
-                self.stats[key] = 0
 
     def dispatch(self, kernel, thread, fn: str, args: Tuple):
         return self.component.dispatch(fn, thread, args)

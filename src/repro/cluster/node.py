@@ -121,9 +121,9 @@ class Node:
     def reboot(self) -> None:
         """Whole-node reboot: seal-restore the entire System.
 
-        This is the pool's ~5us dirty-restore of the node's private
-        snapshot; without pooling the next unit builds fresh anyway,
-        which is the same post-boot state by construction.
+        This is the pool's dirty restore (tens of microseconds) of the
+        node's private snapshot; without pooling the next unit builds
+        fresh anyway, which is the same post-boot state by construction.
         Either way the node's health window resets — a rebooted node is
         a healthy node.
         """

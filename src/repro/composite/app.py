@@ -28,15 +28,6 @@ class AppComponent(Component):
         if not hasattr(self, "_handlers"):
             self._handlers = {}
 
-    def pool_seal(self) -> None:
-        self._sealed_handlers = dict(self._handlers)
-
-    def _pool_restore_impl(self) -> None:
-        # reinit preserves handlers (apps are never micro-rebooted), so a
-        # pooled restore reinstates the sealed registration set instead.
-        super()._pool_restore_impl()
-        self._handlers = dict(getattr(self, "_sealed_handlers", {}))
-
     def register_handler(self, fn: str, handler: Callable) -> None:
         """Expose ``handler`` as an upcall entry point named ``fn``."""
         self._ran = True

@@ -19,14 +19,14 @@ from repro.errors import SimulatedFault
 class Booter:
     """Micro-reboots faulty components and triggers recovery."""
 
+    #: Pooled-root declaration (see :class:`repro.system.StateModel`).
+    STATE_WIRING = ("kernel",)
+
     def __init__(self, kernel):
         self.kernel = kernel
         kernel.booter = self
         #: (clock cycles, component name, fault kind) log of every reboot.
         self.reboot_log: List[Tuple[int, str, str]] = []
-
-    def pool_restore(self) -> None:
-        self.reboot_log = []
 
     def handle_fault(self, component, fault: SimulatedFault) -> None:
         """Micro-reboot ``component`` after a detected fail-stop fault."""

@@ -40,27 +40,6 @@ class CbufManager(Component):
             self.buffers = {}
             self._next_id = 1
 
-    def pool_seal(self) -> None:
-        self._sealed_buffers = {
-            cbid: (buf.owner, bytes(buf.data), set(buf.readers))
-            for cbid, buf in self.buffers.items()
-        }
-        self._sealed_next_id = self._next_id
-
-    def _pool_restore_impl(self) -> None:
-        # Like storage, reinit preserves contents; pooled restores
-        # reinstate deep copies of the sealed buffers instead.
-        super()._pool_restore_impl()
-        self.buffers = {}
-        for cbid, (owner, data, readers) in getattr(
-            self, "_sealed_buffers", {}
-        ).items():
-            buf = _Cbuf(owner, len(data))
-            buf.data[:] = data
-            buf.readers = set(readers)
-            self.buffers[cbid] = buf
-        self._next_id = getattr(self, "_sealed_next_id", 1)
-
     def _charge(self, thread, nbytes: int = 0) -> None:
         self.kernel.charge(
             thread, CBUF_OP_CYCLES + (nbytes >> CBUF_BYTE_CYCLES_SHIFT)

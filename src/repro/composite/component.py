@@ -50,10 +50,22 @@ class Component:
         reboot_epoch: incremented on every micro-reboot; client stubs compare
             it against the epoch they last synchronised with to detect that
             recovery is needed (the CSTUB_FAULT_UPDATE of Fig. 4).
+
+    A component is a pooled root (see :class:`repro.system.StateModel`):
+    the class attributes ``STATE_WIRING``, ``STATE_WARM`` and
+    ``STATE_TOUCHED`` name the instance attributes that are not per-run
+    state, and a subclass declares the ones it introduces.  Every other
+    instance attribute, a subclass's included, is state: fingerprinted,
+    diffed by tier 3 and restored by the system pool without further
+    code.  ``_ran``, the touched flag, is set on every dispatch, trace
+    execution, micro-reboot and vectored fault.
     """
 
     #: Subclasses may override to size their image.
     image_words = DEFAULT_IMAGE_WORDS
+
+    STATE_WIRING = ("name", "kernel", "image", "_exports")
+    STATE_TOUCHED = "_ran"
 
     def __init__(self, name: str):
         self.name = name
@@ -61,8 +73,6 @@ class Component:
         self.image: Optional[MemoryImage] = None
         self.reboot_epoch = 0
         self.faults_detected = 0
-        #: Set on every dispatch/execute; lets a pooled restore skip
-        #: components the previous run never entered.
         self._ran = False
         self._exports: Dict[str, Callable] = {}
         for attr in dir(type(self)):
@@ -89,49 +99,11 @@ class Component:
 
     def micro_reboot(self) -> int:
         """Restore the good image and re-initialise; returns cycle cost."""
+        self._ran = True
         self.image.micro_reboot()
         self.reinit()
         self.reboot_epoch += 1
         return self.image.reboot_cost_cycles
-
-    # -- system-pool snapshot/restore ----------------------------------------
-    def pool_seal(self) -> None:
-        """Capture post-boot state a pooled restore must reinstate.
-
-        The base component needs nothing beyond the good image frozen at
-        attach time; subclasses whose ``reinit`` deliberately preserves
-        state across micro-reboots (storage, cbuf, apps) override this to
-        copy that state aside.
-        """
-
-    def pool_restore(self) -> None:
-        """Reset to the post-boot state, replaying :meth:`attach`'s path.
-
-        Unlike :meth:`micro_reboot`, the allocator rewinds to its
-        pre-init position so ``reinit`` re-allocates at exactly the
-        addresses a fresh build would — restored and fresh systems stay
-        structurally identical, which is what keeps pooled campaign runs
-        bit-identical to fresh-build runs.
-
-        Components the previous run never entered (no dispatch or trace
-        execution, no reboot, image untouched) are skipped outright:
-        their state *is* the post-boot state, and a typical campaign run
-        enters only a handful of the system's components.
-        """
-        if not (
-            self._ran
-            or self.reboot_epoch
-            or self.faults_detected
-        ) and self.image.is_pristine():
-            return
-        self._pool_restore_impl()
-
-    def _pool_restore_impl(self) -> None:
-        self.image.restore_initial()
-        self.reinit()
-        self.reboot_epoch = 0
-        self.faults_detected = 0
-        self._ran = False
 
     # -- interface dispatch ---------------------------------------------------
     @property

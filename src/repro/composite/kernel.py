@@ -113,27 +113,19 @@ class Kernel:
         #: Attached tier-3 session (RecordingSession / ReplaySession),
         #: or None for plain two-tier execution.
         self._supertrace = None
-        #: The client stubs entered during the current super-trace
-        #: recording unit (set up by ``RecordingSession``), else None.
-        self._entered_stubs: Optional[set] = None
         #: Hooks observing every fault vectoring: f(component, fault).
         self.fault_observers: List[Callable] = []
-        self._sealed_fault_observers: Optional[List[Callable]] = None
 
-    # ------------------------------------------------------------------
-    # System-pool snapshot/restore (see repro.system.SystemSnapshot)
-    # ------------------------------------------------------------------
-    def pool_seal(self) -> None:
-        """Capture post-boot kernel state a pooled restore reinstates."""
-        self._sealed_fault_observers = list(self.fault_observers)
-        self._sealed_zero_stats = dict.fromkeys(self.stats, 0)
+    def reset(self) -> None:
+        """Reset the per-run scheduling state to its post-boot value.
 
-    def pool_restore(self) -> None:
-        """Reset every per-run kernel structure to its post-boot state.
-
-        Static wiring — components, capabilities, stubs, the booter and
-        recovery-manager references — is left alone; components restore
-        their own images and state via ``Component.pool_restore``.
+        The pool's restore (:class:`repro.system.SystemSnapshot`) calls
+        this, then zeroes ``stats`` in place (compiled tier-3 units bind
+        it by identity) and puts back the sealed fault observers.  The
+        clock and run queue reset in place too.  Static wiring
+        (components, capabilities, stubs, the booter and
+        recovery-manager references) is left alone; the snapshot
+        restores the roots themselves.
         """
         self.clock.reset()
         self.recorder = recorder_for(self.clock)
@@ -145,18 +137,6 @@ class Kernel:
         self.swifi = None
         self.last_run_exhausted = False
         self._supertrace = None
-        zero = getattr(self, "_sealed_zero_stats", None)
-        if zero is not None:
-            # In-place zeroing that keeps the dict's identity (compiled
-            # super-trace units bind it) — update() beats a Python loop.
-            self.stats.update(zero)
-        else:
-            for key in self.stats:
-                self.stats[key] = 0
-        if self._sealed_fault_observers is not None:
-            self.fault_observers = list(self._sealed_fault_observers)
-        else:
-            self.fault_observers.clear()
 
     # ------------------------------------------------------------------
     # Registration
@@ -259,9 +239,7 @@ class Kernel:
         status = "ok"
         try:
             if stub is not None:
-                entered = self._entered_stubs
-                if entered is not None:
-                    entered.add(stub)
+                stub._ran = True
                 return stub.invoke(self, thread, action.fn, action.args)
             result = self.raw_invoke(thread, server, action.fn, action.args)
             if result is FAULT:
@@ -350,6 +328,7 @@ class Kernel:
         """Hardware exception handler: divert to the booter (step 2)."""
         self.stats["faults_vectored"] += 1
         component.faults_detected += 1
+        component._ran = True
         recorder = self.recorder
         if recorder.enabled:
             # Detection latency: virtual cycles between the SWIFI flip

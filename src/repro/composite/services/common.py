@@ -261,6 +261,7 @@ class ServiceComponent(Component):
     """
 
     MAGIC = 0x5EC0FFEE
+    STATE_WARM = ("_trace_cache",)
 
     def __init__(self, name: str):
         super().__init__(name)

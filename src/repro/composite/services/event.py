@@ -56,6 +56,7 @@ class _EventState:
 
 class EventService(ServiceComponent):
     MAGIC = 0xE7E47001
+    STATE_WIRING = ("storage_name",)
 
     def __init__(self, name: str = "event", storage: str = "storage"):
         super().__init__(name)

@@ -56,6 +56,7 @@ class _File:
 
 class RamFSService(ServiceComponent):
     MAGIC = 0x4A3F5001
+    STATE_WIRING = ("storage_name", "cbuf_name")
 
     def __init__(self, name: str = "ramfs", storage: str = "storage",
                  cbuf: str = "cbuf"):

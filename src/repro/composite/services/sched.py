@@ -37,6 +37,7 @@ PENDING_NS = "sched:pending"
 
 class SchedService(ServiceComponent):
     MAGIC = 0x5C4ED001
+    STATE_WIRING = ("storage_name",)
 
     def __init__(self, name: str = "sched", storage: str = "storage"):
         super().__init__(name)

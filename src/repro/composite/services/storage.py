@@ -32,22 +32,12 @@ class StorageService(Component):
         if not hasattr(self, "_data") or self._data is None:
             self._data = {}
 
-    def pool_seal(self) -> None:
-        self._sealed_data = dict(self._data)
-
-    def _pool_restore_impl(self) -> None:
-        # reinit preserves contents across micro-reboots by design; a
-        # pooled restore must instead drop everything the previous run
-        # stored and reinstate the sealed post-boot contents.
-        super()._pool_restore_impl()
-        self._data = dict(getattr(self, "_sealed_data", {}))
-
     # ------------------------------------------------------------------
     @export
     def store_put(self, thread, ns, key, value) -> int:
         # _ran is set here (not only in dispatch) because stubs and
         # recovery call the typed helpers below as plain methods; the
-        # pooled-restore skip must still see the mutation.
+        # pool's touched rule must still see the mutation.
         self._ran = True
         self.kernel.charge(thread, STORE_OP_CYCLES)
         self._data[(ns, key)] = value

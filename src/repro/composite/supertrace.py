@@ -22,8 +22,8 @@ A recording is made once per run spec, on the *pooled* system (the same
 sealed system every pooled campaign run restores), by running the spec's
 workload with no fault armed.  A recording is its **replayable prefix**:
 the recorder diffs every unit against a model of everything its roots
-hold (every instance attribute of each component, client stub and server
-stub, minus one skip set of wiring and warm caches), and the first unit
+hold (the per-run state and touched flag of each component, client stub
+and server stub, as their classes declare them), and the first unit
 whose effect it cannot prove reproducible — it schedules a timer,
 creates a thread, leaves register or memory taint, changes an opaque
 object, returns or stores a value it cannot freeze, or defeats the code
@@ -78,7 +78,13 @@ from typing import Dict, List, Optional, Tuple
 from repro.composite.memory import PAGE_SHIFT, PAGE_WORDS
 from repro.composite.thread import ThreadState
 from repro.errors import BlockThread
-from repro.system import _flatten, pool_debug_enabled
+from repro.system import (
+    _flatten,
+    _is_state_obj,
+    _obj_attrs,
+    pool_debug_enabled,
+    state_model,
+)
 
 __all__ = [
     "super_trace_enabled",
@@ -106,58 +112,7 @@ class _NotReplayable(Exception):
 
 _SCALARS = (bool, int, float, str, bytes, type(None))
 
-#: Plain-data state classes the patch engine may recurse into and
-#: reconstruct.  Every cross-reference among them is by key (tids,
-#: cdescs, event ids, mapping keys), never by object identity, which is
-#: what makes attribute-level patching and per-apply materialisation
-#: sound.  Anything outside this set is compared by structural
-#: fingerprint, and a unit that changes it ends the recording.
-_STATE_CLASSES = frozenset(
-    {
-        "_LockState",
-        "_EventState",
-        "_TimerState",
-        "_Mapping",
-        "_File",
-        "_Cbuf",
-        "Record",
-        "DescriptorEntry",
-        "TrackingTable",
-        "HttpRequest",
-    }
-)
-
-#: Root attributes outside the diff (besides ``_sealed*`` pool-seal
-#: copies): identity and wiring, the memory image (diffed separately
-#: via its dirty-page bitmap), and the trace and method caches that are
-#: deliberately kept warm across pooled runs.  Every other instance
-#: attribute of a component, client stub or server stub is state.
-#: Not ``system._FINGERPRINT_SKIP``: that skips ``_ran``, which replay
-#: must reproduce so pooled restore knows a component was entered.
-_ROOT_SKIP = frozenset(
-    {
-        "name", "kernel", "image", "_exports", "ir", "client", "server",
-        "component", "storage_name", "_trace_cache", "_track_traces",
-        "_stub_methods",
-    }
-)
-
 _MAX_DEPTH = 12
-
-
-def _is_state_obj(value) -> bool:
-    cls = type(value)
-    return (
-        cls.__name__ in _STATE_CLASSES
-        and cls.__module__.startswith("repro.")
-    )
-
-
-def _obj_attrs(value) -> List[str]:
-    slots = getattr(type(value), "__slots__", None)
-    if slots is not None:
-        return [s for s in slots if hasattr(value, s)]
-    return list(value.__dict__)
 
 
 class _Snap:
@@ -683,8 +638,9 @@ class Recording:
 def _root_slots(kernel, key: tuple) -> Tuple[object, Dict[str, object]]:
     """A root object and its diffed slots, by root key: ``("comp",
     name)``, ``("cstub", client, server)`` or ``("sstub", server)``.
-    Every root follows one rule: its instance attributes minus
-    :data:`_ROOT_SKIP` and ``_sealed*``."""
+    Every root follows one rule: its per-run state plus its touched flag
+    (see :class:`repro.system.StateModel`), which replay must reproduce
+    so a pooled restore knows the root was entered."""
     tag = key[0]
     if tag == "comp":
         root = kernel.components[key[1]]
@@ -692,10 +648,11 @@ def _root_slots(kernel, key: tuple) -> Tuple[object, Dict[str, object]]:
         root = kernel._stubs[key[1:]]
     else:
         root = kernel._server_stubs[key[1]]
+    declared, touched = state_model(type(root))
     return root, {
         attr: value
         for attr, value in root.__dict__.items()
-        if attr not in _ROOT_SKIP and not attr.startswith("_sealed")
+        if attr not in declared or attr == touched
     }
 
 
@@ -834,18 +791,18 @@ class RecordingSession:
     Recording cost follows what each unit touches.  The session keeps a
     *shadow* snapshot of every root (component, client stub, server
     stub) and every memory image, taken when it attaches.  Each unit
-    runs with every component's ``_ran`` flag cleared and an empty
-    ``kernel._entered_stubs`` set; afterwards the flags are put back,
-    and only the *touched* roots are diffed against the shadow: each
-    component the unit entered (``_ran`` set), its image and server
-    stub, and each client stub the unit entered.  ``_ran`` is the
-    signal pooled restore's skip already trusts — components set it on
-    every dispatch, trace execution and direct entry.  A client stub's
-    tracking state (Fig. 4) changes only inside the stub, and the kernel
-    adds every stub it enters to the set (top-level and nested calls);
-    an unblock unit starts with the stub whose ``post_unblock`` it runs.
-    Nothing in-tree changes a root between units (clock callbacks and
-    ``on_wake`` lambdas change thread state only).
+    runs with every touched flag (``_ran``) cleared, each component's
+    and each client stub's; afterwards the flags are put back, and only
+    the *touched* roots are diffed against the shadow: each component
+    the unit entered (``_ran`` set), its image and server stub, and each
+    client stub the unit entered.  ``_ran`` is the signal the pool's
+    restore trusts too: components set it on every dispatch, trace
+    execution and direct entry, and the kernel sets a client stub's on
+    every entry (top-level and nested calls).  A client stub's tracking
+    state (Fig. 4) changes only inside the stub; an unblock unit starts
+    with the stub whose ``post_unblock`` it runs.  Nothing in-tree
+    changes a root between units (clock callbacks and ``on_wake``
+    lambdas change thread state only).
 
     The diff is also the refresh: it returns each touched root's and
     image's new snapshot, which replaces the shadow's.  A snapshot node
@@ -880,14 +837,16 @@ class RecordingSession:
         components = kernel.components
         self._components = tuple(components.values())
         self._names = tuple(components)
+        #: Every root with a touched flag: components, then client stubs.
+        self._flagged = self._components + tuple(kernel._stubs.values())
         #: ``(root key, owner)`` pairs: a unit touches the root only if
-        #: it entered the owner — the component itself for a component
-        #: or server stub root (by name), the stub object for a client
-        #: stub root.
+        #: it entered the owner — the component for a component or
+        #: server stub root, the stub itself for a client stub root.
         self._owners = tuple(
-            [(("comp", name), name) for name in components]
+            [(("comp", name), comp) for name, comp in components.items()]
             + [(("cstub",) + key, stub) for key, stub in kernel._stubs.items()]
-            + [(("sstub", name), name) for name in kernel._server_stubs]
+            + [(("sstub", name), components[name])
+               for name in kernel._server_stubs]
         )
         self._keys = tuple(key for key, __ in self._owners)
         self._shadow = self._snapshot_state(self._keys, self._names)
@@ -946,12 +905,10 @@ class RecordingSession:
             whole = self._snapshot_state(self._keys, self._names)
         pre = self._snapshot_kernel(kernel)
         start = kernel.clock.now
-        components = self._components
-        saved = [comp._ran for comp in components]
-        for comp in components:
-            comp._ran = False
-        entered = set() if stub is None else {stub}
-        kernel._entered_stubs = entered
+        flagged = self._flagged
+        saved = [root._ran for root in flagged]
+        for root in flagged:
+            root._ran = False
         block = None
         result = None
         try:
@@ -968,12 +925,13 @@ class RecordingSession:
             self.failed = f"{type(exc).__name__}: {exc}"
             raise
         finally:
-            kernel._entered_stubs = None
-            names = [comp.name for comp in components if comp._ran]
-            for comp, ran in zip(components, saved):
+            entered = {root for root in flagged if root._ran}
+            for root, ran in zip(flagged, saved):
                 if ran:
-                    comp._ran = True
-        entered.update(names)
+                    root._ran = True
+        if stub is not None:
+            entered.add(stub)
+        names = [comp.name for comp in self._components if comp in entered]
         keys = [key for key, owner in self._owners if owner in entered]
         unit, fresh = self._diff_unit(
             kernel, kind, sig, pre, start, result, block, self._shadow,

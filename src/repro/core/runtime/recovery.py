@@ -34,6 +34,10 @@ from repro.errors import ConfigurationError
 class RecoveryManager:
     """Coordinates micro-reboot recovery across stubs and services."""
 
+    #: Pooled-root declaration (see :class:`repro.system.StateModel`):
+    #: registered interfaces are build-time wiring.
+    STATE_WIRING = ("kernel", "mode", "interfaces")
+
     def __init__(self, kernel, mode: str = "ondemand"):
         if mode not in ("ondemand", "eager"):
             raise ConfigurationError(f"unknown recovery mode {mode!r}")
@@ -48,12 +52,6 @@ class RecoveryManager:
 
     def register_interface(self, ir: InterfaceIR) -> None:
         self.interfaces[ir.name] = ir
-
-    def pool_restore(self) -> None:
-        # Registered interfaces are build-time wiring and survive; only
-        # the per-run measurement state is dropped.
-        self.recovery_samples = {}
-        self.reboot_events = []
 
     # ------------------------------------------------------------------
     def on_micro_reboot(self, component, fault) -> None:

@@ -78,10 +78,21 @@ class ClientStubRuntime:
     #: Set by generated subclasses.
     SERVICE: str = ""
 
+    #: Pooled-root declaration (see :class:`repro.system.StateModel`).
+    #: ``_track_traces`` stays warm across pooled runs: its keys capture
+    #: every trace-determining input (label, record address, epoch,
+    #: store count), and pooled runs allocate at identical addresses, so
+    #: reuse changes wall-clock only, never op lists.
+    STATE_WIRING = ("ir", "client", "server")
+    STATE_WARM = ("_track_traces", "_stub_methods")
+    STATE_TOUCHED = "_ran"
+
     def __init__(self, ir: InterfaceIR, client: str, server: str):
         self.ir = ir
         self.client = client
         self.server = server
+        #: Touched flag: the kernel sets it on every entry.
+        self._ran = False
         self.table = TrackingTable()
         self.seen_epoch = 0
         #: Tracking-trace cache: the micro-ops of a tracking trace are a
@@ -103,36 +114,6 @@ class ClientStubRuntime:
         #: functions); invoke() is the hottest stub entry point and the
         #: getattr + f-string per call shows up in campaign profiles.
         self._stub_methods: Dict[str, Optional[Callable]] = {}
-
-    def pool_pristine(self) -> bool:
-        """Is every piece of per-run state still at its sealed value?
-
-        The predicate behind :meth:`pool_restore`'s skip — a stub the
-        run never drove needs no reset.  The skip leans on the
-        invariant "pristine implies sealed state", which the
-        ``REPRO_POOL_DEBUG`` restored==fresh differential enforces.
-        """
-        return (
-            self.seen_epoch == 0
-            and not self.table._entries
-            and not any(self.stats.values())
-        )
-
-    def pool_restore(self) -> None:
-        """Reset per-run tracking state for a pooled system restore.
-
-        ``_track_traces`` is deliberately kept: its keys capture every
-        trace-determining input (label, record address, epoch, store
-        count), and pooled runs replay allocations at identical
-        addresses, so reuse changes wall-clock only — never op lists.
-        A stub the previous run never drove is already reset — skip it.
-        """
-        if self.pool_pristine():
-            return
-        self.table = TrackingTable()
-        self.seen_epoch = 0
-        for key in self.stats:
-            self.stats[key] = 0
 
     # ------------------------------------------------------------------
     # Entry point from the kernel
@@ -490,22 +471,15 @@ class ServerStubRuntime:
 
     SERVICE: str = ""
 
+    #: Pooled-root declaration (see :class:`repro.system.StateModel`);
+    #: the stub is touched whenever its component is.
+    STATE_WIRING = ("ir", "component", "storage_name")
+
     def __init__(self, ir: InterfaceIR, component, storage: str = "storage"):
         self.ir = ir
         self.component = component
         self.storage_name = storage
         self.stats = {"einval_recoveries": 0, "replays": 0}
-
-    def pool_pristine(self) -> bool:
-        """See :meth:`ClientStubRuntime.pool_pristine` — the server
-        stub's only mutable state is its recovery counters."""
-        return not any(self.stats.values())
-
-    def pool_restore(self) -> None:
-        if not self.pool_pristine():
-            stats = self.stats
-            for key in stats:
-                stats[key] = 0
 
     # The kernel calls this instead of component.dispatch.
     def dispatch(self, kernel, thread, fn: str, args: Tuple):

@@ -15,11 +15,12 @@ This is the main entry point of the library::
 
 from __future__ import annotations
 
+import functools
 import os
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.composite.app import AppComponent
 from repro.composite.booter import Booter
@@ -169,40 +170,94 @@ def pool_debug_enabled() -> bool:
     return os.environ.get("REPRO_POOL_DEBUG") == "1"
 
 
-#: Attributes excluded from structural fingerprints.  Back-references
-#: (kernel, component, booter, ...) would recurse; images are
-#: fingerprinted separately via their CRC; the trace caches
-#: (``_trace_cache``, ``_track_traces``) and compiled interface IRs are
-#: deliberately *kept warm* across pooled runs — their keys capture every
-#: trace-determining input, so reuse changes wall-clock only.
-_FINGERPRINT_SKIP = frozenset(
+#: Plain-data classes that per-run state holds below its roots.  Every
+#: cross-reference among them is by key (tids, cdescs, event ids,
+#: mapping keys), never by object identity, so they can be copied
+#: field by field: the pool seals and restores them, and tier 3 patches
+#: and reconstructs them.  Any other object below a root is opaque:
+#: tier 3 compares it by fingerprint and ends a recording that changes
+#: it, and the pool cannot seal it.
+_STATE_CLASSES = frozenset(
     {
-        "kernel",
-        "image",
-        "component",
-        "booter",
-        "recovery_manager",
-        "recorder",
-        "swifi",
-        "clock",
-        "run_queue",
-        "interfaces",
-        "ir",
-        "_exports",
-        "_trace_cache",
-        "_track_traces",
-        # Perf bookkeeping, not run-visible state: the pooled-restore
-        # skip flag and the stub-method lookup memo.
-        "_ran",
-        "_stub_methods",
+        "_LockState",
+        "_EventState",
+        "_TimerState",
+        "_Mapping",
+        "_File",
+        "_Cbuf",
+        "Record",
+        "DescriptorEntry",
+        "TrackingTable",
+        "HttpRequest",
     }
 )
+
+
+def _is_state_obj(value) -> bool:
+    cls = type(value)
+    return (
+        cls.__name__ in _STATE_CLASSES
+        and cls.__module__.startswith("repro.")
+    )
+
+
+def _obj_attrs(value) -> List[str]:
+    slots = getattr(type(value), "__slots__", None)
+    if slots is not None:
+        return [s for s in slots if hasattr(value, s)]
+    return list(value.__dict__)
+
+
+class StateModel(NamedTuple):
+    """What a pooled root class declares about its instance attributes.
+
+    A root class (a component, client or server stub, the booter, the
+    recovery manager) names the instance attributes it introduces that
+    are *not* per-run state, by role:
+
+    * ``STATE_WIRING``: references and names fixed at build time;
+    * ``STATE_WARM``: caches kept warm across pooled runs on purpose
+      (their keys capture every input, so reuse changes wall-clock
+      only);
+    * ``STATE_TOUCHED``: the touched flag (``_ran``), set whenever the
+      root may have changed.
+
+    Every other instance attribute is per-run state.  System
+    fingerprints flatten it, tier-3 recordings diff it together with the
+    touched flag, and :class:`SystemSnapshot` seals and restores it.
+    """
+
+    #: Wiring, warm caches and the touched flag: never per-run state.
+    declared: frozenset
+    #: The touched flag's name, or None for a root without one.
+    touched: Optional[str]
+
+
+@functools.lru_cache(maxsize=None)
+def state_model(cls: type) -> StateModel:
+    """``cls``'s state declaration, merged along its MRO (each class
+    declares only the attributes it introduces) and cached per class."""
+    declared = set()
+    touched = None
+    for klass in cls.__mro__:
+        names = vars(klass)
+        declared.update(names.get("STATE_WIRING", ()))
+        declared.update(names.get("STATE_WARM", ()))
+        touched = touched or names.get("STATE_TOUCHED")
+    if touched is not None:
+        declared.add(touched)
+    return StateModel(frozenset(declared), touched)
+
 
 _FINGERPRINT_MAX_DEPTH = 8
 
 
 def _flatten(obj, path: str, out: Dict[str, object], depth: int = 0) -> None:
-    """Flatten ``obj`` into ``out`` as deterministic path -> value pairs."""
+    """Flatten ``obj`` into ``out`` as deterministic path -> value pairs.
+
+    An object contributes its per-run state only (see
+    :class:`StateModel`): the attributes its class declares are skipped.
+    """
     if depth > _FINGERPRINT_MAX_DEPTH:
         out[path] = f"<depth:{type(obj).__name__}>"
         return
@@ -232,10 +287,33 @@ def _flatten(obj, path: str, out: Dict[str, object], depth: int = 0) -> None:
             out[path] = f"<{type(obj).__name__}>"
             return
         out[f"{path}#type"] = type(obj).__name__
+        declared = state_model(type(obj)).declared
         for name in sorted(attrs):
-            if name in _FINGERPRINT_SKIP or name.startswith("_sealed"):
-                continue
-            _flatten(attrs[name], f"{path}.{name}", out, depth + 1)
+            if name not in declared:
+                _flatten(attrs[name], f"{path}.{name}", out, depth + 1)
+
+
+_ATOMS = frozenset({type(None), bool, int, float, str, bytes, frozenset})
+
+
+def _copy_state(value):
+    """A fresh deep copy of per-run state: scalars, containers and
+    :data:`_STATE_CLASSES` objects.  Anything else raises."""
+    cls = type(value)
+    if cls in _ATOMS:
+        return value
+    if cls is dict:
+        return {key: _copy_state(item) for key, item in value.items()}
+    if cls is list or cls is tuple or cls is deque:
+        return cls(map(_copy_state, value))
+    if cls is set or cls is bytearray:
+        return cls(value)
+    if _is_state_obj(value):
+        copy = cls.__new__(cls)
+        for attr in _obj_attrs(value):
+            setattr(copy, attr, _copy_state(getattr(value, attr)))
+        return copy
+    raise ReproError(f"cannot copy a {cls.__name__}")
 
 
 def system_fingerprint(system: System) -> Dict[str, object]:
@@ -266,27 +344,35 @@ def system_fingerprint(system: System) -> Dict[str, object]:
         _flatten(stub, f"stub[{client}->{server}]", out)
     for server, stub in sorted(kernel.all_server_stubs().items()):
         _flatten(stub, f"server_stub[{server}]", out)
-    _flatten(system.booter.reboot_log, "booter.reboot_log", out)
+    _flatten(system.booter, "booter", out)
     if system.recovery_manager is not None:
-        _flatten(
-            system.recovery_manager.recovery_samples,
-            "recovery.samples", out,
-        )
-        _flatten(
-            system.recovery_manager.reboot_events, "recovery.reboots", out
-        )
+        _flatten(system.recovery_manager, "recovery", out)
     return out
 
 
 class SystemSnapshot:
-    """Seal a freshly built system; restore it to post-boot state cheaply.
+    """Snapshot zero of a freshly built system, and its cheap restore.
 
-    Sealing copies aside the state that ``reinit`` deliberately preserves
-    (storage contents, cbufs, app handlers, fault observers); restoring
-    resets every per-run structure — kernel clock/queues/threads/stats,
-    component images (dirty pages only) and records, stub tracking
-    tables, recovery samples, the booter log — leaving the restored
-    system structurally identical to a fresh :func:`build_system`.
+    Sealing copies every pooled root's per-run state (each instance
+    attribute its class does not declare, see :class:`StateModel`) into
+    :attr:`state`, plus the kernel's fault observers.  A declared name
+    the instance does not carry, or a state value that cannot be
+    copied, raises here.
+
+    Restoring resets the kernel's per-run structures and every root
+    whose touched flag is set, by putting back fresh copies of its
+    sealed values.  One touched rule covers every root kind, the one
+    the tier-3 recorder applies: a component, its image and its server
+    stub by the component's ``_ran`` (or by an image written without an
+    entry, such as a flip delivered by hand), a client stub by its own
+    ``_ran``, which the kernel sets on every entry.  Changes made
+    outside any entry are covered as well: micro-reboots
+    (monitor-driven ones included) and vectored faults set the
+    component's flag, and a G0/U0 ``recover_by_old_sid`` upcall changes
+    only a creator stub holding descriptors, which this run's entries
+    made (tables are empty at seal).  The booter and the recovery
+    manager have no flag and are always restored.  The restored system
+    is structurally identical to a fresh :func:`build_system`.
 
     ``prepare`` is an optional post-build hook (e.g. registering the web
     server's application components) applied before sealing; the debug
@@ -311,43 +397,70 @@ class SystemSnapshot:
         )
         self.restores = 0
         kernel = system.kernel
-        kernel.pool_seal()
-        for component in kernel.components.values():
-            component.pool_seal()
-        # Restore is the pooled campaign's per-run hot path: bind the
-        # restorable set once at seal time instead of re-enumerating
-        # (and hasattr-probing) components and stubs on every run.
-        restorables = list(kernel.components.values())
-        restorables += [
-            stub
-            for stub in kernel.all_client_stubs().values()
-            if hasattr(stub, "pool_restore")
+        self._observers = tuple(kernel.fault_observers)
+        self._zero_stats = dict.fromkeys(kernel.stats, 0)
+        #: Root -> its sealed per-run state, by attribute.
+        self.state: Dict[object, Dict[str, object]] = {}
+        # ``(owner, image, roots)``: roots restored together when the
+        # owner's touched flag is set or the image was written.
+        groups = [
+            (component, component.image,
+             (component, kernel.server_stub_for(name)))
+            for name, component in kernel.components.items()
         ]
-        restorables += [
-            stub
-            for stub in kernel.all_server_stubs().values()
-            if hasattr(stub, "pool_restore")
-        ]
-        restorables.append(system.booter)
-        if system.recovery_manager is not None:
-            restorables.append(system.recovery_manager)
-        # Components (and stubs) skip their restore when the previous run
-        # never touched them.  Debug mode wants the opposite: exercise
-        # the full restore path every run so the fingerprint diff checks
-        # the durable sealed copies too, not just the touched subset.
-        if pool_debug_enabled():
-            self._pool_restores = tuple(
-                getattr(r, "_pool_restore_impl", r.pool_restore)
-                for r in restorables
+        groups += [(stub, None, (stub,)) for stub in kernel._stubs.values()]
+        groups.append((None, None, (system.booter, system.recovery_manager)))
+        self._groups = tuple(
+            (
+                owner,
+                None if owner is None else state_model(type(owner)).touched,
+                image,
+                tuple(
+                    (root, self._seal(root)) for root in roots
+                    if root is not None
+                ),
             )
-        else:
-            self._pool_restores = tuple(r.pool_restore for r in restorables)
+            for owner, image, roots in groups
+        )
+
+    def _seal(self, root) -> Dict[str, object]:
+        declared = state_model(type(root)).declared
+        missing = declared - vars(root).keys()
+        if missing:
+            raise ReproError(
+                f"{type(root).__name__} declares {sorted(missing)}, "
+                f"which {root!r} does not carry"
+            )
+        state = self.state[root] = {}
+        for attr, value in vars(root).items():
+            if attr in declared:
+                continue
+            try:
+                state[attr] = _copy_state(value)
+            except ReproError as exc:
+                raise ReproError(
+                    f"cannot seal {root!r}.{attr}: {exc}"
+                ) from None
+        return state
 
     def restore(self) -> System:
         system = self.system
-        system.kernel.pool_restore()
-        for pool_restore in self._pool_restores:
-            pool_restore()
+        kernel = system.kernel
+        kernel.reset()
+        kernel.stats.update(self._zero_stats)
+        kernel.fault_observers = list(self._observers)
+        for owner, flag, image, roots in self._groups:
+            if flag is not None and not getattr(owner, flag) and (
+                image is None or image.is_pristine()
+            ):
+                continue
+            if image is not None:
+                image.restore()
+            for root, state in roots:
+                for attr, value in state.items():
+                    setattr(root, attr, _copy_state(value))
+            if flag is not None:
+                setattr(owner, flag, False)
         self.restores += 1
         return system
 

@@ -28,7 +28,8 @@ from typing import List, Optional, Tuple
 from repro.composite.scheduler import CYCLES_PER_US
 from repro.composite.thread import Invoke, Sleep, Yield
 from repro.errors import SimulatedFault, SystemHang
-from repro.swifi.campaign import _arm_for_class, run_system
+from repro.swifi import campaign as swifi_campaign
+from repro.swifi.campaign import run_system
 from repro.swifi.injector import SwifiController
 from repro.system import build_system
 from repro.webserver.arrivals import Arrival, ArrivalSpec
@@ -354,7 +355,11 @@ def run_webserver(
                 last_armed["served"] = served
                 target = next(targets, None)
                 if target is not None:
-                    _arm_for_class(swifi, fault_class, target, 0)
+                    # Through the module, so a wrap of the campaign's
+                    # ``_arm_for_class`` (the bench tracer's) sees it.
+                    swifi_campaign._arm_for_class(
+                        swifi, fault_class, target, 0
+                    )
                     armed["count"] += 1
 
         server.on_served = arm_on_progress

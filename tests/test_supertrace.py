@@ -19,7 +19,6 @@ import pickle
 import pytest
 
 from repro import observe
-from repro.composite import supertrace
 from repro.composite.component import export
 from repro.composite.services.ramfs import RamFSService
 from repro.composite.supertrace import (
@@ -28,11 +27,17 @@ from repro.composite.supertrace import (
     ReplaySession,
     super_trace_enabled,
 )
+from repro.errors import ReproError
 from repro.idl_specs import SERVICES
 from repro.swifi import campaign as swifi_campaign
 from repro.swifi import parallel
 from repro.swifi.campaign import CampaignRunner, execute_run
-from repro.system import GLOBAL_POOL, build_system, system_fingerprint
+from repro.system import (
+    _STATE_CLASSES,
+    GLOBAL_POOL,
+    build_system,
+    system_fingerprint,
+)
 from repro.webserver import campaign as web_campaign
 from repro.webserver.campaign import (
     WebRunSpec,
@@ -188,8 +193,7 @@ class TestWebRecordingPrefix:
             if unit.sig[3] == "http_parse"
         )
         monkeypatch.setattr(
-            supertrace, "_STATE_CLASSES",
-            supertrace._STATE_CLASSES - {"HttpRequest"},
+            "repro.system._STATE_CLASSES", _STATE_CLASSES - {"HttpRequest"}
         )
         REGISTRY.clear()
         try:
@@ -489,8 +493,10 @@ class TestRecordingOracle:
 
     def test_untouched_root_write_in_table2_is_named(self, monkeypatch):
         # Same bug on the Table II path: lock_take bumps a counter of
-        # the timer component, which the lock workload never enters
-        # (pool restores reset the counter, so only the oracle sees it).
+        # the timer component, which the lock workload never enters.
+        # The pool's touched rule skips timer too, so the debug diff of
+        # the next acquire names the write; planted in the recorded pass
+        # only, it is left to the recording oracle.
         spec = CampaignRunner("lock", n_faults=4, seed=1).spec()
         kernel = swifi_campaign._campaign_system(
             spec.ft_mode, spec.recovery_mode
@@ -498,12 +504,19 @@ class TestRecordingOracle:
         timer = kernel.components["timer"]
         exports = kernel.components["lock"]._exports
         original = exports["lock_take"]
+        recorded_only = False
 
         def lock_take(thread, *args):
-            timer.faults_detected += 1
+            if not recorded_only or kernel._supertrace is not None:
+                timer.faults_detected += 1
             return original(thread, *args)
 
         monkeypatch.setitem(exports, "lock_take", lock_take)
+        with pytest.raises(ReproError, match=r"timer\.faults_detected"):
+            swifi_campaign._campaign_recording(spec)
+        recorded_only = True
+        timer.faults_detected = 0
+        REGISTRY.clear()
         with pytest.raises(
             AssertionError,
             match=r"root \('comp', 'timer'\) path \(\('a', 'faults_detected'\),\)",

@@ -17,6 +17,7 @@ from repro.swifi.campaign import (
     execute_run,
 )
 from repro.system import (
+    DEFAULT_APPS,
     GLOBAL_POOL,
     SystemPool,
     SystemSnapshot,
@@ -43,28 +44,52 @@ class TestRestoreEqualsFresh:
 
     def test_restore_after_faulty_runs_matches_fresh(self):
         spec = _lock_spec()
-        pool = SystemPool()
-        system = pool.acquire(ft_mode=spec.ft_mode,
-                              recovery_mode=spec.recovery_mode)
-        snapshot = pool._snapshots[(spec.ft_mode,
-                                    tuple(system.apps),
-                                    spec.recovery_mode,
-                                    None,
-                                    None)]
-        # Dirty the pooled system with real injection runs, then restore.
+        from repro.composite.supertrace import _root_slots
         from repro.swifi.injector import SwifiController
         from repro.workloads import workload_for
 
-        for run_seed in (11, 12, 13):
-            swifi = SwifiController(system.kernel, seed=run_seed)
-            handle = workload_for("lock").install(system, iterations=4)
-            swifi.arm("lock", after_executions=run_seed % spec.horizon)
-            try:
-                system.run(max_steps=60_000)
-            except Exception:
-                pass
-            snapshot.restore()
-        assert snapshot.diff_against_fresh() == []
+        # Also with a service and a client stub that carry an attribute
+        # no declaration names: the state model covers it everywhere.
+        for prepare in (None, _count_lock_calls):
+            system = build_system(spec.ft_mode,
+                                  recovery_mode=spec.recovery_mode)
+            if prepare is not None:
+                prepare(system)
+            snapshot = SystemSnapshot(system, prepare=prepare)
+            # Dirty the system with real injection runs, then restore.
+            for run_seed in (11, 12, 13):
+                swifi = SwifiController(system.kernel, seed=run_seed)
+                workload_for("lock").install(system, iterations=4)
+                swifi.arm("lock", after_executions=run_seed % spec.horizon)
+                try:
+                    system.run(max_steps=60_000)
+                except Exception:
+                    pass
+                if prepare is not None:
+                    kernel = system.kernel
+                    fingerprint = system_fingerprint(system)
+                    for key, path in (
+                        (("comp", "lock"), "lock.calls["),
+                        (("cstub", "app0", "lock"), "stub[app0->lock].calls["),
+                    ):
+                        assert _root_slots(kernel, key)[1]["calls"]
+                        assert any(k.startswith(path) for k in fingerprint)
+                snapshot.restore()
+            assert snapshot.diff_against_fresh() == []
+
+        # A declared name the instance does not carry, and a value the
+        # snapshot cannot copy, both raise at seal.
+        system = build_system("superglue")
+        lock = system.kernel.component("lock")
+        lock.__class__ = type(
+            "Declares", (type(lock),), {"STATE_WARM": ("_absent",)}
+        )
+        with pytest.raises(ReproError, match="_absent"):
+            SystemSnapshot(system)
+        system = build_system("superglue")
+        system.kernel.component("lock").cursor = iter(())
+        with pytest.raises(ReproError, match="cursor"):
+            SystemSnapshot(system)
 
     def test_fingerprint_detects_divergence(self):
         # The debug diff must actually have teeth: rig the sealed system
@@ -76,15 +101,55 @@ class TestRestoreEqualsFresh:
         assert any("invocations" in d for d in diffs)
 
     def test_pool_debug_mode_raises_on_divergence(self, monkeypatch):
+        from repro.workloads import workload_for
+
         monkeypatch.setenv("REPRO_POOL_DEBUG", "1")
+        key = ("superglue", DEFAULT_APPS, "ondemand", None, None)
         pool = SystemPool()
         system = pool.acquire(ft_mode="superglue")
         # First acquire builds; poison durable state that a restore will
-        # not repair (sealed storage copy), then re-acquire.
+        # not repair (the snapshot's sealed storage copy), touch storage
+        # so the restore copies it back, then re-acquire.
         storage = system.kernel.component("storage")
-        storage._sealed_data[("rigged", "key")] = 1
+        pool._snapshots[key].state[storage]["_data"][("rigged", "key")] = 1
+        storage._ran = True
         with pytest.raises(ReproError, match="diverged"):
             pool.acquire(ft_mode="superglue")
+        # Debug checks the production restore, skips included: a run
+        # stores global-descriptor creators, and with storage's touched
+        # flag cleared the restore skips it, which the diff must name.
+        pool = SystemPool()
+        system = pool.acquire(ft_mode="superglue")
+        workload_for("event").install(system, iterations=2)
+        system.run(max_steps=60_000)
+        storage = system.kernel.component("storage")
+        assert storage._data
+        storage._ran = False
+        with pytest.raises(ReproError, match=r"storage\._data"):
+            pool.acquire(ft_mode="superglue")
+
+
+def _count_lock_calls(system) -> None:
+    """Give the lock service and its client stubs a ``calls`` dict that
+    every entry mutates, an attribute no state declaration names."""
+
+    def dispatch(self, fn, thread, args):
+        self.calls[fn] = self.calls.get(fn, 0) + 1
+        return type(self).__mro__[1].dispatch(self, fn, thread, args)
+
+    def invoke(self, kernel, thread, fn, args):
+        self.calls[fn] = self.calls.get(fn, 0) + 1
+        return type(self).__mro__[1].invoke(self, kernel, thread, fn, args)
+
+    lock = system.kernel.component("lock")
+    lock.__class__ = type("CountingLock", (type(lock),), {"dispatch": dispatch})
+    lock.calls = {}
+    for (__, server), stub in system.client_stubs.items():
+        if server == "lock":
+            stub.__class__ = type(
+                "CountingStub", (type(stub),), {"invoke": invoke}
+            )
+            stub.calls = {}
 
 
 class TestDirtyUnderFaults:
@@ -118,13 +183,16 @@ class TestDirtyUnderFaults:
 
     def test_restore_cost_tracks_dirtiness(self):
         system = build_system("superglue")
-        lock = system.kernel.component("lock")
         snapshot = system_snapshot(system)
-        lock.image.write_word(lock.image.base + 40, 7)
-        snapshot.restore()
-        # Only the handful of pages reinit touches plus the one we wrote
-        # come back — not the whole 64-page image.
-        assert lock.image.dirty_page_count < 8
+        for name in ("lock", "ramfs"):
+            image = system.kernel.component(name).image
+            image.write_word(image.base + 40, 7)
+            # Only the page we wrote comes back, not the whole 64-page
+            # image, and the image is left exactly as sealed: no page
+            # stays dirty (ramfs's boot-time root record included).
+            assert snapshot.restore() is system
+            assert image.dirty_page_count == 0
+            assert image.is_pristine()
 
 
 class TestPoolGate:
