@@ -40,7 +40,9 @@ class C3ClientStubBase:
     def __init__(self, client: str, server: str):
         self.client = client
         self.server = server
-        #: Touched flag: the kernel sets it on every entry.
+        #: Touched flag: the kernel sets it on every entry, and the
+        #: recovery entry points that reach a stub from outside an
+        #: entry (``recover_by_old_sid``, ``recover_all``) set it too.
         self._ran = False
         #: cdesc -> per-service dict (each stub defines its own layout).
         self.descs: Dict[object, dict] = {}
@@ -78,6 +80,7 @@ class C3ClientStubBase:
 
     def recover_all(self, kernel, thread) -> int:
         """Eager recovery over all descriptors (T0-style ablation)."""
+        self._ran = True
         recovered = 0
         for cdesc in list(self.descs):
             if self._recover(kernel, thread, cdesc):

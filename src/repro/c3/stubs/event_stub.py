@@ -152,6 +152,7 @@ class EventC3ClientStub(C3ClientStubBase):
     def recover_by_old_sid(self, kernel, thread, old_sid):
         """U0 entry point: the server stub upcalls us to recover a global
         descriptor we created; returns the new server id."""
+        self._ran = True
         for cdesc, entry in self.descs.items():
             if entry["sid"] == old_sid:
                 self._recover(kernel, thread, cdesc, force=True)

@@ -46,6 +46,30 @@ INVOCATION_CYCLES = 600
 UPCALL_CYCLES = 700
 
 
+class TimerWake:
+    """A kernel timer's action, as data: wake thread ``tid`` if it still
+    waits on ``token``.
+
+    ``kind`` is ``"timeout"`` (a blocking call's timeout) or ``"sleep"``
+    (a :class:`~repro.composite.thread.Sleep` instant).  Never mutated,
+    so a snapshot of the timer heap shares it.
+    """
+
+    __slots__ = ("kernel", "kind", "tid", "token")
+
+    def __init__(self, kernel: "Kernel", kind: str, tid: int, token):
+        self.kernel = kernel
+        self.kind = kind
+        self.tid = tid
+        self.token = token
+
+    def __call__(self) -> None:
+        self.kernel._wake(self)
+
+    def __repr__(self):
+        return f"TimerWake({self.kind}, tid={self.tid}, token={self.token!r})"
+
+
 class Kernel:
     """The simulated kernel plus the simulation loop."""
 
@@ -116,24 +140,56 @@ class Kernel:
         #: Hooks observing every fault vectoring: f(component, fault).
         self.fault_observers: List[Callable] = []
 
-    def reset(self) -> None:
-        """Reset the per-run scheduling state to its post-boot value.
+    def run_state(self) -> tuple:
+        """Copies of the per-run scheduling state, for a snapshot to seal.
 
-        The pool's restore (:class:`repro.system.SystemSnapshot`) calls
-        this, then zeroes ``stats`` in place (compiled tier-3 units bind
-        it by identity) and puts back the sealed fault observers.  The
-        clock and run queue reset in place too.  Static wiring
-        (components, capabilities, stubs, the booter and
-        recovery-manager references) is left alone; the snapshot
-        restores the roots themselves.
+        The clock (time, timer heap and sequence), the run queue's
+        order and round-robin counter, the thread table, the current
+        thread, the next thread id, the stats counters and the fault
+        observers.  The threads themselves are roots the snapshot seals
+        on its own.  A crashed kernel, or one with a SWIFI controller or
+        a tier-3 session attached, cannot be sealed.
         """
-        self.clock.reset()
-        self.recorder = recorder_for(self.clock)
-        self.run_queue.reset()
+        if (
+            self.crashed is not None
+            or self.swifi is not None
+            or self._supertrace is not None
+        ):
+            raise ReproError(
+                "cannot seal a crashed, armed or tier-3-attached kernel"
+            )
+        clock = self.clock
+        queue = self.run_queue
+        return (
+            clock.now, tuple(clock._timers), clock._seq,
+            tuple(queue._threads), queue._rr, dict(self.threads),
+            self.current, self._next_tid, dict(self.stats),
+            tuple(self.fault_observers),
+        )
+
+    def restore_run_state(self, state: tuple) -> None:
+        """Put back a :meth:`run_state`, in place.
+
+        Containers are refilled rather than replaced (compiled tier-3
+        units bind ``stats`` by identity), and the crash, SWIFI, tier-3
+        and exhausted-budget marks are cleared.  Static wiring
+        (components, capabilities, stubs, the booter and
+        recovery-manager references) is left alone.
+        """
+        clock = self.clock
+        queue = self.run_queue
+        (
+            clock.now, timers, clock._seq, threads, queue._rr, table,
+            self.current, self._next_tid, stats, observers,
+        ) = state
+        clock._timers[:] = timers
+        queue._threads[:] = threads
         self.threads.clear()
-        self._next_tid = 1
+        self.threads.update(table)
+        self.stats.update(stats)
+        self.fault_observers = list(observers)
+        self.recorder = recorder_for(clock)
         self.crashed = None
-        self.current = None
         self.swifi = None
         self.last_run_exhausted = False
         self._supertrace = None
@@ -372,19 +428,10 @@ class Kernel:
             (thread.executing_in or thread.home, action.server)
         )
         if block.timeout is not None:
-            tid = thread.tid
-            expected_token = block.token
-
-            def _timeout_wake():
-                t = self.threads.get(tid)
-                if (
-                    t is not None
-                    and t.state is ThreadState.BLOCKED
-                    and t.block_token == expected_token
-                ):
-                    self._unpark(t, timeout=True)
-
-            self.clock.schedule(block.timeout, _timeout_wake)
+            self.clock.schedule(
+                block.timeout,
+                TimerWake(self, "timeout", thread.tid, block.token),
+            )
 
     def _unpark(self, thread: SimThread, value=None, timeout=False, redo=False):
         thread.state = ThreadState.READY
@@ -431,19 +478,22 @@ class Kernel:
         thread.blocked_in = None
         token = ("sleep", until)
         thread.block_token = token
-        tid = thread.tid
+        self.clock.schedule(until, TimerWake(self, "sleep", thread.tid, token))
 
-        def _sleep_wake():
-            t = self.threads.get(tid)
-            if (
-                t is not None
-                and t.state is ThreadState.BLOCKED
-                and t.blocked_in is None
-                and t.block_token == token
-            ):
-                self._unpark(t)
-
-        self.clock.schedule(until, _sleep_wake)
+    def _wake(self, wake: "TimerWake") -> None:
+        """Fire a kernel timer: wake its thread if it still waits on the
+        timer's token (a sleeper only while it waits in no component)."""
+        thread = self.threads.get(wake.tid)
+        if (
+            thread is None
+            or thread.state is not ThreadState.BLOCKED
+            or thread.block_token != wake.token
+        ):
+            return
+        if wake.kind == "timeout":
+            self._unpark(thread, timeout=True)
+        elif thread.blocked_in is None:
+            self._unpark(thread)
 
     def wake_token(self, component: str, token, value=None) -> int:
         """Wake all threads blocked in ``component`` on ``token``."""

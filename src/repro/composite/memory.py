@@ -163,10 +163,21 @@ class MemoryImage:
         """Has the page holding word ``index`` been written?"""
         return self._dirty[index >> PAGE_SHIFT] != 0
 
-    def is_pristine(self) -> bool:
+    def is_pristine(self, sealed: Optional[tuple] = None) -> bool:
         """True when no word was written (or tainted) since the last
-        freeze/restore — i.e. a restore would be a no-op memcpy."""
-        return self._taint_count == 0 and 1 not in self._dirty
+        freeze/restore — i.e. a restore would be a no-op memcpy.
+
+        Against a :meth:`seal` state: True when the taint census and
+        the dirty bitmap are still the sealed ones.  A write to a page
+        that was already dirty at the seal does not show there; every
+        write from a component entry also sets the component's touched
+        flag, which snapshots read first.
+        """
+        if sealed is None:
+            return self._taint_count == 0 and 1 not in self._dirty
+        return (
+            self._taint_count == sealed[2] and self._dirty == sealed[3]
+        )
 
     def dirty_page_indices(self) -> List[int]:
         """Page numbers written since the last freeze/restore, ascending.
@@ -229,17 +240,62 @@ class MemoryImage:
         # next restore copies only what gets written from here on.
         self._dirty[:] = bytes(len(self._dirty))
 
-    def restore(self) -> int:
+    def seal(self) -> Optional[tuple]:
+        """This image's state, for a snapshot taken at any point of a run.
+
+        None while the image is its good image (nothing written, the
+        allocator where the freeze left it): :meth:`restore` then brings
+        it back.  Otherwise copies of the words, taint bits and census,
+        dirty bitmap, allocator position and free lists.
+        """
+        if (
+            self.is_pristine()
+            and self._alloc_ptr == self._good_alloc_ptr
+            and not self._free_lists
+        ):
+            return None
+        return (
+            self.words[:], bytes(self._taint), self._taint_count,
+            bytearray(self._dirty), self._alloc_ptr,
+            {nwords: tuple(free) for nwords, free in self._free_lists.items()},
+        )
+
+    def restore(self, sealed: Optional[tuple] = None) -> int:
         """Reset to the good image in O(dirty pages); returns pages copied.
 
         Wall-clock cost is proportional to what was written since the
         last freeze/restore, not to image size.  The *virtual* cost of a
         micro-reboot (:attr:`reboot_cost_cycles`) is unchanged: the
         modelled hardware still memcpys the whole image.
+
+        With a :meth:`seal` state, reset to it instead.  A page can
+        differ from the sealed image only if it is dirty now or was
+        dirty at the seal (any other page equals the good image in
+        both), so exactly those pages are copied back, and the sealed
+        dirty bitmap, taint, allocator and free lists with them.
         """
-        restored = self._copy_back_dirty_pages()
-        self._alloc_ptr = self._good_alloc_ptr
+        if sealed is None:
+            restored = self._copy_back_dirty_pages()
+            self._alloc_ptr = self._good_alloc_ptr
+            self._free_lists.clear()
+            return restored
+        words, taint, taint_count, dirty, alloc_ptr, free_lists = sealed
+        mine = self._dirty
+        size = self.size
+        restored = 0
+        for page in range(len(mine)):
+            if mine[page] or dirty[page]:
+                lo = page << PAGE_SHIFT
+                hi = min(lo + PAGE_WORDS, size)
+                self.words[lo:hi] = words[lo:hi]
+                self._taint[lo:hi] = taint[lo:hi]
+                restored += 1
+        mine[:] = dirty
+        self._taint_count = taint_count
+        self._alloc_ptr = alloc_ptr
         self._free_lists.clear()
+        for nwords, free in free_lists.items():
+            self._free_lists[nwords] = list(free)
         return restored
 
     def restore_initial(self) -> int:

@@ -10,7 +10,6 @@ queue like any other component.
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Callable, List, Optional, Tuple
 
 from repro.composite.thread import SimThread, ThreadState
@@ -34,19 +33,18 @@ class VirtualClock:
 
     Timers fire only when the simulator asks (either because time advanced
     past an expiry while threads executed, or because the system went idle
-    and time skips forward to the next expiry).
+    and time skips forward to the next expiry).  A timer is a heap entry
+    ``(due, seq, action)``; ``seq`` orders timers due at the same instant
+    by scheduling order.  The kernel's own actions are data
+    (:class:`repro.composite.kernel.TimerWake`), so a snapshot can copy
+    the heap and a fingerprint can read it.
     """
 
     def __init__(self):
         self.now: int = 0
         self._timers: List[Tuple[int, int, Callable[[], None]]] = []
-        self._counter = itertools.count()
-
-    def reset(self) -> None:
-        """Rewind to cycle 0 with no timers pending (system-pool reuse)."""
-        self.now = 0
-        self._timers.clear()
-        self._counter = itertools.count()
+        #: Sequence number of the next scheduled timer.
+        self._seq = 0
 
     def advance(self, cycles: int) -> None:
         if cycles < 0:
@@ -55,7 +53,8 @@ class VirtualClock:
 
     def schedule(self, when: int, callback: Callable[[], None]) -> None:
         """Arrange for ``callback`` to run at absolute cycle time ``when``."""
-        heapq.heappush(self._timers, (when, next(self._counter), callback))
+        heapq.heappush(self._timers, (when, self._seq, callback))
+        self._seq += 1
 
     def next_expiry(self) -> Optional[int]:
         return self._timers[0][0] if self._timers else None
@@ -83,12 +82,10 @@ class RunQueue:
 
     def __init__(self):
         self._threads: List[SimThread] = []
-        self._rr: int = 0  # round-robin tiebreak counter
-
-    def reset(self) -> None:
-        """Drop every thread and the round-robin state (system-pool reuse)."""
-        self._threads.clear()
-        self._rr = 0
+        #: Round-robin tiebreak counter.  It advances once per thread
+        #: picked, and the kernel runs one step per pick, so it also
+        #: counts the steps run.
+        self._rr: int = 0
 
     def add(self, thread: SimThread) -> None:
         self._threads.append(thread)

@@ -3,8 +3,11 @@
 COMPOSITE threads migrate synchronously between components on invocation
 (Section II-B).  We model a thread as:
 
-* a generator *body* (the workload code) that yields :class:`Invoke`
-  actions to the simulator and receives the invocation's return value back;
+* a *body* (the workload code) that yields :class:`Invoke` actions to the
+  simulator and receives the invocation's return value back: a generator,
+  or a resumable object with explicit fields that keeps the generator's
+  ``send(reply)`` protocol (the web server's bodies), so a snapshot can
+  copy it mid-run;
 * a private :class:`~repro.composite.machine.RegisterFile` — the state the
   SWIFI injector flips bits in;
 * a fixed priority (smaller value = higher priority) used by the
@@ -87,9 +90,28 @@ class SimThread:
         prio: fixed priority; smaller is more urgent.
         home: name of the component the thread's code lives in (the client
             side of its invocations).
-        body_factory: callable ``(system, thread) -> generator`` producing
-            the workload body; the body yields :class:`Invoke`/:class:`Yield`.
+        body_factory: callable ``(system, thread) -> body`` producing the
+            workload body; ``body.send(reply)`` returns the next
+            :class:`Invoke`/:class:`Yield`/:class:`Sleep` and raises
+            ``StopIteration`` when the body is done.
+
+    A thread is a pooled root (see :class:`repro.system.StateModel`): a
+    snapshot taken mid-run seals and restores everything but the wiring
+    below, its body included when the body is an object.  Slotted, like
+    the web server's per-run roots: on CPython 3.11, reading an
+    instance's ``__dict__`` (as sealing a dict-based root does) slows
+    every later attribute access on it about 2.5x, and the run loop
+    reads thread attributes on every step.
     """
+
+    STATE_WIRING = ("tid", "name", "prio", "home", "body_factory")
+
+    __slots__ = (
+        "tid", "name", "prio", "home", "body_factory", "regs", "state",
+        "body", "pending", "blocked_in", "block_token", "block_invoke",
+        "block_on_wake", "block_stub", "executing_in", "cycles",
+        "invocations",
+    )
 
     def __init__(
         self,

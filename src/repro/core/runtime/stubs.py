@@ -91,7 +91,9 @@ class ClientStubRuntime:
         self.ir = ir
         self.client = client
         self.server = server
-        #: Touched flag: the kernel sets it on every entry.
+        #: Touched flag: the kernel sets it on every entry, and the two
+        #: recovery entry points that reach a stub from outside an
+        #: entry (``recover_by_old_sid``, ``recover_all``) set it too.
         self._ran = False
         self.table = TrackingTable()
         self.seen_epoch = 0
@@ -374,6 +376,7 @@ class ClientStubRuntime:
         Finds the descriptor whose last-known server id is ``old_sid`` and
         recovers it; returns the new server id (or None if unknown).
         """
+        self._ran = True
         for entry in self.table.entries_by_sid(old_sid):
             self.recover_on_demand(kernel, thread, entry)
             return entry.sid
@@ -454,6 +457,7 @@ class ClientStubRuntime:
     # eager-mode ablation and by blocking services at fault time.
     # ------------------------------------------------------------------
     def recover_all(self, kernel, thread) -> int:
+        self._ran = True
         recovered = 0
         for cdesc in self.table.all_cdescs():
             entry = self.table.lookup(cdesc)

@@ -196,7 +196,7 @@ def _pooled() -> bool:
 
 
 def _campaign_system(
-    ft_mode: str, recovery_mode: str, prepare=None, instance=None
+    ft_mode: str, recovery_mode: str, prepare=None, instance=None, at=None
 ):
     """A system for one campaign run: pooled by default, fresh otherwise.
 
@@ -207,12 +207,13 @@ def _campaign_system(
     ``prepare`` is the pool's post-build hook (the web server registers
     its own components with it); ``instance`` selects a private pool
     snapshot (e.g. one cluster node's) instead of the process-shared
-    one.
+    one; ``at`` restores a later snapshot of the pooled system instead
+    (see :meth:`repro.system.SystemPool.acquire`).
     """
     if _pooled():
         return GLOBAL_POOL.acquire(
             ft_mode=ft_mode, recovery_mode=recovery_mode, prepare=prepare,
-            instance=instance,
+            instance=instance, at=at,
         )
     system = build_system(ft_mode=ft_mode, recovery_mode=recovery_mode)
     if prepare is not None:
@@ -220,16 +221,24 @@ def _campaign_system(
     return system
 
 
-def warm_up(spec: RunSpec, instance=None) -> None:
+def warm_up(spec: RunSpec, instance=None):
     """Boot and seal the spec's pooled system and build its recording.
 
-    A campaign's per-process setup (a no-op without pooling), so its
-    first run pays neither.  ``instance`` warms a private snapshot, as
-    each cluster node does.
+    A campaign's per-process setup, so its first run pays neither.
+    Returns ``(snapshot, recording)``, the pooled system's snapshot and
+    the recording, for :func:`_drive_run`'s ``start`` (None without
+    pooling).  ``instance`` warms a private snapshot, as each cluster
+    node does.
     """
-    if _pooled():
-        _campaign_system(spec.ft_mode, spec.recovery_mode, instance=instance)
-        _campaign_recording(spec, instance=instance)
+    if not _pooled():
+        return None
+    _campaign_system(spec.ft_mode, spec.recovery_mode, instance=instance)
+    recording = _campaign_recording(spec, instance=instance)
+    snapshot = GLOBAL_POOL.snapshot_for(
+        ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode,
+        instance=instance,
+    )
+    return snapshot, recording
 
 
 def _arm_for_class(
@@ -252,112 +261,82 @@ def _arm_for_class(
         raise ValueError(f"unknown fault class {fault_class!r}")
 
 
-def _recording_for(key: tuple, spec, build, prepare=None, instance=None):
-    """The super-trace recording registered under ``key``, built once
-    per process.
+def _campaign_recording(spec: RunSpec, instance=None):
+    """The spec's super-trace recording, built once per process.
 
     Recordings exist only for pooled, untraced campaigns: a recording's
     units hold direct references into the sealed pooled system (images,
     stubs), so fresh-per-run and flight-recorder runs always execute on
     the authoritative two-tier path — which is also what makes
     ``REPRO_SUPER_TRACE=0/1 × REPRO_SYSTEM_POOL=0/1`` artifacts
-    byte-identical by construction.  ``prepare``/``instance`` name the
-    pooled system the recording binds (see :func:`_campaign_system`).
-    ``build(spec, acquire)`` records on systems from ``acquire()``; a
-    failed build is cached as None so the campaign never retries it.
+    byte-identical by construction.  ``instance`` keys the recording to
+    a private pool snapshot (a cluster node's), whose unit references
+    bind *that* snapshot's images and stubs — the shared-pool recording
+    would silently guard-fail against them every run.  A failed build
+    is cached as None so the campaign never retries it.
     """
     if not (super_trace_enabled() and _pooled()):
         return None
+    key = (
+        spec.service, spec.ft_mode, spec.iterations, spec.recovery_mode,
+        instance,
+    )
     system = GLOBAL_POOL.peek(
         ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode,
-        prepare=prepare, instance=instance,
+        instance=instance,
     )
     if system is not None:
         found, recording = REGISTRY.lookup(key, system)
         if found:
             return recording
-    recording = build(
+    recording = _build_recording(
         spec,
         lambda: _campaign_system(
-            spec.ft_mode, spec.recovery_mode, prepare, instance
+            spec.ft_mode, spec.recovery_mode, instance=instance
         ),
     )
     system = GLOBAL_POOL.peek(
         ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode,
-        prepare=prepare, instance=instance,
+        instance=instance,
     )
     REGISTRY.store(key, system, recording)
     return recording
 
 
-def record_clean(acquire, run_clean, meta: dict, stop_at=None):
-    """Record one clean (fault-free) run for replay; None on any anomaly.
+def _build_recording(spec: RunSpec, acquire):
+    """Record the spec's clean workload run for replay; None on any
+    anomaly.
 
     Two clean passes on systems from ``acquire()``: one warm-up pass
     brings the pooled system's trace caches and compiled fast paths to
     steady state (every trace attaches its program on its 2nd clean
     execution), so the recorded per-unit statistics match the warm
     state every pooled campaign run executes in; the second runs under
-    a :class:`RecordingSession`.  ``run_clean(system, hook)`` executes
-    one pass through :func:`run_system` and reports whether it stayed
-    clean.  ``stop_at(progress)``, if given, becomes the recording
-    pass's progress ``hook``: once it returns True the session
-    detaches, so the recording ends on a whole unit there.  Any anomaly
-    — a crashed run, a reboot, an exhausted budget — aborts to None:
-    the campaign then runs fully authoritative, never approximated.  A
+    a :class:`RecordingSession`.  Any anomaly — a crashed run, a failed
+    workload check, an exhausted budget, a reboot — aborts to None: the
+    campaign then runs fully authoritative, never approximated.  A
     harness error propagates.
     """
+    workload = workload_for(spec.service)
     session = None
     for warm in range(2):
         system = acquire()
         kernel = system.kernel
         swifi = SwifiController(kernel, seed=0)  # never armed
-        hook = None
         if warm == 1:
             session = RecordingSession(kernel)
             session.instrument(swifi)
             kernel._supertrace = session
-            if stop_at is not None:
-                def hook(progress) -> None:
-                    if stop_at(progress):
-                        kernel._supertrace = None
-        if not run_clean(system, hook):
-            return None
-    return session.finish(meta)
-
-
-def _campaign_recording(spec: RunSpec, instance=None):
-    """The spec's super-trace recording (see :func:`_recording_for`).
-
-    ``instance`` keys the recording to a private pool snapshot (a
-    cluster node's), whose unit references bind *that* snapshot's
-    images and stubs — the shared-pool recording would silently
-    guard-fail against them every run.
-    """
-    key = (
-        spec.service, spec.ft_mode, spec.iterations, spec.recovery_mode,
-        instance,
-    )
-    return _recording_for(key, spec, _build_recording, instance=instance)
-
-
-def _build_recording(spec: RunSpec, acquire):
-    """Record the spec's clean workload run (see :func:`record_clean`)."""
-    workload = workload_for(spec.service)
-
-    def run_clean(system, __) -> bool:
         handle = workload.install(system, iterations=spec.iterations)
         crash, __ = run_system(system, None, MAX_STEPS)
-        return (
-            crash is None
-            and handle.check()
-            and not system.kernel.budget_exhausted
-            and system.booter.reboots == 0
-        )
-
-    return record_clean(
-        acquire,
-        run_clean,
+        if (
+            crash is not None
+            or not handle.check()
+            or kernel.budget_exhausted
+            or system.booter.reboots
+        ):
+            return None
+    return session.finish(
         {"service": spec.service, "ft_mode": spec.ft_mode,
          "iterations": spec.iterations, "recovery_mode": spec.recovery_mode},
     )
@@ -367,11 +346,12 @@ def run_system(system, recording, max_steps: int):
     """Run one campaign system to its end; returns ``(crash, steps)``.
 
     The one place a campaign run executes: Table II runs, cluster
-    units, Fig. 7 runs (campaign and CLI) and both clean recording
-    passes.  Each kind installs and arms before the call and maps
-    ``crash`` onto its own outcome vocabulary after it.  ``recording``'s
+    units, Fig. 7 runs (campaign and CLI), both clean passes of a
+    Table II recording and both of a Fig. 7 first-arm snapshot.  Each
+    kind installs and arms before the call and maps ``crash`` onto its
+    own outcome vocabulary after it.  ``recording``'s
     prefix is replayed when it binds this kernel (see
-    :func:`_recording_for`); the session always detaches.
+    :func:`_campaign_recording`); the session always detaches.
 
     ``crash`` is the failure that ended the run: the ``SimulatedFault``
     (``SystemHang`` included) or ``ReproError`` that escaped
@@ -399,21 +379,27 @@ def run_system(system, recording, max_steps: int):
     return crash, kernel.stats["steps"] - steps
 
 
-def _drive_run(spec: RunSpec, run_seed: int, instance=None):
+def _drive_run(spec: RunSpec, run_seed: int, instance=None, start=None):
     """Boot (or pool-restore) a system, inject per the spec, run it.
 
     Returns ``(outcome, system, swifi, steps, handle)``.  ``instance``
     routes the run through a private instance-keyed pool snapshot (a
     cluster node's) with its own instance-keyed super-trace recording,
     so node runs replay exactly like shared-pool campaign runs.
+    ``start`` is :func:`warm_up`'s ``(snapshot, recording)``, looked up
+    once per campaign instead of once per run.
     """
-    # Build the recording *before* the final acquire: the warm-up passes
-    # dirty the pooled snapshot, and this run must start from a clean
-    # restore of it.
-    recording = _campaign_recording(spec, instance=instance)
-    system = _campaign_system(
-        spec.ft_mode, spec.recovery_mode, instance=instance
-    )
+    if start is None:
+        # Build the recording *before* the final acquire: the warm-up
+        # passes dirty the pooled snapshot, and this run must start
+        # from a clean restore of it.
+        recording = _campaign_recording(spec, instance=instance)
+        system = _campaign_system(
+            spec.ft_mode, spec.recovery_mode, instance=instance
+        )
+    else:
+        snapshot, recording = start
+        system = GLOBAL_POOL.acquire(at=snapshot)
     swifi = SwifiController(system.kernel, seed=run_seed)
     workload = workload_for(spec.service)
     handle = workload.install(system, iterations=spec.iterations)

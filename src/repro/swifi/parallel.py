@@ -313,14 +313,14 @@ class CampaignJournal:
             handle.flush()
 
 
-def _table2_setup(spec: RunSpec, trace: bool) -> None:
-    """Table II per-process setup: the pooled system and its recording
-    (traced runs build fresh, so they skip it)."""
-    if not trace:
-        warm_up(spec)
+def _table2_setup(spec: RunSpec, trace: bool):
+    """Table II per-process setup: the pooled system's snapshot and its
+    recording, looked up once for every run (None when traced, since
+    traced runs build fresh, or unpooled)."""
+    return None if trace else warm_up(spec)
 
 
-def _table2_run(spec: RunSpec, seed: int, trace: bool, _state, counters):
+def _table2_run(spec: RunSpec, seed: int, trace: bool, start, counters):
     """One Table II injection run: ``(outcome, record_or_None)``.
 
     A traced run is the same :func:`_drive_run` under the flight
@@ -329,7 +329,7 @@ def _table2_run(spec: RunSpec, seed: int, trace: bool, _state, counters):
     workers trace whether or not ``REPRO_TRACE`` is set.
     """
     if not trace:
-        outcome, system, __, __, __ = _drive_run(spec, seed)
+        outcome, system, __, __, __ = _drive_run(spec, seed, start=start)
         collect_coverage(system.kernel, counters)
         return outcome, None
     with tracing(True):

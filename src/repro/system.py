@@ -15,8 +15,10 @@ This is the main entry point of the library::
 
 from __future__ import annotations
 
+import enum
 import functools
 import os
+import types
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
@@ -25,7 +27,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from repro.composite.app import AppComponent
 from repro.composite.booter import Booter
 from repro.composite.cbuf import CbufManager
-from repro.composite.kernel import Kernel
+from repro.composite.kernel import Kernel, TimerWake
 from repro.composite.services import (
     EventService,
     LockService,
@@ -69,6 +71,9 @@ class System:
     recovery_manager: Optional[RecoveryManager] = None
     compiled: Dict[str, CompiledInterface] = field(default_factory=dict)
     client_stubs: Dict[tuple, object] = field(default_factory=dict)
+    #: The :class:`SystemSnapshot` this system was last sealed at or
+    #: restored from (its touched flags count from there).
+    origin: Optional[object] = field(default=None, repr=False, compare=False)
 
     def service(self, name: str):
         return self.kernel.component(name)
@@ -189,6 +194,8 @@ _STATE_CLASSES = frozenset(
         "DescriptorEntry",
         "TrackingTable",
         "HttpRequest",
+        "RegisterFile",
+        "Invoke",
     }
 )
 
@@ -199,6 +206,12 @@ def _is_state_obj(value) -> bool:
         cls.__name__ in _STATE_CLASSES
         and cls.__module__.startswith("repro.")
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _is_root(cls: type) -> bool:
+    """Is ``cls`` a pooled root class (one with a state declaration)?"""
+    return hasattr(cls, "STATE_WIRING")
 
 
 def _obj_attrs(value) -> List[str]:
@@ -263,6 +276,8 @@ def _flatten(obj, path: str, out: Dict[str, object], depth: int = 0) -> None:
         return
     if obj is None or isinstance(obj, (bool, int, float, str)):
         out[path] = obj
+    elif isinstance(obj, enum.Enum):
+        out[path] = obj.name
     elif isinstance(obj, (bytes, bytearray)):
         out[path] = f"bytes:{len(obj)}:{zlib.crc32(bytes(obj)):08x}"
     elif callable(obj):
@@ -298,7 +313,9 @@ _ATOMS = frozenset({type(None), bool, int, float, str, bytes, frozenset})
 
 def _copy_state(value):
     """A fresh deep copy of per-run state: scalars, containers and
-    :data:`_STATE_CLASSES` objects.  Anything else raises."""
+    :data:`_STATE_CLASSES` objects.  Enum members, functions without a
+    closure and roots (which snapshots restore in place) are shared, not
+    copied.  Anything else raises."""
     cls = type(value)
     if cls in _ATOMS:
         return value
@@ -313,25 +330,50 @@ def _copy_state(value):
         for attr in _obj_attrs(value):
             setattr(copy, attr, _copy_state(getattr(value, attr)))
         return copy
+    if (
+        isinstance(value, enum.Enum)
+        or (cls is types.FunctionType and value.__closure__ is None)
+        or _is_root(cls)
+    ):
+        return value
     raise ReproError(f"cannot copy a {cls.__name__}")
 
 
-def system_fingerprint(system: System) -> Dict[str, object]:
+def _timer_entry(entry) -> tuple:
+    """A timer heap entry as data: ``(due, seq, kind, tid, token)``."""
+    due, seq, action = entry
+    if isinstance(action, TimerWake):
+        return (due, seq, action.kind, action.tid, action.token)
+    return (due, seq, "call", None, action)
+
+
+def system_fingerprint(system: System, roots=()) -> Dict[str, object]:
     """A structural fingerprint of everything a run can mutate.
 
     Used by the pool's debug mode to prove a restored system is
     indistinguishable from a fresh build: two systems with equal
-    fingerprints have identical images (CRC + allocator position),
-    kernel counters, component state, stub tracking tables, and
-    recovery/booter logs.
+    fingerprints have identical images (CRC, allocator position, taint
+    and dirty pages), kernel counters, clock and timer heap, run queue,
+    threads (state, registers with taint, pending resume, block fields
+    and body fields), component state, stub tracking tables, and
+    recovery/booter logs.  ``roots`` are further objects a snapshot
+    restores (the web server its threads drive), flattened under their
+    class names.
     """
     out: Dict[str, object] = {}
     kernel = system.kernel
+    clock = kernel.clock
     out["ft_mode"] = kernel.ft_mode
-    out["clock.now"] = kernel.clock.now
+    out["clock.now"] = clock.now
+    out["clock.seq"] = clock._seq
+    for index, entry in enumerate(sorted(clock._timers, key=lambda e: e[:2])):
+        _flatten(_timer_entry(entry), f"clock.timers[{index}]", out)
     out["next_tid"] = kernel._next_tid
     out["crashed"] = repr(kernel.crashed)
-    out["threads#len"] = len(kernel.threads)
+    out["run_queue"] = ",".join(str(t.tid) for t in kernel.run_queue._threads)
+    out["run_queue.rr"] = kernel.run_queue._rr
+    for tid, thread in sorted(kernel.threads.items()):
+        _flatten(thread, f"thread[{tid}]", out)
     out["components"] = ",".join(kernel.components)
     _flatten(dict(kernel.stats), "kernel.stats", out)
     for name, component in kernel.components.items():
@@ -339,6 +381,9 @@ def system_fingerprint(system: System) -> Dict[str, object]:
         out[f"{name}.image.crc32"] = zlib.crc32(image.words.tobytes())
         out[f"{name}.image.alloc_ptr"] = image._alloc_ptr
         out[f"{name}.image.taint"] = image.taint_count
+        out[f"{name}.image.dirty"] = ",".join(
+            map(str, image.dirty_page_indices())
+        )
         _flatten(component, name, out)
     for (client, server), stub in sorted(kernel.all_client_stubs().items()):
         _flatten(stub, f"stub[{client}->{server}]", out)
@@ -347,47 +392,75 @@ def system_fingerprint(system: System) -> Dict[str, object]:
     _flatten(system.booter, "booter", out)
     if system.recovery_manager is not None:
         _flatten(system.recovery_manager, "recovery", out)
+    for root in roots:
+        _flatten(root, type(root).__name__, out)
     return out
 
 
+#: Kernel stats counters that warm trace caches move: a snapshot taken
+#: mid-run on a warm pooled system and a fresh build driven through the
+#: same prefix differ only there.
+ENGINE_STATS = (
+    "interp_fast_runs", "interp_slow_runs", "trace_cache_hits",
+    "trace_cache_misses",
+)
+
+
 class SystemSnapshot:
-    """Snapshot zero of a freshly built system, and its cheap restore.
+    """A sealed system state and its cheap restore.
+
+    Snapshot zero is sealed right after boot (the pool's).  A snapshot
+    with a ``prefix`` is sealed part-way through a run:
+    ``prefix(system)`` installs threads, runs the system to a step
+    boundary and returns the further roots its threads drive (the
+    Fig. 7 first-arm snapshot: the web server).
 
     Sealing copies every pooled root's per-run state (each instance
     attribute its class does not declare, see :class:`StateModel`) into
-    :attr:`state`, plus the kernel's fault observers.  A declared name
-    the instance does not carry, or a state value that cannot be
-    copied, raises here.
+    :attr:`state`: the components and their server stubs, the client
+    stubs, the booter and recovery manager, the threads, their bodies
+    when these are objects, and the prefix's roots.  It also seals each
+    image that is not its good image (:meth:`MemoryImage.seal`) and the
+    kernel's scheduling state (:meth:`Kernel.run_state`).  A declared
+    name the instance does not carry, or a state value that cannot be
+    copied, raises here.  Every touched flag is then cleared, so the
+    flags count from the seal.
 
-    Restoring resets the kernel's per-run structures and every root
-    whose touched flag is set, by putting back fresh copies of its
-    sealed values.  One touched rule covers every root kind, the one
-    the tier-3 recorder applies: a component, its image and its server
-    stub by the component's ``_ran`` (or by an image written without an
-    entry, such as a flip delivered by hand), a client stub by its own
+    Restoring puts the kernel's scheduling state back and every root
+    whose touched flag is set, as fresh copies of its sealed values.
+    One touched rule covers every root kind, the one the tier-3
+    recorder applies: a component, its image and its server stub by
+    the component's ``_ran`` (or by an image written without an entry,
+    such as a flip delivered by hand), a client stub by its own
     ``_ran``, which the kernel sets on every entry.  Changes made
     outside any entry are covered as well: micro-reboots
     (monitor-driven ones included) and vectored faults set the
-    component's flag, and a G0/U0 ``recover_by_old_sid`` upcall changes
-    only a creator stub holding descriptors, which this run's entries
-    made (tables are empty at seal).  The booter and the recovery
-    manager have no flag and are always restored.  The restored system
-    is structurally identical to a fresh :func:`build_system`.
+    component's flag, and the recovery entry points that reach a client
+    stub from outside an entry (a G0/U0 ``recover_by_old_sid`` upcall,
+    eager ``recover_all``) set the stub's.  Roots without a flag (the
+    booter, the recovery manager, threads, bodies and the prefix's
+    roots) are always restored.  The rule holds only while the
+    system's flags count from this snapshot: after another snapshot of
+    the same system sealed or restored it (:attr:`System.origin`),
+    every root is restored.  The restored system is structurally
+    identical to a fresh :func:`build_system` driven through the same
+    ``prepare`` and ``prefix``.
 
     ``prepare`` is an optional post-build hook (e.g. registering the web
     server's application components) applied before sealing; the debug
-    diff applies the same hook to its fresh reference build so prepared
-    systems stay verifiable.  It must be deterministic and idempotent
-    per fresh system.
+    diff applies the same hook and prefix to its fresh reference build
+    so prepared systems stay verifiable.  Both must be deterministic.
     """
 
     def __init__(
         self,
         system: System,
         prepare: Optional[Callable[[System], None]] = None,
+        prefix: Optional[Callable[[System], tuple]] = None,
     ):
         self.system = system
         self.prepare = prepare
+        self.prefix = prefix
         self.params: Tuple[str, tuple, str] = (
             system.ft_mode,
             tuple(system.apps),
@@ -396,9 +469,12 @@ class SystemSnapshot:
             else "ondemand",
         )
         self.restores = 0
+        #: The roots ``prefix`` returned (empty for snapshot zero).
+        self.roots: tuple = tuple(prefix(system)) if prefix is not None else ()
         kernel = system.kernel
-        self._observers = tuple(kernel.fault_observers)
-        self._zero_stats = dict.fromkeys(kernel.stats, 0)
+        #: Kernel steps run before the seal.
+        self.steps = kernel.stats["steps"]
+        self._kernel = kernel.run_state()
         #: Root -> its sealed per-run state, by attribute.
         self.state: Dict[object, Dict[str, object]] = {}
         # ``(owner, image, roots)``: roots restored together when the
@@ -409,12 +485,18 @@ class SystemSnapshot:
             for name, component in kernel.components.items()
         ]
         groups += [(stub, None, (stub,)) for stub in kernel._stubs.values()]
-        groups.append((None, None, (system.booter, system.recovery_manager)))
+        threads = tuple(kernel.threads.values())
+        groups.append((None, None, (
+            system.booter, system.recovery_manager, *threads,
+            *(t.body for t in threads if _is_root(type(t.body))),
+            *self.roots,
+        )))
         self._groups = tuple(
             (
                 owner,
                 None if owner is None else state_model(type(owner)).touched,
                 image,
+                None if image is None else image.seal(),
                 tuple(
                     (root, self._seal(root)) for root in roots
                     if root is not None
@@ -422,19 +504,25 @@ class SystemSnapshot:
             )
             for owner, image, roots in groups
         )
+        for owner, flag, __, __, __ in self._groups:
+            if flag is not None:
+                setattr(owner, flag, False)
+        system.origin = self
 
     def _seal(self, root) -> Dict[str, object]:
         declared = state_model(type(root)).declared
-        missing = declared - vars(root).keys()
+        attrs = _obj_attrs(root)
+        missing = declared.difference(attrs)
         if missing:
             raise ReproError(
                 f"{type(root).__name__} declares {sorted(missing)}, "
                 f"which {root!r} does not carry"
             )
         state = self.state[root] = {}
-        for attr, value in vars(root).items():
+        for attr in attrs:
             if attr in declared:
                 continue
+            value = getattr(root, attr)
             try:
                 state[attr] = _copy_state(value)
             except ReproError as exc:
@@ -445,33 +533,41 @@ class SystemSnapshot:
 
     def restore(self) -> System:
         system = self.system
-        kernel = system.kernel
-        kernel.reset()
-        kernel.stats.update(self._zero_stats)
-        kernel.fault_observers = list(self._observers)
-        for owner, flag, image, roots in self._groups:
-            if flag is not None and not getattr(owner, flag) and (
-                image is None or image.is_pristine()
+        touched_only = system.origin is self
+        system.kernel.restore_run_state(self._kernel)
+        for owner, flag, image, sealed, roots in self._groups:
+            if (
+                touched_only and flag is not None and not getattr(owner, flag)
+                and (image is None or image.is_pristine(sealed))
             ):
                 continue
             if image is not None:
-                image.restore()
+                image.restore(sealed)
             for root, state in roots:
                 for attr, value in state.items():
                     setattr(root, attr, _copy_state(value))
             if flag is not None:
                 setattr(owner, flag, False)
+        system.origin = self
         self.restores += 1
         return system
 
     def diff_against_fresh(self) -> List[str]:
-        """Structural differences between this system and a fresh build."""
+        """Structural differences between this system and a fresh build
+        driven through the same ``prepare`` and ``prefix``; engine
+        counters (:data:`ENGINE_STATS`) are left out after a prefix."""
         ft_mode, apps, recovery_mode = self.params
         fresh = build_system(ft_mode, apps=apps, recovery_mode=recovery_mode)
         if self.prepare is not None:
             self.prepare(fresh)
-        pooled = system_fingerprint(self.system)
-        reference = system_fingerprint(fresh)
+        roots = tuple(self.prefix(fresh)) if self.prefix is not None else ()
+        pooled = system_fingerprint(self.system, self.roots)
+        reference = system_fingerprint(fresh, roots)
+        if self.prefix is not None:
+            for name in ENGINE_STATS:
+                key = f"kernel.stats[{name!r}]"
+                pooled.pop(key, None)
+                reference.pop(key, None)
         diffs = []
         for key in sorted(set(pooled) | set(reference)):
             mine = pooled.get(key, "<absent>")
@@ -520,6 +616,7 @@ class SystemPool:
         recovery_mode: str = "ondemand",
         prepare: Optional[Callable[[System], None]] = None,
         instance: Optional[object] = None,
+        at: Optional[SystemSnapshot] = None,
     ) -> System:
         """Acquire a sealed system, building on first use.
 
@@ -528,9 +625,17 @@ class SystemPool:
         cluster cell each pass their node id, so each node owns a
         private snapshot instead of all nodes sharing (and clobbering)
         one pooled image.
+
+        ``at`` restores that snapshot of a pooled system instead of the
+        one the build parameters name: the pool's own (a campaign looks
+        it up once, see :meth:`snapshot_for`) or one sealed later in a
+        run (a Fig. 7 first-arm snapshot).
         """
-        key = _pool_key(ft_mode, apps, recovery_mode, prepare, instance)
-        snapshot = self._snapshots.get(key)
+        if at is not None:
+            snapshot = at
+        else:
+            key = _pool_key(ft_mode, apps, recovery_mode, prepare, instance)
+            snapshot = self._snapshots.get(key)
         if snapshot is None:
             system = build_system(
                 ft_mode, apps=apps, recovery_mode=recovery_mode

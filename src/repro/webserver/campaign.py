@@ -12,6 +12,9 @@ machinery:
   per process, dirty-restore per run) with the web server's application
   components registered *before* sealing via the pool's ``prepare``
   hook, so ``REPRO_POOL_DEBUG=1`` verification covers them too;
+* every run of a spec serves the same clean request stream until its
+  first fault arms, so pooled runs start there, from one snapshot per
+  spec and process (:func:`_web_recording`);
 * seeds run through the seeded-campaign core
   (:func:`repro.swifi.parallel.run_seeded`) and rows are merged in seed
   order, so a campaign's JSON artifact is byte-identical serial vs
@@ -25,6 +28,7 @@ machinery:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -38,17 +42,23 @@ from repro.observe.metrics import (
     canonical_metrics,
     merge_metrics,
 )
+from repro.errors import ReproError
 from repro.swifi.campaign import (
     _campaign_system,
     _pooled,
-    _recording_for,
-    record_clean,
     run_record,
+    run_system,
 )
 from repro.swifi.injector import FAULT_CLASSES
 from repro.swifi.parallel import export_trace, run_seeded
+from repro.system import GLOBAL_POOL, SystemSnapshot
 from repro.webserver.arrivals import ArrivalSpec
-from repro.webserver.loadgen import LoadResult, run_webserver
+from repro.webserver.loadgen import (
+    LoadResult,
+    injection_gap,
+    install_webserver,
+    run_webserver,
+)
 from repro.webserver.server import (
     DIP_THRESHOLD_CYCLES,
     register_webserver_components,
@@ -88,7 +98,7 @@ class WebRunSpec:
     slo_us: int = 500
     #: Seed of the arrival schedule itself — deliberately separate from
     #: the SWIFI run seeds, so every seeded run of a campaign shares one
-    #: arrival stream (and one super-trace recording).
+    #: arrival stream (and one first-arm snapshot).
     arrival_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -156,68 +166,134 @@ def prepare_webserver(system) -> None:
     register_webserver_components(system.kernel)
 
 
-def _web_system(spec: WebRunSpec):
-    """A prepared system for one campaign run (see ``_campaign_system``)."""
+def _web_system(spec: WebRunSpec, at: Optional[SystemSnapshot] = None):
+    """A prepared system for one campaign run (see ``_campaign_system``),
+    restored to ``at`` when given."""
     return _campaign_system(
-        spec.ft_mode, spec.recovery_mode, prepare=prepare_webserver
+        spec.ft_mode, spec.recovery_mode, prepare=prepare_webserver, at=at
     )
 
 
-def _web_recording(spec: WebRunSpec):
-    """The web workload's super-trace recording, built once per process
-    (see ``_recording_for``)."""
-    # The fingerprint covers every behavior-relevant field (arrival
-    # schedule included) except the step budget.
-    return _recording_for(
-        ("webserver", spec.fingerprint(), spec.max_steps),
-        spec,
-        _build_web_recording,
+#: Per-process first-arm snapshots: spec key -> (the pooled system they
+#: were taken on, the snapshot or None).
+_SNAPSHOTS: Dict[tuple, tuple] = {}
+
+
+def _web_recording(spec: WebRunSpec) -> Optional[SystemSnapshot]:
+    """The spec's first-arm snapshot, taken once per process.
+
+    Web faults are not seed-positioned: a faulted run arms its first
+    fault when serving progress first crosses its injection period
+    (see ``run_webserver``'s ``arm_on_progress``), and nothing before
+    that depends on the seed.  So every run of a spec shares its clean
+    prefix up to the step whose ``on_served`` arms, and a pooled run
+    restores this snapshot, taken just before that step, instead of
+    executing the prefix.  A fault-free spec is sealed at the end of
+    its clean run.  The snapshot is one of the prepared pooled system,
+    and it is retaken if the pool rebuilt that system.  None for
+    unpooled or traced runs, which start from boot, and when the clean
+    run is not clean (a crash, a reboot, an exhausted budget), so the
+    spec's runs start from boot too.
+    """
+    if not _pooled():
+        return None
+    key = (spec.fingerprint(), spec.max_steps)
+    pooled = GLOBAL_POOL.peek(
+        ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode,
         prepare=prepare_webserver,
     )
-
-
-def _build_web_recording(spec: WebRunSpec, acquire):
-    """Record the clean (fault-free) request stream for replay.
-
-    Web faults are not seed-positioned: every faulted run arms its first
-    fault at the same deterministic served-count crossing (see
-    ``run_webserver``'s ``arm_on_progress``) with ``after_executions=0``,
-    so its replay always diverges right after that crossing.  One clean
-    recording therefore serves every seed, and only its prefix up to
-    the first crossing is ever replayed: a probe on the same cadence
-    detaches the session there, and the clean run finishes on the
-    authoritative engine.  Replay past the recording's end diverges to
-    the authoritative path, which keeps a short recording exact.
-    Fault-free specs record the whole run.
-    """
-    gap = max(spec.n_requests // (spec.n_faults + 1), 1)
-
-    def run_clean(system, hook) -> bool:
-        result = _serve(spec, system, 0, False, progress_hook=hook)
-        return (
-            result.crashed is None
-            and result.served >= spec.n_requests
-            and result.reboots == 0
+    cached = _SNAPSHOTS.get(key)
+    if cached is not None and pooled is not None and cached[0] is pooled:
+        return cached[1]
+    # One whole clean pass finds the snapshot point; a second clean
+    # pass runs to that point, the snapshot seals there, and the pass
+    # runs on to its end.  Every trace of the clean stream has then run
+    # twice, so its compiled program is attached (its trace caches are
+    # warm) before the first timed run, which executes the rest of the
+    # stream on this system.
+    system = _web_system(spec)
+    steps = _clean_prefix_steps(spec, system)
+    snapshot = None
+    if steps is not None:
+        snapshot = SystemSnapshot(
+            _web_system(spec), prepare=prepare_webserver,
+            prefix=functools.partial(_run_prefix, spec, steps),
         )
+        run_system(system, None, spec.max_steps - steps)
+    _SNAPSHOTS[key] = (system, snapshot)
+    return snapshot
 
-    return record_clean(
-        acquire,
-        run_clean,
-        {"service": "webserver", "ft_mode": spec.ft_mode,
-         "n_requests": spec.n_requests, "concurrency": spec.concurrency,
-         "n_workers": spec.n_workers, "n_faults": spec.n_faults,
-         "recovery_mode": spec.recovery_mode, "arrivals": spec.arrivals,
-         "fingerprint": spec.fingerprint()},
-        # on_served fires between units, so the recording ends on a
-        # whole unit.
-        stop_at=(lambda served: served >= gap) if spec.n_faults > 0 else None,
+
+def _install(spec: WebRunSpec, system):
+    return install_webserver(
+        system, spec.n_requests, spec.concurrency, spec.n_workers,
+        spec.arrival_spec(),
     )
+
+
+def _clean_prefix_steps(spec: WebRunSpec, system) -> Optional[int]:
+    """Serve the spec's stream fault-free on ``system``; returns the
+    steps run before the step that would arm the first fault (every
+    step of a fault-free spec), or None when the run is not clean.
+
+    The run queue counts its picks, one per kernel step, so at the
+    arming ``on_served`` it reads the current step's number.
+    """
+    server = _install(spec, system)
+    kernel = system.kernel
+    picks = kernel.run_queue._rr
+    first = []
+    if spec.n_faults > 0:
+        gap = injection_gap(spec.n_requests, spec.n_faults)
+
+        def note(served: int) -> None:
+            if not first and served >= gap:
+                first.append(kernel.run_queue._rr - picks - 1)
+
+        server.on_served = note
+    crash, steps = run_system(system, None, spec.max_steps)
+    if (
+        crash is not None
+        or kernel.budget_exhausted
+        or server.served < spec.n_requests
+        or system.booter.reboots
+    ):
+        return None
+    return first[0] if first else steps
+
+
+def _run_prefix(spec: WebRunSpec, steps: int, system) -> tuple:
+    """Install the spec's server and load generator on a booted
+    ``system`` and run its first ``steps`` clean steps: the snapshot's
+    prefix, on the pooled system and on the debug diff's fresh build.
+    Returns the server, the root the snapshot adds."""
+    server = _install(spec, system)
+    kernel = system.kernel
+    crash, ran = run_system(system, None, steps)
+    if (
+        crash is not None
+        or ran != steps
+        or (
+            spec.n_faults > 0
+            and server.served >= injection_gap(spec.n_requests, spec.n_faults)
+        )
+    ):
+        raise ReproError(
+            f"the clean prefix of {spec.fingerprint()} did not stop "
+            f"before its first arm ({ran}/{steps} steps, "
+            f"{server.served} served)"
+        )
+    if kernel.last_run_exhausted:
+        # Stopping at the snapshot point is not an exhausted budget.
+        kernel.stats["budget_exhausted"] -= 1
+        kernel.last_run_exhausted = False
+    return (server,)
 
 
 def _serve(spec: WebRunSpec, system, run_seed: int, with_faults: bool,
-           progress_hook=None, recording=None) -> LoadResult:
-    """Serve the spec's request stream on ``system``, replaying
-    ``recording``'s prefix when it binds the system."""
+           server=None) -> LoadResult:
+    """Serve the spec's request stream on ``system``, resuming
+    ``server`` when a snapshot restored it part-way."""
     return run_webserver(
         ft_mode=spec.ft_mode,
         n_requests=spec.n_requests,
@@ -231,11 +307,10 @@ def _serve(spec: WebRunSpec, system, run_seed: int, with_faults: bool,
         # Shortfalls are first-class row data (faults_armed) in a
         # campaign, not per-run stderr noise.
         warn_shortfall=False,
-        progress_hook=progress_hook,
         arrival_spec=spec.arrival_spec(),
         slo_us=spec.slo_us if spec.arrivals == "open" else None,
         fault_class=spec.fault_class,
-        recording=recording,
+        server=server,
     )
 
 
@@ -358,13 +433,16 @@ def _row_from_result(run_seed: int, result: LoadResult) -> Dict[str, object]:
 
 
 def _drive_web_run(spec: WebRunSpec, run_seed: int):
-    """Boot (or pool-restore) a prepared system and serve one run on
-    it; returns ``(row, system)``."""
-    # Build the recording *before* the final acquire, as _drive_run does.
-    recording = _web_recording(spec)
-    system = _web_system(spec)
+    """Serve one run on a prepared system: restored to the spec's
+    first-arm snapshot when pooled, else booted or restored to boot.
+    Returns ``(row, system)``."""
+    # Take the snapshot *before* the final acquire: its clean passes
+    # run on the pooled system.
+    start = _web_recording(spec)
+    system = _web_system(spec, at=start)
     result = _serve(
-        spec, system, run_seed, spec.n_faults > 0, recording=recording
+        spec, system, run_seed, spec.n_faults > 0,
+        None if start is None else start.roots[0],
     )
     return _row_from_result(run_seed, result), system
 
@@ -386,35 +464,34 @@ WEB_RUN_STATS = (
     "super_trace_runs", "super_trace_bypasses",
 )
 
+#: Sidecar work counts of the first-arm snapshot the runs start from.
+SNAPSHOT_COUNTS = ("snapshot_steps", "snapshot_roots")
+
 
 def _web_setup(spec: WebRunSpec, trace: bool):
     """Per-process setup: boot + seal the prepared pooled system and
-    record the clean request stream; returns that recording (None when
-    traced or unpooled, since such runs never replay)."""
+    take the spec's first-arm snapshot; returns that snapshot (None
+    when traced or unpooled, since such runs start from boot)."""
     if trace or not _pooled():
         return None
     _web_system(spec)
     return _web_recording(spec)
 
 
-def _web_run(spec: WebRunSpec, seed: int, trace: bool, recording, counters):
+def _web_run(spec: WebRunSpec, seed: int, trace: bool, snapshot, counters):
     """One campaign run: ``(row, record_or_None)``.
 
     A traced run is the same run under the flight recorder; its record
     carries the request-path arcs (``request_start`` / ``request_done``
-    / ``throughput_dip``) interleaved with the injection/reboot/replay
+    / ``throughput_dip``) interleaved with the injection/reboot
     events.  Event emission never feeds back into execution, so
     requesting a trace never changes the campaign artifact.
     """
-    # Every run of a process replays the same recording, so each summed
-    # count over runs is the recording's count times the runs.
-    if recording is not None:
-        counts = {
-            "recorded_units": len(recording.units),
-            "root_snapshots": recording.meta["root_snapshots"],
-            "unit_shapes": recording.meta["unit_shapes"],
-        }
-        for name, count in counts.items():
+    # Every run of a process starts from the same snapshot, so each
+    # summed count over runs is the snapshot's count times the runs.
+    if snapshot is not None:
+        counts = (snapshot.steps, len(snapshot.state))
+        for name, count in zip(SNAPSHOT_COUNTS, counts):
             counters[name] = counters.get(name, 0) + count
     if not trace:
         return execute_web_run(spec, seed), None
@@ -448,13 +525,11 @@ class WebCampaignResult:
     #: Wall-clock split (sidecar-only: the artifact stays deterministic).
     setup_wall: float = 0.0
     exec_wall: float = 0.0
-    #: Work counts of the super-trace recording the runs replayed (0
-    #: without one): its units, the root snapshots taken while
-    #: recording, and the unit shapes compiled.  Sidecar fields, not
-    #: outcomes.
-    recorded_units: int = 0
-    root_snapshots: int = 0
-    unit_shapes: int = 0
+    #: Work counts of the first-arm snapshot the runs started from (0
+    #: without one): the kernel steps it holds, which each run skips,
+    #: and the roots it seals.  Sidecar fields, not outcomes.
+    snapshot_steps: int = 0
+    snapshot_roots: int = 0
 
     def to_json_dict(self) -> Dict[str, object]:
         """The deterministic campaign artifact (no wall-clock anywhere)."""
@@ -476,9 +551,8 @@ class WebCampaignResult:
                 {
                     "runs": len(self.rows),
                     "setup_wall": self.setup_wall,
-                    "recorded_units": self.recorded_units,
-                    "root_snapshots": self.root_snapshots,
-                    "unit_shapes": self.unit_shapes,
+                    "snapshot_steps": self.snapshot_steps,
+                    "snapshot_roots": self.snapshot_roots,
                     "exec_wall": self.exec_wall,
                 },
                 handle,
@@ -583,7 +657,7 @@ def run_webserver_campaign(
         exec_wall=campaign.exec_wall,
         **{
             name: campaign.counters.get(name, 0) // max(len(seeds), 1)
-            for name in ("recorded_units", "root_snapshots", "unit_shapes")
+            for name in SNAPSHOT_COUNTS
         },
     )
 

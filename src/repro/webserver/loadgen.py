@@ -20,7 +20,6 @@ requests answered within deadline).
 from __future__ import annotations
 
 import functools
-import itertools
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -57,6 +56,10 @@ from repro.webserver.server import DEFAULT_SITE, WebServer
 #: ``tests/test_webserver_campaign.py`` pins both properties; change
 #: them together or not at all.
 FAULT_TARGET_CYCLE = ["ramfs", "lock", "event", "mm", "timer", "ramfs"]
+
+#: The site's pages in request order: the closed loop cycles through
+#: them, and open-loop schedules draw from them.
+SITE_PATHS = tuple(sorted(DEFAULT_SITE))
 
 
 @dataclass
@@ -148,7 +151,20 @@ class LoadResult:
 
 
 class LoadGenerator:
-    """Drives a web server with a bounded-concurrency request stream."""
+    """Drives a web server with a bounded-concurrency request stream.
+
+    Installed, the generator is its thread's body: a resumable object
+    with the generator ``send(reply)`` protocol, whose fields (the
+    phase, requests sent, the next site path, workers nudged) a
+    snapshot seals mid-run.
+    """
+
+    STATE_WIRING = ("n_requests", "concurrency", "client_home", "server")
+
+    __slots__ = (
+        "n_requests", "concurrency", "client_home", "server", "phase",
+        "sent", "path", "nudged",
+    )
 
     def __init__(
         self,
@@ -159,37 +175,57 @@ class LoadGenerator:
         self.n_requests = n_requests
         self.concurrency = concurrency
         self.client_home = client_home
+        self.server: Optional[WebServer] = None
+        #: 0: waiting for the connection event; 1: submitting; 2:
+        #: nudging the workers after the last request.
+        self.phase = 0
+        self.sent = 0
+        #: Index of the next request's page in :data:`SITE_PATHS`.
+        self.path = 0
+        self.nudged = 0
 
     def install(self, system, server: WebServer) -> None:
-        paths = itertools.cycle(sorted(DEFAULT_SITE))
+        self.server = server
+        system.kernel.create_thread(
+            "loadgen", prio=5, home=self.client_home,
+            body_factory=lambda system, thread: self,
+        )
 
-        def body(sys_, thread):
-            while server.evt_conn is None:
-                yield Yield()
-            sent = 0
-            while sent < self.n_requests:
+    def send(self, reply):
+        server = self.server
+        if self.phase == 0:
+            if server.evt_conn is None:
+                return Yield()
+            self.phase = 1
+        if self.phase == 1:
+            if self.sent < self.n_requests:
                 # ab's "10 concurrent" bounds *outstanding* requests:
                 # submitted and not yet responded to, whether queued or
                 # in a worker.  Counting only the queue let up to
                 # concurrency + n_workers requests be in flight.
                 if server.outstanding >= self.concurrency:
-                    yield Yield()
-                    continue
-                server.submit(build_request("/" + next(paths)))
-                sent += 1
-                yield Invoke(
+                    return Yield()
+                path = SITE_PATHS[self.path % len(SITE_PATHS)]
+                self.path += 1
+                server.submit(build_request("/" + path))
+                self.sent += 1
+                return Invoke(
                     "event", "evt_trigger", self.client_home, server.evt_conn
                 )
             server.stop()
-            # Nudge any workers still parked on the connection event.
-            for __ in range(server.n_workers):
-                yield Invoke(
-                    "event", "evt_trigger", self.client_home, server.evt_conn
-                )
+            self.phase = 2
+        return _nudge(self, server)
 
-        system.kernel.create_thread(
-            "loadgen", prio=5, home=self.client_home, body_factory=body
-        )
+
+def _nudge(generator, server):
+    """A generator's next nudge of the workers still parked on the
+    connection event, one per worker, then the end of its body."""
+    if generator.nudged >= server.n_workers:
+        raise StopIteration
+    generator.nudged += 1
+    return Invoke(
+        "event", "evt_trigger", generator.client_home, server.evt_conn
+    )
 
 
 @functools.lru_cache(maxsize=16)
@@ -222,43 +258,104 @@ class OpenLoopGenerator:
     Each submission is back-dated to its schedule instant
     (``server.submit(..., at=due)``), so latency — and therefore the
     SLO — is measured from *arrival*, queueing delay included.
+
+    Installed, the generator is its thread's body, like
+    :class:`LoadGenerator`; its position in the shared arrival tuple is
+    a field.
     """
+
+    STATE_WIRING = ("spec", "client_home", "arrivals", "server", "kernel")
+
+    __slots__ = (
+        "spec", "client_home", "arrivals", "server", "kernel", "phase",
+        "base", "index", "slept", "nudged",
+    )
 
     def __init__(self, spec: ArrivalSpec, client_home: str = "app1"):
         self.spec = spec
         self.client_home = client_home
         #: The shared, immutable schedule (set by :meth:`install`).
         self.arrivals: Tuple[Arrival, ...] = ()
+        self.server: Optional[WebServer] = None
+        self.kernel = None
+        #: 0: waiting for the connection event; 1: submitting; 2:
+        #: nudging the workers after the last request.
+        self.phase = 0
+        #: The schedule's origin: the clock when the server came up.
+        self.base = 0
+        #: Index of the next arrival in :attr:`arrivals`.
+        self.index = 0
+        #: Whether the thread already slept until the next arrival.
+        self.slept = False
+        self.nudged = 0
 
     def install(self, system, server: WebServer) -> None:
-        self.arrivals = _schedule(self.spec, tuple(sorted(DEFAULT_SITE)))
-        kernel = system.kernel
+        self.arrivals = _schedule(self.spec, SITE_PATHS)
+        self.server = server
+        self.kernel = system.kernel
+        self.kernel.create_thread(
+            "loadgen-open", prio=4, home=self.client_home,
+            body_factory=lambda system, thread: self,
+        )
 
-        def body(sys_, thread):
-            while server.evt_conn is None:
-                yield Yield()
-            base = kernel.clock.now
-            for arrival in self.arrivals:
-                due = base + arrival.at
-                if kernel.clock.now < due:
-                    yield Sleep(due)
+    def send(self, reply):
+        server = self.server
+        now = self.kernel.clock.now
+        if self.phase == 0:
+            if server.evt_conn is None:
+                return Yield()
+            self.base = now
+            self.phase = 1
+        if self.phase == 1:
+            if self.index < len(self.arrivals):
+                arrival = self.arrivals[self.index]
+                due = self.base + arrival.at
+                if not self.slept and now < due:
+                    self.slept = True
+                    return Sleep(due)
+                self.slept = False
+                self.index += 1
                 server.submit(
                     build_request("/" + arrival.path, weight=arrival.weight),
                     at=due,
                 )
-                yield Invoke(
+                return Invoke(
                     "event", "evt_trigger", self.client_home, server.evt_conn
                 )
             server.stop()
-            # Nudge any workers still parked on the connection event.
-            for __ in range(server.n_workers):
-                yield Invoke(
-                    "event", "evt_trigger", self.client_home, server.evt_conn
-                )
+            self.phase = 2
+        return _nudge(self, server)
 
-        kernel.create_thread(
-            "loadgen-open", prio=4, home=self.client_home, body_factory=body
+
+def injection_gap(n_requests: int, n_faults: int) -> int:
+    """Requests served between two arms of a faulted run."""
+    return max(n_requests // (n_faults + 1), 1)
+
+
+def install_webserver(
+    system,
+    n_requests: int = 2_000,
+    concurrency: int = 10,
+    n_workers: int = 2,
+    arrival_spec: Optional[ArrivalSpec] = None,
+) -> WebServer:
+    """Install the web server and its load generator on ``system``.
+
+    Closed loop by default; ``arrival_spec`` installs the open-loop
+    generator instead (``n_requests`` and ``concurrency`` are then the
+    spec's business).  Returns the server.
+    """
+    server = WebServer(system, home="app0", n_workers=n_workers)
+    server.install()
+    if arrival_spec is not None:
+        generator = OpenLoopGenerator(arrival_spec, client_home="app1")
+    else:
+        generator = LoadGenerator(
+            n_requests=n_requests, concurrency=concurrency,
+            client_home="app1",
         )
+    generator.install(system, server)
+    return server
 
 
 def _crashed(crash, kernel) -> Optional[str]:
@@ -288,11 +385,10 @@ def run_webserver(
     max_steps: int = 5_000_000,
     system=None,
     warn_shortfall: bool = True,
-    progress_hook=None,
     arrival_spec: Optional[ArrivalSpec] = None,
     slo_us: Optional[int] = None,
     fault_class: str = "reg",
-    recording=None,
+    server: Optional[WebServer] = None,
 ) -> LoadResult:
     """Build a system, serve ``n_requests``, and measure throughput.
 
@@ -313,38 +409,31 @@ def run_webserver(
     be registered on it (see
     :func:`repro.webserver.server.register_webserver_components`).
 
-    ``progress_hook`` installs an ``on_served`` observer on fault-free
-    runs (ignored with ``with_faults``, which owns the hook) — the
-    super-trace recorder uses it to stop recording where a faulted run
-    would first arm, without perturbing the clean execution.
-
-    ``recording`` is a tier-3 super-trace recording of the clean
-    request stream: the run replays its prefix when the recording binds
-    ``system``'s kernel.  The campaign passes its recording; single
-    runs (the CLI, tests) pass none and execute authoritatively.  Either
-    way the run executes through the campaign run core,
-    :func:`repro.swifi.campaign.run_system`.
+    ``server`` resumes a server already installed on ``system`` and run
+    part-way, as a Fig. 7 first-arm snapshot restores it (the campaign
+    passes it; single runs install their own).  Nothing has armed yet
+    at that point, so the run attaches its SWIFI controller and arm
+    hook there.  The steps already run count toward the row's
+    ``steps`` and come off ``max_steps``.  Either way the run executes
+    through the campaign run core, :func:`repro.swifi.campaign.run_system`.
     """
     if system is None:
         system = build_system(ft_mode=ft_mode)
     if arrival_spec is not None:
         n_requests = arrival_spec.n_requests
-    server = WebServer(system, home="app0", n_workers=n_workers)
-    server.install()
-    if arrival_spec is not None:
-        generator = OpenLoopGenerator(arrival_spec, client_home="app1")
-    else:
-        generator = LoadGenerator(
-            n_requests=n_requests, concurrency=concurrency,
-            client_home="app1",
+    prefix = 0
+    if server is None:
+        server = install_webserver(
+            system, n_requests, concurrency, n_workers, arrival_spec
         )
-    generator.install(system, server)
+    else:
+        prefix = system.kernel.stats["steps"]
 
     swifi = None
     armed = {"count": 0}
     if with_faults:
         swifi = SwifiController(system.kernel, seed=seed)
-        gap = max(n_requests // (n_faults + 1), 1)
+        gap = injection_gap(n_requests, n_faults)
         targets = iter(
             [FAULT_TARGET_CYCLE[i % len(FAULT_TARGET_CYCLE)] for i in range(n_faults)]
         )
@@ -363,10 +452,9 @@ def run_webserver(
                     armed["count"] += 1
 
         server.on_served = arm_on_progress
-    elif progress_hook is not None:
-        server.on_served = progress_hook
 
-    crash, steps = run_system(system, recording, max_steps)
+    crash, steps = run_system(system, None, max_steps - prefix)
+    steps += prefix
     crashed = _crashed(crash, system.kernel)
     if with_faults and warn_shortfall and armed["count"] < n_faults:
         print(

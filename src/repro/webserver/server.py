@@ -68,7 +68,22 @@ class WebServer:
     The load generator (see :mod:`repro.webserver.loadgen`) enqueues raw
     HTTP requests and triggers the connection event; worker threads wait
     on the event, parse, read content from RamFS, and format responses.
+
+    The server and its thread bodies are pooled roots (see
+    :class:`repro.system.StateModel`), so a snapshot taken mid-run
+    (Fig. 7's first-arm snapshot) seals and restores them.  They are
+    slotted for the reason :class:`~repro.composite.thread.SimThread`
+    gives.
     """
+
+    STATE_WIRING = ("system", "home", "n_workers")
+
+    __slots__ = (
+        "system", "home", "n_workers", "pending", "responses", "submitted",
+        "served", "errors", "evt_conn", "stats_lock", "file_fds",
+        "stopping", "samples", "submit_samples", "latencies", "dips",
+        "peak_outstanding", "_last_done_clock", "on_served",
+    )
 
     def __init__(self, system, home: str = "app0", n_workers: int = 2):
         self.system = system
@@ -122,65 +137,20 @@ class WebServer:
         # decomposed into many separate components).
         register_webserver_components(kernel)
         kernel.create_thread(
-            "ws-init", prio=3, home=self.home, body_factory=self._init_body
+            "ws-init", prio=3, home=self.home,
+            body_factory=lambda system, thread: _InitBody(self),
         )
         for index in range(self.n_workers):
             kernel.create_thread(
                 f"ws-worker{index}", prio=5, home=self.home,
-                body_factory=self._worker_body,
+                body_factory=lambda system, thread: _WorkerBody(
+                    self, thread.tid
+                ),
             )
         kernel.create_thread(
             "ws-housekeeping", prio=6, home=self.home,
-            body_factory=self._housekeeping_body,
+            body_factory=lambda system, thread: _HousekeepingBody(self),
         )
-
-    # ------------------------------------------------------------------
-    def _init_body(self, system, thread):
-        """Set up the site content and the shared server resources."""
-        from repro.webserver.server import DEFAULT_SITE  # noqa: F401 (doc)
-
-        self.stats_lock = yield Invoke("lock", "lock_alloc", self.home)
-        self.evt_conn = yield Invoke("event", "evt_split", self.home, 0, 7)
-        for name, body in DEFAULT_SITE.items():
-            fd = yield Invoke("ramfs", "tsplit", self.home, 1, name)
-            yield Invoke("ramfs", "twrite", self.home, fd, body)
-            self.file_fds[name] = fd
-        # A page of buffer memory for the connection table.
-        yield Invoke("mm", "mman_get_page", self.home, 0x0100_0000)
-
-    # ------------------------------------------------------------------
-    def _worker_body(self, system, thread):
-        kernel = self.system.kernel
-        while self.evt_conn is None:
-            yield Yield()
-        handled = 0
-        while True:
-            if self.stopping and not self.pending:
-                return
-            if not self.pending:
-                waited = yield Invoke(
-                    "event", "evt_wait", self.home, self.evt_conn
-                )
-                if waited != 0 or (self.stopping and not self.pending):
-                    continue
-            if not self.pending:
-                continue
-            rid, submitted_at, raw = self.pending.popleft()
-            status, response = yield from self._handle(kernel, raw)
-            self.responses.append(response)
-            self.served += 1
-            now = kernel.clock.now
-            self.samples.append((now, self.served))
-            self._note_completion(kernel, rid, status, now, submitted_at)
-            if self.on_served is not None:
-                self.on_served(self.served)
-            handled += 1
-            if handled % MM_RECYCLE_PERIOD == 0:
-                # Recycle a buffer page through the memory manager.
-                va = 0x0200_0000 + (thread.tid << 16)
-                got = yield Invoke("mm", "mman_get_page", self.home, va)
-                if got == va:
-                    yield Invoke("mm", "mman_release_page", self.home, va)
 
     def _note_completion(
         self, kernel, rid: int, status: int, now: int, submitted_at: int
@@ -207,62 +177,6 @@ class WebServer:
                     "throughput_dip", gap_cycles=gap, served=self.served
                 )
                 recorder.metrics.histogram("dip_gap_cycles").observe(gap)
-
-    def _handle(self, kernel, raw: bytes):
-        """Drive the request through the component pipeline.
-
-        connmgr (accept) -> httpparse (parse) -> lock (shared stats) ->
-        ramfs (content) -> connmgr (account + close), plus fixed
-        application work for routing/formatting.  Returns ``(status,
-        response_bytes)``.
-
-        An ``X-Weight: w`` header (heavy-tailed open-loop arrivals)
-        models a ``w``-times-larger object: the content is read in ``w``
-        tseek/tread round trips and the application compute grows by
-        :data:`APP_CHUNK_CYCLES` per extra chunk.  Weight-1 requests
-        follow the exact historical invocation sequence.
-        """
-        kernel.charge(kernel.current, APP_REQUEST_CYCLES)
-        conn_id = yield Invoke("connmgr", "conn_open", "client")
-        request = yield Invoke("httpparse", "http_parse", raw)
-        if request is None:
-            self.errors += 1
-            yield Invoke("connmgr", "conn_close", conn_id)
-            return 400, build_response(400, b"bad request")
-        name = request.path.lstrip("/") or "index.html"
-        try:
-            weight = max(1, int(request.headers.get("x-weight", "1")))
-        except ValueError:
-            weight = 1
-        if weight > 1:
-            kernel.charge(kernel.current, (weight - 1) * APP_CHUNK_CYCLES)
-        # Shared connection-table update under the stats lock.
-        yield Invoke("lock", "lock_take", self.home, self.stats_lock)
-        yield Invoke("connmgr", "conn_note", conn_id, request.path)
-        yield Invoke("lock", "lock_release", self.home, self.stats_lock)
-        fd = self.file_fds.get(name)
-        if fd is None:
-            self.errors += 1
-            yield Invoke("connmgr", "conn_close", conn_id)
-            return 404, build_response(404, b"not found")
-        body = b""
-        for __ in range(weight):
-            yield Invoke("ramfs", "tseek", self.home, fd, 0)
-            body = yield Invoke(
-                "ramfs", "tread", self.home, fd, len(DEFAULT_SITE[name])
-            )
-        yield Invoke("connmgr", "conn_close", conn_id)
-        return 200, build_response(200, body)
-
-    # ------------------------------------------------------------------
-    def _housekeeping_body(self, system, thread):
-        while self.evt_conn is None:
-            yield Yield()
-        tmid = yield Invoke(
-            "timer", "timer_alloc", self.home, HOUSEKEEPING_PERIOD
-        )
-        while not self.stopping:
-            yield Invoke("timer", "timer_block", self.home, tmid)
 
     # ------------------------------------------------------------------
     # Load-generator interface
@@ -291,6 +205,251 @@ class WebServer:
 
     def stop(self) -> None:
         self.stopping = True
+
+
+class _InitBody:
+    """``ws-init``'s body: set up the site content and the shared server
+    resources (the stats lock, the connection event, one file per site
+    page and a page of buffer memory for the connection table).
+
+    Like every web thread body, a resumable object with the generator
+    ``send(reply)`` protocol: ``pc`` counts the invocations issued, and
+    each reply lands where the invocation that earned it says.
+    """
+
+    STATE_WIRING = ("server",)
+
+    __slots__ = ("server", "pc", "fd")
+
+    def __init__(self, server: WebServer):
+        self.server = server
+        self.pc = 0
+        #: The file descriptor of the page being written.
+        self.fd = None
+
+    def send(self, reply):
+        server = self.server
+        home = server.home
+        pc = self.pc
+        self.pc = pc + 1
+        if pc == 0:
+            return Invoke("lock", "lock_alloc", home)
+        if pc == 1:
+            server.stats_lock = reply
+            return Invoke("event", "evt_split", home, 0, 7)
+        if pc == 2:
+            server.evt_conn = reply
+        pages = list(DEFAULT_SITE.items())
+        if pc > 2 + 2 * len(pages):  # mman_get_page replied
+            raise StopIteration
+        # From pc 2 on, two invocations per page: tsplit, then twrite.
+        page, wrote = divmod(pc - 2, 2)
+        if wrote:
+            self.fd = reply
+            return Invoke("ramfs", "twrite", home, reply, pages[page][1])
+        if page:
+            server.file_fds[pages[page - 1][0]] = self.fd
+        if page < len(pages):
+            return Invoke("ramfs", "tsplit", home, 1, pages[page][0])
+        return Invoke("mm", "mman_get_page", home, 0x0100_0000)
+
+
+# The invocation whose reply a worker body's next ``send`` carries.
+_W_WAIT = 0  # none yet: waiting for the connection event to exist
+_W_EVT_WAIT = 1
+_W_OPEN = 2
+_W_PARSE = 3
+_W_TAKE = 4
+_W_NOTE = 5
+_W_RELEASE = 6
+_W_SEEK = 7
+_W_READ = 8
+_W_CLOSE = 9
+_W_GET_PAGE = 10
+_W_PUT_PAGE = 11
+
+
+class _WorkerBody:
+    """``ws-worker<k>``'s body: take requests off the queue and serve
+    them, recycling a buffer page through the memory manager every
+    :data:`MM_RECYCLE_PERIOD` requests.
+
+    One request drives the component pipeline connmgr (accept) ->
+    httpparse (parse) -> lock (shared stats) -> ramfs (content) ->
+    connmgr (account + close), plus fixed application work for routing
+    and formatting.  An ``X-Weight: w`` header (heavy-tailed open-loop
+    arrivals) models a ``w``-times-larger object: the content is read
+    in ``w`` tseek/tread round trips and the application compute grows
+    by :data:`APP_CHUNK_CYCLES` per extra chunk.
+    """
+
+    STATE_WIRING = ("server", "va")
+
+    __slots__ = (
+        "server", "va", "pc", "handled", "rid", "submitted_at", "raw",
+        "conn_id", "request", "name", "weight", "fd", "chunks", "content",
+        "status",
+    )
+
+    def __init__(self, server: WebServer, tid: int):
+        self.server = server
+        #: The buffer page this worker recycles.
+        self.va = 0x0200_0000 + (tid << 16)
+        self.pc = _W_WAIT
+        self.handled = 0
+        # The request in hand: its queue entry, connection, parsed
+        # request, content file and the chunks read so far.
+        self.rid = None
+        self.submitted_at = None
+        self.raw = None
+        self.conn_id = None
+        self.request = None
+        self.name = None
+        self.weight = 1
+        self.fd = None
+        self.chunks = 0
+        self.content = b""
+        self.status = None
+
+    def send(self, reply):
+        server = self.server
+        home = server.home
+        pc = self.pc
+        if pc == _W_WAIT:
+            if server.evt_conn is None:
+                return Yield()
+            return self._next_request()
+        if pc == _W_EVT_WAIT or pc == _W_PUT_PAGE:
+            return self._next_request()
+        if pc == _W_OPEN:
+            self.conn_id = reply
+            self.pc = _W_PARSE
+            return Invoke("httpparse", "http_parse", self.raw)
+        if pc == _W_PARSE:
+            if reply is None:
+                server.errors += 1
+                return self._close(400, b"bad request")
+            self.request = reply
+            self.name = reply.path.lstrip("/") or "index.html"
+            try:
+                self.weight = max(1, int(reply.headers.get("x-weight", "1")))
+            except ValueError:
+                self.weight = 1
+            if self.weight > 1:
+                kernel = server.system.kernel
+                kernel.charge(
+                    kernel.current, (self.weight - 1) * APP_CHUNK_CYCLES
+                )
+            # Shared connection-table update under the stats lock.
+            self.pc = _W_TAKE
+            return Invoke("lock", "lock_take", home, server.stats_lock)
+        if pc == _W_TAKE:
+            self.pc = _W_NOTE
+            return Invoke("connmgr", "conn_note", self.conn_id,
+                          self.request.path)
+        if pc == _W_NOTE:
+            self.pc = _W_RELEASE
+            return Invoke("lock", "lock_release", home, server.stats_lock)
+        if pc == _W_RELEASE:
+            self.fd = server.file_fds.get(self.name)
+            if self.fd is None:
+                server.errors += 1
+                return self._close(404, b"not found")
+            self.chunks = 0
+            self.content = b""
+            self.pc = _W_SEEK
+            return Invoke("ramfs", "tseek", home, self.fd, 0)
+        if pc == _W_SEEK:
+            self.pc = _W_READ
+            return Invoke("ramfs", "tread", home, self.fd,
+                          len(DEFAULT_SITE[self.name]))
+        if pc == _W_READ:
+            self.content = reply
+            self.chunks += 1
+            if self.chunks < self.weight:
+                self.pc = _W_SEEK
+                return Invoke("ramfs", "tseek", home, self.fd, 0)
+            return self._close(200, reply)
+        if pc == _W_CLOSE:
+            return self._respond()
+        # _W_GET_PAGE
+        if reply == self.va:
+            self.pc = _W_PUT_PAGE
+            return Invoke("mm", "mman_release_page", home, self.va)
+        return self._next_request()
+
+    def _next_request(self):
+        """The loop head: stop, wait for a request, or start the next."""
+        server = self.server
+        if not server.pending:
+            if server.stopping:
+                raise StopIteration
+            self.pc = _W_EVT_WAIT
+            return Invoke("event", "evt_wait", server.home, server.evt_conn)
+        self.rid, self.submitted_at, self.raw = server.pending.popleft()
+        kernel = server.system.kernel
+        kernel.charge(kernel.current, APP_REQUEST_CYCLES)
+        self.pc = _W_OPEN
+        return Invoke("connmgr", "conn_open", "client")
+
+    def _close(self, status: int, content: bytes):
+        self.status = status
+        self.content = content
+        self.pc = _W_CLOSE
+        return Invoke("connmgr", "conn_close", self.conn_id)
+
+    def _respond(self):
+        """Account the response to the request in hand."""
+        server = self.server
+        kernel = server.system.kernel
+        status = self.status
+        server.responses.append(build_response(status, self.content))
+        server.served += 1
+        now = kernel.clock.now
+        server.samples.append((now, server.served))
+        server._note_completion(
+            kernel, self.rid, status, now, self.submitted_at
+        )
+        if server.on_served is not None:
+            server.on_served(server.served)
+        self.handled += 1
+        if self.handled % MM_RECYCLE_PERIOD == 0:
+            # Recycle a buffer page through the memory manager.
+            self.pc = _W_GET_PAGE
+            return Invoke("mm", "mman_get_page", server.home, self.va)
+        return self._next_request()
+
+
+class _HousekeepingBody:
+    """``ws-housekeeping``'s body: block on a periodic timer until the
+    server stops."""
+
+    STATE_WIRING = ("server",)
+
+    __slots__ = ("server", "pc", "tmid")
+
+    def __init__(self, server: WebServer):
+        self.server = server
+        #: 0: waiting for the connection event; 1: ``timer_alloc``
+        #: asked; 2: blocking on the timer.
+        self.pc = 0
+        self.tmid = None
+
+    def send(self, reply):
+        server = self.server
+        if self.pc == 0:
+            if server.evt_conn is None:
+                return Yield()
+            self.pc = 1
+            return Invoke(
+                "timer", "timer_alloc", server.home, HOUSEKEEPING_PERIOD
+            )
+        if self.pc == 1:
+            self.tmid = reply
+            self.pc = 2
+        if server.stopping:
+            raise StopIteration
+        return Invoke("timer", "timer_block", server.home, self.tmid)
 
 
 #: Static site content installed into RamFS at startup.

@@ -8,19 +8,17 @@ cannot prove reproducible, and anything a replayed unit's guard cannot
 prove identical (injections, taint, diverged clocks) diverges the run
 to ``execute_trace``.  These tests drive real campaigns, superglue and
 C^3 stubs alike, through every gate combination and check outcome and
-end-state identity, replay and divergence accounting, where a
-recording ends, fresh return values per replay, pool-debug
-fingerprints, and the zero-copy worker payload contract.
+end-state identity, replay and divergence accounting, the recording
+oracle, pool-debug fingerprints, and the zero-copy worker payload
+contract.  Tier 3 serves Table II and the cluster; Fig. 7 runs start
+from first-arm snapshots instead (``tests/test_web_snapshot.py``).
 """
 
-import json
 import pickle
 
 import pytest
 
 from repro import observe
-from repro.composite.component import export
-from repro.composite.services.ramfs import RamFSService
 from repro.composite.supertrace import (
     REGISTRY,
     RecordingSession,
@@ -32,21 +30,7 @@ from repro.idl_specs import SERVICES
 from repro.swifi import campaign as swifi_campaign
 from repro.swifi import parallel
 from repro.swifi.campaign import CampaignRunner, execute_run
-from repro.system import (
-    _STATE_CLASSES,
-    GLOBAL_POOL,
-    build_system,
-    system_fingerprint,
-)
-from repro.webserver import campaign as web_campaign
-from repro.webserver.campaign import (
-    WebRunSpec,
-    execute_web_run,
-    run_webserver_campaign,
-    web_run_seeds,
-)
-from repro.webserver.components import ConnectionManagerComponent
-from repro.webserver.http import HttpRequest
+from repro.system import GLOBAL_POOL, build_system, system_fingerprint
 
 
 def _lock_runner(n_faults=12, seed=1):
@@ -93,7 +77,10 @@ class TestGating:
 
 
 class TestOutcomeIdentity:
-    """REPRO_SUPER_TRACE=0 and =1 must be outcome-for-outcome identical."""
+    """REPRO_SUPER_TRACE=0 and =1 must be outcome-for-outcome identical.
+
+    Fig. 7 runs no longer replay: pooled ones start from a first-arm
+    snapshot instead (``tests/test_web_snapshot.py``)."""
 
     @pytest.mark.parametrize("fault_class", ["reg", "mem", "idl", "burst"])
     def test_injected_campaign_identical(self, monkeypatch, fault_class):
@@ -107,124 +94,6 @@ class TestOutcomeIdentity:
         baseline = _sweep(spec, seeds)
         monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
         assert _sweep(spec, seeds) == baseline
-
-    def test_clean_workload_identical(self, monkeypatch):
-        # A fault-free workload (web campaign with n_faults=0) must
-        # replay to byte-identical rows — the pure-cache case.
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        spec = WebRunSpec(ft_mode="superglue", n_requests=80, n_faults=0)
-        seeds = web_run_seeds(2, 3)
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "0")
-        baseline = [execute_web_run(spec, s) for s in seeds]
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
-        # Every replay materialises a unit's frozen return value afresh:
-        # no two replayed http_parse calls, in one run or across runs,
-        # hand back the same HttpRequest object.
-        parsed = []
-        on_invoke = ReplaySession.on_invoke
-
-        def spy(self, kernel, thread, action):
-            result = on_invoke(self, kernel, thread, action)
-            if action.fn == "http_parse":
-                parsed.append(result)
-            return result
-
-        monkeypatch.setattr(ReplaySession, "on_invoke", spy)
-        assert [execute_web_run(spec, s) for s in seeds] == baseline
-        assert {row["outcome"] for row in baseline} == {"ok"}
-        assert parsed
-        assert all(type(request) is HttpRequest for request in parsed)
-        assert len({id(request) for request in parsed}) == len(parsed)
-
-    @pytest.mark.parametrize("arrivals", ["closed", "open"])
-    @pytest.mark.parametrize("fault_class", ["reg", "mem", "idl", "burst"])
-    def test_web_campaign_identical(self, monkeypatch, fault_class, arrivals):
-        # The recording stops at the first arming crossing, so every
-        # class's guards decide where replay hands over.
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        spec = WebRunSpec(
-            ft_mode="superglue", n_requests=120, n_faults=3,
-            fault_class=fault_class, arrivals=arrivals,
-        )
-        seeds = web_run_seeds(1, 3)
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "0")
-        baseline = [execute_web_run(spec, s) for s in seeds]
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
-        assert [execute_web_run(spec, s) for s in seeds] == baseline
-
-
-class TestWebRecordingPrefix:
-    """A Fig. 7 recording is the clean prefix up to the first arming
-    crossing, or up to the first unit the recorder cannot replay:
-    faulted runs replay all of it, then diverge exactly once."""
-
-    def _run_stats(self, spec, recording):
-        # Pool restores zero the kernel stats, so after each run they
-        # hold that run's own counts.
-        rows, stats = [], []
-        for seed in web_run_seeds(1, 3):
-            rows.append(execute_web_run(spec, seed))
-            stats.append(dict(recording.kernel.stats))
-        return rows, stats
-
-    @pytest.mark.parametrize("arrivals", ["closed", "open"])
-    def test_faulted_runs_replay_every_recorded_unit(
-        self, monkeypatch, arrivals
-    ):
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
-        spec = WebRunSpec(n_requests=120, n_faults=3, arrivals=arrivals)
-        recording = web_campaign._web_recording(spec)
-        assert recording is not None
-        full = web_campaign._web_recording(
-            WebRunSpec(n_requests=120, n_faults=0, arrivals=arrivals)
-        )
-        assert 0 < len(recording.units) < len(full.units)
-        for run in self._run_stats(spec, recording)[1]:
-            assert run["super_trace_runs"] == len(recording.units)
-            assert run["super_trace_divergences"] == 1
-            assert run["super_trace_divergent_units"] > 0
-        # Without HttpRequest in the state model the recorder cannot
-        # freeze http_parse's result, so the recording ends just before
-        # the first http_parse unit, and runs still match the
-        # authoritative engine.
-        first = next(
-            index for index, unit in enumerate(recording.units)
-            if unit.sig[3] == "http_parse"
-        )
-        monkeypatch.setattr(
-            "repro.system._STATE_CLASSES", _STATE_CLASSES - {"HttpRequest"}
-        )
-        REGISTRY.clear()
-        try:
-            short = web_campaign._web_recording(spec)
-            assert [unit.sig for unit in short.units] == [
-                unit.sig for unit in recording.units[:first]
-            ]
-            rows, stats = self._run_stats(spec, short)
-        finally:
-            REGISTRY.clear()
-        for run in stats:
-            assert run["super_trace_runs"] == first
-            assert run["super_trace_divergences"] == 1
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "0")
-        assert rows == [
-            execute_web_run(spec, seed) for seed in web_run_seeds(1, 3)
-        ]
-
-    @pytest.mark.parametrize("arrivals", ["closed", "open"])
-    def test_fault_free_recording_covers_the_whole_run(
-        self, monkeypatch, arrivals
-    ):
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
-        spec = WebRunSpec(n_requests=120, n_faults=0, arrivals=arrivals)
-        recording = web_campaign._web_recording(spec)
-        assert recording is not None
-        for run in self._run_stats(spec, recording)[1]:
-            assert run["super_trace_runs"] == len(recording.units)
-            assert run["super_trace_divergences"] == 0
-            assert run["super_trace_divergent_units"] == 0
 
 
 class TestReplayAccounting:
@@ -341,17 +210,6 @@ _ENGINE_STATS = tuple(
     for prefix in ("super_trace_", "interp_", "trace_cache_")
 )
 
-#: Fig. 7 specs whose end states must not depend on the replay engine.
-_WEB_SPECS = {
-    "closed": WebRunSpec(n_requests=120, n_faults=3),
-    "open": WebRunSpec(
-        n_requests=120, n_faults=3, arrivals="open", load=2.0,
-        phases="burst", slo_us=500,
-    ),
-    "fault-free": WebRunSpec(n_requests=120, n_faults=0),
-    "c3": WebRunSpec(ft_mode="c3", n_requests=120, n_faults=3),
-}
-
 
 def _end_state(system):
     """``system_fingerprint`` minus the engine counters."""
@@ -359,13 +217,6 @@ def _end_state(system):
         key: value for key, value in system_fingerprint(system).items()
         if not key.startswith(_ENGINE_STATS)
     }
-
-
-def _web_pooled(spec):
-    return GLOBAL_POOL.peek(
-        ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode,
-        prepare=web_campaign.prepare_webserver,
-    )
 
 
 class TestEndStateIdentity:
@@ -410,18 +261,6 @@ class TestEndStateIdentity:
                     runner.run_seeds(),
                 )
 
-    def test_fig7_end_state(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        for name, spec in sorted(_WEB_SPECS.items()):
-
-            def run(seed, spec=spec):
-                execute_web_run(spec, seed)
-                return _web_pooled(spec)
-
-            self._assert_same_end_states(
-                monkeypatch, name, run, web_run_seeds(1, 3)
-            )
-
 
 class TestRecordingOracle:
     """``REPRO_POOL_DEBUG=1`` checks every recorded unit's touched-root
@@ -434,13 +273,6 @@ class TestRecordingOracle:
         monkeypatch.setenv("REPRO_POOL_DEBUG", "1")
         REGISTRY.clear()  # record afresh, under the oracle
 
-    def test_every_fig7_unit_checked(self):
-        for name in ("closed", "open", "c3"):
-            recording = web_campaign._web_recording(_WEB_SPECS[name])
-            assert recording is not None, name
-            checked = recording.meta["checked_units"]
-            assert checked == len(recording.units) > 0, name
-
     def test_every_table2_unit_checked(self):
         for ft_mode in ("superglue", "c3"):
             for service in SERVICES:
@@ -451,45 +283,6 @@ class TestRecordingOracle:
                 assert recording is not None, (ft_mode, service)
                 checked = recording.meta["checked_units"]
                 assert checked == len(recording.units) > 0, (ft_mode, service)
-
-    def test_untouched_root_write_is_named(self, monkeypatch):
-        # Each planted export also writes a root its unit never enters:
-        # the touched-root diff misses the write, and the oracle must
-        # name it — and raise, not degrade to "no recording".
-        # conn_open bumps httpparse's counter without entering httpparse.
-        # tread bumps a counter of app0's lock stub, which its unit does
-        # not enter although it runs app0's ramfs stub (a client stub is
-        # diffed only when the unit enters that stub).
-        def bump_httpparse(component):
-            component.kernel.components["httpparse"].parsed += 1
-
-        def bump_lock_stub(component):
-            component.kernel._stubs[("app0", "lock")].stats["redos"] += 1
-
-        planted = (
-            (ConnectionManagerComponent, "conn_open", bump_httpparse,
-             r"root \('comp', 'httpparse'\) path \(\('a', 'parsed'\),\)"),
-            (RamFSService, "tread", bump_lock_stub,
-             r"root \('cstub', 'app0', 'lock'\) "
-             r"path \(\('a', 'stats'\), \('k', 'redos'\)\)"),
-        )
-        for cls, name, bump, named in planted:
-            original = getattr(cls, name)
-
-            @export
-            def planted_export(self, thread, *args, original=original,
-                               bump=bump):
-                bump(self)
-                return original(self, thread, *args)
-
-            with monkeypatch.context() as patch:
-                patch.setattr(cls, name, planted_export)
-                GLOBAL_POOL.clear()  # rebuild with the planted export bound
-                try:
-                    with pytest.raises(AssertionError, match=named):
-                        web_campaign._web_recording(_WEB_SPECS["closed"])
-                finally:
-                    GLOBAL_POOL.clear()
 
     def test_untouched_root_write_in_table2_is_named(self, monkeypatch):
         # Same bug on the Table II path: lock_take bumps a counter of
@@ -522,33 +315,6 @@ class TestRecordingOracle:
             match=r"root \('comp', 'timer'\) path \(\('a', 'faults_detected'\),\)",
         ):
             swifi_campaign._campaign_recording(spec)
-
-
-class TestRecordingWork:
-    """Recording cost follows what each unit touches: deterministic work
-    counts pin it on any host."""
-
-    def test_fig7_open_sidecar_counts(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
-        REGISTRY.clear()
-        # The benchmark's fig7-open workload spec.
-        spec = WebRunSpec(
-            arrivals="open", load=2.0, phases="burst", n_requests=400,
-            n_faults=3, slo_us=500, arrival_seed=1,
-        )
-        result = run_webserver_campaign(web_run_seeds(1, 1), spec, workers=1)
-        path = tmp_path / "fig7.json"
-        result.write_json(str(path))
-        timing = json.loads((tmp_path / "fig7.json.timing.json").read_text())
-        units = timing["recorded_units"]
-        assert units > 1000
-        # Diffing only the roots a unit entered takes ~3.3 root
-        # snapshots per unit; counting every client stub of an entered
-        # component takes ~7, and whole-system recording 37.  Compiling
-        # every unit on its own would take ~1,300 shapes.
-        assert timing["root_snapshots"] <= 4 * units
-        assert 0 < timing["unit_shapes"] <= 60
 
 
 class TestNoTailCache:

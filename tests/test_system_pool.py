@@ -11,6 +11,7 @@ verify both the structural invariant and outcome bit-identity.
 import pytest
 
 from repro import observe
+from repro.composite.memory import PAGE_WORDS
 from repro.swifi.campaign import (
     CampaignRunner,
     _campaign_system,
@@ -27,6 +28,7 @@ from repro.system import (
     system_snapshot,
 )
 from repro.errors import ReproError
+from repro.webserver.campaign import WebRunSpec, _web_recording
 
 
 def _lock_spec(seed=3, iterations=4):
@@ -91,7 +93,7 @@ class TestRestoreEqualsFresh:
         with pytest.raises(ReproError, match="cursor"):
             SystemSnapshot(system)
 
-    def test_fingerprint_detects_divergence(self):
+    def test_fingerprint_detects_divergence(self, monkeypatch):
         # The debug diff must actually have teeth: rig the sealed system
         # and check the fingerprint comparison catches it.
         snapshot = SystemSnapshot(build_system("superglue"))
@@ -99,6 +101,28 @@ class TestRestoreEqualsFresh:
         snapshot.system.kernel.stats["invocations"] = 999
         diffs = snapshot.diff_against_fresh()
         assert any("invocations" in d for d in diffs)
+        # A dirty page whose words are unchanged (a write that put the
+        # word back): mem-class flips draw from the dirty pages.
+        snapshot.restore()
+        image = snapshot.system.kernel.component("lock").image
+        addr = image.base + 3 * PAGE_WORDS
+        image.write_word(addr, image.read_word(addr))
+        assert snapshot.diff_against_fresh() == [
+            "lock.image.dirty: pooled='3' fresh=''"
+        ]
+        # A register flip in a thread that a mid-run snapshot restored
+        # (Fig. 7's first-arm snapshot), compared with a fresh build
+        # driven through the same prefix.
+        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
+        snapshot = _web_recording(WebRunSpec(n_requests=40, n_faults=2))
+        system = GLOBAL_POOL.acquire(at=snapshot)
+        thread = system.kernel.threads[2]
+        thread.regs.flip_bit(0, 5)
+        assert snapshot.diff_against_fresh() == [
+            "thread[2].regs.taint[0]: pooled=True fresh=False",
+            f"thread[2].regs.values[0]: pooled={thread.regs.values[0]!r} "
+            f"fresh={thread.regs.values[0] ^ 32!r}",
+        ]
 
     def test_pool_debug_mode_raises_on_divergence(self, monkeypatch):
         from repro.workloads import workload_for

@@ -6,9 +6,9 @@ import time
 import pytest
 
 from repro.__main__ import main
-from repro.composite.supertrace import REGISTRY
 from repro.observe.export import read_trace
 from repro.observe.metrics import SUB_BUCKET_BITS, LogLinearHistogram
+from repro.system import GLOBAL_POOL
 from repro.webserver import campaign as web_campaign
 from repro.webserver.campaign import (
     WebRunSpec,
@@ -301,57 +301,60 @@ class TestArtifacts:
         timing = json.loads((tmp_path / "fig7.json.timing.json").read_text())
         assert timing["runs"] == 2
 
-    def test_setup_wall_covers_the_recording(self, monkeypatch):
-        # The recording is per-process setup: an in-process campaign
-        # must time it as setup_wall, not as run execution.
+    def test_setup_wall_covers_the_snapshot(self, monkeypatch):
+        # The first-arm snapshot is per-process setup: an in-process
+        # campaign must time its clean passes as setup_wall, not as run
+        # execution.
         monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
-        REGISTRY.clear()
+        GLOBAL_POOL.clear()
         walls = []
-        build = web_campaign._build_web_recording
+        clean = web_campaign._clean_prefix_steps
 
         def timed(*args):
             start = time.perf_counter()
             try:
-                return build(*args)
+                return clean(*args)
             finally:
                 walls.append(time.perf_counter() - start)
 
-        monkeypatch.setattr(web_campaign, "_build_web_recording", timed)
+        monkeypatch.setattr(web_campaign, "_clean_prefix_steps", timed)
         result = run_webserver_campaign(
             web_run_seeds(1, 2), SMOKE_SPEC, workers=1
         )
         assert len(walls) == 1
-        assert result.recorded_units > 0
+        assert result.snapshot_steps > 0
         assert result.setup_wall >= walls[0]
 
-    @pytest.mark.parametrize("super_trace", ["0", "1"])
-    def test_timing_sidecar_counts_recorded_units(
-        self, tmp_path, monkeypatch, super_trace
+    @pytest.mark.parametrize("pool", ["0", "1"])
+    def test_timing_sidecar_counts_snapshot_work(
+        self, tmp_path, monkeypatch, pool
     ):
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        monkeypatch.setenv("REPRO_SUPER_TRACE", super_trace)
+        monkeypatch.setenv("REPRO_SYSTEM_POOL", pool)
         result = run_webserver_campaign(
             web_run_seeds(1, 2), SMOKE_SPEC, workers=1
         )
         path = tmp_path / "fig7.json"
         result.write_json(str(path))
-        counts = ("recorded_units", "root_snapshots", "unit_shapes")
+        counts = web_campaign.SNAPSHOT_COUNTS
         artifact = path.read_text()
         assert not any(name in artifact for name in counts)
         timing = json.loads((tmp_path / "fig7.json.timing.json").read_text())
-        if super_trace == "1":
+        if pool == "1":
             assert all(timing[name] > 0 for name in counts)
-            # Deterministic work counts: the REPRO_POOL_DEBUG oracle's
-            # whole-system snapshots are not recording work.
-            monkeypatch.setenv("REPRO_POOL_DEBUG", "1")
-            REGISTRY.clear()
-            checked = run_webserver_campaign(
-                web_run_seeds(1, 2), SMOKE_SPEC, workers=1
-            )
-            assert [getattr(checked, name) for name in counts] == [
-                timing[name] for name in counts
-            ]
+            # Deterministic work counts, whatever the engine gates: the
+            # tier-3 gate no longer touches Fig. 7, and the debug diff's
+            # fresh builds are not snapshot work.
+            for gate, value in (
+                ("REPRO_SUPER_TRACE", "0"), ("REPRO_POOL_DEBUG", "1"),
+            ):
+                with monkeypatch.context() as patch:
+                    patch.setenv(gate, value)
+                    checked = run_webserver_campaign(
+                        web_run_seeds(1, 2), SMOKE_SPEC, workers=1
+                    )
+                assert [getattr(checked, name) for name in counts] == [
+                    timing[name] for name in counts
+                ], gate
         else:
             assert all(timing[name] == 0 for name in counts)
 
