@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import sys
 import time
@@ -36,6 +35,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.composite.memory import PAGE_WORDS, MemoryImage  # noqa: E402
+from repro.config import override  # noqa: E402
 from repro.swifi.campaign import (  # noqa: E402
     COVERAGE_KEYS, CampaignRunner, _drive_run, collect_coverage,
     coverage_ratio,
@@ -62,14 +62,12 @@ def _timed_sweep(spec, seeds, coverage=None) -> tuple:
     return time.perf_counter() - start, outcomes
 
 
-#: (REPRO_SYSTEM_POOL, REPRO_SUPER_TRACE) per sweep.
+#: The engine gates of each sweep.
 SWEEPS = {
-    "fresh": ("0", "0"),
-    "two_tier": ("1", "0"),
-    "pooled": ("1", "1"),
+    "fresh": {"system_pool": False, "super_trace": False},
+    "two_tier": {"system_pool": True, "super_trace": False},
+    "pooled": {"system_pool": True, "super_trace": True},
 }
-
-_SWEEP_GATES = ("REPRO_SYSTEM_POOL", "REPRO_SUPER_TRACE")
 
 #: Back-to-back two-tier/super-traced sweep pairs per measurement.
 PAIRED_ROUNDS = 21
@@ -89,18 +87,17 @@ def measure_campaign(n_faults: int, repeat: int = 3) -> dict:
     runner = CampaignRunner("lock", n_faults=n_faults, seed=1)
     spec = runner.spec()
     seeds = runner.run_seeds()
-    saved = {key: os.environ.get(key) for key in _SWEEP_GATES}
     times = {label: [] for label in SWEEPS}
     results = {}
     coverage = None
 
     def sweep(label, timed=True):
         nonlocal coverage
-        os.environ.update(zip(_SWEEP_GATES, SWEEPS[label]))
         sweep_coverage = (
             dict.fromkeys(COVERAGE_KEYS, 0) if label == "pooled" else None
         )
-        elapsed, outcomes = _timed_sweep(spec, seeds, sweep_coverage)
+        with override(**SWEEPS[label]):
+            elapsed, outcomes = _timed_sweep(spec, seeds, sweep_coverage)
         if timed:
             times[label].append(elapsed)
         if sweep_coverage is not None:
@@ -110,30 +107,23 @@ def measure_campaign(n_faults: int, repeat: int = 3) -> dict:
                 f"{label} sweep outcomes changed between repeats"
             )
 
-    try:
-        for __ in range(repeat):
-            sweep("fresh")
-        # Boot + seal and record the clean invocation sequence outside
-        # the timed region, as the campaign worker initializer does, and
-        # warm both engines' caches with one untimed sweep each.
-        os.environ.update(zip(_SWEEP_GATES, SWEEPS["pooled"]))
+    for __ in range(repeat):
+        sweep("fresh")
+    # Boot + seal and record the clean invocation sequence outside the
+    # timed region, as the campaign worker initializer does, and warm
+    # both engines' caches with one untimed sweep each.
+    with override(**SWEEPS["pooled"]):
         GLOBAL_POOL.acquire(
             ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode
         )
         _campaign_recording(spec)
-        sweep("two_tier", timed=False)
-        sweep("pooled", timed=False)
-        pair = ["two_tier", "pooled"]
-        for __ in range(PAIRED_ROUNDS):
-            for label in pair:
-                sweep(label)
-            pair.reverse()
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+    sweep("two_tier", timed=False)
+    sweep("pooled", timed=False)
+    pair = ["two_tier", "pooled"]
+    for __ in range(PAIRED_ROUNDS):
+        for label in pair:
+            sweep(label)
+        pair.reverse()
     for label in ("two_tier", "pooled"):
         if results[label] != results["fresh"]:
             raise AssertionError(

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -33,6 +32,7 @@ from repro.cluster import (  # noqa: E402
     cluster_run_seeds,
     execute_scenario,
 )
+from repro.config import override  # noqa: E402
 
 
 def _spec(units: int) -> ClusterSpec:
@@ -45,29 +45,22 @@ def measure_scenarios(n_scenarios: int, units: int) -> dict:
     """Scenarios/sec, pooled vs fresh, with bit-exact rows asserted."""
     spec = _spec(units)
     seeds = cluster_run_seeds(7, n_scenarios)
-    saved = os.environ.get("REPRO_SYSTEM_POOL")
-    try:
-        results = {}
-        for label, gate in (("fresh", "0"), ("pooled", "1")):
-            os.environ["REPRO_SYSTEM_POOL"] = gate
-            if gate == "1":
+    results = {}
+    for label, pooled in (("fresh", False), ("pooled", True)):
+        with override(system_pool=pooled):
+            if pooled:
                 # Warm every node's snapshot outside the timed region,
                 # as the campaign worker initializer does.
                 execute_scenario(spec, seeds[0])
             start = time.perf_counter()
             rows = [execute_scenario(spec, seed) for seed in seeds]
             elapsed = time.perf_counter() - start
-            results[label] = {
-                "elapsed_s": elapsed,
-                "scenarios_per_s": n_scenarios / elapsed,
-                "units_per_s": n_scenarios * units / elapsed,
-                "rows": rows,
-            }
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SYSTEM_POOL", None)
-        else:
-            os.environ["REPRO_SYSTEM_POOL"] = saved
+        results[label] = {
+            "elapsed_s": elapsed,
+            "scenarios_per_s": n_scenarios / elapsed,
+            "units_per_s": n_scenarios * units / elapsed,
+            "rows": rows,
+        }
     assert results["pooled"]["rows"] == results["fresh"]["rows"], (
         "pooled cluster scenarios diverged from fresh-build scenarios"
     )
@@ -81,17 +74,17 @@ def measure_scenarios(n_scenarios: int, units: int) -> dict:
 
 def measure_node_reboot(samples: int = 50) -> dict:
     """Wall time of one whole-node reboot after real dirty work."""
-    os.environ["REPRO_SYSTEM_POOL"] = "1"
     spec = _spec(units=4)
     run_spec = spec.run_spec()
     node = Node(99, spec.ft_mode, spec.recovery_mode)
-    node.run_unit(run_spec, 1)  # build + seal outside the timed loop
     times = []
-    for i in range(samples):
-        node.run_unit(run_spec, 1000 + i)  # dirty the images for real
-        start = time.perf_counter()
-        node.reboot()
-        times.append(time.perf_counter() - start)
+    with override(system_pool=True):
+        node.run_unit(run_spec, 1)  # build + seal outside the timed loop
+        for i in range(samples):
+            node.run_unit(run_spec, 1000 + i)  # dirty the images for real
+            start = time.perf_counter()
+            node.reboot()
+            times.append(time.perf_counter() - start)
     times.sort()
     return {
         "samples": samples,

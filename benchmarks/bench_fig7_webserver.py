@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -43,6 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import pytest  # noqa: E402
 
 from repro.composite.scheduler import CYCLES_PER_US  # noqa: E402
+from repro.config import override  # noqa: E402
 from repro.system import GLOBAL_POOL, compile_all_interfaces  # noqa: E402
 from repro.webserver.apache_model import ApacheModel  # noqa: E402
 from repro.webserver.arrivals import offered_rps  # noqa: E402
@@ -151,12 +151,10 @@ def measure_web_campaign(n_seeds: int, repeat: int = 3) -> dict:
     spec = WebRunSpec(n_requests=40, n_faults=2)
     seeds = web_run_seeds(1, n_seeds)
     compile_all_interfaces()  # both sweeps start with warm IDL compiles
-    saved = os.environ.get("REPRO_SYSTEM_POOL")
-    try:
-        results = {}
-        for label, gate in (("fresh", "0"), ("pooled", "1")):
-            os.environ["REPRO_SYSTEM_POOL"] = gate
-            if gate == "1":
+    results = {}
+    for label, pooled in (("fresh", False), ("pooled", True)):
+        with override(system_pool=pooled):
+            if pooled:
                 # Boot + seal outside the timed region, as the campaign
                 # worker initializer does.
                 GLOBAL_POOL.acquire(
@@ -174,12 +172,7 @@ def measure_web_campaign(n_seeds: int, repeat: int = 3) -> dict:
                     raise AssertionError(
                         f"{label} sweep rows changed between repeats"
                     )
-            results[label] = (best, rows)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SYSTEM_POOL", None)
-        else:
-            os.environ["REPRO_SYSTEM_POOL"] = saved
+        results[label] = (best, rows)
     fresh_time, fresh_rows = results["fresh"]
     pooled_time, pooled_rows = results["pooled"]
     if pooled_rows != fresh_rows:

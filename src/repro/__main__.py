@@ -618,6 +618,14 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_compile)
 
     args = parser.parse_args(argv)
+    from repro.errors import ConfigurationError
+
+    try:
+        # The engine reads its REPRO_* gates once, on this import.
+        import repro.config  # noqa: F401
+    except ConfigurationError as exc:
+        print(f"error: ConfigurationError: {exc}", file=sys.stderr)
+        return 2
     return args.fn(args)
 
 

@@ -29,14 +29,12 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.cell import Cell
-from repro.cluster.node import node_pool_instance
 from repro.observe.metrics import canonical_metrics, merge_metrics
 from repro.swifi.campaign import (
     COVERAGE_KEYS,
     CampaignRunner,
     RunSpec,
     coverage_ratio,
-    warm_up,
 )
 from repro.swifi.injector import FAULT_CLASSES
 from repro.swifi.parallel import export_trace, run_seeded
@@ -166,15 +164,17 @@ def _cluster_setup(spec: ClusterSpec, trace: bool) -> Cell:
     """Per-process setup: build the cell and warm every node.
 
     Each node warms its private instance-keyed pool snapshot and
-    super-trace recording through the same :func:`warm_up` Table II
-    uses, so forked workers inherit them copy-on-write and the first
-    scenario doesn't pay the warm-up passes.  Node systems are
-    per-process pool entries, so worker cells never share mutable state.
+    super-trace recording through the same
+    :func:`~repro.swifi.campaign.warm_up` Table II uses and keeps them
+    as the start of its units, so forked workers inherit them
+    copy-on-write and the first scenario doesn't pay the warm-up
+    passes.  Node systems are per-process pool entries, so worker cells
+    never share mutable state.
     """
     cell = Cell(spec, trace=trace)
     run_spec = spec.run_spec()
     for node in cell.nodes:
-        warm_up(run_spec, instance=node_pool_instance(node.node_id))
+        node.warm(run_spec)
     return cell
 
 

@@ -3,8 +3,10 @@
 Each node owns a *private* sealed snapshot in the process-wide
 :data:`~repro.system.GLOBAL_POOL`, keyed by the node id through the
 pool's ``instance`` parameter — N nodes means N live Systems in one
-process, none of them clobbering another's sealed image.  A node runs
-workload units through the SWIFI campaign's ``_drive_run``, and so
+process, none of them clobbering another's sealed image.  A node keeps
+that snapshot and its super-trace recording as its ``start``, warmed
+once (:meth:`Node.warm`), and runs workload units from it through the
+SWIFI campaign's ``_drive_run``, and so
 through the one run driver every campaign run executes in
 (:func:`~repro.swifi.campaign.run_system`).  A unit's outcome and step
 count are therefore the same pure function of ``(RunSpec, unit_seed)``
@@ -31,9 +33,10 @@ from repro.swifi.campaign import (
     RunSpec,
     _drive_run,
     collect_coverage,
+    warm_up,
 )
 from repro.swifi.classify import Outcome
-from repro.system import GLOBAL_POOL, System
+from repro.system import System
 
 #: Outcomes the supervisor counts as node-degrading crashes.
 FATAL_OUTCOMES = frozenset(
@@ -65,8 +68,17 @@ class Node:
         #: *outside* the health metrics: engine counters depend on the
         #: pooling/supertrace knobs, and supervisor decisions must not.
         self.coverage = dict.fromkeys(COVERAGE_KEYS, 0)
+        #: ``(snapshot, recording)`` of this node's private pooled
+        #: system (see :meth:`warm`); None until warmed, and unpooled.
+        self.start = None
 
     # ------------------------------------------------------------------
+    def warm(self, spec: RunSpec) -> None:
+        """Boot and seal this node's private pooled system and record
+        the spec's clean prefix on it (see
+        :func:`~repro.swifi.campaign.warm_up`)."""
+        self.start = warm_up(spec, instance=node_pool_instance(self.node_id))
+
     def run_unit(
         self, spec: RunSpec, unit_seed: int
     ) -> Tuple[Outcome, int, int]:
@@ -76,15 +88,17 @@ class Node:
         the end of the run) — the cell clock advances by it, keeping
         cluster timelines wall-clock-free and therefore deterministic.
 
-        The run goes through ``_drive_run``'s ``instance`` path: it
-        acquires this node's private snapshot *and* the super-trace
-        recording keyed to it, so node units replay their prefix exactly
-        like flat campaign runs.  Without pooling each unit builds fresh
-        and executes on the authoritative engine — same outcomes, by the
+        The run starts from this node's ``start``, warmed on first use:
+        its private snapshot *and* the super-trace recording made on
+        it, so node units replay their prefix exactly like flat
+        campaign runs.  Without pooling each unit builds fresh and
+        executes on the authoritative engine — same outcomes, by the
         supertrace correctness contract.
         """
+        if self.start is None:
+            self.warm(spec)
         outcome, system, __, steps, __ = _drive_run(
-            spec, unit_seed, instance=node_pool_instance(self.node_id)
+            spec, unit_seed, start=self.start
         )
         self.units_run += 1
         self._fold_health(system, outcome)
@@ -122,18 +136,13 @@ class Node:
         """Whole-node reboot: seal-restore the entire System.
 
         This is the pool's dirty restore (tens of microseconds) of the
-        node's private snapshot; without pooling the next unit builds
-        fresh anyway, which is the same post-boot state by construction.
-        Either way the node's health window resets — a rebooted node is
-        a healthy node.
+        node's private snapshot, its ``start``; without pooling the next
+        unit builds fresh anyway, which is the same post-boot state by
+        construction.  Either way the node's health window resets — a
+        rebooted node is a healthy node.
         """
-        snapshot = GLOBAL_POOL.snapshot_for(
-            ft_mode=self.ft_mode,
-            recovery_mode=self.recovery_mode,
-            instance=node_pool_instance(self.node_id),
-        )
-        if snapshot is not None:
-            snapshot.restore()
+        if self.start is not None:
+            self.start[0].restore()
         self.killed = False
         self.reboots += 1
         self.metrics = MetricsRegistry()

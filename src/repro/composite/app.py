@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 from repro.composite.component import Component
-from repro.errors import CapabilityError
 
 
 class AppComponent(Component):
@@ -43,7 +42,3 @@ class AppComponent(Component):
     @property
     def handlers(self):
         return dict(self._handlers)
-
-
-class ClientComponentError(CapabilityError):
-    """Raised when an upcall targets a handler that is not registered."""

@@ -62,14 +62,14 @@ to ``execute_trace``.  The differential test suite in
 results — (value, taint, cycles, stores_tainted), register/memory end
 state, and raised-fault parity — over randomized traces.
 
-Set ``REPRO_FAST_INTERP=0`` to disable compilation (every execution then
-takes the slow path); the companion tier-1 trace cache
-(:class:`repro.composite.services.common.TraceCache`) has no gate.
+The engine configuration's ``fast_interp`` field (``REPRO_FAST_INTERP=0``,
+or ``repro.config.override(fast_interp=False)``) disables compilation
+(every execution then takes the slow path); the companion tier-1 trace
+cache (:class:`repro.composite.services.common.TraceCache`) has no gate.
 """
 
 from __future__ import annotations
 
-import os
 import types
 from itertools import count
 from typing import Dict, Optional
@@ -87,11 +87,8 @@ from repro.composite.machine import (
     execute_trace,
 )
 from repro.composite.memory import PAGE_SHIFT
+from repro.config import CONFIG
 from repro.errors import SimulatedFault
-
-#: Module-level gate, read from ``REPRO_FAST_INTERP`` at import.  Tests
-#: monkeypatch this attribute to force the slow path.
-FAST_INTERP_ENABLED = os.environ.get("REPRO_FAST_INTERP", "1") != "0"
 
 
 class FastProgram:
@@ -429,7 +426,7 @@ def attached_program(
     bounds and ``component_name`` (and tier 2 is on), else ``None``."""
     program = trace._compiled
     if (
-        FAST_INTERP_ENABLED
+        CONFIG.fast_interp
         and program is not None
         and program.base == memory.base
         and program.size == memory.size
@@ -457,7 +454,7 @@ def try_execute_fast(
     it observes only the compile/attach boundary — nothing is emitted
     per executed micro-op, so tracing cannot perturb the fast path.
     """
-    if not FAST_INTERP_ENABLED:
+    if not CONFIG.fast_interp:
         return None
     try:
         tainted = memory._taint_count

@@ -210,9 +210,6 @@ class Kernel:
         except KeyError:
             raise ConfigurationError(f"no component named {name!r}") from None
 
-    def grant_cap(self, client: str, server: str) -> None:
-        self._caps[(client, server)] = True
-
     def grant_all_caps(self) -> None:
         """Convenience for tests: full connectivity."""
         for client in self.components:

@@ -300,9 +300,6 @@ class ServiceComponent(Component):
         """Read a record field straight from the image (python-side)."""
         return self.image.read_word(self._records[key].addr + field)
 
-    def set_record_field(self, key, field: int, value: int) -> None:
-        self.image.write_word(self._records[key].addr + field, value & WORD_MASK)
-
     # -- trace builders --------------------------------------------------------
     def _cache_lookup(self, key: tuple) -> Optional[Trace]:
         trace = self._trace_cache.get(key)

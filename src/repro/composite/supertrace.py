@@ -64,41 +64,24 @@ draws its flip target from a bit-identical dirty set.
 Super-traces are active only for pooled, untraced runs
 (``REPRO_SUPER_TRACE=0`` disables them entirely; ``REPRO_SYSTEM_POOL=0``
 and flight-recorder runs never attach one), because a recording binds
-the sealed system object it was made on.
+the sealed system object it was made on: it is kept on that system's
+pooled snapshot (:attr:`repro.system.SystemSnapshot.starts`).
 """
 
 from __future__ import annotations
 
 import builtins
-import os
 import types
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from repro.composite.memory import PAGE_SHIFT, PAGE_WORDS
 from repro.composite.thread import ThreadState
+from repro.config import CONFIG
 from repro.errors import BlockThread
-from repro.system import (
-    _flatten,
-    _is_state_obj,
-    _obj_attrs,
-    pool_debug_enabled,
-    state_model,
-)
+from repro.system import _flatten, _is_state_obj, _obj_attrs, state_model
 
-__all__ = [
-    "super_trace_enabled",
-    "Recording",
-    "RecordingSession",
-    "ReplaySession",
-    "SuperTraceRegistry",
-    "REGISTRY",
-]
-
-
-def super_trace_enabled() -> bool:
-    """Is the tier-3 engine on?  ``REPRO_SUPER_TRACE=0`` disables it."""
-    return os.environ.get("REPRO_SUPER_TRACE", "1") != "0"
+__all__ = ["Recording", "RecordingSession", "ReplaySession"]
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +813,7 @@ class RecordingSession:
         self.failed: Optional[str] = None
         self._hits: Dict[str, int] = {}
         self._swifi = None
-        self._check = pool_debug_enabled()
+        self._check = CONFIG.pool_debug
         #: Unit source -> code object: one compile per unit shape.
         self._codes: Dict[str, types.CodeType] = {}
         self.checked_units = 0
@@ -1322,37 +1305,3 @@ class ReplaySession:
     def finalize(self, kernel) -> None:
         """No-op kept for ``bench/tracer.py``, its only reader: there is
         no divergence tail to seal at run end."""
-
-
-# ---------------------------------------------------------------------------
-# Per-process recording registry
-# ---------------------------------------------------------------------------
-
-class SuperTraceRegistry:
-    """Process-global cache of recordings, keyed by run-spec identity.
-
-    A recording binds the sealed pooled system it was made on (its
-    units hold direct image/stub references), so entries are validated
-    against the live system object and rebuilt if the pool was cleared.
-    A failed build is cached as ``None`` so every run of that spec
-    falls back to the authoritative path instead of re-recording.
-    """
-
-    def __init__(self):
-        self._entries: Dict[tuple, Tuple[object, Optional[Recording]]] = {}
-
-    def lookup(self, key: tuple, system) -> Tuple[bool, Optional[Recording]]:
-        entry = self._entries.get(key)
-        if entry is None or entry[0] is not system:
-            return False, None
-        return True, entry[1]
-
-    def store(self, key: tuple, system, recording: Optional[Recording]):
-        self._entries[key] = (system, recording)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
-#: Process-wide registry used by the campaign drivers.
-REGISTRY = SuperTraceRegistry()

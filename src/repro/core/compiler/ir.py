@@ -40,10 +40,6 @@ class FunctionIR:
     is_wakeup: bool = False
     is_readonly: bool = False
 
-    @property
-    def arity(self) -> int:
-        return len(self.param_names)
-
 
 @dataclass
 class InterfaceIR:

@@ -41,11 +41,6 @@ def _args_list(fn: FunctionIR) -> str:
     return ", ".join(fn.param_names)
 
 
-def _args_tuple(fn: FunctionIR) -> str:
-    names = ", ".join(fn.param_names)
-    return f"({names},)" if fn.param_names else "()"
-
-
 def _sargs_expr(fn: FunctionIR) -> str:
     """Server-argument tuple with descriptor/parent id translation."""
     parts = []
@@ -92,10 +87,6 @@ def t_parent_lookup(ctx: Context) -> List[str]:
         f"    # [T-parent-lookup] parent descriptor for dependency tracking",
         f"    __parent = self.table.lookup({parent_name})",
     ]
-
-
-def t_no_parent(ctx: Context) -> List[str]:
-    return ["    __parent = None"]
 
 
 def t_d1_parent_recover(ctx: Context) -> List[str]:

@@ -232,37 +232,6 @@ class ClientStubRuntime:
         if parent_cdesc is not None:
             self.table.link_parent(entry.cdesc, parent_cdesc)
 
-    def note_created(
-        self, kernel, thread, fn_ir: FunctionIR, args: Tuple, sid,
-    ) -> DescriptorEntry:
-        entry = DescriptorEntry(
-            cdesc=sid, sid=sid, create_fn=fn_ir.name, epoch=self.epoch(kernel)
-        )
-        # Remember the creating thread: replays of thread-bound functions
-        # (creation, sticky) impersonate it via TidProxy.
-        entry.meta[OWNER_KEY] = thread.tid
-        for index, name in fn_ir.tracked:
-            entry.meta[name] = args[index]
-        if fn_ir.parent_index is not None:
-            # Keep the raw parent argument too: replays of parentless (e.g.
-            # root-relative) creations need the original value.
-            entry.meta[fn_ir.param_names[fn_ir.parent_index]] = (
-                args[fn_ir.parent_index]
-            )
-        if fn_ir.ret_track is not None:
-            name, mode = fn_ir.ret_track
-            if mode == "add":
-                entry.meta[name] = entry.meta.get(name, 0) + sid
-            else:
-                entry.meta[name] = sid
-        self.table.add(entry)
-        if fn_ir.parent_index is not None:
-            parent_cdesc = self._parent_cdesc_from_arg(args[fn_ir.parent_index])
-            if parent_cdesc is not None:
-                self.table.link_parent(entry.cdesc, parent_cdesc)
-        self.track_trace(kernel, thread, entry, stores=3, label="track_create")
-        return entry
-
     def _parent_cdesc_from_arg(self, parent_arg):
         """Map a parent argument value back to a tracked cdesc, if any."""
         if parent_arg in (0, None):

@@ -11,22 +11,22 @@ Enabling
 Tracing is **off by default** and costs ~nothing when off: every kernel
 then shares the process-wide :data:`~repro.observe.recorder.NULL_RECORDER`
 singleton, and all emit sites guard on ``recorder.enabled`` before
-building any event.  Turn it on with either
-
-* the environment: ``REPRO_TRACE=1`` (any new kernel gets a live
-  :class:`~repro.observe.recorder.FlightRecorder` bound to its virtual
-  clock; ``REPRO_TRACE_CAPACITY`` overrides the ring size); or
-* the API: :func:`tracing` as a context manager, used by the traced
-  campaign path (``table2 --trace``/``run_full_campaign(trace=)``) so
-  worker processes trace their runs regardless of the environment.
+building any event.  It is the engine configuration's ``trace`` field
+(:mod:`repro.config`): with it on, any new kernel gets a live
+:class:`~repro.observe.recorder.FlightRecorder` bound to its virtual
+clock, with a ring of ``trace_capacity`` events.  Set it with
+``REPRO_TRACE=1`` (and ``REPRO_TRACE_CAPACITY``) for a whole process,
+or with ``repro.config.override(trace=True)`` for a ``with`` block, as
+the traced campaign path (``table2 --trace``/``run_full_campaign(trace=)``)
+does so that worker processes trace their runs whatever their
+environment.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from typing import Optional, Union
 
+from repro.config import CONFIG
 from repro.observe.events import (  # noqa: F401 (re-exported)
     EVENT_FIELDS,
     EventSchemaError,
@@ -46,46 +46,6 @@ from repro.observe.recorder import (  # noqa: F401
     scalar,
 )
 
-#: Programmatic override of the environment gate; ``None`` defers to
-#: ``REPRO_TRACE``.
-_forced: Optional[bool] = None
-
-
-def tracing_enabled() -> bool:
-    """Is tracing on for kernels built right now?"""
-    if _forced is not None:
-        return _forced
-    return os.environ.get("REPRO_TRACE", "0") not in ("", "0", "false", "no")
-
-
-def set_tracing(on: Optional[bool]) -> None:
-    """Force tracing on/off (``None`` restores the environment gate)."""
-    global _forced
-    _forced = on
-
-
-@contextmanager
-def tracing(on: bool = True):
-    """Scope tracing on (or off) for the duration of a ``with`` block."""
-    global _forced
-    previous = _forced
-    _forced = on
-    try:
-        yield
-    finally:
-        _forced = previous
-
-
-def ring_capacity() -> int:
-    """Ring size for new recorders (``REPRO_TRACE_CAPACITY`` override)."""
-    raw = os.environ.get("REPRO_TRACE_CAPACITY")
-    if not raw:
-        return DEFAULT_CAPACITY
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_CAPACITY
-
 
 def recorder_for(
     clock=None, capacity: Optional[int] = None
@@ -96,6 +56,8 @@ def recorder_for(
     allocation at all — or a fresh :class:`FlightRecorder` bound to the
     kernel's virtual clock when enabled.
     """
-    if not tracing_enabled():
+    if not CONFIG.trace:
         return NULL_RECORDER
-    return FlightRecorder(clock=clock, capacity=capacity or ring_capacity())
+    return FlightRecorder(
+        clock=clock, capacity=capacity or CONFIG.trace_capacity
+    )

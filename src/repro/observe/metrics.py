@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.config import CONFIG
+
 #: Linear sub-buckets per power-of-two decade in
 #: :class:`LogLinearHistogram`, as a bit count: 2**5 = 32 sub-buckets,
 #: bounding relative error at 1/32 ~ 3%.
@@ -70,10 +72,7 @@ class Histogram:
     def observe(self, value: int) -> None:
         value = int(value)
         if value < 0:
-            # Imported here: repro.system imports this module.
-            from repro.system import pool_debug_enabled
-
-            if pool_debug_enabled():
+            if CONFIG.pool_debug:
                 raise AssertionError(
                     f"histogram observed negative value {value}: virtual "
                     "time ran backwards"

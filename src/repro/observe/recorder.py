@@ -26,12 +26,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List
 
+from repro.config import DEFAULT_TRACE_CAPACITY as DEFAULT_CAPACITY
 from repro.observe.metrics import MetricsRegistry
-
-#: Default ring capacity.  A single SWIFI run emits a few hundred
-#: events; 4096 keeps whole runs (and generous webserver windows) while
-#: bounding worst-case memory at well under a megabyte.
-DEFAULT_CAPACITY = 4096
 
 
 def scalar(value) -> object:
@@ -95,10 +91,6 @@ class FlightRecorder:
         self.dropped = 0
         self._ring: deque = deque(maxlen=capacity)
         self._seq = 0
-
-    def bind_clock(self, clock) -> None:
-        """Attach the virtual clock events are stamped with."""
-        self.clock = clock
 
     def emit(self, event: str, **fields) -> None:
         """Record one event, stamped ``(seq, virtual-clock)``.

@@ -27,17 +27,12 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.composite.supertrace import (
-    REGISTRY,
-    RecordingSession,
-    ReplaySession,
-    super_trace_enabled,
-)
+from repro.composite.supertrace import RecordingSession, ReplaySession
+from repro.config import CONFIG
 from repro.errors import ReproError, SimulatedFault
-from repro.observe import tracing_enabled
 from repro.swifi.classify import Outcome, OutcomeCounter
 from repro.swifi.injector import FAULT_CLASSES, SwifiController
-from repro.system import GLOBAL_POOL, build_system, pooling_enabled
+from repro.system import GLOBAL_POOL, build_system
 from repro.workloads import workload_for
 
 #: Default iterations of the micro-workload per injection run: enough for
@@ -158,7 +153,7 @@ def run_record(spec, run_seed: int, system, stats, **fields) -> dict:
     """One traced run's record, ready for
     :func:`repro.observe.export.write_run`.
 
-    A traced run is the plain run under ``observe.tracing(True)``; this
+    A traced run is the plain run under ``override(trace=True)``; this
     folds the kernel's whole-run ``stats`` counters into the run's
     metrics registry, so campaign aggregation sees engine and recovery
     statistics in one deterministic place.  The spec gives the header's
@@ -192,7 +187,7 @@ def _pooled() -> bool:
     parallel, so traced runs build fresh — and, since recordings bind
     pooled systems, run without a super-trace.
     """
-    return pooling_enabled() and not tracing_enabled()
+    return CONFIG.system_pool and not CONFIG.trace
 
 
 def _campaign_system(
@@ -232,13 +227,11 @@ def warm_up(spec: RunSpec, instance=None):
     """
     if not _pooled():
         return None
-    _campaign_system(spec.ft_mode, spec.recovery_mode, instance=instance)
-    recording = _campaign_recording(spec, instance=instance)
     snapshot = GLOBAL_POOL.snapshot_for(
         ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode,
         instance=instance,
     )
-    return snapshot, recording
+    return snapshot, _campaign_recording(spec, instance=instance)
 
 
 def _arm_for_class(
@@ -262,45 +255,30 @@ def _arm_for_class(
 
 
 def _campaign_recording(spec: RunSpec, instance=None):
-    """The spec's super-trace recording, built once per process.
+    """The spec's super-trace recording, built once per pooled snapshot.
 
     Recordings exist only for pooled, untraced campaigns: a recording's
     units hold direct references into the sealed pooled system (images,
     stubs), so fresh-per-run and flight-recorder runs always execute on
     the authoritative two-tier path — which is also what makes
     ``REPRO_SUPER_TRACE=0/1 × REPRO_SYSTEM_POOL=0/1`` artifacts
-    byte-identical by construction.  ``instance`` keys the recording to
-    a private pool snapshot (a cluster node's), whose unit references
-    bind *that* snapshot's images and stubs — the shared-pool recording
-    would silently guard-fail against them every run.  A failed build
-    is cached as None so the campaign never retries it.
+    byte-identical by construction.  The recording is kept on the
+    snapshot it binds (``instance`` selects a private one, a cluster
+    node's), so a pool rebuild drops it.  A failed build is kept as
+    None so the campaign never retries it.
     """
-    if not (super_trace_enabled() and _pooled()):
+    if not (CONFIG.super_trace and _pooled()):
         return None
-    key = (
-        spec.service, spec.ft_mode, spec.iterations, spec.recovery_mode,
-        instance,
-    )
-    system = GLOBAL_POOL.peek(
+    snapshot = GLOBAL_POOL.snapshot_for(
         ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode,
         instance=instance,
     )
-    if system is not None:
-        found, recording = REGISTRY.lookup(key, system)
-        if found:
-            return recording
-    recording = _build_recording(
-        spec,
-        lambda: _campaign_system(
-            spec.ft_mode, spec.recovery_mode, instance=instance
-        ),
-    )
-    system = GLOBAL_POOL.peek(
-        ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode,
-        instance=instance,
-    )
-    REGISTRY.store(key, system, recording)
-    return recording
+    key = ("recording", spec.service, spec.iterations)
+    if key not in snapshot.starts:
+        snapshot.starts[key] = _build_recording(
+            spec, lambda: GLOBAL_POOL.acquire(at=snapshot)
+        )
+    return snapshot.starts[key]
 
 
 def _build_recording(spec: RunSpec, acquire):
@@ -379,24 +357,23 @@ def run_system(system, recording, max_steps: int):
     return crash, kernel.stats["steps"] - steps
 
 
-def _drive_run(spec: RunSpec, run_seed: int, instance=None, start=None):
+def _drive_run(spec: RunSpec, run_seed: int, start=None):
     """Boot (or pool-restore) a system, inject per the spec, run it.
 
-    Returns ``(outcome, system, swifi, steps, handle)``.  ``instance``
-    routes the run through a private instance-keyed pool snapshot (a
-    cluster node's) with its own instance-keyed super-trace recording,
-    so node runs replay exactly like shared-pool campaign runs.
-    ``start`` is :func:`warm_up`'s ``(snapshot, recording)``, looked up
-    once per campaign instead of once per run.
+    Returns ``(outcome, system, swifi, steps, handle)``.  ``start`` is
+    :func:`warm_up`'s ``(snapshot, recording)``, which a campaign or a
+    cluster node looks up once instead of once per run; without one
+    the run warms the shared pool itself, or builds fresh when
+    unpooled or traced.
     """
     if start is None:
-        # Build the recording *before* the final acquire: the warm-up
-        # passes dirty the pooled snapshot, and this run must start
-        # from a clean restore of it.
-        recording = _campaign_recording(spec, instance=instance)
-        system = _campaign_system(
-            spec.ft_mode, spec.recovery_mode, instance=instance
-        )
+        # Warm *before* the final acquire: the recording's clean passes
+        # dirty the pooled snapshot, and this run must start from a
+        # clean restore of it.
+        start = warm_up(spec)
+    if start is None:
+        recording = None
+        system = _campaign_system(spec.ft_mode, spec.recovery_mode)
     else:
         snapshot, recording = start
         system = GLOBAL_POOL.acquire(at=snapshot)
@@ -551,11 +528,6 @@ class CampaignRunner:
     def run_seeds(self) -> List[int]:
         """The deterministic per-run seed schedule for this campaign."""
         return [self.seed * 1_000_003 + i for i in range(self.n_faults)]
-
-    # ------------------------------------------------------------------
-    def run_one(self, run_seed: int) -> Outcome:
-        """One injection run; returns its classified outcome."""
-        return execute_run(self.spec(), run_seed)
 
     # ------------------------------------------------------------------
     def run(

@@ -32,11 +32,12 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.config import CONFIG, override
 from repro.observe import export as trace_export
-from repro.observe import tracing
 from repro.observe.metrics import canonical_metrics, merge_metrics
 from repro.swifi.campaign import (
     RUN_STATS,
@@ -61,7 +62,9 @@ def default_workers() -> int:
 
 
 def worker_start_method() -> str:
-    """The process-pool start method: ``REPRO_WORKER_START`` or auto.
+    """The process-pool start method: the configuration's
+    ``worker_start`` (``REPRO_WORKER_START``), ``auto`` meaning fork
+    where the platform has it.
 
     ``fork`` is the zero-copy path: the parent pays all per-process
     setup once (IDL compilation, pooled boot + seal, the super-trace
@@ -73,8 +76,7 @@ def worker_start_method() -> str:
     ``REPRO_WORKER_START=fork`` on such a platform degrades to spawn
     rather than failing.
     """
-    choice = os.environ.get("REPRO_WORKER_START", "auto")
-    if choice == "spawn":
+    if CONFIG.worker_start == "spawn":
         return "spawn"
     return (
         "fork"
@@ -117,17 +119,25 @@ class SeededRun:
 #: everything copy-on-write).
 _CAMPAIGN: Optional[tuple] = None
 
+#: Holds a spawned worker's configuration override for its lifetime.
+_WORKER_CONFIG = ExitStack()
 
-def _init_worker(setup, run, spec, trace: bool) -> None:
+
+def _init_worker(setup, run, spec, trace: bool, config=None) -> None:
     """Pay a campaign's per-process setup once, before any chunk runs.
 
-    Each process compiles the IDL interfaces once (the
-    ``compile_all_interfaces`` cache is per-process and starts cold),
-    then ``setup(spec, trace)`` warms whatever the kind's runs share —
-    pooled systems, super-trace recordings, a cluster cell — and
-    returns the state handed to every ``run`` call.
+    A spawned worker first takes on ``config``, its parent's engine
+    configuration, so it runs the campaign the parent configured
+    whatever its own environment says.  Each process compiles the IDL
+    interfaces once (the ``compile_all_interfaces`` cache is
+    per-process and starts cold), then ``setup(spec, trace)`` warms
+    whatever the kind's runs share — pooled systems, super-trace
+    recordings, a cluster cell — and returns the state handed to every
+    ``run`` call.
     """
     global _CAMPAIGN
+    if config is not None:
+        _WORKER_CONFIG.enter_context(override(**config))
     if spec.ft_mode == "superglue":
         compile_all_interfaces()
     _CAMPAIGN = (run, spec, trace, setup(spec, trace))
@@ -170,7 +180,10 @@ def run_seeded(
     at most one seed everything runs in-process, seed by seed, with no
     pool overhead but the identical per-run code path.  Under the
     ``fork`` start method (see :func:`worker_start_method`) the
-    initializer also runs in the parent, *before* the pool exists.
+    initializer also runs in the parent, *before* the pool exists, and
+    workers inherit the parent's engine configuration with it; under
+    ``spawn`` each worker's initializer takes the parent's
+    configuration as an argument.
     ``on_batch(triples)`` and then ``progress(done, total, result)`` per
     seed fire in the parent as each chunk completes (completion order;
     results are keyed by seed, so the merge is order-free).
@@ -204,7 +217,8 @@ def run_seeded(
             note(_execute_chunk([seed]))
     else:
         method = worker_start_method()
-        pool_initializer, pool_initargs = _init_worker, initargs
+        pool_initializer = _init_worker
+        pool_initargs = (*initargs, asdict(CONFIG))
         if method == "fork":
             _init_worker(*initargs)
             pool_initializer, pool_initargs = None, ()
@@ -325,14 +339,14 @@ def _table2_run(spec: RunSpec, seed: int, trace: bool, start, counters):
 
     A traced run is the same :func:`_drive_run` under the flight
     recorder.  Event emission never feeds back into execution, so its
-    outcome is the untraced one; tracing is forced for the run only, so
-    workers trace whether or not ``REPRO_TRACE`` is set.
+    outcome is the untraced one; tracing is switched on for the run
+    only, so workers trace whether or not ``REPRO_TRACE`` is set.
     """
     if not trace:
         outcome, system, __, __, __ = _drive_run(spec, seed, start=start)
         collect_coverage(system.kernel, counters)
         return outcome, None
-    with tracing(True):
+    with override(trace=True):
         outcome, system, __, steps, __ = _drive_run(spec, seed)
         system.kernel.recorder.metrics.counter(
             f"outcome_{outcome.value}"

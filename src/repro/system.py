@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import os
 import types
 import zlib
 from collections import deque
@@ -37,6 +36,7 @@ from repro.composite.services import (
     StorageService,
     TimerService,
 )
+from repro.config import CONFIG
 from repro.core.compiler import CompiledInterface, SuperGlueCompiler
 from repro.core.runtime.recovery import RecoveryManager
 from repro.errors import ConfigurationError, ReproError
@@ -161,19 +161,6 @@ def build_system(
 # ---------------------------------------------------------------------------
 # System pooling: boot once, dirty-restore per run
 # ---------------------------------------------------------------------------
-
-def pooling_enabled() -> bool:
-    """Is system pooling on?  ``REPRO_SYSTEM_POOL=0`` disables it."""
-    return os.environ.get("REPRO_SYSTEM_POOL", "1") != "0"
-
-
-def pool_debug_enabled() -> bool:
-    """Is ``REPRO_POOL_DEBUG=1`` set?  Every pooled restore is then
-    diffed against a fresh build, every super-trace recording unit
-    against a whole-system diff, and negative histogram observations
-    raise instead of clamping."""
-    return os.environ.get("REPRO_POOL_DEBUG") == "1"
-
 
 #: Plain-data classes that per-run state holds below its roots.  Every
 #: cross-reference among them is by key (tids, cdescs, event ids,
@@ -469,6 +456,10 @@ class SystemSnapshot:
             else "ondemand",
         )
         self.restores = 0
+        #: Run starts derived from this snapshot, by key: tier-3
+        #: recordings and Fig. 7 first-arm snapshots.  They live and die
+        #: with it, so a pool rebuild drops them.
+        self.starts: Dict[tuple, object] = {}
         #: The roots ``prefix`` returned (empty for snapshot zero).
         self.roots: tuple = tuple(prefix(system)) if prefix is not None else ()
         kernel = system.kernel
@@ -599,10 +590,15 @@ def _pool_key(ft_mode, apps, recovery_mode, prepare, instance) -> tuple:
 class SystemPool:
     """Per-process pool of sealed systems, keyed by build parameters.
 
-    ``acquire`` builds (and seals) on first use, then dirty-restores on
-    every subsequent call.  With ``REPRO_POOL_DEBUG=1`` each restore is
-    verified against a fresh build via :func:`system_fingerprint` — any
-    structural divergence raises.
+    ``acquire`` builds and seals on first use and dirty-restores the
+    sealed snapshot on every call.  With ``REPRO_POOL_DEBUG=1`` each
+    restore is verified against a fresh build via
+    :func:`system_fingerprint` — any structural divergence raises.
+
+    ``instance`` distinguishes otherwise-identical systems that must
+    coexist live in one process — e.g. the simulated nodes of a cluster
+    cell each pass their node id, so each node owns a private snapshot
+    instead of all nodes sharing (and clobbering) one pooled image.
     """
 
     def __init__(self):
@@ -618,37 +614,21 @@ class SystemPool:
         instance: Optional[object] = None,
         at: Optional[SystemSnapshot] = None,
     ) -> System:
-        """Acquire a sealed system, building on first use.
-
-        ``instance`` distinguishes otherwise-identical systems that must
-        coexist live in one process — e.g. the simulated nodes of a
-        cluster cell each pass their node id, so each node owns a
-        private snapshot instead of all nodes sharing (and clobbering)
-        one pooled image.
+        """Restore a sealed system, building and sealing it on first use.
 
         ``at`` restores that snapshot of a pooled system instead of the
         one the build parameters name: the pool's own (a campaign looks
         it up once, see :meth:`snapshot_for`) or one sealed later in a
         run (a Fig. 7 first-arm snapshot).
         """
-        if at is not None:
-            snapshot = at
-        else:
-            key = _pool_key(ft_mode, apps, recovery_mode, prepare, instance)
-            snapshot = self._snapshots.get(key)
-        if snapshot is None:
-            system = build_system(
-                ft_mode, apps=apps, recovery_mode=recovery_mode
+        if at is None:
+            at = self.snapshot_for(
+                ft_mode, apps, recovery_mode, prepare, instance
             )
-            if prepare is not None:
-                prepare(system)
-            self._snapshots[key] = SystemSnapshot(system, prepare=prepare)
-            self.stats["builds"] += 1
-            return system
-        system = snapshot.restore()
+        system = at.restore()
         self.stats["restores"] += 1
-        if pool_debug_enabled():
-            diffs = snapshot.diff_against_fresh()
+        if CONFIG.pool_debug:
+            diffs = at.diff_against_fresh()
             if diffs:
                 detail = "; ".join(diffs[:10])
                 raise ReproError(
@@ -657,24 +637,6 @@ class SystemPool:
                 )
         return system
 
-    def peek(
-        self,
-        ft_mode: str = "superglue",
-        apps=DEFAULT_APPS,
-        recovery_mode: str = "ondemand",
-        prepare: Optional[Callable[[System], None]] = None,
-        instance: Optional[object] = None,
-    ) -> Optional[System]:
-        """The pooled system for these parameters, *without* restoring.
-
-        Identity-only lookup for caches that key state to a specific
-        pooled system object (e.g. the super-trace registry): a restore
-        here would double the per-run restore cost for nothing.
-        """
-        key = _pool_key(ft_mode, apps, recovery_mode, prepare, instance)
-        snapshot = self._snapshots.get(key)
-        return None if snapshot is None else snapshot.system
-
     def snapshot_for(
         self,
         ft_mode: str = "superglue",
@@ -682,16 +644,24 @@ class SystemPool:
         recovery_mode: str = "ondemand",
         prepare: Optional[Callable[[System], None]] = None,
         instance: Optional[object] = None,
-    ) -> Optional[SystemSnapshot]:
-        """The sealed snapshot for these parameters, if one exists.
-
-        The cluster supervisor uses this to whole-node reboot: restoring
-        a node's snapshot *is* the node reboot (dirty-page restore of
-        every component image plus per-run structure resets).
+    ) -> SystemSnapshot:
+        """The sealed snapshot for these parameters, building on first
+        use, without restoring it: campaigns look it up once and hang
+        the run starts they derive from it on :attr:`SystemSnapshot.starts`.
         """
-        return self._snapshots.get(
-            _pool_key(ft_mode, apps, recovery_mode, prepare, instance)
-        )
+        key = _pool_key(ft_mode, apps, recovery_mode, prepare, instance)
+        snapshot = self._snapshots.get(key)
+        if snapshot is None:
+            system = build_system(
+                ft_mode, apps=apps, recovery_mode=recovery_mode
+            )
+            if prepare is not None:
+                prepare(system)
+            snapshot = self._snapshots[key] = SystemSnapshot(
+                system, prepare=prepare
+            )
+            self.stats["builds"] += 1
+        return snapshot
 
     def clear(self) -> None:
         self._snapshots.clear()

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.composite.scheduler import CYCLES_PER_US
-from repro.observe import tracing
+from repro.config import override
 from repro.observe.metrics import (
     MetricsRegistry,
     bucket_bounds,
@@ -174,11 +174,6 @@ def _web_system(spec: WebRunSpec, at: Optional[SystemSnapshot] = None):
     )
 
 
-#: Per-process first-arm snapshots: spec key -> (the pooled system they
-#: were taken on, the snapshot or None).
-_SNAPSHOTS: Dict[tuple, tuple] = {}
-
-
 def _web_recording(spec: WebRunSpec) -> Optional[SystemSnapshot]:
     """The spec's first-arm snapshot, taken once per process.
 
@@ -190,21 +185,20 @@ def _web_recording(spec: WebRunSpec) -> Optional[SystemSnapshot]:
     restores this snapshot, taken just before that step, instead of
     executing the prefix.  A fault-free spec is sealed at the end of
     its clean run.  The snapshot is one of the prepared pooled system,
-    and it is retaken if the pool rebuilt that system.  None for
-    unpooled or traced runs, which start from boot, and when the clean
-    run is not clean (a crash, a reboot, an exhausted budget), so the
-    spec's runs start from boot too.
+    kept on that system's pooled snapshot, so a pool rebuild drops it.
+    None for unpooled or traced runs, which start from boot, and when
+    the clean run is not clean (a crash, a reboot, an exhausted
+    budget), so the spec's runs start from boot too.
     """
     if not _pooled():
         return None
-    key = (spec.fingerprint(), spec.max_steps)
-    pooled = GLOBAL_POOL.peek(
+    pooled = GLOBAL_POOL.snapshot_for(
         ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode,
         prepare=prepare_webserver,
     )
-    cached = _SNAPSHOTS.get(key)
-    if cached is not None and pooled is not None and cached[0] is pooled:
-        return cached[1]
+    key = ("first_arm", spec.fingerprint(), spec.max_steps)
+    if key in pooled.starts:
+        return pooled.starts[key]
     # One whole clean pass finds the snapshot point; a second clean
     # pass runs to that point, the snapshot seals there, and the pass
     # runs on to its end.  Every trace of the clean stream has then run
@@ -220,7 +214,7 @@ def _web_recording(spec: WebRunSpec) -> Optional[SystemSnapshot]:
             prefix=functools.partial(_run_prefix, spec, steps),
         )
         run_system(system, None, spec.max_steps - steps)
-    _SNAPSHOTS[key] = (system, snapshot)
+    pooled.starts[key] = snapshot
     return snapshot
 
 
@@ -432,13 +426,10 @@ def _row_from_result(run_seed: int, result: LoadResult) -> Dict[str, object]:
     return row
 
 
-def _drive_web_run(spec: WebRunSpec, run_seed: int):
-    """Serve one run on a prepared system: restored to the spec's
-    first-arm snapshot when pooled, else booted or restored to boot.
-    Returns ``(row, system)``."""
-    # Take the snapshot *before* the final acquire: its clean passes
-    # run on the pooled system.
-    start = _web_recording(spec)
+def _drive_web_run(spec: WebRunSpec, run_seed: int, start):
+    """Serve one run on a prepared system: restored to ``start``, the
+    spec's first-arm snapshot, or without one booted (restored to boot
+    when pooled).  Returns ``(row, system)``."""
     system = _web_system(spec, at=start)
     result = _serve(
         spec, system, run_seed, spec.n_faults > 0,
@@ -451,9 +442,11 @@ def execute_web_run(spec: WebRunSpec, run_seed: int) -> Dict[str, object]:
     """Execute one faulted web-server run; returns its campaign row.
 
     Module-level and pure (given the spec and seed), like the SWIFI
-    ``execute_run``.
+    ``execute_run``.  The run starts from the spec's first-arm
+    snapshot when pooled, taken here on first use: *before* the run's
+    acquire, since its clean passes run on the pooled system.
     """
-    return _drive_web_run(spec, run_seed)[0]
+    return _drive_web_run(spec, run_seed, _web_recording(spec))[0]
 
 
 #: Kernel counters a traced web run folds into its metrics.
@@ -470,12 +463,10 @@ SNAPSHOT_COUNTS = ("snapshot_steps", "snapshot_roots")
 
 def _web_setup(spec: WebRunSpec, trace: bool):
     """Per-process setup: boot + seal the prepared pooled system and
-    take the spec's first-arm snapshot; returns that snapshot (None
-    when traced or unpooled, since such runs start from boot)."""
-    if trace or not _pooled():
-        return None
-    _web_system(spec)
-    return _web_recording(spec)
+    take the spec's first-arm snapshot; returns that snapshot, which
+    every untraced run starts from (None when traced or unpooled,
+    since such runs start from boot)."""
+    return None if trace else _web_recording(spec)
 
 
 def _web_run(spec: WebRunSpec, seed: int, trace: bool, snapshot, counters):
@@ -494,9 +485,9 @@ def _web_run(spec: WebRunSpec, seed: int, trace: bool, snapshot, counters):
         for name, count in zip(SNAPSHOT_COUNTS, counts):
             counters[name] = counters.get(name, 0) + count
     if not trace:
-        return execute_web_run(spec, seed), None
-    with tracing(True):
-        row, system = _drive_web_run(spec, seed)
+        return _drive_web_run(spec, seed, snapshot)[0], None
+    with override(trace=True):
+        row, system = _drive_web_run(spec, seed, None)
         return row, run_record(
             spec, seed, system, WEB_RUN_STATS,
             service="webserver",

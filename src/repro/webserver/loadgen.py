@@ -101,10 +101,6 @@ class LoadResult:
     slo_ok: int = 0
 
     @property
-    def duration_us(self) -> float:
-        return self.duration_cycles / CYCLES_PER_US
-
-    @property
     def throughput_rps(self) -> float:
         """Requests per virtual second."""
         if self.duration_cycles == 0:

@@ -43,6 +43,7 @@ from repro.composite.machine import (
 from repro.composite.memory import MemoryImage
 from repro.composite.services.common import ServiceComponent
 from repro.composite.thread import SimThread
+from repro.config import override
 from repro.errors import SimulatedFault
 from repro.idl_specs import SERVICES
 from repro.swifi.campaign import CampaignRunner
@@ -353,7 +354,7 @@ def run_fast(trace: Trace, base: int = BASE, words: int = WORDS, junk=()):
     return _observe(_fast, trace, fresh_image(base, words), junk)
 
 
-def run_attached(trace: Trace, junk, tainted, monkeypatch):
+def run_attached(trace: Trace, junk, tainted):
     """``Component.execute`` of ``trace`` on an attached component, with
     tier 2 off and then on, each from ``junk`` in all eight registers
     and ``tainted`` registers tainted.  Each side is its outcome, end
@@ -361,7 +362,6 @@ def run_attached(trace: Trace, junk, tainted, monkeypatch):
     ``(interp_fast_runs, interp_slow_runs)``."""
     sides = []
     for enabled in (False, True):
-        monkeypatch.setattr(fastpath, "FAST_INTERP_ENABLED", enabled)
         kernel = Kernel()
         host = TraceHost("diff")
         host.attach(kernel, BASE)
@@ -370,7 +370,8 @@ def run_attached(trace: Trace, junk, tainted, monkeypatch):
         regs.values[:] = junk
         for reg in tainted:
             regs.taint[reg] = True
-        outcome = _outcome(lambda: host.execute(thread, trace))
+        with override(fast_interp=enabled):
+            outcome = _outcome(lambda: host.execute(thread, trace))
         image = host.image
         sides.append((
             outcome, list(regs.values), list(regs.taint), list(image.words),
@@ -460,7 +461,7 @@ class TestDifferentialRandomTraces:
             ]
             for tainted, fast in cases:
                 calls = len(fast_calls)
-                off, on = run_attached(trace, junk8, tainted, monkeypatch)
+                off, on = run_attached(trace, junk8, tainted)
                 assert on[:-1] == off[:-1]
                 ran = 0 if on[0][0] == "fault" else 1
                 assert off[-1] == (0, ran)
@@ -549,8 +550,8 @@ class TestEligibility:
         assert trace._compiled.run.__code__ is program.run.__code__
         assert compiles == []
 
-    def test_disabled_flag_declines(self, monkeypatch):
-        monkeypatch.setattr(fastpath, "FAST_INTERP_ENABLED", False)
+    def test_disabled_flag_declines(self, engine):
+        engine(fast_interp=False)
         image = fresh_image()
         trace = self._simple_trace()
         trace._clean_runs = 1

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.composite import fastpath
 from repro.composite.machine import Trace
 from repro.composite.services.common import ServiceComponent, TraceCache
 from repro.composite.thread import Invoke
@@ -171,11 +170,11 @@ class TestDeterminism:
         result = CampaignRunner("lock", n_faults=8, seed=3).run(workers=1)
         return {o.value: c for o, c in result.counter.counts.items()}
 
-    def test_outcomes_identical_with_engine_disabled(self, monkeypatch):
+    def test_outcomes_identical_with_engine_disabled(self, monkeypatch, engine):
         with_engine = self._campaign_counts()
         # Tier 1 off: every lookup misses, so every call rebuilds.
         monkeypatch.setattr(TraceCache, "get", lambda self, key: None)
-        monkeypatch.setattr(fastpath, "FAST_INTERP_ENABLED", False)
+        engine(fast_interp=False)
         without_engine = self._campaign_counts()
         assert with_engine == without_engine
         assert sum(with_engine.values()) == 8

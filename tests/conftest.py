@@ -1,10 +1,13 @@
 """Shared fixtures for the test suite."""
 
 import os
+from contextlib import ExitStack
+from dataclasses import asdict
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.config import EngineConfig, override
 from repro.system import build_system, compile_all_interfaces
 
 # Hypothesis profiles, selected via HYPOTHESIS_PROFILE:
@@ -31,6 +34,24 @@ settings.register_profile(
 )
 settings.register_profile("dev", deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def engine_defaults():
+    """Run every test, and every fixture of any scope, under the default
+    engine configuration, whatever ``REPRO_*`` gates the calling shell
+    exported."""
+    with override(**asdict(EngineConfig())):
+        yield
+
+
+@pytest.fixture
+def engine(engine_defaults):
+    """``engine(**fields)`` overrides engine gates for the rest of the
+    test, e.g. ``engine(system_pool=False)``; later calls stack, and
+    teardown undoes them all."""
+    with ExitStack() as stack:
+        yield lambda **fields: stack.enter_context(override(**fields))
 
 
 @pytest.fixture(scope="session")

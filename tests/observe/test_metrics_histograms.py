@@ -29,8 +29,8 @@ class TestClampedObservations:
         h.observe(-1)
         assert h.to_dict()["clamped"] == 1
 
-    def test_pool_debug_raises_instead(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_DEBUG", "1")
+    def test_pool_debug_raises_instead(self, engine):
+        engine(pool_debug=True)
         h = Histogram()
         with pytest.raises(AssertionError, match="negative"):
             h.observe(-1)

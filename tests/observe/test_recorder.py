@@ -1,8 +1,11 @@
 """Unit tests for the flight recorder core: gating, ring, metrics."""
 
+import dataclasses
+
 import pytest
 
-from repro import observe
+from repro.config import CONFIG, EngineConfig, override
+from repro.errors import ConfigurationError
 from repro.observe import (
     DEFAULT_CAPACITY,
     NULL_RECORDER,
@@ -22,13 +25,6 @@ from repro.system import build_system
 class FakeClock:
     def __init__(self, now=0):
         self.now = now
-
-
-@pytest.fixture(autouse=True)
-def _env_gate_off(monkeypatch):
-    """Run every test against the default (disabled) environment gate."""
-    monkeypatch.delenv("REPRO_TRACE", raising=False)
-    monkeypatch.delenv("REPRO_TRACE_CAPACITY", raising=False)
 
 
 class TestDisabledMode:
@@ -61,38 +57,94 @@ class TestDisabledMode:
         assert system.kernel.recorder is NULL_RECORDER
 
 
-class TestGating:
-    def test_env_gate(self, monkeypatch):
-        assert observe.tracing_enabled() is False
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        assert observe.tracing_enabled() is True
-        assert isinstance(recorder_for(), FlightRecorder)
-        for off in ("0", "", "false", "no"):
-            monkeypatch.setenv("REPRO_TRACE", off)
-            assert observe.tracing_enabled() is False
+#: ``(variable, value, field, parsed)``: each gate's type rule, read
+#: from an environment mapping.  Unset or empty means the default.
+VALID_GATES = (
+    ("REPRO_SYSTEM_POOL", "false", "system_pool", False),
+    ("REPRO_SYSTEM_POOL", "0", "system_pool", False),
+    ("REPRO_SYSTEM_POOL", "1", "system_pool", True),
+    ("REPRO_SUPER_TRACE", "off", "super_trace", False),
+    ("REPRO_SUPER_TRACE", "", "super_trace", True),
+    ("REPRO_FAST_INTERP", "No", "fast_interp", False),
+    ("REPRO_POOL_DEBUG", "true", "pool_debug", True),
+    ("REPRO_POOL_DEBUG", "yes", "pool_debug", True),
+    ("REPRO_TRACE", "on", "trace", True),
+    ("REPRO_TRACE", "1", "trace", True),
+    ("REPRO_TRACE", "off", "trace", False),
+    ("REPRO_TRACE", "0", "trace", False),
+    ("REPRO_TRACE_CAPACITY", "64", "trace_capacity", 64),
+    ("REPRO_TRACE_CAPACITY", "", "trace_capacity", DEFAULT_CAPACITY),
+    ("REPRO_WORKER_START", "spawn", "worker_start", "spawn"),
+    ("REPRO_WORKER_START", "fork", "worker_start", "fork"),
+    ("REPRO_WORKER_START", "auto", "worker_start", "auto"),
+)
 
-    def test_context_manager_overrides_and_restores(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        with observe.tracing(True):
-            assert observe.tracing_enabled() is True
-            with observe.tracing(False):
-                assert observe.tracing_enabled() is False
-            assert observe.tracing_enabled() is True
-        assert observe.tracing_enabled() is False
+#: Values each rule rejects, naming the variable.
+INVALID_GATES = (
+    ("REPRO_SYSTEM_POOL", "2"),
+    ("REPRO_POOL_DEBUG", "enabled"),
+    ("REPRO_TRACE", "-1"),
+    ("REPRO_TRACE_CAPACITY", "junk"),
+    ("REPRO_TRACE_CAPACITY", "0"),
+    ("REPRO_TRACE_CAPACITY", "-64"),
+    ("REPRO_WORKER_START", "spwan"),
+)
+
+
+class TestGating:
+    def test_env_gate(self):
+        default = EngineConfig()
+        assert EngineConfig.from_env({}) == default
+        assert (default.system_pool, default.super_trace,
+                default.fast_interp) == (True, True, True)
+        assert (default.pool_debug, default.trace) == (False, False)
+        assert default.worker_start == "auto"
+        for variable, raw, name, parsed in VALID_GATES:
+            assert EngineConfig.from_env({variable: raw}) == (
+                dataclasses.replace(default, **{name: parsed})
+            ), (variable, raw)
+        for variable, raw in INVALID_GATES:
+            with pytest.raises(ConfigurationError, match=variable):
+                EngineConfig.from_env({variable: raw})
+        # The trace gate decides what recorder a new kernel gets.
+        assert recorder_for() is NULL_RECORDER
+        with override(trace=True):
+            assert isinstance(recorder_for(), FlightRecorder)
+
+    def test_context_manager_overrides_and_restores(self):
+        with override(trace=True):
+            assert CONFIG.trace is True
+            with override(trace=False):
+                assert CONFIG.trace is False
+            assert CONFIG.trace is True
+        assert CONFIG.trace is False
+        # Override values are typed and checked like the environment's.
+        for bad in (
+            {"trace": "1"}, {"trace_capacity": 0}, {"trace_capacity": True},
+            {"worker_start": "spwan"}, {"tracing": True},
+        ):
+            with pytest.raises(ConfigurationError):
+                with override(**bad):
+                    pass
+        assert CONFIG == EngineConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            CONFIG.trace = True
 
     def test_traced_kernel_gets_live_recorder_bound_to_its_clock(self):
-        with observe.tracing(True):
+        with override(trace=True):
             system = build_system(ft_mode="superglue")
         recorder = system.kernel.recorder
         assert isinstance(recorder, FlightRecorder)
         assert recorder.clock is system.kernel.clock
 
-    def test_capacity_env_override(self, monkeypatch):
-        assert observe.ring_capacity() == DEFAULT_CAPACITY
-        monkeypatch.setenv("REPRO_TRACE_CAPACITY", "64")
-        assert observe.ring_capacity() == 64
-        monkeypatch.setenv("REPRO_TRACE_CAPACITY", "junk")
-        assert observe.ring_capacity() == DEFAULT_CAPACITY
+    def test_capacity_env_override(self):
+        assert CONFIG.trace_capacity == DEFAULT_CAPACITY
+        capacity = EngineConfig.from_env({"REPRO_TRACE_CAPACITY": "64"})
+        assert capacity.trace_capacity == 64
+        with pytest.raises(ConfigurationError, match="REPRO_TRACE_CAPACITY"):
+            EngineConfig.from_env({"REPRO_TRACE_CAPACITY": "junk"})
+        with override(trace=True, trace_capacity=64):
+            assert recorder_for().capacity == 64
 
 
 class TestRing:

@@ -33,6 +33,7 @@ from repro.cluster import (
     run_cluster_campaign,
 )
 from repro.cluster.node import node_pool_instance
+from repro.config import override
 from repro.observe.events import validate_event
 from repro.observe.export import load_runs
 from repro.swifi.campaign import _drive_run
@@ -83,11 +84,9 @@ class TestWholeNodeReboot:
         kernel counters), whole-node reboots, and the restored System's
         structural fingerprint must equal a never-used build's.
         """
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
         pool = SystemPool()
-        monkeypatch.setattr("repro.cluster.node.GLOBAL_POOL", pool)
-        # Pooled units route through the campaign's _drive_run, which
-        # resolves the pool via its own module reference.
+        # Nodes warm through the campaign's warm_up, which resolves the
+        # pool via its own module reference.
         monkeypatch.setattr("repro.swifi.campaign.GLOBAL_POOL", pool)
         node = Node(0, "superglue", "ondemand")
         spec = _spec().run_spec()
@@ -96,17 +95,15 @@ class TestWholeNodeReboot:
         node.killed = True
         node.reboot()
         snapshot = pool.snapshot_for(instance=("cluster", 0))
-        assert snapshot is not None
+        assert node.start[0] is snapshot
         assert snapshot.diff_against_fresh() == []
         assert not node.killed
         assert node.crash_count() == 0
 
-    def test_pool_debug_verifies_every_node_restore(self, monkeypatch):
+    def test_pool_debug_verifies_every_node_restore(self, monkeypatch, engine):
         """REPRO_POOL_DEBUG=1 fingerprints each node acquire vs fresh."""
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        monkeypatch.setenv("REPRO_POOL_DEBUG", "1")
+        engine(pool_debug=True)
         pool = SystemPool()
-        monkeypatch.setattr("repro.cluster.node.GLOBAL_POOL", pool)
         monkeypatch.setattr("repro.swifi.campaign.GLOBAL_POOL", pool)
         node = Node(1, "superglue", "ondemand")
         spec = _spec().run_spec()
@@ -138,12 +135,11 @@ class TestSupervisionDeterminism:
         assert reused[0] == reused[2]
         assert reused[0] == execute_scenario(spec, 501)
 
-    def test_eviction_decisions_identical_pooled_and_fresh(self, monkeypatch):
+    def test_eviction_decisions_identical_pooled_and_fresh(self):
         spec = _spec(n_kill=2, units=8)
         seeds = cluster_run_seeds(11, 4)
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "0")
-        fresh = [execute_scenario(spec, s) for s in seeds]
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
+        with override(system_pool=False):
+            fresh = [execute_scenario(spec, s) for s in seeds]
         pooled = [execute_scenario(spec, s) for s in seeds]
         assert pooled == fresh
 
@@ -192,33 +188,28 @@ class TestFailover:
             parallel.to_json_dict()
         )
 
-    def test_supertraced_rows_identical_to_authoritative(self, monkeypatch):
+    def test_supertraced_rows_identical_to_authoritative(self):
         """Instance-keyed replay: node outcomes match the two-tier path.
 
         With pooling + super-traces on, every node replays recordings
-        made against its own private snapshot (registry keys carry the
-        pool instance).  The scenario rows — outcome mix, failovers,
-        reboots, durations — must be identical to the authoritative
-        two-tier execution.
+        made against its own private snapshot (each node's start).  The
+        scenario rows — outcome mix, failovers, reboots, durations —
+        must be identical to the authoritative two-tier execution.
         """
-        from repro.composite.supertrace import REGISTRY
-
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
         spec = _spec(units=4)
         seeds = cluster_run_seeds(31, 3)
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "0")
-        baseline = [execute_scenario(spec, s) for s in seeds]
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
-        assert [execute_scenario(spec, s) for s in seeds] == baseline
-        # The engine really engaged, with per-node recordings: the
-        # registry holds instance-keyed entries for the cluster nodes.
-        instances = {
-            key[-1] for key in REGISTRY._entries if key[-1] is not None
-        }
-        assert any(
-            isinstance(inst, tuple) and inst[0] == "cluster"
-            for inst in instances
-        )
+        with override(super_trace=False):
+            baseline = [execute_scenario(spec, s) for s in seeds]
+        cell = Cell(spec)
+        assert [cell.run_scenario(s) for s in seeds] == baseline
+        # The engine really engaged, with per-node recordings: each
+        # node's recording binds the system of its private snapshot.
+        assert cell.coverage()["super_trace_runs"] > 0
+        warmed = [node.start for node in cell.nodes if node.start]
+        assert warmed
+        for snapshot, recording in warmed:
+            assert recording.kernel is snapshot.system.kernel
+        assert len({id(snapshot) for snapshot, __ in warmed}) == len(warmed)
 
     def test_unit_outcomes_match_flat_campaign(self):
         """Cluster units == flat campaign runs for the same (spec, seed).

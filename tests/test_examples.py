@@ -9,11 +9,18 @@ EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
 
 def run_example(name, *args, timeout=240):
     path = os.path.abspath(os.path.join(EXAMPLES, name))
+    # Examples run under the default engine configuration, whatever
+    # REPRO_* gates the calling shell exported.
+    env = {
+        key: value for key, value in os.environ.items()
+        if not key.startswith("REPRO_")
+    }
     result = subprocess.run(
         [sys.executable, path, *args],
         capture_output=True,
         text=True,
         timeout=timeout,
+        env=env,
     )
     assert result.returncode == 0, result.stdout + result.stderr
     return result.stdout

@@ -18,13 +18,8 @@ import pickle
 
 import pytest
 
-from repro import observe
-from repro.composite.supertrace import (
-    REGISTRY,
-    RecordingSession,
-    ReplaySession,
-    super_trace_enabled,
-)
+from repro.composite.supertrace import RecordingSession, ReplaySession
+from repro.config import CONFIG, EngineConfig, override
 from repro.errors import ReproError
 from repro.idl_specs import SERVICES
 from repro.swifi import campaign as swifi_campaign
@@ -42,38 +37,37 @@ def _sweep(spec, seeds):
 
 
 def _pooled_kernel(spec):
-    system = GLOBAL_POOL.peek(
+    return GLOBAL_POOL.snapshot_for(
         ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode
-    )
-    assert system is not None, "campaign should have populated the pool"
-    return system.kernel
+    ).system.kernel
 
 
 class TestGating:
-    def test_env_gate(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "0")
-        assert not super_trace_enabled()
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
-        assert super_trace_enabled()
+    def test_env_gate(self, engine):
+        # REPRO_SUPER_TRACE is read into the configuration, default on;
+        # the configured gate decides whether a pooled spec records.
+        assert EngineConfig.from_env({"REPRO_SUPER_TRACE": "0"}).super_trace is False
+        assert EngineConfig.from_env({"REPRO_SUPER_TRACE": "1"}).super_trace is True
+        assert CONFIG.super_trace is True
+        spec = _lock_runner().spec()
+        assert swifi_campaign._campaign_recording(spec) is not None
+        engine(super_trace=False)
+        assert swifi_campaign._campaign_recording(spec) is None
 
-    def test_disabled_means_no_recording(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "0")
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
+    def test_disabled_means_no_recording(self, engine):
+        engine(super_trace=False)
         spec = _lock_runner().spec()
         assert swifi_campaign._campaign_recording(spec) is None
 
-    def test_fresh_build_means_no_recording(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "0")
+    def test_fresh_build_means_no_recording(self, engine):
+        engine(system_pool=False)
         spec = _lock_runner().spec()
         assert swifi_campaign._campaign_recording(spec) is None
 
-    def test_traced_runs_mean_no_recording(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
+    def test_traced_runs_mean_no_recording(self, engine):
+        engine(trace=True)
         spec = _lock_runner().spec()
-        with observe.tracing(True):
-            assert swifi_campaign._campaign_recording(spec) is None
+        assert swifi_campaign._campaign_recording(spec) is None
 
 
 class TestOutcomeIdentity:
@@ -83,23 +77,19 @@ class TestOutcomeIdentity:
     snapshot instead (``tests/test_web_snapshot.py``)."""
 
     @pytest.mark.parametrize("fault_class", ["reg", "mem", "idl", "burst"])
-    def test_injected_campaign_identical(self, monkeypatch, fault_class):
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
+    def test_injected_campaign_identical(self, fault_class):
         runner = CampaignRunner(
             "lock", n_faults=12, seed=1, fault_class=fault_class
         )
         spec = runner.spec()
         seeds = runner.run_seeds()
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "0")
-        baseline = _sweep(spec, seeds)
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
+        with override(super_trace=False):
+            baseline = _sweep(spec, seeds)
         assert _sweep(spec, seeds) == baseline
 
 
 class TestReplayAccounting:
-    def test_replay_engages_and_injections_bypass(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
+    def test_replay_engages_and_injections_bypass(self):
         runner = _lock_runner()
         spec = runner.spec()
         kernel = None
@@ -115,9 +105,8 @@ class TestReplayAccounting:
         assert stats["super_trace_divergences"] > 0
         assert stats["super_trace_divergent_units"] > 0
 
-    def test_two_tier_mode_never_counts_super_trace(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "0")
+    def test_two_tier_mode_never_counts_super_trace(self, engine):
+        engine(super_trace=False)
         runner = _lock_runner(seed=5)
         spec = runner.spec()
         for seed in runner.run_seeds()[:4]:
@@ -126,32 +115,27 @@ class TestReplayAccounting:
         assert stats["super_trace_runs"] == 0
         assert stats["super_trace_bypasses"] == 0
 
-    def test_pool_debug_clean_after_supertraced_runs(self, monkeypatch):
+    def test_pool_debug_clean_after_supertraced_runs(self, engine):
         # Every restore after a super-traced run must still produce a
         # system structurally identical to a fresh build.
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
-        monkeypatch.setenv("REPRO_POOL_DEBUG", "1")
+        engine(pool_debug=True)
         runner = _lock_runner(n_faults=8, seed=7)
         spec = runner.spec()
         for seed in runner.run_seeds():
             execute_run(spec, seed)  # raises ReproError on divergence
 
     def test_failed_recording_falls_back_authoritative(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
         monkeypatch.setattr(
-            swifi_campaign, "_build_recording",
-            lambda spec, instance=None: None,
+            swifi_campaign, "_build_recording", lambda spec, acquire: None
         )
-        REGISTRY.clear()
+        GLOBAL_POOL.clear()  # a rebuilt pool records afresh
         runner = _lock_runner(n_faults=6, seed=9)
         spec = runner.spec()
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "0")
-        baseline = _sweep(spec, runner.run_seeds())
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
+        with override(super_trace=False):
+            baseline = _sweep(spec, runner.run_seeds())
         assert _sweep(spec, runner.run_seeds()) == baseline
         assert swifi_campaign._campaign_recording(spec) is None
+        GLOBAL_POOL.clear()  # drop the failed recording
 
 
 class TestColdWarmSymmetry:
@@ -176,10 +160,8 @@ class TestColdWarmSymmetry:
         return outcomes, coverage
 
     @pytest.mark.parametrize("fault_class", ["reg", "mem", "idl", "burst"])
-    def test_back_to_back_passes_identical(self, monkeypatch, fault_class):
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
-        REGISTRY.clear()  # the first pass records the spec afresh
+    def test_back_to_back_passes_identical(self, fault_class):
+        GLOBAL_POOL.clear()  # the first pass records the spec afresh
         runner = CampaignRunner(
             "lock", n_faults=15, seed=2, fault_class=fault_class
         )
@@ -191,13 +173,11 @@ class TestColdWarmSymmetry:
         assert warm == cold
         assert cold["super_trace_runs"] > 0
 
-    def test_injected_runs_under_pool_debug(self, monkeypatch):
+    def test_injected_runs_under_pool_debug(self, engine):
         # Every restore after an injected super-traced run must still
         # produce a system structurally identical to a fresh build,
         # across two passes over the same seeds.
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
-        monkeypatch.setenv("REPRO_POOL_DEBUG", "1")
+        engine(pool_debug=True)
         runner = _lock_runner(n_faults=8, seed=11)
         spec = runner.spec()
         for seed in runner.run_seeds() * 2:
@@ -226,18 +206,18 @@ class TestEndStateIdentity:
     campaign artifact shows those, so this is the test that catches a
     recording which misses a root a unit changed."""
 
-    def _assert_same_end_states(self, monkeypatch, label, run, seeds):
+    def _assert_same_end_states(self, label, run, seeds):
         states = {}
         replayed = 0
-        for engine in ("0", "1"):
-            monkeypatch.setenv("REPRO_SUPER_TRACE", engine)
-            states[engine] = []
-            for seed in seeds:
-                system = run(seed)
-                states[engine].append(_end_state(system))
-                replayed += system.kernel.stats["super_trace_runs"]
+        for tier3 in (False, True):
+            states[tier3] = []
+            with override(super_trace=tier3):
+                for seed in seeds:
+                    system = run(seed)
+                    states[tier3].append(_end_state(system))
+                    replayed += system.kernel.stats["super_trace_runs"]
         assert replayed > 0, label
-        for seed, before, after in zip(seeds, states["0"], states["1"]):
+        for seed, before, after in zip(seeds, states[False], states[True]):
             differing = sorted(
                 key for key in set(before) | set(after)
                 if before.get(key) != after.get(key)
@@ -245,8 +225,7 @@ class TestEndStateIdentity:
             assert differing == [], f"{label} seed {seed}"
 
     @pytest.mark.parametrize("service", SERVICES)
-    def test_table2_end_state(self, monkeypatch, service):
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
+    def test_table2_end_state(self, service):
         for ft_mode in ("superglue", "c3"):
             for fault_class in ("reg", "idl"):
                 runner = CampaignRunner(
@@ -255,7 +234,6 @@ class TestEndStateIdentity:
                 )
                 spec = runner.spec()
                 self._assert_same_end_states(
-                    monkeypatch,
                     f"{ft_mode} {fault_class}",
                     lambda seed: swifi_campaign._drive_run(spec, seed)[1],
                     runner.run_seeds(),
@@ -267,11 +245,9 @@ class TestRecordingOracle:
     diff against the whole-system diff."""
 
     @pytest.fixture(autouse=True)
-    def _debug(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
-        monkeypatch.setenv("REPRO_POOL_DEBUG", "1")
-        REGISTRY.clear()  # record afresh, under the oracle
+    def _debug(self, engine):
+        engine(pool_debug=True)
+        GLOBAL_POOL.clear()  # record afresh, under the oracle
 
     def test_every_table2_unit_checked(self):
         for ft_mode in ("superglue", "c3"):
@@ -309,7 +285,6 @@ class TestRecordingOracle:
             swifi_campaign._campaign_recording(spec)
         recorded_only = True
         timer.faults_detected = 0
-        REGISTRY.clear()
         with pytest.raises(
             AssertionError,
             match=r"root \('comp', 'timer'\) path \(\('a', 'faults_detected'\),\)",
@@ -334,12 +309,10 @@ class TestNoTailCache:
             })
         return outcomes, stats
 
-    def test_tail_counters_stay_zero(self, monkeypatch):
+    def test_tail_counters_stay_zero(self):
         # The tracer folds these two keys into its layer metrics; they
         # must exist on every run's stats and never count anything,
         # even on runs whose injection diverged from the recording.
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
         runner = _lock_runner(n_faults=20, seed=3)
         __, stats = self._drive(runner.spec(), runner.run_seeds())
         assert sum(s["super_trace_divergences"] for s in stats) > 0
@@ -368,7 +341,7 @@ class TestRecordingEvent:
     def test_super_trace_record_event_schema(self):
         # The seal event must validate against the declared schema and
         # carry the unit accounting the timeline renderer formats.
-        with observe.tracing(True):
+        with override(trace=True):
             system = build_system(ft_mode="superglue")
             session = RecordingSession(system.kernel)
             recording = session.finish({"service": "lock"})
@@ -394,14 +367,17 @@ class TestZeroCopyWorkers:
         assert overhead < 150
         assert b"RunSpec" not in payload
 
-    def test_start_method_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_START", "spawn")
+    def test_start_method_resolution(self, engine):
+        assert EngineConfig.from_env(
+            {"REPRO_WORKER_START": "spawn"}
+        ).worker_start == "spawn"
+        engine(worker_start="spawn")
         assert parallel.worker_start_method() == "spawn"
-        monkeypatch.delenv("REPRO_WORKER_START")
+        engine(worker_start="auto")
         assert parallel.worker_start_method() in ("fork", "spawn")
 
-    def test_fork_unavailable_falls_back_to_spawn(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_START", "fork")
+    def test_fork_unavailable_falls_back_to_spawn(self, monkeypatch, engine):
+        engine(worker_start="fork")
         monkeypatch.setattr(
             parallel.multiprocessing,
             "get_all_start_methods",
@@ -429,17 +405,26 @@ class TestZeroCopyWorkers:
         assert campaign.results == {s: (s, "state") for s in (1, 2, 3)}
 
     @pytest.mark.parametrize("start", ["fork", "spawn"])
-    def test_parallel_identical_to_serial(self, monkeypatch, start):
+    def test_parallel_identical_to_serial(self, engine, start):
         import multiprocessing
 
         if start not in multiprocessing.get_all_start_methods():
             pytest.skip(f"{start} start method unavailable")
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        monkeypatch.setenv("REPRO_SUPER_TRACE", "1")
         runner = _lock_runner(n_faults=8, seed=4)
         spec = runner.spec()
         seeds = runner.run_seeds()
         serial, __ = parallel.run_campaign(spec, seeds, workers=1)
-        monkeypatch.setenv("REPRO_WORKER_START", start)
-        fanned, __ = parallel.run_campaign(spec, seeds, workers=2)
+        engine(worker_start=start)
+        fanned, campaign = parallel.run_campaign(spec, seeds, workers=2)
         assert fanned.counts == serial.counts
+        assert campaign.counters["super_trace_runs"] > 0
+        if start == "spawn":
+            # Spawned workers run under the parent's configuration, not
+            # their own reading of the environment: with pooling off in
+            # the parent they build fresh, so nothing replays.
+            with override(system_pool=False):
+                fresh, campaign = parallel.run_campaign(
+                    spec, seeds, workers=2
+                )
+            assert fresh.counts == serial.counts
+            assert campaign.counters["super_trace_runs"] == 0

@@ -10,8 +10,8 @@ verify both the structural invariant and outcome bit-identity.
 
 import pytest
 
-from repro import observe
 from repro.composite.memory import PAGE_WORDS
+from repro.config import CONFIG, EngineConfig, override
 from repro.swifi.campaign import (
     CampaignRunner,
     _campaign_system,
@@ -23,7 +23,6 @@ from repro.system import (
     SystemPool,
     SystemSnapshot,
     build_system,
-    pooling_enabled,
     system_fingerprint,
     system_snapshot,
 )
@@ -93,7 +92,7 @@ class TestRestoreEqualsFresh:
         with pytest.raises(ReproError, match="cursor"):
             SystemSnapshot(system)
 
-    def test_fingerprint_detects_divergence(self, monkeypatch):
+    def test_fingerprint_detects_divergence(self):
         # The debug diff must actually have teeth: rig the sealed system
         # and check the fingerprint comparison catches it.
         snapshot = SystemSnapshot(build_system("superglue"))
@@ -113,7 +112,6 @@ class TestRestoreEqualsFresh:
         # A register flip in a thread that a mid-run snapshot restored
         # (Fig. 7's first-arm snapshot), compared with a fresh build
         # driven through the same prefix.
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
         snapshot = _web_recording(WebRunSpec(n_requests=40, n_faults=2))
         system = GLOBAL_POOL.acquire(at=snapshot)
         thread = system.kernel.threads[2]
@@ -124,10 +122,10 @@ class TestRestoreEqualsFresh:
             f"fresh={thread.regs.values[0] ^ 32!r}",
         ]
 
-    def test_pool_debug_mode_raises_on_divergence(self, monkeypatch):
+    def test_pool_debug_mode_raises_on_divergence(self, engine):
         from repro.workloads import workload_for
 
-        monkeypatch.setenv("REPRO_POOL_DEBUG", "1")
+        engine(pool_debug=True)
         key = ("superglue", DEFAULT_APPS, "ondemand", None, None)
         pool = SystemPool()
         system = pool.acquire(ft_mode="superglue")
@@ -220,45 +218,45 @@ class TestDirtyUnderFaults:
 
 
 class TestPoolGate:
-    def test_pooling_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SYSTEM_POOL", raising=False)
-        assert pooling_enabled()
+    def test_pooling_enabled_by_default(self):
+        assert EngineConfig.from_env({}).system_pool is True
+        assert CONFIG.system_pool is True
+        system = _campaign_system("superglue", "ondemand")
+        assert system is GLOBAL_POOL.snapshot_for(
+            ft_mode="superglue", recovery_mode="ondemand"
+        ).system
 
-    def test_gate_disables_pooling(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "0")
-        assert not pooling_enabled()
+    def test_gate_disables_pooling(self, engine):
+        engine(system_pool=False)
         spec = _lock_spec()
         a = _campaign_system(spec.ft_mode, spec.recovery_mode)
         b = _campaign_system(spec.ft_mode, spec.recovery_mode)
         assert a is not b
 
-    def test_pooled_systems_are_reused(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
+    def test_pooled_systems_are_reused(self):
         before = GLOBAL_POOL.stats["restores"]
         a = _campaign_system("superglue", "ondemand")
         b = _campaign_system("superglue", "ondemand")
         assert a is b
         assert GLOBAL_POOL.stats["restores"] > before
 
-    def test_traced_runs_bypass_pool(self, monkeypatch):
+    def test_traced_runs_bypass_pool(self):
         # Warm trace caches change cache-hit counters that traced runs
         # fold into their per-run metrics; trace artifacts must stay
         # byte-identical serial vs parallel, so tracing forces a fresh
         # build.
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
         pooled = _campaign_system("superglue", "ondemand")
-        with observe.tracing(True):
+        with override(trace=True):
             traced = _campaign_system("superglue", "ondemand")
         assert traced is not pooled
 
 
 class TestOutcomeInvariance:
-    def test_pooled_matches_fresh_over_100_run_sweep(self, monkeypatch):
+    def test_pooled_matches_fresh_over_100_run_sweep(self):
         spec = _lock_spec(seed=3)
         seeds = [3 * 1_000_003 + i for i in range(100)]
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "0")
-        fresh = [execute_run(spec, s) for s in seeds]
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
+        with override(system_pool=False):
+            fresh = [execute_run(spec, s) for s in seeds]
         pooled = [execute_run(spec, s) for s in seeds]
         assert pooled == fresh
         # The sweep must exercise more than one outcome class for the

@@ -19,6 +19,7 @@ import pytest
 from repro.composite.component import export
 from repro.composite.services.ramfs import RamFSService
 from repro.composite.thread import Invoke, Sleep, Yield
+from repro.config import override
 from repro.errors import ReproError
 from repro.observe import recorder_for
 from repro.system import GLOBAL_POOL
@@ -45,9 +46,9 @@ from repro.webserver.server import build_response as _build_response
 OPEN = dict(arrivals="open", load=2.0, phases="burst", slo_us=500)
 
 
-def _rows(spec, seeds, monkeypatch, pool):
-    monkeypatch.setenv("REPRO_SYSTEM_POOL", pool)
-    return [execute_web_run(spec, seed) for seed in seeds]
+def _rows(spec, seeds, pool):
+    with override(system_pool=pool):
+        return [execute_web_run(spec, seed) for seed in seeds]
 
 
 class TestSnapshotRows:
@@ -55,9 +56,7 @@ class TestSnapshotRows:
 
     @pytest.mark.parametrize("arrivals", ["closed", "open"])
     @pytest.mark.parametrize("fault_class", ["reg", "mem", "idl", "burst"])
-    def test_faulted_rows_match_from_boot(
-        self, monkeypatch, fault_class, arrivals
-    ):
+    def test_faulted_rows_match_from_boot(self, fault_class, arrivals):
         seeds = web_run_seeds(1, 3)
         for ft_mode in ("superglue", "c3"):
             spec = WebRunSpec(
@@ -65,15 +64,14 @@ class TestSnapshotRows:
                 fault_class=fault_class,
                 **(OPEN if arrivals == "open" else {}),
             )
-            boot = _rows(spec, seeds, monkeypatch, "0")
-            monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
+            boot = _rows(spec, seeds, False)
             snapshot = web_campaign._web_recording(spec)
             assert snapshot is not None and snapshot.steps > 0
-            assert _rows(spec, seeds, monkeypatch, "1") == boot, ft_mode
+            assert _rows(spec, seeds, True) == boot, ft_mode
             # Rows count steps from boot: the restored prefix included.
             assert all(row["steps"] > snapshot.steps for row in boot)
 
-    def test_fault_free_rows_match_from_boot(self, monkeypatch):
+    def test_fault_free_rows_match_from_boot(self):
         # A fault-free spec is sealed at the end of its clean run: a
         # restored run has nothing left to execute.
         seeds = web_run_seeds(2, 2)
@@ -82,20 +80,18 @@ class TestSnapshotRows:
                 n_requests=80, n_faults=0,
                 **(OPEN if arrivals == "open" else {}),
             )
-            boot = _rows(spec, seeds, monkeypatch, "0")
+            boot = _rows(spec, seeds, False)
             assert {row["outcome"] for row in boot} == {"ok"}
-            monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
             snapshot = web_campaign._web_recording(spec)
             assert snapshot.steps == boot[0]["steps"], arrivals
-            assert _rows(spec, seeds, monkeypatch, "1") == boot, arrivals
+            assert _rows(spec, seeds, True) == boot, arrivals
 
 
 class TestSnapshotPoint:
-    def test_sealed_before_the_first_arm(self, monkeypatch):
+    def test_sealed_before_the_first_arm(self):
         # The benchmark's fig7-open spec: its first arm fires in step
         # 1,537, so the snapshot holds 1,536 steps, and no exhausted
         # budget mark although its prefix stopped on a step budget.
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
         spec = WebRunSpec(
             n_requests=400, n_faults=3, arrival_seed=1, **OPEN
         )
@@ -123,17 +119,15 @@ class TestSnapshotPoint:
         )
         row = execute_web_run(short, 7)
         assert row["steps"] == 1600 and row["crashed"] == "exhausted"
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "0")
-        assert execute_web_run(short, 7) == row
+        assert _rows(short, [7], False) == [row]
 
 
 class TestSnapshotDebug:
-    def test_missing_root_attribute_is_named(self, monkeypatch):
+    def test_missing_root_attribute_is_named(self, engine):
         # A snapshot that leaves one attribute of a root out restores
         # it from the previous run: the debug diff against a fresh
         # build driven through the same prefix names it.
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        monkeypatch.setenv("REPRO_POOL_DEBUG", "1")
+        engine(pool_debug=True)
         spec = WebRunSpec(n_requests=60, n_faults=2)
         snapshot = web_campaign._web_recording(spec)
         execute_web_run(spec, 1)  # a run moves every one of them
@@ -156,14 +150,13 @@ class TestSnapshotDebug:
             execute_web_run(spec, 3)
 
 
-    def test_untouched_root_write_is_named(self, monkeypatch):
+    def test_untouched_root_write_is_named(self, monkeypatch, engine):
         # Each planted export also writes a root no Fig. 7 run enters:
         # the touched rule skips that root's restore, and the debug diff
         # must name the write.  conn_open bumps the scheduler
         # component's fault count; tread bumps a counter of app2's lock
         # stub (app2 hosts no web thread).
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
-        monkeypatch.setenv("REPRO_POOL_DEBUG", "1")
+        engine(pool_debug=True)
 
         def bump_sched(component):
             component.kernel.components["sched"].faults_detected += 1

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.__main__ import main
+from repro.config import override
 from repro.observe.export import read_trace
 from repro.observe.metrics import SUB_BUCKET_BITS, LogLinearHistogram
 from repro.system import GLOBAL_POOL
@@ -186,18 +187,18 @@ class TestDeterminism:
         parallel = run_webserver_campaign(seeds, SMOKE_SPEC, workers=2)
         assert serial.to_json_dict() == parallel.to_json_dict()
 
-    def test_pooled_equals_fresh(self, monkeypatch):
+    def test_pooled_equals_fresh(self):
         seeds = web_run_seeds(2, 3)
         pooled = run_webserver_campaign(seeds, SMOKE_SPEC, workers=1)
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "0")
-        fresh = run_webserver_campaign(seeds, SMOKE_SPEC, workers=1)
+        with override(system_pool=False):
+            fresh = run_webserver_campaign(seeds, SMOKE_SPEC, workers=1)
         assert pooled.to_json_dict() == fresh.to_json_dict()
 
-    def test_pool_restores_match_fresh_builds(self, monkeypatch):
+    def test_pool_restores_match_fresh_builds(self, engine):
         # REPRO_POOL_DEBUG diffs every restored system against a fresh
         # build (including the prepare-hook components) and raises on
         # any structural divergence.
-        monkeypatch.setenv("REPRO_POOL_DEBUG", "1")
+        engine(pool_debug=True)
         for seed in web_run_seeds(3, 3):
             execute_web_run(SMOKE_SPEC, seed)
 
@@ -305,7 +306,6 @@ class TestArtifacts:
         # The first-arm snapshot is per-process setup: an in-process
         # campaign must time its clean passes as setup_wall, not as run
         # execution.
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "1")
         GLOBAL_POOL.clear()
         walls = []
         clean = web_campaign._clean_prefix_steps
@@ -326,10 +326,8 @@ class TestArtifacts:
         assert result.setup_wall >= walls[0]
 
     @pytest.mark.parametrize("pool", ["0", "1"])
-    def test_timing_sidecar_counts_snapshot_work(
-        self, tmp_path, monkeypatch, pool
-    ):
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", pool)
+    def test_timing_sidecar_counts_snapshot_work(self, tmp_path, engine, pool):
+        engine(system_pool=pool == "1")
         result = run_webserver_campaign(
             web_run_seeds(1, 2), SMOKE_SPEC, workers=1
         )
@@ -344,11 +342,8 @@ class TestArtifacts:
             # Deterministic work counts, whatever the engine gates: the
             # tier-3 gate no longer touches Fig. 7, and the debug diff's
             # fresh builds are not snapshot work.
-            for gate, value in (
-                ("REPRO_SUPER_TRACE", "0"), ("REPRO_POOL_DEBUG", "1"),
-            ):
-                with monkeypatch.context() as patch:
-                    patch.setenv(gate, value)
+            for gate in ({"super_trace": False}, {"pool_debug": True}):
+                with override(**gate):
                     checked = run_webserver_campaign(
                         web_run_seeds(1, 2), SMOKE_SPEC, workers=1
                     )
@@ -400,11 +395,11 @@ class TestOpenLoopCampaign:
         parallel = run_webserver_campaign(seeds, OPEN_SPEC, workers=2)
         assert serial.to_json_dict() == parallel.to_json_dict()
 
-    def test_pooled_equals_fresh(self, monkeypatch):
+    def test_pooled_equals_fresh(self):
         seeds = web_run_seeds(2, 3)
         pooled = run_webserver_campaign(seeds, OPEN_SPEC, workers=1)
-        monkeypatch.setenv("REPRO_SYSTEM_POOL", "0")
-        fresh = run_webserver_campaign(seeds, OPEN_SPEC, workers=1)
+        with override(system_pool=False):
+            fresh = run_webserver_campaign(seeds, OPEN_SPEC, workers=1)
         assert pooled.to_json_dict() == fresh.to_json_dict()
 
     def test_aggregate_open_loop_fields(self):
