@@ -26,15 +26,18 @@ perf:
 	$(PY) scripts/check_interp_baseline.py /tmp/interp_throughput.json
 	$(PY) benchmarks/bench_campaign_throughput.py --json /tmp/campaign_throughput.json
 	$(PY) scripts/check_campaign_baseline.py /tmp/campaign_throughput.json
+	$(PY) benchmarks/bench_cluster_campaign.py --json /tmp/cluster_throughput.json
+	$(PY) scripts/check_campaign_baseline.py /tmp/cluster_throughput.json \
+		benchmarks/baselines/cluster_throughput.json
 	$(PY) benchmarks/bench_fig7_webserver.py --json /tmp/fig7_webserver.json
 	$(PY) scripts/check_fig7_baseline.py /tmp/fig7_webserver.json
 	$(PY) benchmarks/bench_fig7_webserver.py --openloop --json /tmp/fig7_openloop.json
 	$(PY) scripts/check_fig7_openloop.py /tmp/fig7_openloop.json
 
-# The campaign-throughput trajectory in one command: fresh -> two-tier
-# pooled -> super-traces (the three sweeps of
+# The campaign-throughput trajectory in one command: fresh -> pooled
+# from boot -> pooled from ladder rungs (the three sweeps of
 # bench_campaign_throughput.py, outcome-identity asserted), gated
-# against the committed baseline's per-tier runs/s ratio floors.
+# against the committed baseline's runs/s ratio floors.
 throughput:
 	$(PY) benchmarks/bench_campaign_throughput.py --json /tmp/campaign_throughput.json
 	$(PY) scripts/check_campaign_baseline.py /tmp/campaign_throughput.json

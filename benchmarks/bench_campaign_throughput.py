@@ -6,13 +6,13 @@ Two measurements:
 * **campaign runs/sec** — the lock-service smoke campaign executed
   through the real per-run driver (``_drive_run``) in three kinds of
   sweep: with ``REPRO_SYSTEM_POOL=0`` (the old build-a-system-per-run
-  behaviour), pooled with the super-trace engine disabled
-  (``REPRO_SUPER_TRACE=0``, the two-tier engine), and pooled with the
-  tier-3 super-trace engine on, which also reports the replayed-unit
-  coverage it reaches.  The last two run in alternating pairs, and
-  their ratio is the median of the per-round ratios.  Outcomes are
-  asserted identical across all sweeps — the speedups are only
-  meaningful if the faster paths are bit-exact.
+  behaviour), pooled from boot (every run restores snapshot zero,
+  installs the workload and runs its whole clean prefix), and pooled
+  from rungs (every run restores the rung of the spec's snapshot ladder
+  at or before its injection point).  The last two run in alternating
+  pairs, and their ratio is the median of the per-round ratios.
+  Outcomes are asserted identical across all sweeps — the speedups are
+  only meaningful if the faster paths are bit-exact.
 * **micro-reboot restore cost** — wall time of one ``MemoryImage``
   restore when a run dirtied a handful of pages (the SWIFI steady state)
   versus every page (the worst case, equivalent to the old whole-image
@@ -37,71 +37,61 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from repro.composite.memory import PAGE_WORDS, MemoryImage  # noqa: E402
 from repro.config import override  # noqa: E402
 from repro.swifi.campaign import (  # noqa: E402
-    COVERAGE_KEYS, CampaignRunner, _drive_run, collect_coverage,
-    coverage_ratio,
+    CampaignRunner, _drive_run, ladder_counts, warm_up,
 )
-from repro.system import GLOBAL_POOL  # noqa: E402
 
 BASE = 0x0100_0000
 
 
-def _timed_sweep(spec, seeds, coverage=None) -> tuple:
+def _timed_sweep(spec, seeds, start=None, counters=None) -> tuple:
     """Execute every seed serially in-process; returns (elapsed, outcomes).
 
-    ``coverage`` (a dict of supertrace counters) is folded per run when
-    given — the collection itself is inside the timed region, exactly as
-    the campaign runner pays it.
+    ``start`` is the runs' ``(snapshot, ladder)`` (None: fresh builds);
+    ``counters`` sums the ladder work counts, inside the timed region
+    exactly as the campaign runner pays it.
     """
-    start = time.perf_counter()
-    outcomes = []
-    for seed in seeds:
-        outcome, system, __, __, __ = _drive_run(spec, seed)
-        outcomes.append(outcome.value)
-        if coverage is not None:
-            collect_coverage(system.kernel, coverage)
-    return time.perf_counter() - start, outcomes
+    begin = time.perf_counter()
+    outcomes = [
+        _drive_run(spec, seed, start=start, counters=counters)[0].value
+        for seed in seeds
+    ]
+    return time.perf_counter() - begin, outcomes
 
 
-#: The engine gates of each sweep.
-SWEEPS = {
-    "fresh": {"system_pool": False, "super_trace": False},
-    "two_tier": {"system_pool": True, "super_trace": False},
-    "pooled": {"system_pool": True, "super_trace": True},
-}
-
-#: Back-to-back two-tier/super-traced sweep pairs per measurement.
+#: Back-to-back from-boot/from-rungs sweep pairs per measurement.
 PAIRED_ROUNDS = 21
 
 
 def measure_campaign(n_faults: int, repeat: int = 3) -> dict:
-    """Runs/sec of the smoke campaign: fresh vs pooled vs super-traced.
+    """Runs/sec of the smoke campaign: fresh vs pooled from boot vs
+    pooled from rungs.
 
-    The fresh sweep is timed best-of-``repeat``.  The two-tier and
-    super-traced sweeps run in :data:`PAIRED_ROUNDS` back-to-back pairs,
-    alternating which of the two goes first, and the super-trace/two-tier
-    ratio is the median of the per-round ratios: a slow spell on a shared
+    The fresh sweep is timed best-of-``repeat``.  The from-boot and
+    from-rungs sweeps run in :data:`PAIRED_ROUNDS` back-to-back pairs,
+    alternating which of the two goes first, and the rungs/boot ratio
+    is the median of the per-round ratios: a slow spell on a shared
     host then hits both sides of a pair instead of one side's best-of.
     """
-    from repro.swifi.campaign import _campaign_recording
-
     runner = CampaignRunner("lock", n_faults=n_faults, seed=1)
     spec = runner.spec()
     seeds = runner.run_seeds()
-    times = {label: [] for label in SWEEPS}
+    times = {label: [] for label in ("fresh", "boot", "rungs")}
     results = {}
-    coverage = None
+    counters = {}
+    # Boot + seal and build the ladder outside the timed region, as
+    # the campaign worker initializer does.
+    snapshot, ladder = warm_up(spec)
+    starts = {"fresh": None, "boot": (snapshot, None),
+              "rungs": (snapshot, ladder)}
 
     def sweep(label, timed=True):
-        nonlocal coverage
-        sweep_coverage = (
-            dict.fromkeys(COVERAGE_KEYS, 0) if label == "pooled" else None
-        )
-        with override(**SWEEPS[label]):
-            elapsed, outcomes = _timed_sweep(spec, seeds, sweep_coverage)
+        with override(system_pool=label != "fresh"):
+            elapsed, outcomes = _timed_sweep(
+                spec, seeds, starts[label],
+                counters if label == "rungs" else None,
+            )
         if timed:
             times[label].append(elapsed)
-        if sweep_coverage is not None:
-            coverage = sweep_coverage
         if results.setdefault(label, outcomes) != outcomes:
             raise AssertionError(
                 f"{label} sweep outcomes changed between repeats"
@@ -109,44 +99,35 @@ def measure_campaign(n_faults: int, repeat: int = 3) -> dict:
 
     for __ in range(repeat):
         sweep("fresh")
-    # Boot + seal and record the clean invocation sequence outside the
-    # timed region, as the campaign worker initializer does, and warm
-    # both engines' caches with one untimed sweep each.
-    with override(**SWEEPS["pooled"]):
-        GLOBAL_POOL.acquire(
-            ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode
-        )
-        _campaign_recording(spec)
-    sweep("two_tier", timed=False)
-    sweep("pooled", timed=False)
-    pair = ["two_tier", "pooled"]
+    # Warm both paths' caches with one untimed sweep each.
+    sweep("boot", timed=False)
+    sweep("rungs", timed=False)
+    counters.clear()
+    pair = ["boot", "rungs"]
     for __ in range(PAIRED_ROUNDS):
         for label in pair:
             sweep(label)
         pair.reverse()
-    for label in ("two_tier", "pooled"):
+    for label in ("boot", "rungs"):
         if results[label] != results["fresh"]:
             raise AssertionError(
                 f"{label} sweep outcomes diverge from fresh-build "
                 f"outcomes; the fast path is not bit-exact — do not "
                 f"trust the speedup"
             )
-    ratios = [
-        two_tier / pooled
-        for two_tier, pooled in zip(times["two_tier"], times["pooled"])
-    ]
-    fresh_time, two_tier_time, pooled_time = (
-        min(times[label]) for label in ("fresh", "two_tier", "pooled")
+    ratios = [boot / rungs for boot, rungs in zip(times["boot"], times["rungs"])]
+    fresh_time, boot_time, rungs_time = (
+        min(times[label]) for label in ("fresh", "boot", "rungs")
     )
     return {
         "campaign_runs": len(seeds),
         "fresh_runs_per_sec": len(seeds) / fresh_time,
-        "two_tier_runs_per_sec": len(seeds) / two_tier_time,
-        "pooled_runs_per_sec": len(seeds) / pooled_time,
-        "pooled_over_fresh": fresh_time / pooled_time,
-        "super_trace_over_two_tier": statistics.median(ratios),
-        "super_trace_over_two_tier_rounds": ratios,
-        "replayed_unit_coverage": coverage_ratio(coverage),
+        "boot_runs_per_sec": len(seeds) / boot_time,
+        "pooled_runs_per_sec": len(seeds) / rungs_time,
+        "pooled_over_fresh": fresh_time / rungs_time,
+        "rungs_over_boot": statistics.median(ratios),
+        "rungs_over_boot_rounds": ratios,
+        "ladder": ladder_counts(counters),
     }
 
 
@@ -201,17 +182,18 @@ def main(argv=None) -> int:
         args.faults, args.repeat = 30, 2
 
     results = run_benchmark(args.faults, args.repeat)
+    ladder = results["ladder"]
     print(f"campaign runs/sweep    : {results['campaign_runs']}")
     print(f"fresh-build runs/sec   : {results['fresh_runs_per_sec']:,.0f}")
-    print(f"two-tier pooled r/s    : {results['two_tier_runs_per_sec']:,.0f}")
-    print(f"super-traced runs/sec  : {results['pooled_runs_per_sec']:,.0f}")
+    print(f"pooled from boot r/s   : {results['boot_runs_per_sec']:,.0f}")
+    print(f"pooled from rungs r/s  : {results['pooled_runs_per_sec']:,.0f}")
     print(f"pooled/fresh speedup   : {results['pooled_over_fresh']:.2f}x")
-    print(f"super-trace/two-tier   : "
-          f"{results['super_trace_over_two_tier']:.2f}x (median of "
-          f"{len(results['super_trace_over_two_tier_rounds'])} paired "
-          f"rounds)")
-    print(f"replayed-unit coverage : "
-          f"{results['replayed_unit_coverage']:.1%}")
+    print(f"rungs/boot             : "
+          f"{results['rungs_over_boot']:.2f}x (median of "
+          f"{len(results['rungs_over_boot_rounds'])} paired rounds)")
+    print(f"ladder                 : {ladder['rungs']} rungs, "
+          f"{ladder['prefix_steps_skipped'] / max(ladder['rung_restores'], 1):.1f}"
+          f" prefix steps skipped per run")
     print(f"restore, sparse dirty  : {results['restore_sparse_us']:,.1f} us")
     print(f"restore, all pages     : {results['restore_full_us']:,.1f} us")
     if args.json:

@@ -5,15 +5,20 @@ Two measurements:
 
 * **scenarios/sec** — the cluster smoke campaign (correlated node kills
   over a 4-node cell) executed twice through the real scenario entry
-  point: pooled (each node whole-node-reboots via its private snapshot's
-  dirty restore) and with ``REPRO_SYSTEM_POOL=0`` (every node acquire
-  builds a fresh system).  Rows are asserted identical across both
-  sweeps — the speedup is only meaningful because it is bit-exact.
+  point: pooled (each unit starts at its injection rung of the node's
+  snapshot ladder, and each node whole-node-reboots via its private
+  snapshot's dirty restore) and with ``REPRO_SYSTEM_POOL=0`` (every
+  unit builds a fresh system and runs from boot).  Rows are asserted
+  identical across both sweeps — the speedup is only meaningful because
+  it is bit-exact.
 * **whole-node reboot cost** — wall time of one ``Node.reboot()`` after
   real injected units dirtied the node's images, which is the pool's
   dirty-restore path the cell charges ``NODE_REBOOT_CYCLES`` (~5us) for.
 
 Standalone: ``python benchmarks/bench_cluster_campaign.py [--json out.json]``.
+The ``--json`` artifact has flat keys, so ``scripts/check_campaign_baseline.py
+out.json benchmarks/baselines/cluster_throughput.json`` gates it: the
+pooled/fresh ratio floor and the two scenarios/s rates.
 """
 
 from __future__ import annotations
@@ -119,9 +124,18 @@ def main(argv=None) -> int:
         f"n={reboot['samples']})"
     )
     if args.json:
+        flat = {
+            "scenarios": args.scenarios,
+            "units": args.units,
+            "fresh_scenarios_per_s": campaign["fresh"]["scenarios_per_s"],
+            "pooled_scenarios_per_s": campaign["pooled"]["scenarios_per_s"],
+            "fresh_units_per_s": campaign["fresh"]["units_per_s"],
+            "pooled_units_per_s": campaign["pooled"]["units_per_s"],
+            "pooled_over_fresh": campaign["speedup"],
+            "reboot_median_us": reboot["median_us"],
+        }
         with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump({"campaign": campaign, "reboot": reboot}, handle,
-                      indent=2)
+            json.dump(flat, handle, indent=2)
             handle.write("\n")
         print(f"wrote {args.json}")
     return 0

@@ -4,24 +4,26 @@
 Usage:  python scripts/check_campaign_baseline.py ARTIFACT [BASELINE]
                 [--tolerance FRACTION]
 
-ARTIFACT is the output of ``python benchmarks/bench_campaign_throughput.py
---json PATH``; BASELINE defaults to
-``benchmarks/baselines/campaign_throughput.json``.
+ARTIFACT is the ``--json`` output of a campaign benchmark with flat
+keys: ``benchmarks/bench_campaign_throughput.py`` (Table II runs/s;
+BASELINE defaults to ``benchmarks/baselines/campaign_throughput.json``)
+or ``benchmarks/bench_cluster_campaign.py`` (cluster scenarios/s,
+against ``benchmarks/baselines/cluster_throughput.json``).
 
 Two kinds of gate:
 
-* **absolute rates** (fresh/pooled campaign runs/sec) must stay within
-  ``tolerance`` below the recorded values.  The tolerance is wide
-  (default from the baseline file) because absolute throughput varies
-  across machines and CI runners; the gate catches order-of-magnitude
-  regressions, not noise.
-* **per-tier runs/s ratio floors** (``min_pooled_over_fresh``,
-  ``min_super_trace_over_two_tier``) are machine-independent: the
-  sweeps execute the same runs on the same host, so a collapsing
-  pooled/fresh ratio always means system pooling broke or stopped
-  being used, and a collapsing super-trace/two-tier ratio means the
-  tier-3 replay engine stopped paying for itself end to end.  The
-  super-trace/two-tier ratio is the median over paired rounds (see
+* **absolute rates** (the baseline's ``recorded`` values) must stay
+  within ``tolerance`` below the recorded values.  The tolerance is
+  wide (default from the baseline file) because absolute throughput
+  varies across machines and CI runners; the gate catches
+  order-of-magnitude regressions, not noise.
+* **ratio floors** (every ``min_<metric>`` key of the baseline, e.g.
+  ``min_pooled_over_fresh``, ``min_rungs_over_boot``) are
+  machine-independent: the sweeps execute the same runs on the same
+  host, so a collapsing pooled/fresh ratio always means system pooling
+  broke or stopped being used, and a collapsing rungs/boot ratio means
+  Table II runs stopped starting at their injection rung.  The
+  rungs/boot ratio is the median over paired rounds (see
   ``measure_campaign``), so one slow spell cannot sink it.
 
 Exits non-zero on any violation.
@@ -67,13 +69,10 @@ def check(artifact_path: str, baseline_path: str,
                 f"(recorded {recorded:,.0f}, tolerance {tolerance:.0%})"
             )
 
-    for baseline_key, metric in (
-        ("min_pooled_over_fresh", "pooled_over_fresh"),
-        ("min_super_trace_over_two_tier", "super_trace_over_two_tier"),
-    ):
-        ratio_floor = baseline.get(baseline_key)
-        if ratio_floor is None:
+    for baseline_key, ratio_floor in baseline.items():
+        if not baseline_key.startswith("min_"):
             continue
+        metric = baseline_key[len("min_"):]
         ratio = results.get(metric, 0.0)
         status = "ok" if ratio >= ratio_floor else "FAIL"
         print(f"{metric:22s} {ratio:14.2f}  "

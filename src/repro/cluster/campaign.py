@@ -30,12 +30,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.cell import Cell
 from repro.observe.metrics import canonical_metrics, merge_metrics
-from repro.swifi.campaign import (
-    COVERAGE_KEYS,
-    CampaignRunner,
-    RunSpec,
-    coverage_ratio,
-)
+from repro.swifi.campaign import CampaignRunner, RunSpec, ladder_counts
 from repro.swifi.injector import FAULT_CLASSES
 from repro.swifi.parallel import export_trace, run_seeded
 
@@ -164,10 +159,10 @@ def _cluster_setup(spec: ClusterSpec, trace: bool) -> Cell:
     """Per-process setup: build the cell and warm every node.
 
     Each node warms its private instance-keyed pool snapshot and
-    super-trace recording through the same
+    snapshot ladder through the same
     :func:`~repro.swifi.campaign.warm_up` Table II uses and keeps them
     as the start of its units, so forked workers inherit them
-    copy-on-write and the first scenario doesn't pay the warm-up
+    copy-on-write and the first scenario doesn't pay the ladder's
     passes.  Node systems are per-process pool entries, so worker cells
     never share mutable state.
     """
@@ -181,13 +176,13 @@ def _cluster_setup(spec: ClusterSpec, trace: bool) -> Cell:
 def _cluster_run(spec: ClusterSpec, seed: int, trace: bool, cell, counters):
     """One scenario on the worker's cell: ``(row, record_or_None)``.
 
-    Per-node supertrace coverage goes to ``counters`` (sidecar-only —
+    Per-node ladder work counts go to ``counters`` (sidecar-only —
     rows stay engine-invariant).  Traced cells stamp node-level events
     (kill, failover, evict, reboot, rejoin) with the cell's virtual
     clock; the row is computed exactly as untraced.
     """
     row = cell.run_scenario(seed)
-    for key, value in cell.coverage().items():
+    for key, value in cell.counters().items():
         counters[key] = counters.get(key, 0) + value
     if not trace:
         return row, None
@@ -223,9 +218,9 @@ class ClusterCampaignResult:
     #: Wall-clock split (sidecar-only: the artifact stays deterministic).
     setup_wall: float = 0.0
     exec_wall: float = 0.0
-    #: Summed per-node supertrace coverage (also sidecar-only: engine
-    #: counters depend on the pooling/supertrace knobs).
-    coverage: Optional[Dict[str, int]] = None
+    #: The nodes' ladder work counts (also sidecar-only: they depend
+    #: on pooling).
+    ladder: Optional[Dict[str, int]] = None
 
     def to_json_dict(self) -> Dict[str, object]:
         """The deterministic campaign artifact (no wall-clock anywhere)."""
@@ -247,11 +242,8 @@ class ClusterCampaignResult:
             "setup_wall": self.setup_wall,
             "exec_wall": self.exec_wall,
         }
-        if self.coverage is not None:
-            timing["coverage"] = dict(self.coverage)
-            timing["replayed_unit_coverage"] = round(
-                coverage_ratio(self.coverage), 6
-            )
+        if self.ladder is not None:
+            timing["ladder"] = dict(self.ladder)
         with open(path + ".timing.json", "w", encoding="utf-8") as handle:
             json.dump(timing, handle, indent=2)
             handle.write("\n")
@@ -321,9 +313,7 @@ def run_cluster_campaign(
         aggregate=aggregate_cluster_rows(rows),
         setup_wall=campaign.setup_wall,
         exec_wall=campaign.exec_wall,
-        coverage={
-            key: campaign.counters.get(key, 0) for key in COVERAGE_KEYS
-        },
+        ladder=ladder_counts(campaign.counters),
     )
 
 

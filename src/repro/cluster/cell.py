@@ -30,7 +30,6 @@ from typing import Dict, List, Optional
 from repro.cluster.node import Node
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.recorder import NULL_RECORDER, FlightRecorder
-from repro.swifi.campaign import COVERAGE_KEYS
 from repro.swifi.classify import Outcome
 
 #: Virtual cost of a whole-node reboot: the pool's dirty-restore is
@@ -134,16 +133,16 @@ class Cell:
             FlightRecorder(clock=self.clock) if trace else NULL_RECORDER
         )
 
-    def coverage(self) -> Dict[str, int]:
-        """Supertrace coverage summed across nodes for the last scenario.
+    def counters(self) -> Dict[str, int]:
+        """Ladder work counts summed across nodes for the last scenario.
 
-        Sidecar-only by the campaign discipline: engine counters depend
-        on the pooling/supertrace knobs, and scenario rows must not.
+        Sidecar-only by the campaign discipline: they depend on pooling,
+        and scenario rows must not.
         """
-        total = dict.fromkeys(COVERAGE_KEYS, 0)
+        total: Dict[str, int] = {}
         for node in self.nodes:
-            for key, value in node.coverage.items():
-                total[key] += value
+            for key, value in node.counters.items():
+                total[key] = total.get(key, 0) + value
         return total
 
     def reset(self) -> None:

@@ -4,9 +4,9 @@ Each node owns a *private* sealed snapshot in the process-wide
 :data:`~repro.system.GLOBAL_POOL`, keyed by the node id through the
 pool's ``instance`` parameter — N nodes means N live Systems in one
 process, none of them clobbering another's sealed image.  A node keeps
-that snapshot and its super-trace recording as its ``start``, warmed
-once (:meth:`Node.warm`), and runs workload units from it through the
-SWIFI campaign's ``_drive_run``, and so
+that snapshot and the spec's snapshot ladder built on it as its
+``start``, warmed once (:meth:`Node.warm`), and runs workload units
+from it through the SWIFI campaign's ``_drive_run``, and so
 through the one run driver every campaign run executes in
 (:func:`~repro.swifi.campaign.run_system`).  A unit's outcome and step
 count are therefore the same pure function of ``(RunSpec, unit_seed)``
@@ -28,13 +28,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.observe.metrics import MetricsRegistry
-from repro.swifi.campaign import (
-    COVERAGE_KEYS,
-    RunSpec,
-    _drive_run,
-    collect_coverage,
-    warm_up,
-)
+from repro.swifi.campaign import RunSpec, _drive_run, warm_up
 from repro.swifi.classify import Outcome
 from repro.system import System
 
@@ -64,18 +58,18 @@ class Node:
         self.reboots = 0
         self.units_run = 0
         self.metrics = MetricsRegistry()
-        #: Supertrace coverage summed over this node's units.  Kept
-        #: *outside* the health metrics: engine counters depend on the
-        #: pooling/supertrace knobs, and supervisor decisions must not.
-        self.coverage = dict.fromkeys(COVERAGE_KEYS, 0)
-        #: ``(snapshot, recording)`` of this node's private pooled
-        #: system (see :meth:`warm`); None until warmed, and unpooled.
+        #: Ladder work counts summed over this node's units.  Kept
+        #: *outside* the health metrics: they depend on pooling, and
+        #: supervisor decisions must not.
+        self.counters = {}
+        #: ``(snapshot, ladder)`` of this node's private pooled system
+        #: (see :meth:`warm`); None until warmed, and unpooled.
         self.start = None
 
     # ------------------------------------------------------------------
     def warm(self, spec: RunSpec) -> None:
-        """Boot and seal this node's private pooled system and record
-        the spec's clean prefix on it (see
+        """Boot and seal this node's private pooled system and build the
+        spec's snapshot ladder on it (see
         :func:`~repro.swifi.campaign.warm_up`)."""
         self.start = warm_up(spec, instance=node_pool_instance(self.node_id))
 
@@ -89,20 +83,18 @@ class Node:
         cluster timelines wall-clock-free and therefore deterministic.
 
         The run starts from this node's ``start``, warmed on first use:
-        its private snapshot *and* the super-trace recording made on
-        it, so node units replay their prefix exactly like flat
-        campaign runs.  Without pooling each unit builds fresh and
-        executes on the authoritative engine — same outcomes, by the
-        supertrace correctness contract.
+        its private snapshot *and* the ladder built on it, so a node
+        unit starts at its injection rung exactly like a flat campaign
+        run.  Without pooling each unit boots fresh — same outcomes,
+        and the same steps, counted from boot either way.
         """
         if self.start is None:
             self.warm(spec)
         outcome, system, __, steps, __ = _drive_run(
-            spec, unit_seed, start=self.start
+            spec, unit_seed, start=self.start, counters=self.counters
         )
         self.units_run += 1
         self._fold_health(system, outcome)
-        collect_coverage(system.kernel, self.coverage)
         return outcome, steps, system.kernel.clock.now
 
     def _fold_health(self, system: System, outcome: Outcome) -> None:
@@ -153,7 +145,7 @@ class Node:
         self.reboots = 0
         self.units_run = 0
         self.metrics = MetricsRegistry()
-        self.coverage = dict.fromkeys(COVERAGE_KEYS, 0)
+        self.counters = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

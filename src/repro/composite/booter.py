@@ -19,14 +19,17 @@ from repro.errors import SimulatedFault
 class Booter:
     """Micro-reboots faulty components and triggers recovery."""
 
-    #: Pooled-root declaration (see :class:`repro.system.StateModel`).
+    #: Pooled-root declaration (see :class:`repro.system.StateModel`):
+    #: ``_ran`` is set whenever the reboot log grows.
     STATE_WIRING = ("kernel",)
+    STATE_TOUCHED = "_ran"
 
     def __init__(self, kernel):
         self.kernel = kernel
         kernel.booter = self
         #: (clock cycles, component name, fault kind) log of every reboot.
         self.reboot_log: List[Tuple[int, str, str]] = []
+        self._ran = False
 
     def handle_fault(self, component, fault: SimulatedFault) -> None:
         """Micro-reboot ``component`` after a detected fail-stop fault."""
@@ -38,6 +41,7 @@ class Booter:
         cost = component.micro_reboot()
         self.kernel.charge(None, cost)
         self.kernel.stats["micro_reboots"] += 1
+        self._ran = True
         self.reboot_log.append((self.kernel.clock.now, component.name, fault.kind))
         # Re-initialisation upcall into the rebooted component (step 4).
         if hasattr(component, "post_reboot_init"):

@@ -56,8 +56,7 @@ class Component:
     ``STATE_TOUCHED`` name the instance attributes that are not per-run
     state, and a subclass declares the ones it introduces.  Every other
     instance attribute, a subclass's included, is state: fingerprinted,
-    diffed by tier 3 and restored by the system pool without further
-    code.  ``_ran``, the touched flag, is set on every dispatch, trace
+    sealed and restored by system snapshots without further code.  ``_ran``, the touched flag, is set on every dispatch, trace
     execution, micro-reboot and vectored fault.
     """
 

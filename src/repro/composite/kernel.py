@@ -47,12 +47,15 @@ UPCALL_CYCLES = 700
 
 
 class TimerWake:
-    """A kernel timer's action, as data: wake thread ``tid`` if it still
-    waits on ``token``.
+    """A kernel timer's action, as data, which :meth:`Kernel._wake`
+    dispatches.
 
     ``kind`` is ``"timeout"`` (a blocking call's timeout) or ``"sleep"``
-    (a :class:`~repro.composite.thread.Sleep` instant).  Never mutated,
-    so a snapshot of the timer heap shares it.
+    (a :class:`~repro.composite.thread.Sleep` instant), which wake
+    thread ``tid`` if it still waits on ``token``, or ``"scrub"``, a
+    latent-fault monitor's period (``token`` is its index in
+    :attr:`Kernel.monitors`).  Never mutated, so a snapshot of the
+    timer heap shares it.
     """
 
     __slots__ = ("kernel", "kind", "tid", "token")
@@ -113,19 +116,13 @@ class Kernel:
             "interp_slow_runs": 0,
             "trace_cache_hits": 0,
             "trace_cache_misses": 0,
-            # Tier-3 super-trace accounting (see composite.supertrace):
-            # invocation units replayed while a replay session was
-            # attached.  Bypasses are always 0 (recordings hold no
-            # bypass units); traced run metrics and bench/tracer.py
-            # still fold the key.
+            # Always 0: the engine has no tier-3 replay.  Kept for
+            # bench/tracer.py, their only reader, until the benchmark
+            # drops its super-trace rows (ROADMAP item 9).
             "super_trace_runs": 0,
             "super_trace_bypasses": 0,
-            # Prefix divergence events and units run authoritatively
-            # after divergence.
             "super_trace_divergences": 0,
             "super_trace_divergent_units": 0,
-            # Always 0: the engine has no divergence-tail cache.  Kept
-            # because bench/tracer.py (their only reader) folds them.
             "super_trace_tail_runs": 0,
             "super_trace_tail_records": 0,
             # Times a run() call returned with its step budget exhausted
@@ -134,45 +131,43 @@ class Kernel:
         }
         #: Whether the most recent run() ended on an exhausted budget.
         self.last_run_exhausted = False
-        #: Attached tier-3 session (RecordingSession / ReplaySession),
-        #: or None for plain two-tier execution.
-        self._supertrace = None
         #: Hooks observing every fault vectoring: f(component, fault).
         self.fault_observers: List[Callable] = []
+        #: Latent-fault monitors whose periods run on this kernel's
+        #: clock ("scrub" timers name them by index).
+        self.monitors: List[object] = []
+        #: The thread whose step :meth:`begin_step` started and the
+        #: next :meth:`run` finishes, or None.
+        self.resume: Optional[SimThread] = None
 
     def run_state(self) -> tuple:
         """Copies of the per-run scheduling state, for a snapshot to seal.
 
         The clock (time, timer heap and sequence), the run queue's
         order and round-robin counter, the thread table, the current
-        thread, the next thread id, the stats counters and the fault
-        observers.  The threads themselves are roots the snapshot seals
-        on its own.  A crashed kernel, or one with a SWIFI controller or
-        a tier-3 session attached, cannot be sealed.
+        thread and the one whose step is to be finished, the next
+        thread id, the stats counters and the fault observers.  The
+        threads themselves are roots the snapshot seals on its own.  A
+        crashed kernel, or one with a SWIFI controller attached, cannot
+        be sealed.
         """
-        if (
-            self.crashed is not None
-            or self.swifi is not None
-            or self._supertrace is not None
-        ):
-            raise ReproError(
-                "cannot seal a crashed, armed or tier-3-attached kernel"
-            )
+        if self.crashed is not None or self.swifi is not None:
+            raise ReproError("cannot seal a crashed or armed kernel")
         clock = self.clock
         queue = self.run_queue
         return (
             clock.now, tuple(clock._timers), clock._seq,
             tuple(queue._threads), queue._rr, dict(self.threads),
-            self.current, self._next_tid, dict(self.stats),
+            self.current, self.resume, self._next_tid, dict(self.stats),
             tuple(self.fault_observers),
         )
 
     def restore_run_state(self, state: tuple) -> None:
         """Put back a :meth:`run_state`, in place.
 
-        Containers are refilled rather than replaced (compiled tier-3
-        units bind ``stats`` by identity), and the crash, SWIFI, tier-3
-        and exhausted-budget marks are cleared.  Static wiring
+        Containers are refilled rather than replaced (the run loop and
+        the compiled fast path bind them by identity), and the crash,
+        SWIFI and exhausted-budget marks are cleared.  Static wiring
         (components, capabilities, stubs, the booter and
         recovery-manager references) is left alone.
         """
@@ -180,7 +175,7 @@ class Kernel:
         queue = self.run_queue
         (
             clock.now, timers, clock._seq, threads, queue._rr, table,
-            self.current, self._next_tid, stats, observers,
+            self.current, self.resume, self._next_tid, stats, observers,
         ) = state
         clock._timers[:] = timers
         queue._threads[:] = threads
@@ -192,7 +187,6 @@ class Kernel:
         self.crashed = None
         self.swifi = None
         self.last_run_exhausted = False
-        self._supertrace = None
 
     # ------------------------------------------------------------------
     # Registration
@@ -262,16 +256,14 @@ class Kernel:
 
         Serves callers already inside an invocation: a service's own
         server dependencies (``Component.call``) and a stub's helper
-        calls.  These always run the authoritative path.  A thread's
-        top-level invocations enter through the run loop instead
-        (:meth:`_perform`), which hands them to an attached tier-3
-        session (``composite.supertrace``) when there is one.
+        calls.  A thread's top-level invocations enter through the run
+        loop instead (:meth:`_perform`).
         """
         return self._invoke_impl(thread, action)
 
     def _invoke_impl(self, thread: SimThread, action: Invoke):
-        """The authoritative invocation path (two-tier engine): the
-        client stub if one is registered, else the server directly."""
+        """The invocation path: the client stub if one is registered,
+        else the server directly."""
         client = thread.executing_in or thread.home
         server = action.server
         if not self._caps.get((client, server)):
@@ -478,8 +470,12 @@ class Kernel:
         self.clock.schedule(until, TimerWake(self, "sleep", thread.tid, token))
 
     def _wake(self, wake: "TimerWake") -> None:
-        """Fire a kernel timer: wake its thread if it still waits on the
-        timer's token (a sleeper only while it waits in no component)."""
+        """Fire a kernel timer: run a monitor's scrub period, or wake
+        the timer's thread if it still waits on the timer's token (a
+        sleeper only while it waits in no component)."""
+        if wake.kind == "scrub":
+            self.monitors[wake.token].tick()
+            return
         thread = self.threads.get(wake.tid)
         if (
             thread is None
@@ -568,6 +564,10 @@ class Kernel:
         pick = run_queue.pick
         step = self._step
         try:
+            if self.resume is not None and steps < max_steps:
+                thread, self.resume = self.resume, None
+                step(thread)
+                steps += 1
             while steps < max_steps:
                 if self.crashed is not None:
                     break
@@ -605,6 +605,34 @@ class Kernel:
         """Did the most recent ``run()`` exhaust its step budget?"""
         return self.last_run_exhausted
 
+    def begin_step(self) -> None:
+        """Start the next step and stop before its thread's body runs.
+
+        As :meth:`run` and :meth:`_step` would: fire due timers, pick
+        the thread, start its body on its first step and run the stub's
+        post-wakeup tracking of a woken thread.  The next :meth:`run`
+        finishes the step (:attr:`resume`).  A Table II rung is sealed
+        here, so its runs start past that tracking.
+        """
+        clock = self.clock
+        run_queue = self.run_queue
+        while True:
+            if clock._timers:
+                for callback in clock.pop_due():
+                    callback()
+            thread = run_queue.pick()
+            if thread is not None:
+                break
+            if run_queue.all_done() or not clock.skip_to_next_expiry():
+                raise ReproError("no step left to begin")
+        self.current = thread
+        if thread.body is None:
+            thread.start(self)
+        pending = thread.pending
+        if pending is not None and pending[0] == "unblock":
+            thread.pending = self._post_unblock(thread, pending)
+        self.resume = thread
+
     def _step(self, thread: SimThread) -> None:
         self.current = thread
         if thread.body is None:
@@ -617,16 +645,7 @@ class Kernel:
             self._perform(thread, pending[1])
             return
         if pending is not None and pending[0] == "unblock":
-            # Run the stub's post-wakeup tracking on the woken thread.
-            __, stub, action, value = pending
-            st = self._supertrace
-            if st is None:
-                value = stub.post_unblock(
-                    self, thread, action.fn, action.args, value
-                )
-            else:
-                value = st.on_unblock(self, thread, stub, action, value)
-            pending = ("value", value)
+            pending = self._post_unblock(thread, pending)
 
         try:
             if pending is None:
@@ -652,15 +671,21 @@ class Kernel:
         else:
             raise ReproError(f"thread {thread.name} yielded {action!r}")
 
+    def _post_unblock(self, thread: SimThread, pending: tuple) -> tuple:
+        """Run the stub's post-wakeup tracking on the woken thread;
+        returns the resume that hands the body its value."""
+        __, stub, action, value = pending
+        stub._ran = True
+        return (
+            "value",
+            stub.post_unblock(self, thread, action.fn, action.args, value),
+        )
+
     def _perform(self, thread: SimThread, action: Invoke) -> None:
-        """Run a thread's top-level invocation: through the attached
-        tier-3 session if any, else on the authoritative path."""
-        st = self._supertrace
+        """Run a thread's top-level invocation, parking the thread if
+        the server blocked it."""
         try:
-            if st is None:
-                result = self._invoke_impl(thread, action)
-            else:
-                result = st.on_invoke(self, thread, action)
+            result = self._invoke_impl(thread, action)
         except BlockThread as block:
             self._park(thread, block, action)
             return

@@ -176,7 +176,7 @@ class MemoryImage:
         if sealed is None:
             return self._taint_count == 0 and 1 not in self._dirty
         return (
-            self._taint_count == sealed[2] and self._dirty == sealed[3]
+            self._taint_count == sealed[1] and self._dirty == sealed[2]
         )
 
     def dirty_page_indices(self) -> List[int]:
@@ -240,13 +240,18 @@ class MemoryImage:
         # next restore copies only what gets written from here on.
         self._dirty[:] = bytes(len(self._dirty))
 
-    def seal(self) -> Optional[tuple]:
+    def seal(self, base: Optional[tuple] = None) -> Optional[tuple]:
         """This image's state, for a snapshot taken at any point of a run.
 
         None while the image is its good image (nothing written, the
         allocator where the freeze left it): :meth:`restore` then brings
-        it back.  Otherwise copies of the words, taint bits and census,
-        dirty bitmap, allocator position and free lists.
+        it back.  Otherwise the dirty pages only — every clean page
+        equals the good image — as copies of their words and of their
+        taint bits (None for a page without taint), with the taint
+        census, dirty bitmap, allocator position and free lists.  A
+        page equal to its copy in ``base``, an earlier seal of this
+        image, shares that copy (sealed state is never changed), so a
+        snapshot ladder of many rungs stays small.
         """
         if (
             self.is_pristine()
@@ -254,9 +259,23 @@ class MemoryImage:
             and not self._free_lists
         ):
             return None
+        words = self.words
+        taint = self._taint
+        size = self.size
+        shared = {} if base is None else base[0]
+        pages = {}
+        for page in self.dirty_page_indices():
+            lo = page << PAGE_SHIFT
+            hi = min(lo + PAGE_WORDS, size)
+            saved = (
+                words[lo:hi],
+                bytes(taint[lo:hi]) if 1 in taint[lo:hi] else None,
+            )
+            earlier = shared.get(page)
+            pages[page] = earlier if earlier == saved else saved
         return (
-            self.words[:], bytes(self._taint), self._taint_count,
-            bytearray(self._dirty), self._alloc_ptr,
+            pages, self._taint_count, bytearray(self._dirty),
+            self._alloc_ptr,
             {nwords: tuple(free) for nwords, free in self._free_lists.items()},
         )
 
@@ -271,25 +290,37 @@ class MemoryImage:
         With a :meth:`seal` state, reset to it instead.  A page can
         differ from the sealed image only if it is dirty now or was
         dirty at the seal (any other page equals the good image in
-        both), so exactly those pages are copied back, and the sealed
-        dirty bitmap, taint, allocator and free lists with them.
+        both), so exactly those pages are copied back: a page dirty at
+        the seal from its sealed copy, any other from the good image.
+        The sealed dirty bitmap, taint, allocator and free lists come
+        back with them; the sealed state itself is never changed.
         """
         if sealed is None:
             restored = self._copy_back_dirty_pages()
             self._alloc_ptr = self._good_alloc_ptr
             self._free_lists.clear()
             return restored
-        words, taint, taint_count, dirty, alloc_ptr, free_lists = sealed
+        pages, taint_count, dirty, alloc_ptr, free_lists = sealed
         mine = self._dirty
+        words = self.words
+        taint = self._taint
+        good = self._good_words
         size = self.size
-        restored = 0
-        for page in range(len(mine)):
-            if mine[page] or dirty[page]:
+        restored = len(pages)
+        page = mine.find(1)
+        while page >= 0:
+            if page not in pages:
                 lo = page << PAGE_SHIFT
                 hi = min(lo + PAGE_WORDS, size)
-                self.words[lo:hi] = words[lo:hi]
-                self._taint[lo:hi] = taint[lo:hi]
+                words[lo:hi] = good[lo:hi]
+                taint[lo:hi] = bytes(hi - lo)
                 restored += 1
+            page = mine.find(1, page + 1)
+        for page, (saved, saved_taint) in pages.items():
+            lo = page << PAGE_SHIFT
+            hi = min(lo + PAGE_WORDS, size)
+            words[lo:hi] = saved
+            taint[lo:hi] = saved_taint or bytes(hi - lo)
         mine[:] = dirty
         self._taint_count = taint_count
         self._alloc_ptr = alloc_ptr

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.composite.kernel import TimerWake
 from repro.composite.services.common import ServiceComponent
 from repro.errors import CorruptionDetected
 
@@ -56,17 +57,24 @@ class LatentFaultMonitor:
         """Begin periodic scrubbing on the virtual clock."""
         if not self._armed:
             self._armed = True
+            kernel = self.kernel
+            if self not in kernel.monitors:
+                kernel.monitors.append(self)
             self._schedule_next()
 
     def stop(self) -> None:
         self._armed = False
 
     def _schedule_next(self) -> None:
-        self.kernel.clock.schedule(
-            self.kernel.clock.now + self.period, self._tick
+        kernel = self.kernel
+        kernel.clock.schedule(
+            kernel.clock.now + self.period,
+            TimerWake(kernel, "scrub", None, kernel.monitors.index(self)),
         )
 
-    def _tick(self) -> None:
+    def tick(self) -> None:
+        """One period: scrub every target and schedule the next period
+        (the kernel dispatches this monitor's ``"scrub"`` timers here)."""
         if not self._armed:
             return
         self.scrub_all()

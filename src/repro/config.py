@@ -1,4 +1,4 @@
-"""The engine configuration: its seven ``REPRO_*`` gates, read once.
+"""The engine configuration: its six ``REPRO_*`` gates, read once.
 
 Every switch of the execution engine is a typed field of one
 :class:`EngineConfig`.  The process reads them from its environment
@@ -50,13 +50,10 @@ class EngineConfig:
 
     #: Runs restore a sealed pooled system instead of building one.
     system_pool: bool = True
-    #: Tier 3: pooled Table II and cluster runs replay a recorded clean
-    #: prefix.
-    super_trace: bool = True
     #: Tier 2: clean trace executions run compiled residual programs.
     fast_interp: bool = True
-    #: Every pooled restore is diffed against a fresh build, every
-    #: recorded tier-3 unit against a whole-system diff, and negative
+    #: Every pooled restore is diffed against a fresh build (driven
+    #: through the same prefix for a mid-run snapshot), and negative
     #: histogram observations raise instead of clamping.
     pool_debug: bool = False
     #: New kernels carry a live flight recorder.

@@ -35,8 +35,10 @@ class RecoveryManager:
     """Coordinates micro-reboot recovery across stubs and services."""
 
     #: Pooled-root declaration (see :class:`repro.system.StateModel`):
-    #: registered interfaces are build-time wiring.
+    #: registered interfaces are build-time wiring, and ``_ran`` is set
+    #: whenever a log grows.
     STATE_WIRING = ("kernel", "mode", "interfaces")
+    STATE_TOUCHED = "_ran"
 
     def __init__(self, kernel, mode: str = "ondemand"):
         if mode not in ("ondemand", "eager"):
@@ -49,6 +51,7 @@ class RecoveryManager:
         self.recovery_samples: Dict[str, List[int]] = {}
         #: (clock, service, eagerly woken threads) per micro-reboot.
         self.reboot_events: List[Tuple[int, str, int]] = []
+        self._ran = False
 
     def register_interface(self, ir: InterfaceIR) -> None:
         self.interfaces[ir.name] = ir
@@ -62,6 +65,7 @@ class RecoveryManager:
         # ("redo"), which first recover the touched descriptors and then
         # re-block, restoring the expectations of both sides.
         woken = self.kernel.wake_all_in(component.name, redo=True)
+        self._ran = True
         self.reboot_events.append(
             (self.kernel.clock.now, component.name, woken)
         )
@@ -78,6 +82,7 @@ class RecoveryManager:
 
     # ------------------------------------------------------------------
     def record_descriptor_recovery(self, service: str, cycles: int) -> None:
+        self._ran = True
         self.recovery_samples.setdefault(service, []).append(cycles)
         if self.kernel.recorder.enabled:
             self.kernel.recorder.metrics.histogram(

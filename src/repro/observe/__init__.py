@@ -24,7 +24,7 @@ environment.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from repro.config import CONFIG
 from repro.observe.events import (  # noqa: F401 (re-exported)
@@ -47,17 +47,14 @@ from repro.observe.recorder import (  # noqa: F401
 )
 
 
-def recorder_for(
-    clock=None, capacity: Optional[int] = None
-) -> Union[FlightRecorder, NullRecorder]:
+def recorder_for(clock=None) -> Union[FlightRecorder, NullRecorder]:
     """The recorder a new kernel should carry.
 
     Returns the shared no-op singleton when tracing is disabled — no
-    allocation at all — or a fresh :class:`FlightRecorder` bound to the
-    kernel's virtual clock when enabled.
+    allocation at all — or a fresh :class:`FlightRecorder` of the
+    configured capacity, bound to the kernel's virtual clock, when
+    enabled.
     """
     if not CONFIG.trace:
         return NULL_RECORDER
-    return FlightRecorder(
-        clock=clock, capacity=capacity or CONFIG.trace_capacity
-    )
+    return FlightRecorder(clock=clock, capacity=CONFIG.trace_capacity)

@@ -63,9 +63,6 @@ EVENT_FIELDS: Dict[str, FrozenSet[str]] = {
     "trace_exec": frozenset({"component", "label", "fast", "injected", "cycles"}),
     "trace_build": frozenset({"component", "label", "ops"}),
     "fastpath_compile": frozenset({"component", "label", "ops"}),
-    # Tier-3 super-trace recording sealed (build-time only, once per
-    # run spec — never emitted per replayed unit).
-    "super_trace_record": frozenset({"units", "replayable", "service"}),
     # -- cluster supervision (node-level lifecycle) ----------------------
     "node_kill": frozenset({"node", "unit"}),
     "unit_failover": frozenset({"unit", "from_node", "to_node"}),

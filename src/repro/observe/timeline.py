@@ -132,11 +132,6 @@ def _describe(event: Dict[str, object]) -> str:
         return f"trace-build   {d['component']}/{d['label']} ({d['ops']} ops)"
     if name == "fastpath_compile":
         return f"fast-compile  {d['component']}/{d['label']} ({d['ops']} ops)"
-    if name == "super_trace_record":
-        return (
-            f"super-trace   sealed {d['units']} units "
-            f"({d['replayable']} replayable) for {d['service']}"
-        )
     if name == "node_kill":
         return f"NODE KILL     {d['node']} lost at unit {d['unit']} (correlated failure)"
     if name == "unit_failover":

@@ -17,22 +17,29 @@ run's outcome is a pure function of ``(service, ft_mode, iterations,
 horizon, recovery_mode, run_seed)``.  That makes runs order-independent
 and lets :mod:`repro.swifi.parallel` fan a campaign out across a process
 pool — or resume an interrupted one — with bit-identical aggregates.
+
+Every run of a spec is clean up to its injection point, so a pooled run
+does not execute that prefix: it restores the last rung of the spec's
+snapshot ladder (:func:`_campaign_recording`) at or before its point and
+runs authoritatively from there.  Unpooled and traced runs start from
+boot and are the reference.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import json
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
-from repro.composite.supertrace import RecordingSession, ReplaySession
 from repro.config import CONFIG
 from repro.errors import ReproError, SimulatedFault
 from repro.swifi.classify import Outcome, OutcomeCounter
 from repro.swifi.injector import FAULT_CLASSES, SwifiController
-from repro.system import GLOBAL_POOL, build_system
+from repro.system import GLOBAL_POOL, SystemSnapshot, build_system
 from repro.workloads import workload_for
 
 #: Default iterations of the micro-workload per injection run: enough for
@@ -42,35 +49,26 @@ DEFAULT_ITERATIONS = 4
 #: Step budget per run; exceeding it means the system livelocked.
 MAX_STEPS = 60_000
 
-#: Kernel counters that make up a campaign's supertrace coverage report
-#: (exported to the ``.timing.json`` sidecar — engine statistics are
-#: knob-dependent, so they must stay out of the main artifact).
-COVERAGE_KEYS = (
-    "super_trace_runs",
-    "super_trace_divergences",
-    "super_trace_divergent_units",
-)
+#: Sidecar work counts of the snapshot ladders the runs started from:
+#: the rungs of a ladder, the runs that started at a rung, and the
+#: clean-prefix steps those runs skipped.  Engine statistics, so they
+#: stay out of the main artifact (unpooled runs start from boot).
+LADDER_KEYS = ("rungs", "rung_restores", "prefix_steps_skipped")
 
 
-def collect_coverage(kernel, into: Optional[Dict[str, int]] = None):
-    """Fold one finished run's supertrace counters into ``into``."""
-    if into is None:
-        into = dict.fromkeys(COVERAGE_KEYS, 0)
-    stats = kernel.stats
-    for key in COVERAGE_KEYS:
-        into[key] = into.get(key, 0) + stats[key]
-    return into
+def ladder_counts(counters: Dict[str, int]) -> Dict[str, int]:
+    """The sidecar's ladder work counts from summed run ``counters``.
 
-
-def coverage_ratio(coverage: Dict[str, int]) -> float:
-    """Fraction of executed invocation units served by replay.
-
-    Replayed prefix units over every unit that crossed the session —
-    replayed and post-divergence authoritative units alike.
+    Each run adds its ladder's rung count, so the sum over the runs
+    started at a rung is that count times those runs, whatever the
+    number of worker processes that built a ladder each.
     """
-    replayed = coverage["super_trace_runs"]
-    total = replayed + coverage["super_trace_divergent_units"]
-    return replayed / total if total else 0.0
+    restores = counters.get("rung_restores", 0)
+    return {
+        "rungs": counters.get("rungs", 0) // max(restores, 1),
+        "rung_restores": restores,
+        "prefix_steps_skipped": counters.get("prefix_steps_skipped", 0),
+    }
 
 
 @dataclass(frozen=True)
@@ -142,10 +140,7 @@ def execute_run(spec: RunSpec, run_seed: int) -> Outcome:
 RUN_STATS = (
     "invocations", "upcalls", "faults_vectored", "micro_reboots",
     "steps", "interp_fast_runs", "interp_slow_runs",
-    "trace_cache_hits", "trace_cache_misses",
-    "super_trace_runs", "super_trace_bypasses",
-    "super_trace_divergences", "super_trace_divergent_units",
-    "budget_exhausted",
+    "trace_cache_hits", "trace_cache_misses", "budget_exhausted",
 )
 
 
@@ -184,15 +179,12 @@ def _pooled() -> bool:
     The one place that decides "traced ⇒ fresh": warm trace caches shift
     cache-hit counters that the flight recorder folds into per-run
     metrics, and trace artifacts must stay byte-identical serial vs
-    parallel, so traced runs build fresh — and, since recordings bind
-    pooled systems, run without a super-trace.
+    parallel, so traced runs build fresh and start from boot.
     """
     return CONFIG.system_pool and not CONFIG.trace
 
 
-def _campaign_system(
-    ft_mode: str, recovery_mode: str, prepare=None, instance=None, at=None
-):
+def _campaign_system(ft_mode: str, recovery_mode: str, prepare=None, at=None):
     """A system for one campaign run: pooled by default, fresh otherwise.
 
     Pooling reuses a per-process sealed system, dirty-restoring it to
@@ -200,15 +192,14 @@ def _campaign_system(
     because a restored system is structurally indistinguishable from a
     fresh build (``REPRO_POOL_DEBUG=1`` verifies that per restore).
     ``prepare`` is the pool's post-build hook (the web server registers
-    its own components with it); ``instance`` selects a private pool
-    snapshot (e.g. one cluster node's) instead of the process-shared
-    one; ``at`` restores a later snapshot of the pooled system instead
-    (see :meth:`repro.system.SystemPool.acquire`).
+    its own components with it); ``at`` restores a later snapshot of
+    the pooled system instead (see
+    :meth:`repro.system.SystemPool.acquire`).
     """
     if _pooled():
         return GLOBAL_POOL.acquire(
             ft_mode=ft_mode, recovery_mode=recovery_mode, prepare=prepare,
-            instance=instance, at=at,
+            at=at,
         )
     system = build_system(ft_mode=ft_mode, recovery_mode=recovery_mode)
     if prepare is not None:
@@ -217,13 +208,13 @@ def _campaign_system(
 
 
 def warm_up(spec: RunSpec, instance=None):
-    """Boot and seal the spec's pooled system and build its recording.
+    """Boot and seal the spec's pooled system and build its ladder.
 
     A campaign's per-process setup, so its first run pays neither.
-    Returns ``(snapshot, recording)``, the pooled system's snapshot and
-    the recording, for :func:`_drive_run`'s ``start`` (None without
-    pooling).  ``instance`` warms a private snapshot, as each cluster
-    node does.
+    Returns ``(snapshot, ladder)``, the pooled system's snapshot and
+    the spec's :class:`Ladder` (None when its clean run is not clean),
+    for :func:`_drive_run`'s ``start``; None without pooling.
+    ``instance`` warms a private snapshot, as each cluster node does.
     """
     if not _pooled():
         return None
@@ -254,82 +245,188 @@ def _arm_for_class(
         raise ValueError(f"unknown fault class {fault_class!r}")
 
 
-def _campaign_recording(spec: RunSpec, instance=None):
-    """The spec's super-trace recording, built once per pooled snapshot.
+class Rung(NamedTuple):
+    """One start of a spec's snapshot ladder."""
 
-    Recordings exist only for pooled, untraced campaigns: a recording's
-    units hold direct references into the sealed pooled system (images,
-    stubs), so fresh-per-run and flight-recorder runs always execute on
-    the authoritative two-tier path — which is also what makes
-    ``REPRO_SUPER_TRACE=0/1 × REPRO_SYSTEM_POOL=0/1`` artifacts
-    byte-identical by construction.  The recording is kept on the
-    snapshot it binds (``instance`` selects a private one, a cluster
-    node's), so a pool rebuild drops it.  A failed build is kept as
-    None so the campaign never retries it.
+    #: The system sealed once the step that raises the eligible count
+    #: began (:meth:`Kernel.begin_step`); its one root is the
+    #: workload's :class:`~repro.workloads.RunHandle`.
+    snapshot: SystemSnapshot
+    #: The target's SWIFI-eligible count the rung's prefix reached.
+    eligible: int
+    #: What the prefix gave a SWIFI controller: trace executions per
+    #: component and stub invocations per server.
+    trace_counts: Dict[str, int]
+    invoke_counts: Dict[str, int]
+
+
+class Ladder(NamedTuple):
+    """A spec's snapshot ladder: rungs in step order, with their
+    eligible counts (ascending) for the lookup."""
+
+    rungs: tuple
+    eligible: tuple
+
+    def rung_for(self, point: int) -> Rung:
+        """The last rung at or before injection point ``point``."""
+        return self.rungs[bisect.bisect_right(self.eligible, point) - 1]
+
+
+def _campaign_recording(spec: RunSpec, instance=None) -> Optional[Ladder]:
+    """The spec's snapshot ladder, built once per pooled snapshot.
+
+    Ladders exist only for pooled, untraced campaigns: a rung is a
+    snapshot of the pooled system itself, so fresh-per-run and
+    flight-recorder runs always start from boot, which is what makes
+    their artifacts byte-identical to pooled ones by construction.
+    The ladder is kept on the snapshot it was built from (``instance``
+    selects a private one, a cluster node's), so a pool rebuild drops
+    it.  A spec whose clean run is not clean keeps None, and its runs
+    start from boot.
     """
-    if not (CONFIG.super_trace and _pooled()):
+    if not _pooled():
         return None
     snapshot = GLOBAL_POOL.snapshot_for(
         ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode,
         instance=instance,
     )
-    key = ("recording", spec.service, spec.iterations)
+    key = ("ladder", spec.service, spec.iterations, spec.fault_class == "idl")
     if key not in snapshot.starts:
-        snapshot.starts[key] = _build_recording(
-            spec, lambda: GLOBAL_POOL.acquire(at=snapshot)
-        )
+        snapshot.starts[key] = _build_ladder(spec, snapshot)
     return snapshot.starts[key]
 
 
-def _build_recording(spec: RunSpec, acquire):
-    """Record the spec's clean workload run for replay; None on any
-    anomaly.
+class _RungPoints(SwifiController):
+    """A never-armed controller that counts the target's SWIFI-eligible
+    events (trace executions in the target for reg, mem and burst, stub
+    invocations of it for idl) and notes each step in which the count
+    rises, with the count before that step: where a rung goes.  The run
+    queue counts its picks, one per step, so during a step it reads
+    that step's number.
+    """
 
-    Two clean passes on systems from ``acquire()``: one warm-up pass
-    brings the pooled system's trace caches and compiled fast paths to
-    steady state (every trace attaches its program on its 2nd clean
-    execution), so the recorded per-unit statistics match the warm
-    state every pooled campaign run executes in; the second runs under
-    a :class:`RecordingSession`.  Any anomaly — a crashed run, a failed
-    workload check, an exhausted budget, a reboot — aborts to None: the
-    campaign then runs fully authoritative, never approximated.  A
-    harness error propagates.
+    def __init__(self, kernel, spec: RunSpec):
+        super().__init__(kernel, seed=0)
+        self.target = spec.service
+        self.idl = spec.fault_class == "idl"
+        self.eligible = 0
+        #: ``(steps before the step, eligible count before it)``.
+        self.points: List[tuple] = []
+        self._start = kernel.run_queue._rr
+
+    def _note(self) -> None:
+        steps = self.kernel.run_queue._rr - self._start - 1
+        if not self.points or self.points[-1][0] != steps:
+            self.points.append((steps, self.eligible))
+        self.eligible += 1
+
+    def take_injection(self, component_name: str, trace_len: int):
+        if not self.idl and component_name == self.target and trace_len > 0:
+            self._note()
+        return super().take_injection(component_name, trace_len)
+
+    def filter_idl_args(self, server: str, fn: str, args: tuple) -> tuple:
+        if self.idl and server == self.target:
+            self._note()
+        return super().filter_idl_args(server, fn, args)
+
+
+def _build_ladder(spec: RunSpec, snapshot: SystemSnapshot):
+    """Seal the spec's snapshot ladder; None on any anomaly.
+
+    Two clean passes on the pooled system restored to ``snapshot``,
+    each under a never-armed :class:`_RungPoints`.  The first notes
+    the steps that raise the target's eligible count.  The second runs
+    to each of them, begins it (:meth:`Kernel.begin_step`: a woken
+    thread's stub tracking runs, as it does before any fault of the
+    step can land), seals a rung there with the controller's counts,
+    and runs on to its end: every clean trace has then run twice, so
+    its compiled program is attached before the first timed run.
+    Rungs are sealed on the way, none re-runs its prefix, and each
+    shares every group its prefix left untouched with the rung before
+    it.  A crashed run, a failed workload check, an exhausted budget or
+    a reboot aborts to None: the spec's runs then start from boot.
     """
     workload = workload_for(spec.service)
-    session = None
-    for warm in range(2):
-        system = acquire()
-        kernel = system.kernel
-        swifi = SwifiController(kernel, seed=0)  # never armed
-        if warm == 1:
-            session = RecordingSession(kernel)
-            session.instrument(swifi)
-            kernel._supertrace = session
-        handle = workload.install(system, iterations=spec.iterations)
-        crash, __ = run_system(system, None, MAX_STEPS)
-        if (
-            crash is not None
-            or not handle.check()
-            or kernel.budget_exhausted
-            or system.booter.reboots
-        ):
-            return None
-    return session.finish(
-        {"service": spec.service, "ft_mode": spec.ft_mode,
-         "iterations": spec.iterations, "recovery_mode": spec.recovery_mode},
+    system = GLOBAL_POOL.acquire(at=snapshot)
+    points = _RungPoints(system.kernel, spec)
+    handle = workload.install(system, iterations=spec.iterations)
+    crash, __ = run_system(system, MAX_STEPS)
+    if (
+        crash is not None
+        or not handle.check()
+        or system.kernel.budget_exhausted
+        or system.booter.reboots
+        or not points.points
+    ):
+        return None
+    system = GLOBAL_POOL.acquire(at=snapshot)
+    kernel = system.kernel
+    counter = _RungPoints(kernel, spec)
+    handle = workload.install(system, iterations=spec.iterations)
+    rungs = []
+    ran = 0
+    for steps, eligible in points.points:
+        run_prefix(system, steps - ran)
+        ran = steps
+        kernel.begin_step()
+        if counter.eligible != eligible:
+            raise ReproError(
+                f"beginning step {steps} of {spec.service} raised its "
+                f"eligible count"
+            )
+        kernel.swifi = None  # a kernel with a controller cannot be sealed
+        sealed = SystemSnapshot(
+            system, prefix=functools.partial(_ladder_prefix, spec, steps),
+            roots=(handle,),
+        )
+        kernel.swifi = counter
+        rungs.append(Rung(
+            sealed, eligible, dict(counter.trace_counts),
+            dict(counter.invoke_counts),
+        ))
+    run_system(system, MAX_STEPS - ran)
+    return Ladder(tuple(rungs), tuple(rung.eligible for rung in rungs))
+
+
+def _ladder_prefix(spec: RunSpec, steps: int, system) -> tuple:
+    """Install the spec's workload on a booted ``system``, run its
+    first ``steps`` clean steps and begin the next: a rung's prefix,
+    for the debug diff's fresh build.  Returns the rung's root, the run
+    handle."""
+    handle = workload_for(spec.service).install(
+        system, iterations=spec.iterations
     )
+    run_prefix(system, steps)
+    system.kernel.begin_step()
+    return (handle,)
 
 
-def run_system(system, recording, max_steps: int):
+def run_prefix(system, steps: int) -> None:
+    """Run exactly ``steps`` clean steps of ``system``: the prefix of a
+    snapshot sealed at that step boundary.  Raises if fewer ran or the
+    system crashed; stopping there is not an exhausted budget, so it
+    leaves no mark."""
+    crash, ran = run_system(system, steps)
+    kernel = system.kernel
+    if crash is not None or ran != steps:
+        raise ReproError(
+            f"a clean prefix stopped after {ran} of {steps} steps "
+            f"({crash!r})"
+        )
+    if kernel.last_run_exhausted:
+        kernel.stats["budget_exhausted"] -= 1
+        kernel.last_run_exhausted = False
+
+
+def run_system(system, max_steps: int):
     """Run one campaign system to its end; returns ``(crash, steps)``.
 
     The one place a campaign run executes: Table II runs, cluster
-    units, Fig. 7 runs (campaign and CLI), both clean passes of a
-    Table II recording and both of a Fig. 7 first-arm snapshot.  Each
-    kind installs and arms before the call and maps ``crash`` onto its
-    own outcome vocabulary after it.  ``recording``'s
-    prefix is replayed when it binds this kernel (see
-    :func:`_campaign_recording`); the session always detaches.
+    units, Fig. 7 runs (campaign and CLI), and the clean passes and
+    prefixes that Table II ladders and Fig. 7 first-arm snapshots are
+    sealed from.  Each kind installs (or restores) and arms before the
+    call and maps ``crash`` onto its own outcome vocabulary after it.
 
     ``crash`` is the failure that ended the run: the ``SimulatedFault``
     (``SystemHang`` included) or ``ReproError`` that escaped
@@ -338,8 +435,6 @@ def run_system(system, recording, max_steps: int):
     exit path, so a run that raised counts its steps too.
     """
     kernel = system.kernel
-    if recording is not None and recording.kernel is kernel:
-        kernel._supertrace = ReplaySession(recording)
     steps = kernel.stats["steps"]
     crash = None
     try:
@@ -350,41 +445,61 @@ def run_system(system, recording, max_steps: int):
         # escaping every recovery tier: real not-recovered outcomes of
         # the fault, not harness bugs.  Anything else propagates.
         crash = error
-    finally:
-        kernel._supertrace = None
     if crash is None:
         crash = kernel.crashed
     return crash, kernel.stats["steps"] - steps
 
 
-def _drive_run(spec: RunSpec, run_seed: int, start=None):
-    """Boot (or pool-restore) a system, inject per the spec, run it.
+def _drive_run(spec: RunSpec, run_seed: int, start=None, counters=None):
+    """Restore (or boot) a system, inject per the spec, run it.
 
     Returns ``(outcome, system, swifi, steps, handle)``.  ``start`` is
-    :func:`warm_up`'s ``(snapshot, recording)``, which a campaign or a
+    :func:`warm_up`'s ``(snapshot, ladder)``, which a campaign or a
     cluster node looks up once instead of once per run; without one
     the run warms the shared pool itself, or builds fresh when
-    unpooled or traced.
+    unpooled or traced.  With a ladder the run restores the last rung
+    at or before its injection point, whose prefix already ran the
+    workload's install and first steps and began the next: the
+    controller takes the prefix's counts, the fault arms the rest of
+    the countdown, and the run finishes that step and gets the rest of
+    the step budget.  Its ``steps`` count from boot either way.  ``counters`` sums the ladder work counts
+    (:data:`LADDER_KEYS`).
     """
     if start is None:
-        # Warm *before* the final acquire: the recording's clean passes
-        # dirty the pooled snapshot, and this run must start from a
+        # Warm *before* the final acquire: the ladder's clean passes
+        # run on the pooled system, and this run must start from a
         # clean restore of it.
         start = warm_up(spec)
+    point = injection_point(run_seed, spec.horizon)
+    rung = None
     if start is None:
-        recording = None
         system = _campaign_system(spec.ft_mode, spec.recovery_mode)
     else:
-        snapshot, recording = start
+        snapshot, ladder = start
+        if ladder is not None:
+            rung = ladder.rung_for(point)
+            snapshot = rung.snapshot
         system = GLOBAL_POOL.acquire(at=snapshot)
     swifi = SwifiController(system.kernel, seed=run_seed)
-    workload = workload_for(spec.service)
-    handle = workload.install(system, iterations=spec.iterations)
-    _arm_for_class(
-        swifi, spec.fault_class, spec.service,
-        injection_point(run_seed, spec.horizon),
-    )
-    crash, steps = run_system(system, recording, MAX_STEPS)
+    if rung is None:
+        skipped = 0
+        handle = workload_for(spec.service).install(
+            system, iterations=spec.iterations
+        )
+    else:
+        skipped = rung.snapshot.steps
+        handle = rung.snapshot.roots[0]
+        swifi.trace_counts.update(rung.trace_counts)
+        swifi.invoke_counts.update(rung.invoke_counts)
+        point -= rung.eligible
+        if counters is not None:
+            for key, count in zip(
+                LADDER_KEYS, (len(ladder.rungs), 1, skipped)
+            ):
+                counters[key] = counters.get(key, 0) + count
+    _arm_for_class(swifi, spec.fault_class, spec.service, point)
+    crash, steps = run_system(system, MAX_STEPS - skipped)
+    steps += skipped
     outcome = classify_run(spec.ft_mode, system, swifi, handle, crash, steps)
     return outcome, system, swifi, steps, handle
 
@@ -428,17 +543,16 @@ class CampaignResult:
     ft_mode: str
     fault_class: str = "reg"
     #: Wall-clock split: calibration plus per-process setup (IDL
-    #: compile, pool boot, recording) vs run execution.  Deliberately
-    #: *not* part of :meth:`row` — the Table II artifact must stay
-    #: bit-identical across machines and pooling modes; timings go to
-    #: the ``.timing.json`` sidecar instead.
+    #: compile, pool boot, snapshot ladder) vs run execution.
+    #: Deliberately *not* part of :meth:`row` — the Table II artifact
+    #: must stay bit-identical across machines and pooling modes;
+    #: timings go to the ``.timing.json`` sidecar instead.
     setup_wall: float = 0.0
     exec_wall: float = 0.0
-    #: Summed supertrace engine counters (:data:`COVERAGE_KEYS`).  Also
-    #: sidecar-only: the counters depend on the engine knobs
-    #: (``REPRO_SUPER_TRACE``/pooling), which the main artifact must be
-    #: invariant to.
-    coverage: Optional[Dict[str, int]] = None
+    #: The ladder's work counts (:func:`ladder_counts`).  Also
+    #: sidecar-only: they depend on pooling, which the main artifact
+    #: must be invariant to.
+    ladder: Optional[Dict[str, int]] = None
 
     @property
     def injected(self) -> int:
@@ -570,9 +684,7 @@ class CampaignRunner:
             fault_class=self.fault_class,
             setup_wall=calibrate_wall + campaign.setup_wall,
             exec_wall=campaign.exec_wall,
-            coverage={
-                key: campaign.counters.get(key, 0) for key in COVERAGE_KEYS
-            },
+            ladder=ladder_counts(campaign.counters),
         )
 
 
@@ -649,11 +761,8 @@ def write_table2_json(results: List[CampaignResult], path: str) -> None:
             "setup_wall": result.setup_wall,
             "exec_wall": result.exec_wall,
         }
-        if result.coverage is not None:
-            entry["coverage"] = dict(result.coverage)
-            entry["replayed_unit_coverage"] = round(
-                coverage_ratio(result.coverage), 6
-            )
+        if result.ladder is not None:
+            entry["ladder"] = dict(result.ladder)
         timing.append(entry)
     with open(path + ".timing.json", "w", encoding="utf-8") as handle:
         json.dump(timing, handle, indent=2)

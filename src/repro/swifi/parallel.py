@@ -8,7 +8,7 @@ campaign kind supplies only what differs — a per-process ``setup`` and a
 per-seed ``run`` — and the core owns the rest:
 
 * one initializer per process (IDL compile plus the kind's setup: pool
-  boot, super-trace recording), run in the parent for serial and
+  boot, snapshot ladder or first-arm snapshot), run in the parent for serial and
   ``fork`` campaigns so forked workers inherit it copy-on-write;
 * chunked fan-out over a :class:`~concurrent.futures.ProcessPoolExecutor`,
   streaming each chunk's results back as it completes, and seed-keyed
@@ -43,7 +43,6 @@ from repro.swifi.campaign import (
     RUN_STATS,
     RunSpec,
     _drive_run,
-    collect_coverage,
     injection_point,
     run_record,
     warm_up,
@@ -67,9 +66,9 @@ def worker_start_method() -> str:
     where the platform has it.
 
     ``fork`` is the zero-copy path: the parent pays all per-process
-    setup once (IDL compilation, pooled boot + seal, the super-trace
-    recording), and forked workers inherit the sealed ``array('I')``
-    images and compiled units copy-on-write — no per-worker boot, no
+    setup once (IDL compilation, pooled boot + seal, the snapshot
+    ladder), and forked workers inherit the sealed ``array('I')``
+    images and compiled programs copy-on-write — no per-worker boot, no
     re-pickling.  ``spawn`` keeps the per-worker initializer (each
     worker boots its own pooled system), which is also the clean
     fallback wherever fork is unavailable; an explicit
@@ -131,9 +130,9 @@ def _init_worker(setup, run, spec, trace: bool, config=None) -> None:
     whatever its own environment says.  Each process compiles the IDL
     interfaces once (the ``compile_all_interfaces`` cache is
     per-process and starts cold), then ``setup(spec, trace)`` warms
-    whatever the kind's runs share — pooled systems, super-trace
-    recordings, a cluster cell — and returns the state handed to every
-    ``run`` call.
+    whatever the kind's runs share — pooled systems, snapshot ladders,
+    first-arm snapshots, a cluster cell — and returns the state handed
+    to every ``run`` call.
     """
     global _CAMPAIGN
     if config is not None:
@@ -328,9 +327,9 @@ class CampaignJournal:
 
 
 def _table2_setup(spec: RunSpec, trace: bool):
-    """Table II per-process setup: the pooled system's snapshot and its
-    recording, looked up once for every run (None when traced, since
-    traced runs build fresh, or unpooled)."""
+    """Table II per-process setup: the pooled system's snapshot and the
+    spec's snapshot ladder, looked up once for every run (None when
+    traced, since traced runs build fresh, or unpooled)."""
     return None if trace else warm_up(spec)
 
 
@@ -343,8 +342,7 @@ def _table2_run(spec: RunSpec, seed: int, trace: bool, start, counters):
     only, so workers trace whether or not ``REPRO_TRACE`` is set.
     """
     if not trace:
-        outcome, system, __, __, __ = _drive_run(spec, seed, start=start)
-        collect_coverage(system.kernel, counters)
+        outcome = _drive_run(spec, seed, start=start, counters=counters)[0]
         return outcome, None
     with override(trace=True):
         outcome, system, __, steps, __ = _drive_run(spec, seed)
@@ -372,8 +370,8 @@ def run_campaign(
     """Execute a Table II campaign's runs and aggregate their outcomes.
 
     Returns the outcome counter plus the core's :class:`SeededRun`,
-    whose ``counters`` sum the executed runs' supertrace coverage (see
-    :data:`~repro.swifi.campaign.COVERAGE_KEYS`) and whose walls split
+    whose ``counters`` sum the executed runs' ladder work counts (see
+    :data:`~repro.swifi.campaign.LADDER_KEYS`) and whose walls split
     setup from execution; journal-replayed runs were not re-executed and
     contribute nothing to either.
 

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from repro.composite.app import AppComponent
 from repro.composite.booter import Booter
 from repro.composite.cbuf import CbufManager
-from repro.composite.kernel import Kernel, TimerWake
+from repro.composite.kernel import Kernel
 from repro.composite.services import (
     EventService,
     LockService,
@@ -165,10 +165,8 @@ def build_system(
 #: Plain-data classes that per-run state holds below its roots.  Every
 #: cross-reference among them is by key (tids, cdescs, event ids,
 #: mapping keys), never by object identity, so they can be copied
-#: field by field: the pool seals and restores them, and tier 3 patches
-#: and reconstructs them.  Any other object below a root is opaque:
-#: tier 3 compares it by fingerprint and ends a recording that changes
-#: it, and the pool cannot seal it.
+#: field by field: snapshots seal and restore them.  Any other object
+#: below a root is opaque, and a snapshot cannot seal it.
 _STATE_CLASSES = frozenset(
     {
         "_LockState",
@@ -185,14 +183,6 @@ _STATE_CLASSES = frozenset(
         "Invoke",
     }
 )
-
-
-def _is_state_obj(value) -> bool:
-    cls = type(value)
-    return (
-        cls.__name__ in _STATE_CLASSES
-        and cls.__module__.startswith("repro.")
-    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -223,8 +213,8 @@ class StateModel(NamedTuple):
       root may have changed.
 
     Every other instance attribute is per-run state.  System
-    fingerprints flatten it, tier-3 recordings diff it together with the
-    touched flag, and :class:`SystemSnapshot` seals and restores it.
+    fingerprints flatten it, and :class:`SystemSnapshot` seals and
+    restores it.
     """
 
     #: Wiring, warm caches and the touched flag: never per-run state.
@@ -295,43 +285,125 @@ def _flatten(obj, path: str, out: Dict[str, object], depth: int = 0) -> None:
                 _flatten(attrs[name], f"{path}.{name}", out, depth + 1)
 
 
-_ATOMS = frozenset({type(None), bool, int, float, str, bytes, frozenset})
+#: Types whose values snapshots share instead of copying: immutable
+#: atoms, and every enum and root class (roots are restored in place)
+#: met so far, added on first sight so later checks are one lookup.
+_SHARED = {type(None), bool, int, float, str, bytes, frozenset}
+
+#: Type -> the function that copies a value of it, built on first sight.
+_COPIERS: Dict[type, Callable] = {}
 
 
 def _copy_state(value):
     """A fresh deep copy of per-run state: scalars, containers and
     :data:`_STATE_CLASSES` objects.  Enum members, functions without a
-    closure and roots (which snapshots restore in place) are shared, not
-    copied.  Anything else raises."""
+    closure, roots (which snapshots restore in place) and tuples of
+    shared values are shared, not copied.  Anything else raises."""
     cls = type(value)
-    if cls in _ATOMS:
+    if cls in _SHARED:
         return value
+    copier = _COPIERS.get(cls)
+    if copier is None:
+        if cls is types.FunctionType and value.__closure__ is None:
+            return value
+        copier = _copier(cls)
+        if copier is None:
+            _SHARED.add(cls)
+            return value
+    return copier(value)
+
+
+class _FlatDict(dict):
+    """A sealed dict whose values are all shared: restored by one
+    C-level copy instead of one per value."""
+
+    __slots__ = ()
+
+
+class _FlatList(list):
+    """A sealed list whose items are all shared (see :class:`_FlatDict`)."""
+
+    __slots__ = ()
+
+
+def _copier(cls: type) -> Optional[Callable]:
+    """The copy function of ``cls``'s values (cached), or None when they
+    are shared: enum members and roots.  Raises for any other type.
+    Leaves of a shared type are copied inline, not by a call each.  A
+    dict or list of shared values only is copied as a
+    :class:`_FlatDict` or :class:`_FlatList`, and a tuple of them is
+    shared, so that restoring a seal copies it in one call."""
+    shared = _SHARED
+    copy = _copy_state
     if cls is dict:
-        return {key: _copy_state(item) for key, item in value.items()}
-    if cls is list or cls is tuple or cls is deque:
-        return cls(map(_copy_state, value))
-    if cls is set or cls is bytearray:
-        return cls(value)
-    if _is_state_obj(value):
-        copy = cls.__new__(cls)
-        for attr in _obj_attrs(value):
-            setattr(copy, attr, _copy_state(getattr(value, attr)))
-        return copy
-    if (
-        isinstance(value, enum.Enum)
-        or (cls is types.FunctionType and value.__closure__ is None)
-        or _is_root(cls)
+        def copier(value):
+            for item in value.values():
+                if type(item) not in shared:
+                    return {
+                        key: item if type(item) in shared else copy(item)
+                        for key, item in value.items()
+                    }
+            return _FlatDict(value)
+    elif cls is list or cls is tuple:
+        flat = _FlatList if cls is list else None
+        def copier(value):
+            for item in value:
+                if type(item) not in shared:
+                    return cls([
+                        item if type(item) in shared else copy(item)
+                        for item in value
+                    ])
+            return value if flat is None else flat(value)
+    elif cls is _FlatDict:
+        copier = dict
+    elif cls is _FlatList:
+        copier = list
+    elif cls is deque:
+        def copier(value):
+            return deque([
+                item if type(item) in shared else copy(item)
+                for item in value
+            ])
+    elif cls is set or cls is bytearray:
+        copier = cls
+    elif (
+        cls.__name__ in _STATE_CLASSES and cls.__module__.startswith("repro.")
     ):
-        return value
-    raise ReproError(f"cannot copy a {cls.__name__}")
+        slots = getattr(cls, "__slots__", None)
+        if slots is None:
+            def copier(value):
+                duplicate = cls.__new__(cls)
+                duplicate.__dict__.update(
+                    (attr, item if type(item) in shared else copy(item))
+                    for attr, item in value.__dict__.items()
+                )
+                return duplicate
+        else:
+            def copier(value):
+                duplicate = cls.__new__(cls)
+                for attr in slots:
+                    item = getattr(value, attr, _UNSET)
+                    if item is not _UNSET:
+                        setattr(
+                            duplicate, attr,
+                            item if type(item) in shared else copy(item),
+                        )
+                return duplicate
+    elif issubclass(cls, enum.Enum) or _is_root(cls):
+        return None
+    else:
+        raise ReproError(f"cannot copy a {cls.__name__}")
+    _COPIERS[cls] = copier
+    return copier
+
+
+_UNSET = object()
 
 
 def _timer_entry(entry) -> tuple:
     """A timer heap entry as data: ``(due, seq, kind, tid, token)``."""
-    due, seq, action = entry
-    if isinstance(action, TimerWake):
-        return (due, seq, action.kind, action.tid, action.token)
-    return (due, seq, "call", None, action)
+    due, seq, wake = entry
+    return (due, seq, wake.kind, wake.tid, wake.token)
 
 
 def system_fingerprint(system: System, roots=()) -> Dict[str, object]:
@@ -359,6 +431,7 @@ def system_fingerprint(system: System, roots=()) -> Dict[str, object]:
     out["crashed"] = repr(kernel.crashed)
     out["run_queue"] = ",".join(str(t.tid) for t in kernel.run_queue._threads)
     out["run_queue.rr"] = kernel.run_queue._rr
+    out["resume"] = None if kernel.resume is None else kernel.resume.tid
     for tid, thread in sorted(kernel.threads.items()):
         _flatten(thread, f"thread[{tid}]", out)
     out["components"] = ",".join(kernel.components)
@@ -397,41 +470,47 @@ class SystemSnapshot:
     """A sealed system state and its cheap restore.
 
     Snapshot zero is sealed right after boot (the pool's).  A snapshot
-    with a ``prefix`` is sealed part-way through a run:
-    ``prefix(system)`` installs threads, runs the system to a step
-    boundary and returns the further roots its threads drive (the
-    Fig. 7 first-arm snapshot: the web server).
+    with a ``prefix`` is sealed part-way through a run, where the
+    system stands: ``prefix(system)`` describes how a fresh build gets
+    there (it installs threads, runs the system to the same point and
+    returns the further roots its threads drive), and ``roots`` are
+    those roots on the sealed system.  Both Table II rungs and the
+    Fig. 7 first-arm snapshot run their prefix on the pooled system
+    first and seal it there.
 
     Sealing copies every pooled root's per-run state (each instance
     attribute its class does not declare, see :class:`StateModel`) into
     :attr:`state`: the components and their server stubs, the client
     stubs, the booter and recovery manager, the threads, their bodies
-    when these are objects, and the prefix's roots.  It also seals each
-    image that is not its good image (:meth:`MemoryImage.seal`) and the
-    kernel's scheduling state (:meth:`Kernel.run_state`).  A declared
-    name the instance does not carry, or a state value that cannot be
-    copied, raises here.  Every touched flag is then cleared, so the
+    when these are objects, and ``roots``.  It also seals each image
+    that is not its good image (its dirty pages,
+    :meth:`MemoryImage.seal`) and the kernel's scheduling state
+    (:meth:`Kernel.run_state`).  A declared name the instance does not
+    carry, or a state value that cannot be copied, raises here.
+
+    Every root but the threads, their bodies and ``roots`` belongs to a
+    group with a touched flag: a component, its image and its server
+    stub by the component's ``_ran`` (or by an image written without an
+    entry, such as a flip delivered by hand); a client stub by its own
+    ``_ran``, which the kernel sets on every entry; the booter and the
+    recovery manager by theirs, set when they log a reboot or a
+    recovery.  Changes made outside any entry are covered as well:
+    micro-reboots (monitor-driven ones included) and vectored faults
+    set the component's flag, and the recovery entry points that reach
+    a client stub from outside an entry (a G0/U0 ``recover_by_old_sid``
+    upcall, eager ``recover_all``) set the stub's.  A group not touched
+    since the snapshot the system last came from (:attr:`System.origin`)
+    shares that snapshot's sealed group, which is never mutated,
+    instead of copying it again.  Every flag is then cleared, so the
     flags count from the seal.
 
-    Restoring puts the kernel's scheduling state back and every root
-    whose touched flag is set, as fresh copies of its sealed values.
-    One touched rule covers every root kind, the one the tier-3
-    recorder applies: a component, its image and its server stub by
-    the component's ``_ran`` (or by an image written without an entry,
-    such as a flip delivered by hand), a client stub by its own
-    ``_ran``, which the kernel sets on every entry.  Changes made
-    outside any entry are covered as well: micro-reboots
-    (monitor-driven ones included) and vectored faults set the
-    component's flag, and the recovery entry points that reach a client
-    stub from outside an entry (a G0/U0 ``recover_by_old_sid`` upcall,
-    eager ``recover_all``) set the stub's.  Roots without a flag (the
-    booter, the recovery manager, threads, bodies and the prefix's
-    roots) are always restored.  The rule holds only while the
-    system's flags count from this snapshot: after another snapshot of
-    the same system sealed or restored it (:attr:`System.origin`),
-    every root is restored.  The restored system is structurally
-    identical to a fresh :func:`build_system` driven through the same
-    ``prepare`` and ``prefix``.
+    Restoring this snapshot S while the system came from snapshot O
+    puts back the kernel's scheduling state, the threads, bodies and
+    ``roots``, and every group that was touched since O or that S does
+    not share with O.  Any other group holds O's sealed state, which is
+    S's.  The restored system is structurally identical to a fresh
+    :func:`build_system` driven through the same ``prepare`` and
+    ``prefix``.
 
     ``prepare`` is an optional post-build hook (e.g. registering the web
     server's application components) applied before sealing; the debug
@@ -444,6 +523,7 @@ class SystemSnapshot:
         system: System,
         prepare: Optional[Callable[[System], None]] = None,
         prefix: Optional[Callable[[System], tuple]] = None,
+        roots: tuple = (),
     ):
         self.system = system
         self.prepare = prepare
@@ -456,89 +536,112 @@ class SystemSnapshot:
             else "ondemand",
         )
         self.restores = 0
-        #: Run starts derived from this snapshot, by key: tier-3
-        #: recordings and Fig. 7 first-arm snapshots.  They live and die
-        #: with it, so a pool rebuild drops them.
+        #: Run starts derived from this snapshot, by key: Table II
+        #: snapshot ladders and Fig. 7 first-arm snapshots.  They live
+        #: and die with it, so a pool rebuild drops them.
         self.starts: Dict[tuple, object] = {}
-        #: The roots ``prefix`` returned (empty for snapshot zero).
-        self.roots: tuple = tuple(prefix(system)) if prefix is not None else ()
+        #: The prefix's roots (empty for snapshot zero).
+        self.roots: tuple = tuple(roots)
         kernel = system.kernel
         #: Kernel steps run before the seal.
         self.steps = kernel.stats["steps"]
         self._kernel = kernel.run_state()
-        #: Root -> its sealed per-run state, by attribute.
-        self.state: Dict[object, Dict[str, object]] = {}
-        # ``(owner, image, roots)``: roots restored together when the
-        # owner's touched flag is set or the image was written.
-        groups = [
+        # The flagged groups: ``(owner, image, roots)``, restored
+        # together when the owner's touched flag is set or the image
+        # was written.  Every snapshot of a system lists them in the
+        # same order.
+        owners = [
             (component, component.image,
              (component, kernel.server_stub_for(name)))
             for name, component in kernel.components.items()
         ]
-        groups += [(stub, None, (stub,)) for stub in kernel._stubs.values()]
-        threads = tuple(kernel.threads.values())
-        groups.append((None, None, (
-            system.booter, system.recovery_manager, *threads,
-            *(t.body for t in threads if _is_root(type(t.body))),
-            *self.roots,
-        )))
-        self._groups = tuple(
-            (
+        owners += [(stub, None, (stub,)) for stub in kernel._stubs.values()]
+        owners += [
+            (root, None, (root,))
+            for root in (system.booter, system.recovery_manager)
+            if root is not None
+        ]
+        #: The groups' owners, one tuple shared by every snapshot of the
+        #: system sealed since they last changed.
+        self._owners = tuple(owner for owner, __, __ in owners)
+        origin = system.origin
+        since = None
+        if origin is not None and origin._owners == self._owners:
+            self._owners = origin._owners
+            since = origin._groups
+        groups = []
+        for index, (owner, image, roots) in enumerate(owners):
+            if since is not None and not _touched(since[index]):
+                groups.append(since[index])
+                continue
+            flag = state_model(type(owner)).touched
+            if flag is None:
+                raise ReproError(
+                    f"{type(owner).__name__} declares no touched flag"
+                )
+            groups.append((
                 owner,
-                None if owner is None else state_model(type(owner)).touched,
+                flag,
                 image,
-                None if image is None else image.seal(),
-                tuple(
-                    (root, self._seal(root)) for root in roots
-                    if root is not None
+                None if image is None else image.seal(
+                    None if since is None else since[index][3]
                 ),
+                tuple(
+                    (root, _seal(root)) for root in roots if root is not None
+                ),
+            ))
+        #: ``(owner, flag, image, sealed image, ((root, state), ...))``.
+        self._groups = tuple(groups)
+        threads = tuple(kernel.threads.values())
+        #: The roots without a flag, restored on every restore.
+        self._always = tuple(
+            (root, _seal(root)) for root in (
+                *threads,
+                *(t.body for t in threads if _is_root(type(t.body))),
+                *self.roots,
             )
-            for owner, image, roots in groups
         )
         for owner, flag, __, __, __ in self._groups:
-            if flag is not None:
-                setattr(owner, flag, False)
+            setattr(owner, flag, False)
         system.origin = self
 
-    def _seal(self, root) -> Dict[str, object]:
-        declared = state_model(type(root)).declared
-        attrs = _obj_attrs(root)
-        missing = declared.difference(attrs)
-        if missing:
-            raise ReproError(
-                f"{type(root).__name__} declares {sorted(missing)}, "
-                f"which {root!r} does not carry"
-            )
-        state = self.state[root] = {}
-        for attr in attrs:
-            if attr in declared:
-                continue
-            value = getattr(root, attr)
-            try:
-                state[attr] = _copy_state(value)
-            except ReproError as exc:
-                raise ReproError(
-                    f"cannot seal {root!r}.{attr}: {exc}"
-                ) from None
+    @property
+    def state(self) -> Dict[object, Dict[str, object]]:
+        """Root -> its sealed per-run state, by attribute (a state
+        shared with an earlier snapshot included)."""
+        state = {
+            root: sealed
+            for __, __, __, __, roots in self._groups
+            for root, sealed in roots
+        }
+        state.update(self._always)
         return state
 
     def restore(self) -> System:
         system = self.system
-        touched_only = system.origin is self
+        origin = system.origin
+        groups = self._groups
+        if origin is self:
+            since = groups
+        elif origin is None or origin._owners is not self._owners:
+            since = None
+        else:
+            since = origin._groups
         system.kernel.restore_run_state(self._kernel)
-        for owner, flag, image, sealed, roots in self._groups:
+        for index, group in enumerate(groups):
+            owner, flag, image, sealed, roots = group
+            # :func:`_touched`, inline: this loop runs once per run.
             if (
-                touched_only and flag is not None and not getattr(owner, flag)
+                since is not None and since[index] is group
+                and not getattr(owner, flag)
                 and (image is None or image.is_pristine(sealed))
             ):
                 continue
             if image is not None:
                 image.restore(sealed)
-            for root, state in roots:
-                for attr, value in state.items():
-                    setattr(root, attr, _copy_state(value))
-            if flag is not None:
-                setattr(owner, flag, False)
+            _put_back(roots)
+            setattr(owner, flag, False)
+        _put_back(self._always)
         system.origin = self
         self.restores += 1
         return system
@@ -566,6 +669,49 @@ class SystemSnapshot:
             if mine != theirs:
                 diffs.append(f"{key}: pooled={mine!r} fresh={theirs!r}")
         return diffs
+
+
+def _seal(root) -> Dict[str, object]:
+    """``root``'s per-run state: copies of the instance attributes its
+    class does not declare."""
+    declared = state_model(type(root)).declared
+    attrs = _obj_attrs(root)
+    missing = declared.difference(attrs)
+    if missing:
+        raise ReproError(
+            f"{type(root).__name__} declares {sorted(missing)}, "
+            f"which {root!r} does not carry"
+        )
+    state = {}
+    for attr in attrs:
+        if attr in declared:
+            continue
+        try:
+            state[attr] = _copy_state(getattr(root, attr))
+        except ReproError as exc:
+            raise ReproError(f"cannot seal {root!r}.{attr}: {exc}") from None
+    return state
+
+
+def _put_back(roots) -> None:
+    """Restore each ``(root, state)`` pair's sealed state, as copies."""
+    shared = _SHARED
+    for root, state in roots:
+        for attr, value in state.items():
+            setattr(
+                root, attr,
+                value if type(value) in shared else _copy_state(value),
+            )
+
+
+def _touched(group: tuple) -> bool:
+    """Was ``group``'s owner touched since the group was sealed: its
+    flag is set, or its image's dirty pages or taint moved from the
+    seal."""
+    owner, flag, image, sealed, __ = group
+    return getattr(owner, flag) or (
+        image is not None and not image.is_pristine(sealed)
+    )
 
 
 def system_snapshot(system: System, prepare=None) -> SystemSnapshot:

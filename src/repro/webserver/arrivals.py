@@ -13,8 +13,8 @@ The whole stream is a pure function of an :class:`ArrivalSpec`:
   cycles, drawn from a dedicated ``random.Random`` stream seeded only by
   the spec, never by the SWIFI run seed.  One spec therefore yields one
   arrival schedule shared by every seeded run of a campaign (the
-  super-trace recording discipline depends on this: seeds perturb only
-  the injected faults, so one clean recording serves all seeds).
+  first-arm snapshot depends on this: seeds perturb only the injected
+  faults, so one clean prefix serves all seeds).
 * **Phase schedule** — steady/burst/diurnal presets (or an explicit
   ``name:fraction@rate`` list) partition the request stream and scale
   the arrival rate per phase, so overload can be transient (a burst

@@ -46,6 +46,7 @@ from repro.errors import ReproError
 from repro.swifi.campaign import (
     _campaign_system,
     _pooled,
+    run_prefix,
     run_record,
     run_system,
 )
@@ -209,11 +210,13 @@ def _web_recording(spec: WebRunSpec) -> Optional[SystemSnapshot]:
     steps = _clean_prefix_steps(spec, system)
     snapshot = None
     if steps is not None:
+        system = _web_system(spec)
         snapshot = SystemSnapshot(
-            _web_system(spec), prepare=prepare_webserver,
+            system, prepare=prepare_webserver,
             prefix=functools.partial(_run_prefix, spec, steps),
+            roots=_run_prefix(spec, steps, system),
         )
-        run_system(system, None, spec.max_steps - steps)
+        run_system(system, spec.max_steps - steps)
     pooled.starts[key] = snapshot
     return snapshot
 
@@ -245,7 +248,7 @@ def _clean_prefix_steps(spec: WebRunSpec, system) -> Optional[int]:
                 first.append(kernel.run_queue._rr - picks - 1)
 
         server.on_served = note
-    crash, steps = run_system(system, None, spec.max_steps)
+    crash, steps = run_system(system, spec.max_steps)
     if (
         crash is not None
         or kernel.budget_exhausted
@@ -262,25 +265,14 @@ def _run_prefix(spec: WebRunSpec, steps: int, system) -> tuple:
     prefix, on the pooled system and on the debug diff's fresh build.
     Returns the server, the root the snapshot adds."""
     server = _install(spec, system)
-    kernel = system.kernel
-    crash, ran = run_system(system, None, steps)
-    if (
-        crash is not None
-        or ran != steps
-        or (
-            spec.n_faults > 0
-            and server.served >= injection_gap(spec.n_requests, spec.n_faults)
-        )
+    run_prefix(system, steps)
+    if spec.n_faults > 0 and server.served >= injection_gap(
+        spec.n_requests, spec.n_faults
     ):
         raise ReproError(
             f"the clean prefix of {spec.fingerprint()} did not stop "
-            f"before its first arm ({ran}/{steps} steps, "
-            f"{server.served} served)"
+            f"before its first arm ({server.served} served)"
         )
-    if kernel.last_run_exhausted:
-        # Stopping at the snapshot point is not an exhausted budget.
-        kernel.stats["budget_exhausted"] -= 1
-        kernel.last_run_exhausted = False
     return (server,)
 
 
@@ -454,7 +446,6 @@ WEB_RUN_STATS = (
     "invocations", "upcalls", "faults_vectored", "micro_reboots",
     "steps", "interp_fast_runs", "interp_slow_runs",
     "trace_cache_hits", "trace_cache_misses", "budget_exhausted",
-    "super_trace_runs", "super_trace_bypasses",
 )
 
 #: Sidecar work counts of the first-arm snapshot the runs start from.

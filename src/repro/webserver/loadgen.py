@@ -449,7 +449,7 @@ def run_webserver(
 
         server.on_served = arm_on_progress
 
-    crash, steps = run_system(system, None, max_steps - prefix)
+    crash, steps = run_system(system, max_steps - prefix)
     steps += prefix
     crashed = _crashed(crash, system.kernel)
     if with_faults and warn_shortfall and armed["count"] < n_faults:

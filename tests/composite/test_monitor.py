@@ -3,6 +3,7 @@
 import pytest
 
 from repro.composite.monitor import LatentFaultMonitor
+from repro.system import system_fingerprint
 from repro.system import build_system
 
 
@@ -89,6 +90,8 @@ class TestPeriodicOperation:
         kernel = system.kernel
         monitor = LatentFaultMonitor(kernel, targets=["lock"], period=1_000)
         monitor.start()
+        # The period is a kernel timer as data, which a fingerprint reads.
+        assert system_fingerprint(system)["clock.timers[0][2]"] == "scrub"
         # Advance virtual time through several periods by running idle
         # timer callbacks.
         for __ in range(3):

@@ -63,9 +63,9 @@ VALID_GATES = (
     ("REPRO_SYSTEM_POOL", "false", "system_pool", False),
     ("REPRO_SYSTEM_POOL", "0", "system_pool", False),
     ("REPRO_SYSTEM_POOL", "1", "system_pool", True),
-    ("REPRO_SUPER_TRACE", "off", "super_trace", False),
-    ("REPRO_SUPER_TRACE", "", "super_trace", True),
     ("REPRO_FAST_INTERP", "No", "fast_interp", False),
+    ("REPRO_FAST_INTERP", "off", "fast_interp", False),
+    ("REPRO_FAST_INTERP", "", "fast_interp", True),
     ("REPRO_POOL_DEBUG", "true", "pool_debug", True),
     ("REPRO_POOL_DEBUG", "yes", "pool_debug", True),
     ("REPRO_TRACE", "on", "trace", True),
@@ -95,8 +95,7 @@ class TestGating:
     def test_env_gate(self):
         default = EngineConfig()
         assert EngineConfig.from_env({}) == default
-        assert (default.system_pool, default.super_trace,
-                default.fast_interp) == (True, True, True)
+        assert (default.system_pool, default.fast_interp) == (True, True)
         assert (default.pool_debug, default.trace) == (False, False)
         assert default.worker_start == "auto"
         for variable, raw, name, parsed in VALID_GATES:

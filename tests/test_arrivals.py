@@ -96,7 +96,7 @@ class TestArrivalSpec:
 
     def test_arrival_seed_independent_of_equal_specs(self):
         # Two equal specs are the *same* schedule object-for-object —
-        # this is what lets one super-trace recording serve all SWIFI
+        # this is what lets one first-arm snapshot serve all SWIFI
         # seeds of a campaign.
         a = ArrivalSpec(n_requests=80, load=2.0, seed=3)
         b = ArrivalSpec(n_requests=80, load=2.0, seed=3)

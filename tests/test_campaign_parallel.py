@@ -1,10 +1,14 @@
 """Tests for the parallel deterministic SWIFI campaign engine."""
 
 import json
+import multiprocessing
+import pickle
 
 import pytest
 
 from repro.__main__ import main
+from repro.config import EngineConfig, override
+from repro.swifi import parallel
 from repro.swifi.campaign import (
     CampaignRunner,
     RunSpec,
@@ -185,3 +189,74 @@ class TestCli:
         assert main(args) == 0  # replayed entirely from the journal
         assert capsys.readouterr().out == first
         assert len(open(journal).read().splitlines()) == 2 * 6
+
+
+class TestZeroCopyWorkers:
+    def test_chunk_payload_is_seeds_only(self):
+        # The submitted payload is (function-by-reference, seed list):
+        # campaign parameters travel through the initializer exactly
+        # once per process, never per chunk.
+        seeds = list(range(200))
+        payload = pickle.dumps((parallel._execute_chunk, (seeds,)))
+        overhead = len(payload) - len(pickle.dumps(seeds))
+        assert overhead < 150
+        assert b"RunSpec" not in payload
+
+    def test_start_method_resolution(self, engine):
+        assert EngineConfig.from_env(
+            {"REPRO_WORKER_START": "spawn"}
+        ).worker_start == "spawn"
+        engine(worker_start="spawn")
+        assert parallel.worker_start_method() == "spawn"
+        engine(worker_start="auto")
+        assert parallel.worker_start_method() in ("fork", "spawn")
+
+    def test_fork_unavailable_falls_back_to_spawn(self, monkeypatch, engine):
+        engine(worker_start="fork")
+        monkeypatch.setattr(
+            parallel.multiprocessing,
+            "get_all_start_methods",
+            lambda: ["spawn"],
+        )
+        assert parallel.worker_start_method() == "spawn"
+
+    def test_in_process_path_runs_setup_once(self):
+        calls, batches = [], []
+        spec = CampaignRunner("lock", n_faults=12, seed=1).spec()
+        campaign = parallel.run_seeded(
+            lambda spec, trace: calls.append((spec, trace)) or "state",
+            lambda spec, seed, trace, state, counters: (
+                (seed, state), None
+            ),
+            spec,
+            [1, 2, 3],
+            workers=1,
+            on_batch=batches.append,
+        )
+        assert calls == [(spec, False)]
+        assert batches == [[(1, (1, "state"), None)],
+                           [(2, (2, "state"), None)],
+                           [(3, (3, "state"), None)]]
+        assert campaign.results == {s: (s, "state") for s in (1, 2, 3)}
+
+    @pytest.mark.parametrize("start", ["fork", "spawn"])
+    def test_parallel_identical_to_serial(self, engine, start):
+        if start not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start} start method unavailable")
+        runner = CampaignRunner("lock", n_faults=8, seed=4)
+        spec = runner.spec()
+        seeds = runner.run_seeds()
+        serial, __ = run_campaign(spec, seeds, workers=1)
+        engine(worker_start=start)
+        fanned, campaign = run_campaign(spec, seeds, workers=2)
+        assert fanned.counts == serial.counts
+        # Every worker's runs started at a rung of its own ladder.
+        assert campaign.counters["rung_restores"] == len(seeds)
+        if start == "spawn":
+            # Spawned workers run under the parent's configuration, not
+            # their own reading of the environment: with pooling off in
+            # the parent they start from boot, so no run restores a rung.
+            with override(system_pool=False):
+                fresh, campaign = run_campaign(spec, seeds, workers=2)
+            assert fresh.counts == serial.counts
+            assert "rung_restores" not in campaign.counters

@@ -188,27 +188,32 @@ class TestFailover:
             parallel.to_json_dict()
         )
 
-    def test_supertraced_rows_identical_to_authoritative(self):
-        """Instance-keyed replay: node outcomes match the two-tier path.
-
-        With pooling + super-traces on, every node replays recordings
-        made against its own private snapshot (each node's start).  The
-        scenario rows — outcome mix, failovers, reboots, durations —
-        must be identical to the authoritative two-tier execution.
-        """
-        spec = _spec(units=4)
+    @pytest.mark.parametrize("ft_mode, fault_class", [
+        ("superglue", "reg"), ("superglue", "idl"), ("c3", "mem"),
+    ])
+    def test_rung_rows_identical_to_from_boot(self, ft_mode, fault_class):
+        """Node units start at their injection rung, on ladders built on
+        each node's private snapshot.  The scenario rows — outcome mix,
+        failovers, reboots, steps (counted from boot), durations — must
+        equal those of units run from boot (``REPRO_SYSTEM_POOL=0``),
+        with generated and C^3 stubs and every fault class's ladder."""
         seeds = cluster_run_seeds(31, 3)
-        with override(super_trace=False):
+        spec = _spec(units=4, ft_mode=ft_mode, fault_class=fault_class)
+        with override(system_pool=False):
             baseline = [execute_scenario(spec, s) for s in seeds]
         cell = Cell(spec)
         assert [cell.run_scenario(s) for s in seeds] == baseline
-        # The engine really engaged, with per-node recordings: each
-        # node's recording binds the system of its private snapshot.
-        assert cell.coverage()["super_trace_runs"] > 0
+        # Every unit of the last scenario started at a rung of its
+        # node's own ladder, built on that node's snapshot.
+        counts = cell.counters()
+        assert counts["rung_restores"] == sum(
+            node.units_run for node in cell.nodes
+        ) > 0
+        assert counts["prefix_steps_skipped"] > 0
         warmed = [node.start for node in cell.nodes if node.start]
-        assert warmed
-        for snapshot, recording in warmed:
-            assert recording.kernel is snapshot.system.kernel
+        for snapshot, ladder in warmed:
+            for rung in ladder.rungs:
+                assert rung.snapshot.system is snapshot.system
         assert len({id(snapshot) for snapshot, __ in warmed}) == len(warmed)
 
     def test_unit_outcomes_match_flat_campaign(self):

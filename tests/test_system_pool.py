@@ -45,7 +45,6 @@ class TestRestoreEqualsFresh:
 
     def test_restore_after_faulty_runs_matches_fresh(self):
         spec = _lock_spec()
-        from repro.composite.supertrace import _root_slots
         from repro.swifi.injector import SwifiController
         from repro.workloads import workload_for
 
@@ -69,11 +68,12 @@ class TestRestoreEqualsFresh:
                 if prepare is not None:
                     kernel = system.kernel
                     fingerprint = system_fingerprint(system)
-                    for key, path in (
-                        (("comp", "lock"), "lock.calls["),
-                        (("cstub", "app0", "lock"), "stub[app0->lock].calls["),
+                    for root, path in (
+                        (kernel.components["lock"], "lock.calls["),
+                        (kernel._stubs[("app0", "lock")],
+                         "stub[app0->lock].calls["),
                     ):
-                        assert _root_slots(kernel, key)[1]["calls"]
+                        assert root.calls
                         assert any(k.startswith(path) for k in fingerprint)
                 snapshot.restore()
             assert snapshot.diff_against_fresh() == []

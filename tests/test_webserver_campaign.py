@@ -340,9 +340,9 @@ class TestArtifacts:
         if pool == "1":
             assert all(timing[name] > 0 for name in counts)
             # Deterministic work counts, whatever the engine gates: the
-            # tier-3 gate no longer touches Fig. 7, and the debug diff's
-            # fresh builds are not snapshot work.
-            for gate in ({"super_trace": False}, {"pool_debug": True}):
+            # interpreter gate moves no step, and the debug diff's fresh
+            # builds are not snapshot work.
+            for gate in ({"fast_interp": False}, {"pool_debug": True}):
                 with override(**gate):
                     checked = run_webserver_campaign(
                         web_run_seeds(1, 2), SMOKE_SPEC, workers=1
@@ -369,7 +369,7 @@ class TestOpenLoopCampaign:
 
     def test_fingerprint_extends_only_for_non_defaults(self):
         # Historical closed-loop reg fingerprints are frozen: trace
-        # artifacts and recordings key on them.
+        # artifacts and first-arm snapshots key on them.
         assert SMOKE_SPEC.fingerprint() == (
             "webserver/superglue/r40/c10/w2/f2/ondemand"
         )
