@@ -32,7 +32,7 @@ from repro.cluster.cell import Cell
 from repro.observe.metrics import canonical_metrics, merge_metrics
 from repro.swifi.campaign import CampaignRunner, RunSpec, ladder_counts
 from repro.swifi.injector import FAULT_CLASSES
-from repro.swifi.parallel import export_trace, run_seeded
+from repro.swifi.parallel import export_trace, run_seeded, seed_schedule
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,8 @@ class ClusterSpec:
         )
 
 
-def cluster_run_seeds(seed: int, n_scenarios: int) -> List[int]:
-    """The deterministic scenario-seed schedule (campaign stride)."""
-    return [seed * 1_000_003 + i for i in range(n_scenarios)]
+#: The deterministic scenario-seed schedule, ``(seed, n_scenarios)``.
+cluster_run_seeds = seed_schedule
 
 
 def calibrate_cluster_spec(

@@ -31,6 +31,7 @@ from repro.cluster.node import Node
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.recorder import NULL_RECORDER, FlightRecorder
 from repro.swifi.classify import Outcome
+from repro.swifi.parallel import seed_schedule
 
 #: Virtual cost of a whole-node reboot: the pool's dirty-restore is
 #: ~5us of wall time on the reference box; at 2400 cycles/us that is
@@ -182,7 +183,9 @@ class Cell:
         #: node -> unit index at which it rejoins the live set.
         cooling: Dict[Node, int] = {}
 
-        for unit in range(spec.units):
+        for unit, unit_seed in enumerate(
+            seed_schedule(scenario_seed, spec.units)
+        ):
             for node in [n for n, due in cooling.items() if due <= unit]:
                 del cooling[node]
                 self.scheduler.admit(node)
@@ -221,7 +224,6 @@ class Cell:
                         )
                     node = survivor
 
-            unit_seed = scenario_seed * 1_000_003 + unit
             outcome, steps, cycles = node.run_unit(run_spec, unit_seed)
             self.clock.advance(cycles)
             steps_total += steps

@@ -611,8 +611,8 @@ class Kernel:
         As :meth:`run` and :meth:`_step` would: fire due timers, pick
         the thread, start its body on its first step and run the stub's
         post-wakeup tracking of a woken thread.  The next :meth:`run`
-        finishes the step (:attr:`resume`).  A Table II rung is sealed
-        here, so its runs start past that tracking.
+        finishes the step (:attr:`resume`).  Every ladder rung is
+        sealed here, so its runs start past that tracking.
         """
         clock = self.clock
         run_queue = self.run_queue

@@ -240,7 +240,7 @@ class MemoryImage:
         # next restore copies only what gets written from here on.
         self._dirty[:] = bytes(len(self._dirty))
 
-    def seal(self, base: Optional[tuple] = None) -> Optional[tuple]:
+    def seal(self) -> Optional[tuple]:
         """This image's state, for a snapshot taken at any point of a run.
 
         None while the image is its good image (nothing written, the
@@ -248,10 +248,7 @@ class MemoryImage:
         it back.  Otherwise the dirty pages only — every clean page
         equals the good image — as copies of their words and of their
         taint bits (None for a page without taint), with the taint
-        census, dirty bitmap, allocator position and free lists.  A
-        page equal to its copy in ``base``, an earlier seal of this
-        image, shares that copy (sealed state is never changed), so a
-        snapshot ladder of many rungs stays small.
+        census, dirty bitmap, allocator position and free lists.
         """
         if (
             self.is_pristine()
@@ -262,17 +259,14 @@ class MemoryImage:
         words = self.words
         taint = self._taint
         size = self.size
-        shared = {} if base is None else base[0]
         pages = {}
         for page in self.dirty_page_indices():
             lo = page << PAGE_SHIFT
             hi = min(lo + PAGE_WORDS, size)
-            saved = (
+            pages[page] = (
                 words[lo:hi],
                 bytes(taint[lo:hi]) if 1 in taint[lo:hi] else None,
             )
-            earlier = shared.get(page)
-            pages[page] = earlier if earlier == saved else saved
         return (
             pages, self._taint_count, bytearray(self._dirty),
             self._alloc_ptr,

@@ -6,8 +6,8 @@ COMPOSITE threads migrate synchronously between components on invocation
 * a *body* (the workload code) that yields :class:`Invoke` actions to the
   simulator and receives the invocation's return value back: a generator,
   or a resumable object with explicit fields that keeps the generator's
-  ``send(reply)`` protocol (the web server's bodies), so a snapshot can
-  copy it mid-run;
+  ``send(reply)`` protocol (every web-server and micro-benchmark body),
+  so a snapshot can copy it mid-run;
 * a private :class:`~repro.composite.machine.RegisterFile` — the state the
   SWIFI injector flips bits in;
 * a fixed priority (smaller value = higher priority) used by the
@@ -93,7 +93,10 @@ class SimThread:
         body_factory: callable ``(system, thread) -> body`` producing the
             workload body; ``body.send(reply)`` returns the next
             :class:`Invoke`/:class:`Yield`/:class:`Sleep` and raises
-            ``StopIteration`` when the body is done.
+            ``StopIteration`` when the body is done.  Each call makes a
+            new body: a snapshot seals a thread's body only once the
+            thread has started, so a body made before then would keep
+            the previous run's state.
 
     A thread is a pooled root (see :class:`repro.system.StateModel`): a
     snapshot taken mid-run seals and restores everything but the wiring

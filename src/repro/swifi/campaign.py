@@ -22,7 +22,9 @@ Every run of a spec is clean up to its injection point, so a pooled run
 does not execute that prefix: it restores the last rung of the spec's
 snapshot ladder (:func:`_campaign_recording`) at or before its point and
 runs authoritatively from there.  Unpooled and traced runs start from
-boot and are the reference.
+boot and are the reference.  The ladder builder (:func:`_build_ladder`)
+serves every campaign kind: Fig. 7's ladder has one rung, at its first
+arm.
 """
 
 from __future__ import annotations
@@ -136,7 +138,8 @@ def execute_run(spec: RunSpec, run_seed: int) -> Outcome:
     return outcome
 
 
-#: Kernel counters a traced Table II run folds into its metrics.
+#: Kernel counters a traced run (Table II, Fig. 7) folds into its
+#: metrics.
 RUN_STATS = (
     "invocations", "upcalls", "faults_vectored", "micro_reboots",
     "steps", "interp_fast_runs", "interp_slow_runs",
@@ -144,21 +147,22 @@ RUN_STATS = (
 )
 
 
-def run_record(spec, run_seed: int, system, stats, **fields) -> dict:
+def run_record(spec, run_seed: int, system, **fields) -> dict:
     """One traced run's record, ready for
     :func:`repro.observe.export.write_run`.
 
     A traced run is the plain run under ``override(trace=True)``; this
-    folds the kernel's whole-run ``stats`` counters into the run's
-    metrics registry, so campaign aggregation sees engine and recovery
-    statistics in one deterministic place.  The spec gives the header's
-    fingerprint, ft_mode and fault class; ``fields`` carry the campaign
-    kind's own header fields (service, outcome, steps, ...).
+    folds the kernel's whole-run :data:`RUN_STATS` counters into the
+    run's metrics registry, so campaign aggregation sees engine and
+    recovery statistics in one deterministic place.  The spec gives
+    the header's fingerprint, ft_mode and fault class; ``fields`` carry
+    the campaign kind's own header fields (service, outcome, steps,
+    ...).
     """
     kernel = system.kernel
     recorder = kernel.recorder
     metrics = recorder.metrics
-    for stat in stats:
+    for stat in RUN_STATS:
         metrics.counter(stat).inc(kernel.stats[stat])
     metrics.counter("runs").inc()
     return {
@@ -211,18 +215,16 @@ def warm_up(spec: RunSpec, instance=None):
     """Boot and seal the spec's pooled system and build its ladder.
 
     A campaign's per-process setup, so its first run pays neither.
-    Returns ``(snapshot, ladder)``, the pooled system's snapshot and
-    the spec's :class:`Ladder` (None when its clean run is not clean),
-    for :func:`_drive_run`'s ``start``; None without pooling.
-    ``instance`` warms a private snapshot, as each cluster node does.
+    Returns ``(snapshot, ladder)`` (see :func:`ladder_start`) for
+    :func:`_drive_run`'s ``start``; None without pooling.  ``instance``
+    warms a private snapshot, as each cluster node does.
     """
-    if not _pooled():
-        return None
-    snapshot = GLOBAL_POOL.snapshot_for(
-        ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode,
-        instance=instance,
+    return ladder_start(
+        spec, ("ladder", spec.service, spec.iterations,
+               spec.fault_class == "idl"),
+        MAX_STEPS, _install_workload, _watch_eligible,
+        lambda spec, roots: roots[0].check(), instance=instance,
     )
-    return snapshot, _campaign_recording(spec, instance=instance)
 
 
 def _arm_for_class(
@@ -246,18 +248,14 @@ def _arm_for_class(
 
 
 class Rung(NamedTuple):
-    """One start of a spec's snapshot ladder."""
+    """One start of a snapshot ladder: the system sealed once the step
+    that raises the ladder's count began (:meth:`Kernel.begin_step`),
+    with the roots the kind's install returned, and the count its
+    prefix reached (the target's SWIFI-eligible count for Table II, 0
+    for Fig. 7's one rung)."""
 
-    #: The system sealed once the step that raises the eligible count
-    #: began (:meth:`Kernel.begin_step`); its one root is the
-    #: workload's :class:`~repro.workloads.RunHandle`.
     snapshot: SystemSnapshot
-    #: The target's SWIFI-eligible count the rung's prefix reached.
     eligible: int
-    #: What the prefix gave a SWIFI controller: trace executions per
-    #: component and stub invocations per server.
-    trace_counts: Dict[str, int]
-    invoke_counts: Dict[str, int]
 
 
 class Ladder(NamedTuple):
@@ -272,134 +270,177 @@ class Ladder(NamedTuple):
         return self.rungs[bisect.bisect_right(self.eligible, point) - 1]
 
 
-def _campaign_recording(spec: RunSpec, instance=None) -> Optional[Ladder]:
-    """The spec's snapshot ladder, built once per pooled snapshot.
-
-    Ladders exist only for pooled, untraced campaigns: a rung is a
-    snapshot of the pooled system itself, so fresh-per-run and
-    flight-recorder runs always start from boot, which is what makes
-    their artifacts byte-identical to pooled ones by construction.
-    The ladder is kept on the snapshot it was built from (``instance``
-    selects a private one, a cluster node's), so a pool rebuild drops
-    it.  A spec whose clean run is not clean keeps None, and its runs
-    start from boot.
+def ladder_start(spec, key, max_steps, install, watch, clean, **pool):
+    """A pooled campaign's start, ``(snapshot, ladder)``: the pooled
+    system's snapshot (``pool`` selects it, see
+    :meth:`SystemPool.snapshot_for`) and the spec's ladder, built once
+    on it under ``key`` (see :func:`_build_ladder`).  None without
+    pooling: a rung is a snapshot of the pooled system itself, so
+    fresh-per-run and flight-recorder runs always start from boot,
+    which is what makes their artifacts byte-identical to pooled ones
+    by construction.  The ladder lives and dies with the snapshot, so a
+    pool rebuild drops it.
     """
     if not _pooled():
         return None
     snapshot = GLOBAL_POOL.snapshot_for(
-        ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode,
-        instance=instance,
+        ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode, **pool
     )
-    key = ("ladder", spec.service, spec.iterations, spec.fault_class == "idl")
     if key not in snapshot.starts:
-        snapshot.starts[key] = _build_ladder(spec, snapshot)
-    return snapshot.starts[key]
+        snapshot.starts[key] = _build_ladder(
+            spec, snapshot, max_steps, install, watch, clean
+        )
+    return snapshot, snapshot.starts[key]
 
 
-class _RungPoints(SwifiController):
-    """A never-armed controller that counts the target's SWIFI-eligible
-    events (trace executions in the target for reg, mem and burst, stub
-    invocations of it for idl) and notes each step in which the count
-    rises, with the count before that step: where a rung goes.  The run
-    queue counts its picks, one per step, so during a step it reads
-    that step's number.
-    """
+class _StepNotes:
+    """Where a ladder's rungs go: ``points``, each step in which the
+    kind's count rises (its noter calls :meth:`note` per counted event)
+    with the count before it.  The run queue counts its picks, one per
+    step, so during a step it reads that step's number."""
 
-    def __init__(self, kernel, spec: RunSpec):
-        super().__init__(kernel, seed=0)
-        self.target = spec.service
-        self.idl = spec.fault_class == "idl"
-        self.eligible = 0
-        #: ``(steps before the step, eligible count before it)``.
+    def __init__(self, kernel):
+        self._queue = kernel.run_queue
+        self._start = self._queue._rr
+        self.count = 0
         self.points: List[tuple] = []
-        self._start = kernel.run_queue._rr
 
-    def _note(self) -> None:
-        steps = self.kernel.run_queue._rr - self._start - 1
+    def note(self) -> None:
+        steps = self._queue._rr - self._start - 1
         if not self.points or self.points[-1][0] != steps:
-            self.points.append((steps, self.eligible))
-        self.eligible += 1
-
-    def take_injection(self, component_name: str, trace_len: int):
-        if not self.idl and component_name == self.target and trace_len > 0:
-            self._note()
-        return super().take_injection(component_name, trace_len)
-
-    def filter_idl_args(self, server: str, fn: str, args: tuple) -> tuple:
-        if self.idl and server == self.target:
-            self._note()
-        return super().filter_idl_args(server, fn, args)
+            self.points.append((steps, self.count))
+        self.count += 1
 
 
-def _build_ladder(spec: RunSpec, snapshot: SystemSnapshot):
-    """Seal the spec's snapshot ladder; None on any anomaly.
+def _build_ladder(spec, snapshot, max_steps, install, watch, clean):
+    """Seal the spec's snapshot ladder on the pooled system restored to
+    ``snapshot``; None on any anomaly.
 
-    Two clean passes on the pooled system restored to ``snapshot``,
-    each under a never-armed :class:`_RungPoints`.  The first notes
-    the steps that raise the target's eligible count.  The second runs
-    to each of them, begins it (:meth:`Kernel.begin_step`: a woken
-    thread's stub tracking runs, as it does before any fault of the
-    step can land), seals a rung there with the controller's counts,
-    and runs on to its end: every clean trace has then run twice, so
-    its compiled program is attached before the first timed run.
-    Rungs are sealed on the way, none re-runs its prefix, and each
-    shares every group its prefix left untouched with the rung before
-    it.  A crashed run, a failed workload check, an exhausted budget or
-    a reboot aborts to None: the spec's runs then start from boot.
+    The one way a campaign run gets its start.  The campaign kind
+    supplies ``install(spec, system)``, which installs a run and returns
+    its roots; ``watch(spec, system, roots, notes)``, which attaches a
+    noter calling ``notes.note()`` on each event that raises the kind's
+    count and returns the ``(owner, attribute)`` it sits on; and
+    ``clean(spec, roots)``, its own check of a clean run.
+
+    Two watched clean passes.  The first notes the steps that raise the
+    count.  The second runs to each, begins it (a woken thread's stub
+    tracking runs, as it does before any fault of the step can land),
+    seals a rung there with the noter detached (a snapshot seals
+    neither a controller nor a closure), and runs on to its end: every
+    clean trace has then run twice, so its compiled program is attached
+    before the first timed run.  No rung re-runs its prefix.  A crash,
+    a failed check, an exhausted budget, a reboot or no noted step
+    gives None: the spec's runs then start from ``snapshot``.
     """
-    workload = workload_for(spec.service)
     system = GLOBAL_POOL.acquire(at=snapshot)
-    points = _RungPoints(system.kernel, spec)
-    handle = workload.install(system, iterations=spec.iterations)
-    crash, __ = run_system(system, MAX_STEPS)
+    roots = install(spec, system)
+    notes = _StepNotes(system.kernel)
+    watch(spec, system, roots, notes)
+    crash, __ = run_system(system, max_steps)
     if (
         crash is not None
-        or not handle.check()
+        or not clean(spec, roots)
         or system.kernel.budget_exhausted
         or system.booter.reboots
-        or not points.points
+        or not notes.points
     ):
         return None
     system = GLOBAL_POOL.acquire(at=snapshot)
     kernel = system.kernel
-    counter = _RungPoints(kernel, spec)
-    handle = workload.install(system, iterations=spec.iterations)
+    roots = install(spec, system)
+    counter = _StepNotes(kernel)
+    owner, attribute = watch(spec, system, roots, counter)
+    noter = getattr(owner, attribute)
     rungs = []
     ran = 0
-    for steps, eligible in points.points:
+    for steps, count in notes.points:
         run_prefix(system, steps - ran)
         ran = steps
         kernel.begin_step()
-        if counter.eligible != eligible:
+        if counter.count != count:
             raise ReproError(
-                f"beginning step {steps} of {spec.service} raised its "
-                f"eligible count"
+                f"beginning step {steps} of {spec.fingerprint()} moved "
+                f"its count past {count}"
             )
-        kernel.swifi = None  # a kernel with a controller cannot be sealed
+        setattr(owner, attribute, None)
         sealed = SystemSnapshot(
-            system, prefix=functools.partial(_ladder_prefix, spec, steps),
-            roots=(handle,),
+            system, prepare=snapshot.prepare,
+            prefix=functools.partial(_ladder_prefix, install, spec, steps),
+            roots=roots,
         )
-        kernel.swifi = counter
-        rungs.append(Rung(
-            sealed, eligible, dict(counter.trace_counts),
-            dict(counter.invoke_counts),
-        ))
-    run_system(system, MAX_STEPS - ran)
+        setattr(owner, attribute, noter)
+        rungs.append(Rung(sealed, count))
+    run_system(system, max_steps - ran)
     return Ladder(tuple(rungs), tuple(rung.eligible for rung in rungs))
 
 
-def _ladder_prefix(spec: RunSpec, steps: int, system) -> tuple:
-    """Install the spec's workload on a booted ``system``, run its
-    first ``steps`` clean steps and begin the next: a rung's prefix,
-    for the debug diff's fresh build.  Returns the rung's root, the run
-    handle."""
-    handle = workload_for(spec.service).install(
-        system, iterations=spec.iterations
-    )
+def _ladder_prefix(install, spec, steps: int, system) -> tuple:
+    """Install the spec's run on a booted ``system``, run its first
+    ``steps`` clean steps and begin the next: a rung's prefix, for the
+    debug diff's fresh build.  Returns the rung's roots."""
+    roots = install(spec, system)
     run_prefix(system, steps)
     system.kernel.begin_step()
-    return (handle,)
+    return roots
+
+
+def rung_start(start: tuple, point: int, counters=None):
+    """``(snapshot to restore, rung)`` for a run from ``start``: the
+    last rung at or before injection point ``point``, whose ladder work
+    counts (:data:`LADDER_KEYS`) go to ``counters``; without a ladder
+    the pooled snapshot and no rung."""
+    snapshot, ladder = start
+    if ladder is None:
+        return snapshot, None
+    rung = ladder.rung_for(point)
+    if counters is not None:
+        for key, count in zip(
+            LADDER_KEYS, (len(ladder.rungs), 1, rung.snapshot.steps)
+        ):
+            counters[key] = counters.get(key, 0) + count
+    return rung.snapshot, rung
+
+
+def _campaign_recording(spec: RunSpec) -> Optional[Ladder]:
+    """The spec's snapshot ladder (see :func:`warm_up`): None unpooled,
+    and when its clean run is not clean, so its runs start from boot."""
+    start = warm_up(spec)
+    return None if start is None else start[1]
+
+
+def _install_workload(spec: RunSpec, system) -> tuple:
+    """Install the spec's workload; its one root is the run handle."""
+    return (
+        workload_for(spec.service).install(system, iterations=spec.iterations),
+    )
+
+
+class _EligibleNoter(SwifiController):
+    """A never-armed controller that notes each of the target's
+    SWIFI-eligible events: trace executions in the target for reg, mem
+    and burst, stub invocations of it for idl."""
+
+    def __init__(self, kernel, spec: RunSpec, notes: _StepNotes):
+        super().__init__(kernel, seed=0)
+        self.target = spec.service
+        self.idl = spec.fault_class == "idl"
+        self.note = notes.note
+
+    def take_injection(self, component_name: str, trace_len: int):
+        if not self.idl and component_name == self.target and trace_len > 0:
+            self.note()
+        return super().take_injection(component_name, trace_len)
+
+    def filter_idl_args(self, server: str, fn: str, args: tuple) -> tuple:
+        if self.idl and server == self.target:
+            self.note()
+        return super().filter_idl_args(server, fn, args)
+
+
+def _watch_eligible(spec: RunSpec, system, roots: tuple, notes) -> tuple:
+    _EligibleNoter(system.kernel, spec, notes)
+    return system.kernel, "swifi"
 
 
 def run_prefix(system, steps: int) -> None:
@@ -424,9 +465,9 @@ def run_system(system, max_steps: int):
 
     The one place a campaign run executes: Table II runs, cluster
     units, Fig. 7 runs (campaign and CLI), and the clean passes and
-    prefixes that Table II ladders and Fig. 7 first-arm snapshots are
-    sealed from.  Each kind installs (or restores) and arms before the
-    call and maps ``crash`` onto its own outcome vocabulary after it.
+    prefixes that snapshot ladders are sealed from.  Each kind installs
+    (or restores) and arms before the call and maps ``crash`` onto its
+    own outcome vocabulary after it.
 
     ``crash`` is the failure that ended the run: the ``SimulatedFault``
     (``SystemHang`` included) or ``ReproError`` that escaped
@@ -458,12 +499,12 @@ def _drive_run(spec: RunSpec, run_seed: int, start=None, counters=None):
     cluster node looks up once instead of once per run; without one
     the run warms the shared pool itself, or builds fresh when
     unpooled or traced.  With a ladder the run restores the last rung
-    at or before its injection point, whose prefix already ran the
-    workload's install and first steps and began the next: the
-    controller takes the prefix's counts, the fault arms the rest of
-    the countdown, and the run finishes that step and gets the rest of
-    the step budget.  Its ``steps`` count from boot either way.  ``counters`` sums the ladder work counts
-    (:data:`LADDER_KEYS`).
+    at or before its injection point (:func:`rung_start`), whose prefix
+    already ran the workload's install and first steps and began the
+    next: the fault arms the rest of the countdown, and the run
+    finishes that step and gets the rest of the step budget.  Its
+    ``steps`` count from boot either way.  ``counters`` sums the ladder
+    work counts (:data:`LADDER_KEYS`).
     """
     if start is None:
         # Warm *before* the final acquire: the ladder's clean passes
@@ -475,28 +516,16 @@ def _drive_run(spec: RunSpec, run_seed: int, start=None, counters=None):
     if start is None:
         system = _campaign_system(spec.ft_mode, spec.recovery_mode)
     else:
-        snapshot, ladder = start
-        if ladder is not None:
-            rung = ladder.rung_for(point)
-            snapshot = rung.snapshot
-        system = GLOBAL_POOL.acquire(at=snapshot)
+        at, rung = rung_start(start, point, counters)
+        system = GLOBAL_POOL.acquire(at=at)
     swifi = SwifiController(system.kernel, seed=run_seed)
     if rung is None:
         skipped = 0
-        handle = workload_for(spec.service).install(
-            system, iterations=spec.iterations
-        )
+        handle, = _install_workload(spec, system)
     else:
         skipped = rung.snapshot.steps
-        handle = rung.snapshot.roots[0]
-        swifi.trace_counts.update(rung.trace_counts)
-        swifi.invoke_counts.update(rung.invoke_counts)
+        handle, = rung.snapshot.roots
         point -= rung.eligible
-        if counters is not None:
-            for key, count in zip(
-                LADDER_KEYS, (len(ladder.rungs), 1, skipped)
-            ):
-                counters[key] = counters.get(key, 0) + count
     _arm_for_class(swifi, spec.fault_class, spec.service, point)
     crash, steps = run_system(system, MAX_STEPS - skipped)
     steps += skipped
@@ -641,7 +670,9 @@ class CampaignRunner:
 
     def run_seeds(self) -> List[int]:
         """The deterministic per-run seed schedule for this campaign."""
-        return [self.seed * 1_000_003 + i for i in range(self.n_faults)]
+        from repro.swifi.parallel import seed_schedule
+
+        return seed_schedule(self.seed, self.n_faults)
 
     # ------------------------------------------------------------------
     def run(

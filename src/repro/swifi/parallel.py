@@ -8,13 +8,14 @@ campaign kind supplies only what differs — a per-process ``setup`` and a
 per-seed ``run`` — and the core owns the rest:
 
 * one initializer per process (IDL compile plus the kind's setup: pool
-  boot, snapshot ladder or first-arm snapshot), run in the parent for serial and
-  ``fork`` campaigns so forked workers inherit it copy-on-write;
+  boot and snapshot ladder), run in the parent for serial and ``fork``
+  campaigns so forked workers inherit it copy-on-write;
 * chunked fan-out over a :class:`~concurrent.futures.ProcessPoolExecutor`,
   streaming each chunk's results back as it completes, and seed-keyed
   merging of results, trace records and summed engine counters, so
   aggregates are bit-identical to the serial path;
-* the setup/exec wall split of the ``.timing.json`` sidecars; and
+* the seed schedule (:func:`seed_schedule`) and the setup/exec wall
+  split of the ``.timing.json`` sidecars; and
 * :func:`export_trace`, the seed-order flight-recorder export.
 
 Table II adds a JSONL journal that makes campaigns resumable: every
@@ -40,7 +41,6 @@ from repro.config import CONFIG, override
 from repro.observe import export as trace_export
 from repro.observe.metrics import canonical_metrics, merge_metrics
 from repro.swifi.campaign import (
-    RUN_STATS,
     RunSpec,
     _drive_run,
     injection_point,
@@ -82,6 +82,14 @@ def worker_start_method() -> str:
         if "fork" in multiprocessing.get_all_start_methods()
         else "spawn"
     )
+
+
+def seed_schedule(seed: int, n_runs: int) -> List[int]:
+    """A campaign's run seeds: the ``i``-th of ``n_runs`` is ``seed *
+    1_000_003 + i``, so the schedules of nearby campaign seeds do not
+    overlap.  Every campaign kind draws its seeds here: Table II runs,
+    Fig. 7 runs, cluster scenarios and a scenario's units."""
+    return [seed * 1_000_003 + i for i in range(n_runs)]
 
 
 def chunk_seeds(seeds: Sequence[int], workers: int) -> List[List[int]]:
@@ -131,8 +139,8 @@ def _init_worker(setup, run, spec, trace: bool, config=None) -> None:
     interfaces once (the ``compile_all_interfaces`` cache is
     per-process and starts cold), then ``setup(spec, trace)`` warms
     whatever the kind's runs share — pooled systems, snapshot ladders,
-    first-arm snapshots, a cluster cell — and returns the state handed
-    to every ``run`` call.
+    a cluster cell — and returns the state handed to every ``run``
+    call.
     """
     global _CAMPAIGN
     if config is not None:
@@ -350,7 +358,7 @@ def _table2_run(spec: RunSpec, seed: int, trace: bool, start, counters):
             f"outcome_{outcome.value}"
         ).inc()
         return outcome, run_record(
-            spec, seed, system, RUN_STATS,
+            spec, seed, system,
             service=spec.service,
             injection_point=injection_point(seed, spec.horizon),
             horizon=spec.horizon,

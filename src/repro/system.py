@@ -474,9 +474,9 @@ class SystemSnapshot:
     system stands: ``prefix(system)`` describes how a fresh build gets
     there (it installs threads, runs the system to the same point and
     returns the further roots its threads drive), and ``roots`` are
-    those roots on the sealed system.  Both Table II rungs and the
-    Fig. 7 first-arm snapshot run their prefix on the pooled system
-    first and seal it there.
+    those roots on the sealed system.  Every rung of a snapshot ladder
+    (:func:`repro.swifi.campaign._build_ladder`) runs its prefix on the
+    pooled system first and is sealed there.
 
     Sealing copies every pooled root's per-run state (each instance
     attribute its class does not declare, see :class:`StateModel`) into
@@ -536,9 +536,9 @@ class SystemSnapshot:
             else "ondemand",
         )
         self.restores = 0
-        #: Run starts derived from this snapshot, by key: Table II
-        #: snapshot ladders and Fig. 7 first-arm snapshots.  They live
-        #: and die with it, so a pool rebuild drops them.
+        #: Run starts derived from this snapshot, by key: the snapshot
+        #: ladders of the campaign specs run on it.  They live and die
+        #: with it, so a pool rebuild drops them.
         self.starts: Dict[tuple, object] = {}
         #: The prefix's roots (empty for snapshot zero).
         self.roots: tuple = tuple(roots)
@@ -583,9 +583,7 @@ class SystemSnapshot:
                 owner,
                 flag,
                 image,
-                None if image is None else image.seal(
-                    None if since is None else since[index][3]
-                ),
+                None if image is None else image.seal(),
                 tuple(
                     (root, _seal(root)) for root in roots if root is not None
                 ),
@@ -765,7 +763,7 @@ class SystemPool:
         ``at`` restores that snapshot of a pooled system instead of the
         one the build parameters name: the pool's own (a campaign looks
         it up once, see :meth:`snapshot_for`) or one sealed later in a
-        run (a Fig. 7 first-arm snapshot).
+        run (a ladder rung).
         """
         if at is None:
             at = self.snapshot_for(

@@ -13,8 +13,8 @@ machinery:
   components registered *before* sealing via the pool's ``prepare``
   hook, so ``REPRO_POOL_DEBUG=1`` verification covers them too;
 * every run of a spec serves the same clean request stream until its
-  first fault arms, so pooled runs start there, from one snapshot per
-  spec and process (:func:`_web_recording`);
+  first fault arms, so pooled runs start there, from the one rung of
+  the spec's snapshot ladder (:func:`_web_recording`);
 * seeds run through the seeded-campaign core
   (:func:`repro.swifi.parallel.run_seeded`) and rows are merged in seed
   order, so a campaign's JSON artifact is byte-identical serial vs
@@ -28,7 +28,6 @@ machinery:
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -42,17 +41,17 @@ from repro.observe.metrics import (
     canonical_metrics,
     merge_metrics,
 )
-from repro.errors import ReproError
 from repro.swifi.campaign import (
+    Ladder,
     _campaign_system,
-    _pooled,
-    run_prefix,
+    ladder_counts,
+    ladder_start,
     run_record,
-    run_system,
+    rung_start,
 )
 from repro.swifi.injector import FAULT_CLASSES
-from repro.swifi.parallel import export_trace, run_seeded
-from repro.system import GLOBAL_POOL, SystemSnapshot
+from repro.swifi.parallel import export_trace, run_seeded, seed_schedule
+from repro.system import SystemSnapshot
 from repro.webserver.arrivals import ArrivalSpec
 from repro.webserver.loadgen import (
     LoadResult,
@@ -99,7 +98,7 @@ class WebRunSpec:
     slo_us: int = 500
     #: Seed of the arrival schedule itself — deliberately separate from
     #: the SWIFI run seeds, so every seeded run of a campaign shares one
-    #: arrival stream (and one first-arm snapshot).
+    #: arrival stream (and one snapshot ladder).
     arrival_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -152,9 +151,9 @@ class WebRunSpec:
         return base
 
 
-def web_run_seeds(seed: int, n_seeds: int) -> List[int]:
-    """The deterministic seed schedule (same stride as SWIFI campaigns)."""
-    return [seed * 1_000_003 + i for i in range(n_seeds)]
+#: The deterministic seed schedule, ``(seed, n_seeds)``: the SWIFI
+#: campaigns' stride.
+web_run_seeds = seed_schedule
 
 
 def prepare_webserver(system) -> None:
@@ -175,111 +174,64 @@ def _web_system(spec: WebRunSpec, at: Optional[SystemSnapshot] = None):
     )
 
 
-def _web_recording(spec: WebRunSpec) -> Optional[SystemSnapshot]:
-    """The spec's first-arm snapshot, taken once per process.
+def _web_warm_up(spec: WebRunSpec):
+    """Boot and seal the prepared pooled system and build the spec's
+    ladder: Fig. 7's :func:`~repro.swifi.campaign.warm_up`.
 
     Web faults are not seed-positioned: a faulted run arms its first
     fault when serving progress first crosses its injection period
     (see ``run_webserver``'s ``arm_on_progress``), and nothing before
     that depends on the seed.  So every run of a spec shares its clean
-    prefix up to the step whose ``on_served`` arms, and a pooled run
-    restores this snapshot, taken just before that step, instead of
-    executing the prefix.  A fault-free spec is sealed at the end of
-    its clean run.  The snapshot is one of the prepared pooled system,
-    kept on that system's pooled snapshot, so a pool rebuild drops it.
-    None for unpooled or traced runs, which start from boot, and when
-    the clean run is not clean (a crash, a reboot, an exhausted
-    budget), so the spec's runs start from boot too.
+    prefix up to the step whose ``on_served`` arms, and the spec's
+    ladder has one rung, sealed once that step began; a pooled run
+    restores it instead of executing the prefix.  A spec whose clean
+    run is not clean, or which arms nothing (fault-free), gets no
+    ladder, and its runs start from the pooled snapshot.
     """
-    if not _pooled():
-        return None
-    pooled = GLOBAL_POOL.snapshot_for(
-        ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode,
+    return ladder_start(
+        spec, ("ladder", spec.fingerprint(), spec.max_steps),
+        spec.max_steps, _install, _watch_first_arm,
+        lambda spec, roots: roots[0].served >= spec.n_requests,
         prepare=prepare_webserver,
     )
-    key = ("first_arm", spec.fingerprint(), spec.max_steps)
-    if key in pooled.starts:
-        return pooled.starts[key]
-    # One whole clean pass finds the snapshot point; a second clean
-    # pass runs to that point, the snapshot seals there, and the pass
-    # runs on to its end.  Every trace of the clean stream has then run
-    # twice, so its compiled program is attached (its trace caches are
-    # warm) before the first timed run, which executes the rest of the
-    # stream on this system.
-    system = _web_system(spec)
-    steps = _clean_prefix_steps(spec, system)
-    snapshot = None
-    if steps is not None:
-        system = _web_system(spec)
-        snapshot = SystemSnapshot(
-            system, prepare=prepare_webserver,
-            prefix=functools.partial(_run_prefix, spec, steps),
-            roots=_run_prefix(spec, steps, system),
-        )
-        run_system(system, spec.max_steps - steps)
-    pooled.starts[key] = snapshot
-    return snapshot
 
 
-def _install(spec: WebRunSpec, system):
-    return install_webserver(
-        system, spec.n_requests, spec.concurrency, spec.n_workers,
-        spec.arrival_spec(),
+def _web_recording(spec: WebRunSpec) -> Optional[Ladder]:
+    """The spec's snapshot ladder (see :func:`_web_warm_up`), or None."""
+    start = _web_warm_up(spec)
+    return None if start is None else start[1]
+
+
+def _install(spec: WebRunSpec, system) -> tuple:
+    """Install the spec's server and load generator; the server is the
+    run's one root."""
+    return (
+        install_webserver(
+            system, spec.n_requests, spec.concurrency, spec.n_workers,
+            spec.arrival_spec(),
+        ),
     )
 
 
-def _clean_prefix_steps(spec: WebRunSpec, system) -> Optional[int]:
-    """Serve the spec's stream fault-free on ``system``; returns the
-    steps run before the step that would arm the first fault (every
-    step of a fault-free spec), or None when the run is not clean.
+def _watch_first_arm(spec: WebRunSpec, system, roots: tuple, notes) -> tuple:
+    """Fig. 7's noter: its count is "first arm reached", noted from the
+    server's ``on_served`` in the step whose served count first reaches
+    the injection gap, where a faulted run arms."""
+    server, = roots
+    gap = injection_gap(spec.n_requests, spec.n_faults)
 
-    The run queue counts its picks, one per kernel step, so at the
-    arming ``on_served`` it reads the current step's number.
-    """
-    server = _install(spec, system)
-    kernel = system.kernel
-    picks = kernel.run_queue._rr
-    first = []
-    if spec.n_faults > 0:
-        gap = injection_gap(spec.n_requests, spec.n_faults)
+    def note(served: int) -> None:
+        if spec.n_faults and not notes.count and served >= gap:
+            notes.note()
 
-        def note(served: int) -> None:
-            if not first and served >= gap:
-                first.append(kernel.run_queue._rr - picks - 1)
-
-        server.on_served = note
-    crash, steps = run_system(system, spec.max_steps)
-    if (
-        crash is not None
-        or kernel.budget_exhausted
-        or server.served < spec.n_requests
-        or system.booter.reboots
-    ):
-        return None
-    return first[0] if first else steps
-
-
-def _run_prefix(spec: WebRunSpec, steps: int, system) -> tuple:
-    """Install the spec's server and load generator on a booted
-    ``system`` and run its first ``steps`` clean steps: the snapshot's
-    prefix, on the pooled system and on the debug diff's fresh build.
-    Returns the server, the root the snapshot adds."""
-    server = _install(spec, system)
-    run_prefix(system, steps)
-    if spec.n_faults > 0 and server.served >= injection_gap(
-        spec.n_requests, spec.n_faults
-    ):
-        raise ReproError(
-            f"the clean prefix of {spec.fingerprint()} did not stop "
-            f"before its first arm ({server.served} served)"
-        )
-    return (server,)
+    server.on_served = note
+    return server, "on_served"
 
 
 def _serve(spec: WebRunSpec, system, run_seed: int, with_faults: bool,
            server=None) -> LoadResult:
     """Serve the spec's request stream on ``system``, resuming
-    ``server`` when a snapshot restored it part-way."""
+    ``server`` when a rung restored it part-way."""
     return run_webserver(
         ft_mode=spec.ft_mode,
         n_requests=spec.n_requests,
@@ -418,14 +370,21 @@ def _row_from_result(run_seed: int, result: LoadResult) -> Dict[str, object]:
     return row
 
 
-def _drive_web_run(spec: WebRunSpec, run_seed: int, start):
-    """Serve one run on a prepared system: restored to ``start``, the
-    spec's first-arm snapshot, or without one booted (restored to boot
-    when pooled).  Returns ``(row, system)``."""
-    system = _web_system(spec, at=start)
+def _drive_web_run(spec: WebRunSpec, run_seed: int, start, counters=None):
+    """Serve one run on a prepared system.  ``start`` is
+    :func:`_web_warm_up`'s ``(snapshot, ladder)``: the run restores the
+    ladder's one rung (:func:`~repro.swifi.campaign.rung_start`) and
+    resumes its server, or without a ladder restores the snapshot;
+    without a start it boots (restored to boot when pooled).
+    ``counters`` sums the ladder work counts.  Returns ``(row,
+    system)``."""
+    at = rung = None
+    if start is not None:
+        at, rung = rung_start(start, 0, counters)
+    system = _web_system(spec, at=at)
     result = _serve(
         spec, system, run_seed, spec.n_faults > 0,
-        None if start is None else start.roots[0],
+        None if rung is None else rung.snapshot.roots[0],
     )
     return _row_from_result(run_seed, result), system
 
@@ -434,33 +393,22 @@ def execute_web_run(spec: WebRunSpec, run_seed: int) -> Dict[str, object]:
     """Execute one faulted web-server run; returns its campaign row.
 
     Module-level and pure (given the spec and seed), like the SWIFI
-    ``execute_run``.  The run starts from the spec's first-arm
-    snapshot when pooled, taken here on first use: *before* the run's
-    acquire, since its clean passes run on the pooled system.
+    ``execute_run``.  The run starts from the spec's ladder when
+    pooled, built here on first use: *before* the run's acquire, since
+    its clean passes run on the pooled system.
     """
-    return _drive_web_run(spec, run_seed, _web_recording(spec))[0]
-
-
-#: Kernel counters a traced web run folds into its metrics.
-WEB_RUN_STATS = (
-    "invocations", "upcalls", "faults_vectored", "micro_reboots",
-    "steps", "interp_fast_runs", "interp_slow_runs",
-    "trace_cache_hits", "trace_cache_misses", "budget_exhausted",
-)
-
-#: Sidecar work counts of the first-arm snapshot the runs start from.
-SNAPSHOT_COUNTS = ("snapshot_steps", "snapshot_roots")
+    return _drive_web_run(spec, run_seed, _web_warm_up(spec))[0]
 
 
 def _web_setup(spec: WebRunSpec, trace: bool):
     """Per-process setup: boot + seal the prepared pooled system and
-    take the spec's first-arm snapshot; returns that snapshot, which
-    every untraced run starts from (None when traced or unpooled,
-    since such runs start from boot)."""
-    return None if trace else _web_recording(spec)
+    build the spec's ladder; returns :func:`_web_warm_up`'s start, which
+    every untraced run starts from (None when traced or unpooled, since
+    such runs start from boot)."""
+    return None if trace else _web_warm_up(spec)
 
 
-def _web_run(spec: WebRunSpec, seed: int, trace: bool, snapshot, counters):
+def _web_run(spec: WebRunSpec, seed: int, trace: bool, start, counters):
     """One campaign run: ``(row, record_or_None)``.
 
     A traced run is the same run under the flight recorder; its record
@@ -469,18 +417,12 @@ def _web_run(spec: WebRunSpec, seed: int, trace: bool, snapshot, counters):
     events.  Event emission never feeds back into execution, so
     requesting a trace never changes the campaign artifact.
     """
-    # Every run of a process starts from the same snapshot, so each
-    # summed count over runs is the snapshot's count times the runs.
-    if snapshot is not None:
-        counts = (snapshot.steps, len(snapshot.state))
-        for name, count in zip(SNAPSHOT_COUNTS, counts):
-            counters[name] = counters.get(name, 0) + count
     if not trace:
-        return _drive_web_run(spec, seed, snapshot)[0], None
+        return _drive_web_run(spec, seed, start, counters)[0], None
     with override(trace=True):
         row, system = _drive_web_run(spec, seed, None)
         return row, run_record(
-            spec, seed, system, WEB_RUN_STATS,
+            spec, seed, system,
             service="webserver",
             # Web-server faults are armed on serving progress, not at a
             # seed-drawn trace execution; the horizon is the request
@@ -507,11 +449,10 @@ class WebCampaignResult:
     #: Wall-clock split (sidecar-only: the artifact stays deterministic).
     setup_wall: float = 0.0
     exec_wall: float = 0.0
-    #: Work counts of the first-arm snapshot the runs started from (0
-    #: without one): the kernel steps it holds, which each run skips,
-    #: and the roots it seals.  Sidecar fields, not outcomes.
-    snapshot_steps: int = 0
-    snapshot_roots: int = 0
+    #: The ladder's work counts
+    #: (:func:`~repro.swifi.campaign.ladder_counts`).  Also
+    #: sidecar-only: they depend on pooling.
+    ladder: Optional[Dict[str, int]] = None
 
     def to_json_dict(self) -> Dict[str, object]:
         """The deterministic campaign artifact (no wall-clock anywhere)."""
@@ -533,8 +474,7 @@ class WebCampaignResult:
                 {
                     "runs": len(self.rows),
                     "setup_wall": self.setup_wall,
-                    "snapshot_steps": self.snapshot_steps,
-                    "snapshot_roots": self.snapshot_roots,
+                    "ladder": self.ladder,
                     "exec_wall": self.exec_wall,
                 },
                 handle,
@@ -637,10 +577,7 @@ def run_webserver_campaign(
         aggregate=aggregate_rows(spec, rows),
         setup_wall=campaign.setup_wall,
         exec_wall=campaign.exec_wall,
-        **{
-            name: campaign.counters.get(name, 0) // max(len(seeds), 1)
-            for name in SNAPSHOT_COUNTS
-        },
+        ladder=ladder_counts(campaign.counters),
     )
 
 

@@ -19,6 +19,7 @@ requests answered within deadline).
 
 from __future__ import annotations
 
+import copy
 import functools
 import sys
 from dataclasses import dataclass, field
@@ -149,10 +150,12 @@ class LoadResult:
 class LoadGenerator:
     """Drives a web server with a bounded-concurrency request stream.
 
-    Installed, the generator is its thread's body: a resumable object
-    with the generator ``send(reply)`` protocol, whose fields (the
-    phase, requests sent, the next site path, workers nudged) a
-    snapshot seals mid-run.
+    Installed, a copy of the generator made at its thread's first step
+    is the thread's body: a resumable object with the generator
+    ``send(reply)`` protocol, whose fields (the phase, requests sent,
+    the next site path, workers nudged) a snapshot seals mid-run.  The
+    installed generator never runs, so a snapshot sealed before that
+    first step starts each run's body afresh.
     """
 
     STATE_WIRING = ("n_requests", "concurrency", "client_home", "server")
@@ -184,7 +187,7 @@ class LoadGenerator:
         self.server = server
         system.kernel.create_thread(
             "loadgen", prio=5, home=self.client_home,
-            body_factory=lambda system, thread: self,
+            body_factory=lambda system, thread: copy.copy(self),
         )
 
     def send(self, reply):
@@ -255,9 +258,9 @@ class OpenLoopGenerator:
     (``server.submit(..., at=due)``), so latency — and therefore the
     SLO — is measured from *arrival*, queueing delay included.
 
-    Installed, the generator is its thread's body, like
-    :class:`LoadGenerator`; its position in the shared arrival tuple is
-    a field.
+    Installed, a copy of the generator is its thread's body, like
+    :class:`LoadGenerator`'s; its position in the shared arrival tuple
+    is a field.
     """
 
     STATE_WIRING = ("spec", "client_home", "arrivals", "server", "kernel")
@@ -291,7 +294,7 @@ class OpenLoopGenerator:
         self.kernel = system.kernel
         self.kernel.create_thread(
             "loadgen-open", prio=4, home=self.client_home,
-            body_factory=lambda system, thread: self,
+            body_factory=lambda system, thread: copy.copy(self),
         )
 
     def send(self, reply):
@@ -406,12 +409,14 @@ def run_webserver(
     :func:`repro.webserver.server.register_webserver_components`).
 
     ``server`` resumes a server already installed on ``system`` and run
-    part-way, as a Fig. 7 first-arm snapshot restores it (the campaign
-    passes it; single runs install their own).  Nothing has armed yet
-    at that point, so the run attaches its SWIFI controller and arm
-    hook there.  The steps already run count toward the row's
-    ``steps`` and come off ``max_steps``.  Either way the run executes
-    through the campaign run core, :func:`repro.swifi.campaign.run_system`.
+    part-way, as the rung of a Fig. 7 snapshot ladder restores it (the
+    campaign passes it; single runs install their own).  The rung's
+    step has begun (:meth:`~repro.composite.kernel.Kernel.begin_step`)
+    but nothing has armed yet, so the run attaches its SWIFI
+    controller and arm hook there.  The steps already run count toward
+    the row's ``steps`` and come off ``max_steps``.  Either way the run
+    executes through the campaign run core,
+    :func:`repro.swifi.campaign.run_system`.
     """
     if system is None:
         system = build_system(ft_mode=ft_mode)

@@ -71,7 +71,7 @@ class WebServer:
 
     The server and its thread bodies are pooled roots (see
     :class:`repro.system.StateModel`), so a snapshot taken mid-run
-    (Fig. 7's first-arm snapshot) seals and restores them.  They are
+    (the rung of a Fig. 7 snapshot ladder) seals and restores them.  They are
     slotted for the reason :class:`~repro.composite.thread.SimThread`
     gives.
     """

@@ -96,8 +96,8 @@ class TestArrivalSpec:
 
     def test_arrival_seed_independent_of_equal_specs(self):
         # Two equal specs are the *same* schedule object-for-object —
-        # this is what lets one first-arm snapshot serve all SWIFI
-        # seeds of a campaign.
+        # this is what lets one snapshot ladder serve all SWIFI seeds
+        # of a campaign.
         a = ArrivalSpec(n_requests=80, load=2.0, seed=3)
         b = ArrivalSpec(n_requests=80, load=2.0, seed=3)
         assert a.build(SITE) == b.build(SITE)

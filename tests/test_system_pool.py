@@ -110,9 +110,10 @@ class TestRestoreEqualsFresh:
             "lock.image.dirty: pooled='3' fresh=''"
         ]
         # A register flip in a thread that a mid-run snapshot restored
-        # (Fig. 7's first-arm snapshot), compared with a fresh build
+        # (the rung of a Fig. 7 ladder), compared with a fresh build
         # driven through the same prefix.
-        snapshot = _web_recording(WebRunSpec(n_requests=40, n_faults=2))
+        ladder = _web_recording(WebRunSpec(n_requests=40, n_faults=2))
+        snapshot = ladder.rungs[0].snapshot
         system = GLOBAL_POOL.acquire(at=snapshot)
         thread = system.kernel.threads[2]
         thread.regs.flip_bit(0, 5)

@@ -6,7 +6,8 @@ that point, sealed once a step that raises the target's
 SWIFI-eligible count began, instead of executing the prefix; unpooled
 (``REPRO_SYSTEM_POOL=0``) runs still start from boot and are the
 reference.  These tests check that rung-started runs equal runs from
-boot, that the micro-benchmark thread bodies (resumable objects with
+boot, that the ladder builder refuses a rung whose begun step moved its
+count, that the micro-benchmark thread bodies (resumable objects with
 explicit fields) behave exactly like the generator bodies they
 replaced, that restores across the rungs of different ladders keep the
 one restore rule under ``REPRO_POOL_DEBUG=1``, that the debug diff
@@ -18,6 +19,7 @@ import random
 
 import pytest
 
+from repro.composite.kernel import Kernel
 from repro.composite.memory import PAGE_WORDS, MemoryImage
 from repro.composite.thread import Invoke, Yield
 from repro.config import override
@@ -39,6 +41,8 @@ from repro.system import (
     build_system,
     system_fingerprint,
 )
+from repro.webserver import campaign as web_campaign
+from repro.webserver.campaign import WebRunSpec
 from repro.workloads import WORKLOADS, RunHandle
 from repro.workloads.microbench import MMWorkload, TimerWorkload
 
@@ -57,14 +61,13 @@ _ENGINE_KEYS = tuple(f"kernel.stats[{name!r}]" for name in ENGINE_STATS)
 
 def _end_state(system, swifi, steps):
     """A finished run as everything it left behind: the system's
-    fingerprint but the engine counters, the controller and the steps."""
+    fingerprint but the engine counters, the controller's deliveries
+    and the steps."""
     state = {
         key: value for key, value in system_fingerprint(system).items()
         if key not in _ENGINE_KEYS
     }
-    state["swifi"] = (
-        repr(swifi.delivered), swifi.trace_counts, swifi.invoke_counts,
-    )
+    state["swifi"] = repr(swifi.delivered)
     state["steps"] = steps
     return state
 
@@ -149,9 +152,9 @@ class TestStartsFromBoot:
         built = []
         build = swifi_campaign._build_ladder
 
-        def counted(spec, snapshot):
+        def counted(spec, *args):
             built.append(spec)
-            return build(spec, snapshot)
+            return build(spec, *args)
 
         spec, seeds = _spec("lock")  # calibrated under the full budget
         monkeypatch.setattr(swifi_campaign, "_build_ladder", counted)
@@ -265,11 +268,11 @@ class TestRestoreRule:
 
 class TestLadderCounts:
     def test_rung_counts_match_a_prefix_from_boot(self):
-        # A rung holds what its prefix gave a SWIFI controller: a fresh
-        # build run through the same steps with a never-armed
-        # controller counts the same, and stopping there leaves no
-        # exhausted-budget mark.  Event waits make the c3 ladder's
-        # steps start with a woken thread's stub tracking.
+        # A rung's eligible count is what its prefix gave a SWIFI
+        # controller: a fresh build run through the rung's prefix with a
+        # never-armed controller counts the same, and stopping there
+        # leaves no exhausted-budget mark.  Event waits make the c3
+        # ladder's steps start with a woken thread's stub tracking.
         for spec in (_spec("lock")[0], _spec("event", "c3", "idl")[0]):
             ladder = swifi_campaign._campaign_recording(spec)
             steps = [rung.snapshot.steps for rung in ladder.rungs]
@@ -280,11 +283,12 @@ class TestLadderCounts:
                     ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode
                 )
                 swifi = SwifiController(system.kernel, seed=0)
-                swifi_campaign._ladder_prefix(
-                    spec, rung.snapshot.steps, system
+                rung.snapshot.prefix(system)
+                counts = (
+                    swifi.invoke_counts if spec.fault_class == "idl"
+                    else swifi.trace_counts
                 )
-                assert swifi.trace_counts == rung.trace_counts
-                assert swifi.invoke_counts == rung.invoke_counts
+                assert counts.get(spec.service, 0) == rung.eligible
                 assert system.kernel.stats["budget_exhausted"] == 0
                 # The prefix began the rung's step: its thread is
                 # picked and a woken thread's stub tracking has run, so
@@ -301,6 +305,42 @@ class TestLadderCounts:
                     index + 1 == len(ladder.rungs)
                     or ladder.eligible[index + 1] > point
                 )
+
+    def test_begun_step_may_not_move_the_count(self, monkeypatch):
+        # A rung is sealed once its step began and before any event of
+        # that step counts: were beginning the step to raise the count,
+        # the rung would start past its first fault.  The one builder
+        # refuses that for Table II's eligible count and for Fig. 7's
+        # first arm alike.
+        specs = (
+            (swifi_campaign._campaign_recording, _spec("lock")[0]),
+            (
+                web_campaign._web_recording,
+                WebRunSpec(n_requests=40, n_faults=2),
+            ),
+        )
+        notes = []
+
+        class Kept(swifi_campaign._StepNotes):
+            def __init__(self, kernel):
+                super().__init__(kernel)
+                notes.append(self)
+
+        begin = Kernel.begin_step
+
+        def counting(kernel):
+            begin(kernel)
+            notes[-1].note()
+
+        monkeypatch.setattr(swifi_campaign, "_StepNotes", Kept)
+        monkeypatch.setattr(Kernel, "begin_step", counting)
+        GLOBAL_POOL.clear()  # build both ladders afresh
+        try:
+            for recording, spec in specs:
+                with pytest.raises(ReproError, match="moved its count past 0"):
+                    recording(spec)
+        finally:
+            GLOBAL_POOL.clear()  # drop the systems left mid-step
 
     def test_sidecar_counts_ladder_work(self, engine, tmp_path):
         # The timing sidecar carries the ladder's work counts; the main
@@ -354,40 +394,6 @@ class TestSmallRungs:
                     assert sorted(pages) == [
                         page for page, bit in enumerate(dirty) if bit
                     ] and len(pages) < len(dirty)
-
-    def test_seal_shares_pages_with_earlier_seal(self):
-        # A page equal to its copy in an earlier seal shares that copy;
-        # either seal still restores its own image.
-        image = MemoryImage(0x0100_0000)
-        image.freeze_good_image()
-        image.write_word(image.base + 3 * PAGE_WORDS, 0xAB)
-        image.write_word(image.base + 9 * PAGE_WORDS, 0xCD)
-        first = image.seal()
-        image.write_word(image.base + 9 * PAGE_WORDS + 1, 0xEF)
-        second = image.seal(first)
-        assert second[0][3] is first[0][3]
-        assert second[0][9] is not first[0][9]
-        words = image.words[:]
-        image.restore(first)
-        assert image.read_word(image.base + 9 * PAGE_WORDS + 1) == 0
-        image.restore(second)
-        assert image.words == words
-        # Along a ladder, each rung shares every unchanged page with
-        # the rung before it.
-        spec = _spec("ramfs")[0]
-        rungs = swifi_campaign._campaign_recording(spec).rungs
-        shared = 0
-        for earlier, later in zip(rungs, rungs[1:]):
-            for before, after in zip(
-                earlier.snapshot._groups, later.snapshot._groups
-            ):
-                if before[3] is None or after[3] is None:
-                    continue
-                for page, copy in after[3][0].items():
-                    if before[3][0].get(page) == copy:
-                        assert before[3][0][page] is copy
-                        shared += 1
-        assert shared
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,21 @@
-"""Fig. 7 first-arm snapshots: pooled runs start where their first
-fault would arm.
+"""Fig. 7 snapshot ladders: pooled runs start where their first fault
+would arm.
 
 Every run of a Fig. 7 spec serves the same clean request stream until
-the step whose ``on_served`` arms its first fault.  A pooled run
-restores a snapshot sealed just before that step instead of executing
-the prefix; fresh (``REPRO_SYSTEM_POOL=0``) runs still start from boot
-and are the reference.  These tests check that snapshot-started rows
-equal from-boot rows, that the web thread bodies (resumable objects
-with explicit fields) behave exactly like the generator bodies they
-replaced, and that ``REPRO_POOL_DEBUG=1`` catches a snapshot that
-leaves part of a root out.
+the step whose ``on_served`` arms its first fault.  The spec's ladder
+has one rung, sealed once that step began, and a pooled run restores it
+instead of executing the prefix; fresh (``REPRO_SYSTEM_POOL=0``) runs
+still start from boot and are the reference.  These tests check that
+rung-started runs, and runs started at a random clean step, end as runs
+from boot do, that the web thread bodies (resumable objects with
+explicit fields) behave exactly like the generator bodies they
+replaced, and that ``REPRO_POOL_DEBUG=1`` catches a rung that leaves
+part of a root out.
 """
 
+import functools
 import itertools
+import random
 
 import pytest
 
@@ -22,13 +25,23 @@ from repro.composite.thread import Invoke, Sleep, Yield
 from repro.config import override
 from repro.errors import ReproError
 from repro.observe import recorder_for
-from repro.system import GLOBAL_POOL
+from repro.swifi.campaign import Ladder, Rung, _ladder_prefix
+from repro.system import (
+    ENGINE_STATS,
+    GLOBAL_POOL,
+    SystemSnapshot,
+    system_fingerprint,
+)
 from repro.webserver import campaign as web_campaign
 from repro.webserver.arrivals import ArrivalSpec
 from repro.webserver.components import ConnectionManagerComponent
 from repro.webserver.campaign import WebRunSpec, execute_web_run, web_run_seeds
 from repro.webserver.http import build_request, parse_request
-from repro.webserver.loadgen import LoadGenerator, OpenLoopGenerator
+from repro.webserver.loadgen import (
+    LoadGenerator,
+    OpenLoopGenerator,
+    injection_gap,
+)
 from repro.webserver.server import (
     APP_CHUNK_CYCLES,
     APP_REQUEST_CYCLES,
@@ -45,14 +58,34 @@ from repro.webserver.server import build_response as _build_response
 #: The benchmark's open-loop shape at test size.
 OPEN = dict(arrivals="open", load=2.0, phases="burst", slo_us=500)
 
+#: Fingerprint keys of the engine counters warm caches move.
+_ENGINE_KEYS = tuple(f"kernel.stats[{name!r}]" for name in ENGINE_STATS)
+
 
 def _rows(spec, seeds, pool):
     with override(system_pool=pool):
         return [execute_web_run(spec, seed) for seed in seeds]
 
 
+def _run(spec, seed, start, counters=None):
+    """A run from ``start`` as everything it left behind: its row and
+    the system's fingerprint, web server included, but the engine
+    counters."""
+    row, system = web_campaign._drive_web_run(spec, seed, start, counters)
+    server = next(
+        thread.body.server for thread in system.kernel.threads.values()
+        if getattr(thread.body, "server", None) is not None
+    )
+    state = system_fingerprint(system, (server,))
+    return row, {
+        key: value for key, value in state.items()
+        if key not in _ENGINE_KEYS
+    }
+
+
 class TestSnapshotRows:
-    """Rows of snapshot-started runs equal rows of runs from boot."""
+    """Runs started at a rung, or at any clean step before it, end
+    exactly where runs from boot end."""
 
     @pytest.mark.parametrize("arrivals", ["closed", "open"])
     @pytest.mark.parametrize("fault_class", ["reg", "mem", "idl", "burst"])
@@ -64,49 +97,80 @@ class TestSnapshotRows:
                 fault_class=fault_class,
                 **(OPEN if arrivals == "open" else {}),
             )
-            boot = _rows(spec, seeds, False)
-            snapshot = web_campaign._web_recording(spec)
-            assert snapshot is not None and snapshot.steps > 0
-            assert _rows(spec, seeds, True) == boot, ft_mode
+            with override(system_pool=False):
+                boot = [_run(spec, seed, None) for seed in seeds]
+            zero, ladder = web_campaign._web_warm_up(spec)
+            assert ladder.eligible == (0,)
+            rung = ladder.rungs[0].snapshot
+            assert [
+                _run(spec, seed, (zero, ladder)) for seed in seeds
+            ] == boot, ft_mode
             # Rows count steps from boot: the restored prefix included.
-            assert all(row["steps"] > snapshot.steps for row in boot)
+            assert all(row["steps"] > rung.steps for row, __ in boot)
+            # A start sealed by the ladder's prefix function at a seeded
+            # random clean step before the arming one: its restore equals
+            # a fresh build driven through that prefix, and its runs end
+            # as runs from boot do.
+            steps = random.Random(spec.fingerprint()).randrange(rung.steps)
+            prefix = functools.partial(
+                _ladder_prefix, web_campaign._install, spec, steps
+            )
+            system = GLOBAL_POOL.acquire(at=zero)
+            sealed = SystemSnapshot(
+                system, prepare=zero.prepare, prefix=prefix,
+                roots=prefix(system),
+            )
+            with override(pool_debug=True):
+                GLOBAL_POOL.acquire(at=sealed)
+            start = (zero, Ladder((Rung(sealed, 0),), (0,)))
+            assert [_run(spec, seed, start) for seed in seeds] == boot, steps
 
     def test_fault_free_rows_match_from_boot(self):
-        # A fault-free spec is sealed at the end of its clean run: a
-        # restored run has nothing left to execute.
+        # A fault-free spec arms nothing, so it notes no step and gets
+        # no ladder: its pooled runs start from the pooled snapshot,
+        # count no ladder work, and end as runs from boot do.
         seeds = web_run_seeds(2, 2)
         for arrivals in ("closed", "open"):
             spec = WebRunSpec(
                 n_requests=80, n_faults=0,
                 **(OPEN if arrivals == "open" else {}),
             )
-            boot = _rows(spec, seeds, False)
-            assert {row["outcome"] for row in boot} == {"ok"}
-            snapshot = web_campaign._web_recording(spec)
-            assert snapshot.steps == boot[0]["steps"], arrivals
-            assert _rows(spec, seeds, True) == boot, arrivals
+            with override(system_pool=False):
+                boot = [_run(spec, seed, None) for seed in seeds]
+            assert {row["outcome"] for row, __ in boot} == {"ok"}
+            start = web_campaign._web_warm_up(spec)
+            assert start[1] is None, arrivals
+            counters = {}
+            assert [
+                _run(spec, seed, start, counters) for seed in seeds
+            ] == boot, arrivals
+            assert counters == {}
 
 
 class TestSnapshotPoint:
     def test_sealed_before_the_first_arm(self):
         # The benchmark's fig7-open spec: its first arm fires in step
-        # 1,537, so the snapshot holds 1,536 steps, and no exhausted
-        # budget mark although its prefix stopped on a step budget.
+        # 1,537, so its one rung holds 1,536 steps and has begun the
+        # next, with no exhausted budget mark although its prefix
+        # stopped on a step budget.
         spec = WebRunSpec(
             n_requests=400, n_faults=3, arrival_seed=1, **OPEN
         )
-        snapshot = web_campaign._web_recording(spec)
+        ladder = web_campaign._web_recording(spec)
+        assert ladder.eligible == (0,)
+        snapshot = ladder.rungs[0].snapshot
         assert snapshot.steps == 1536
         kernel = snapshot.system.kernel
         system = GLOBAL_POOL.acquire(at=snapshot)
         assert system is snapshot.system
-        assert kernel.stats["steps"] == 1536
+        assert kernel.stats["steps"] == 1536 and kernel.resume is not None
         assert kernel.stats["budget_exhausted"] == 0
         assert not kernel.budget_exhausted
-        server = snapshot.roots[0]
-        gap = spec.n_requests // (spec.n_faults + 1)
+        server, = snapshot.roots
+        gap = injection_gap(spec.n_requests, spec.n_faults)
         assert 0 < server.served < gap
-        # The next step arms: run exactly one more with a hook.
+        # Finishing the begun step arms: run exactly one more with a
+        # hook.
         armed = []
         server.on_served = lambda served: armed.append(served >= gap)
         kernel.run(max_steps=1)
@@ -124,12 +188,12 @@ class TestSnapshotPoint:
 
 class TestSnapshotDebug:
     def test_missing_root_attribute_is_named(self, engine):
-        # A snapshot that leaves one attribute of a root out restores
-        # it from the previous run: the debug diff against a fresh
-        # build driven through the same prefix names it.
+        # A rung that leaves one attribute of a root out restores it
+        # from the previous run: the debug diff against a fresh build
+        # driven through the same prefix names it.
         engine(pool_debug=True)
         spec = WebRunSpec(n_requests=60, n_faults=2)
-        snapshot = web_campaign._web_recording(spec)
+        snapshot = web_campaign._web_recording(spec).rungs[0].snapshot
         execute_web_run(spec, 1)  # a run moves every one of them
         server = snapshot.roots[0]
         worker = next(
@@ -148,7 +212,6 @@ class TestSnapshotDebug:
             finally:
                 snapshot.state[root][attr] = sealed
             execute_web_run(spec, 3)
-
 
     def test_untouched_root_write_is_named(self, monkeypatch, engine):
         # Each planted export also writes a root no Fig. 7 run enters:

@@ -9,6 +9,8 @@ from repro.__main__ import main
 from repro.config import override
 from repro.observe.export import read_trace
 from repro.observe.metrics import SUB_BUCKET_BITS, LogLinearHistogram
+from repro.swifi import campaign as swifi_campaign
+from repro.swifi.campaign import LADDER_KEYS
 from repro.system import GLOBAL_POOL
 from repro.webserver import campaign as web_campaign
 from repro.webserver.campaign import (
@@ -303,26 +305,26 @@ class TestArtifacts:
         assert timing["runs"] == 2
 
     def test_setup_wall_covers_the_snapshot(self, monkeypatch):
-        # The first-arm snapshot is per-process setup: an in-process
-        # campaign must time its clean passes as setup_wall, not as run
+        # The spec's ladder is per-process setup: an in-process campaign
+        # must time its clean passes as setup_wall, not as run
         # execution.
         GLOBAL_POOL.clear()
         walls = []
-        clean = web_campaign._clean_prefix_steps
+        build = swifi_campaign._build_ladder
 
         def timed(*args):
             start = time.perf_counter()
             try:
-                return clean(*args)
+                return build(*args)
             finally:
                 walls.append(time.perf_counter() - start)
 
-        monkeypatch.setattr(web_campaign, "_clean_prefix_steps", timed)
+        monkeypatch.setattr(swifi_campaign, "_build_ladder", timed)
         result = run_webserver_campaign(
             web_run_seeds(1, 2), SMOKE_SPEC, workers=1
         )
         assert len(walls) == 1
-        assert result.snapshot_steps > 0
+        assert result.ladder["rung_restores"] == 2
         assert result.setup_wall >= walls[0]
 
     @pytest.mark.parametrize("pool", ["0", "1"])
@@ -333,25 +335,29 @@ class TestArtifacts:
         )
         path = tmp_path / "fig7.json"
         result.write_json(str(path))
-        counts = web_campaign.SNAPSHOT_COUNTS
         artifact = path.read_text()
-        assert not any(name in artifact for name in counts)
+        assert not any(name in artifact for name in ("ladder", *LADDER_KEYS))
         timing = json.loads((tmp_path / "fig7.json.timing.json").read_text())
+        assert timing["ladder"] == result.ladder
         if pool == "1":
-            assert all(timing[name] > 0 for name in counts)
+            # One rung, which each run restores and whose prefix it
+            # skips.
+            rung = web_campaign._web_recording(SMOKE_SPEC).rungs[0]
+            assert result.ladder == {
+                "rungs": 1, "rung_restores": 2,
+                "prefix_steps_skipped": 2 * rung.snapshot.steps,
+            }
             # Deterministic work counts, whatever the engine gates: the
             # interpreter gate moves no step, and the debug diff's fresh
-            # builds are not snapshot work.
+            # builds are not ladder work.
             for gate in ({"fast_interp": False}, {"pool_debug": True}):
                 with override(**gate):
                     checked = run_webserver_campaign(
                         web_run_seeds(1, 2), SMOKE_SPEC, workers=1
                     )
-                assert [getattr(checked, name) for name in counts] == [
-                    timing[name] for name in counts
-                ], gate
+                assert checked.ladder == result.ladder, gate
         else:
-            assert all(timing[name] == 0 for name in counts)
+            assert result.ladder == dict.fromkeys(LADDER_KEYS, 0)
 
 
 class TestOpenLoopCampaign:
@@ -369,7 +375,7 @@ class TestOpenLoopCampaign:
 
     def test_fingerprint_extends_only_for_non_defaults(self):
         # Historical closed-loop reg fingerprints are frozen: trace
-        # artifacts and first-arm snapshots key on them.
+        # artifacts and snapshot ladders key on them.
         assert SMOKE_SPEC.fingerprint() == (
             "webserver/superglue/r40/c10/w2/f2/ondemand"
         )
