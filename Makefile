@@ -4,7 +4,7 @@ PY ?= python3
 # Worker-pool size for the SWIFI campaign (0 = all CPUs).
 WORKERS ?= 0
 
-.PHONY: install test lint bench perf throughput profile campaign fault-classes fig7 fig7-campaign fig7-openloop cluster examples clean
+.PHONY: install test lint bench perf throughput profile campaign fault-classes fig7 fig7-campaign fig7-openloop examples clean
 
 install:
 	pip install -e . --no-build-isolation || $(PY) setup.py develop
@@ -26,9 +26,6 @@ perf:
 	$(PY) scripts/check_interp_baseline.py /tmp/interp_throughput.json
 	$(PY) benchmarks/bench_campaign_throughput.py --json /tmp/campaign_throughput.json
 	$(PY) scripts/check_campaign_baseline.py /tmp/campaign_throughput.json
-	$(PY) benchmarks/bench_cluster_campaign.py --json /tmp/cluster_throughput.json
-	$(PY) scripts/check_campaign_baseline.py /tmp/cluster_throughput.json \
-		benchmarks/baselines/cluster_throughput.json
 	$(PY) benchmarks/bench_fig7_webserver.py --json /tmp/fig7_webserver.json
 	$(PY) scripts/check_fig7_baseline.py /tmp/fig7_webserver.json
 	$(PY) benchmarks/bench_fig7_webserver.py --openloop --json /tmp/fig7_openloop.json
@@ -72,20 +69,6 @@ fault-classes:
 			/tmp/table2_$${fc}_smoke.json \
 			benchmarks/baselines/table2_$${fc}_smoke.json || exit 1; \
 	done
-
-# Simulated multi-node cluster campaign, checked against its committed
-# baseline — the local equivalent of the nightly `cluster-smoke` CI job.
-# NODES/KILLS/SEEDS/UNITS overridable.
-NODES ?= 4
-KILLS ?= 1
-CLUSTER_SEEDS ?= 16
-UNITS ?= 12
-cluster:
-	PYTHONPATH=src $(PY) -m repro cluster --nodes $(NODES) \
-		--faults $(KILLS) --seeds $(CLUSTER_SEEDS) --units $(UNITS) \
-		--seed 7 --workers $(WORKERS) --json /tmp/cluster_smoke.json
-	$(PY) scripts/check_cluster_baseline.py /tmp/cluster_smoke.json \
-		benchmarks/baselines/cluster_smoke.json
 
 fig7:
 	$(PY) -m repro fig7 --requests 2000

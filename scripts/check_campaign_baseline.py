@@ -4,11 +4,9 @@
 Usage:  python scripts/check_campaign_baseline.py ARTIFACT [BASELINE]
                 [--tolerance FRACTION]
 
-ARTIFACT is the ``--json`` output of a campaign benchmark with flat
-keys: ``benchmarks/bench_campaign_throughput.py`` (Table II runs/s;
-BASELINE defaults to ``benchmarks/baselines/campaign_throughput.json``)
-or ``benchmarks/bench_cluster_campaign.py`` (cluster scenarios/s,
-against ``benchmarks/baselines/cluster_throughput.json``).
+ARTIFACT is the ``--json`` output of
+``benchmarks/bench_campaign_throughput.py`` (Table II runs/s); BASELINE
+defaults to ``benchmarks/baselines/campaign_throughput.json``.
 
 Two kinds of gate:
 

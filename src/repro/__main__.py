@@ -16,12 +16,6 @@ Commands:
   — web-server throughput (Fig. 7): single-run comparison table by
   default, or a pooled parallel multi-seed faulted campaign with
   latency percentiles when ``--seeds`` is given
-* ``cluster [--nodes N] [--faults K] [--fault-class CLASS] [--seeds N]
-  [--units U] [--workers W] [--json PATH] [--trace PATH]`` — simulated
-  multi-node cluster campaign: each scenario schedules U SWIFI-injected
-  workload units over N pooled-System nodes while killing K correlated
-  nodes at a seed-drawn instant; the supervisor/scheduler layer fails
-  units over, evicts unhealthy nodes, and whole-node-reboots them
 * ``compile <service|path.idl>`` — show compiler output for one interface
 """
 
@@ -54,8 +48,7 @@ def _artifacts_writable(args) -> bool:
 
 
 def _report_campaign(
-    args, setup_wall: float, exec_wall: float, runs: int, unit: str,
-    write_json,
+    args, setup_wall: float, exec_wall: float, runs: int, write_json
 ) -> None:
     """Campaign epilogue: the wall clock, ``write_json(args.json)`` and
     where the artifacts went.
@@ -66,7 +59,7 @@ def _report_campaign(
     if exec_wall > 0:
         print(
             f"wall clock: setup {setup_wall:.2f}s + exec {exec_wall:.2f}s "
-            f"({runs / exec_wall:.1f} {unit}/s)",
+            f"({runs / exec_wall:.1f} runs/s)",
             file=sys.stderr,
         )
     if args.json:
@@ -107,7 +100,6 @@ def _cmd_table2(args) -> int:
         sum(r.setup_wall for r in results),
         sum(r.exec_wall for r in results),
         sum(r.injected for r in results),
-        "runs",
         lambda path: write_table2_json(results, path),
     )
     return 0
@@ -322,53 +314,8 @@ def _cmd_fig7_campaign(args) -> int:
     )
     print(format_web_campaign(result))
     _report_campaign(
-        args, result.setup_wall, result.exec_wall, len(result.rows), "runs",
-        result.write_json,
-    )
-    return 0
-
-
-def _cmd_cluster(args) -> int:
-    from repro.cluster import (
-        calibrate_cluster_spec,
-        cluster_run_seeds,
-        format_cluster_campaign,
-        run_cluster_campaign,
-    )
-
-    if not _artifacts_writable(args):
-        return 1
-    try:
-        spec = calibrate_cluster_spec(
-            service=args.service,
-            ft_mode=args.mode,
-            n_nodes=args.nodes,
-            n_kill=args.faults,
-            units=args.units,
-            fault_class=args.fault_class,
-            evict_threshold=args.evict_threshold,
-            cooldown=args.cooldown,
-        )
-    except ValueError as exc:
-        print(f"invalid cluster spec: {exc}", file=sys.stderr)
-        return 1
-    # 0 = one worker per CPU, matching the campaign Make targets.
-    workers = args.workers or (os.cpu_count() or 1)
-    print(
-        f"Cluster campaign: {args.seeds} scenario(s) x {args.units} units "
-        f"on {args.nodes} nodes, {args.faults} correlated kill(s), "
-        f"{args.fault_class} faults ({args.mode} stubs, {workers} worker(s))"
-    )
-    result = run_cluster_campaign(
-        cluster_run_seeds(args.seed, args.seeds),
-        spec,
-        workers=workers,
-        trace=args.trace,
-    )
-    print(format_cluster_campaign(result))
-    _report_campaign(
         args, result.setup_wall, result.exec_wall, len(result.rows),
-        "scenarios", result.write_json,
+        result.write_json,
     )
     return 0
 
@@ -550,67 +497,6 @@ def main(argv=None) -> int:
         "export a JSONL trace artifact",
     )
     p.set_defaults(fn=_cmd_fig7)
-
-    p = sub.add_parser(
-        "cluster", help="simulated multi-node cluster campaign"
-    )
-    p.add_argument(
-        "--nodes", type=int, default=4,
-        help="simulated nodes per cell (default 4)",
-    )
-    p.add_argument(
-        "--faults", type=int, default=1,
-        help="correlated node kills per scenario (default 1; 0 disables "
-        "the kill round)",
-    )
-    p.add_argument(
-        "--fault-class",
-        choices=("reg", "mem", "idl", "burst"),
-        default="reg",
-        help="per-unit SWIFI fault model (default: register SEUs)",
-    )
-    p.add_argument(
-        "--seeds", type=int, default=16,
-        help="seeded scenarios to run (default 16)",
-    )
-    p.add_argument(
-        "--units", type=int, default=12,
-        help="workload units scheduled per scenario (default 12)",
-    )
-    p.add_argument("--service", default="lock")
-    p.add_argument(
-        "--mode", choices=("superglue", "c3"), default="superglue"
-    )
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument(
-        "--evict-threshold", type=int, default=2,
-        help="fatal outcomes before the supervisor evicts a node "
-        "(default 2)",
-    )
-    p.add_argument(
-        "--cooldown", type=int, default=2,
-        help="units an evicted node sits out before rejoining (default 2)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool size (default: 1, in-process; 0 = one per CPU)",
-    )
-    p.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="write scenario rows + aggregate as a JSON artifact",
-    )
-    p.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="record node-level events (kills, failovers, evictions, "
-        "reboots) and export a JSONL trace artifact",
-    )
-    p.set_defaults(fn=_cmd_cluster)
 
     p = sub.add_parser("compile", help="compile one IDL interface")
     p.add_argument("interface", help="service name or path to an .idl file")

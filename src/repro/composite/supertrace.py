@@ -1,7 +1,7 @@
 """Names ``bench/tracer.py`` still wraps; the tier-3 engine is gone.
 
-Table II and cluster runs start at the rung of their spec's snapshot
-ladder instead of replaying a recorded clean prefix (see
+Table II runs start at the rung of their spec's snapshot ladder
+instead of replaying a recorded clean prefix (see
 :func:`repro.swifi.campaign._campaign_recording`).  The frozen
 benchmark resolves these methods as span boundaries, so each stays a
 no-op until the benchmark drops its super-trace rows (ROADMAP item 9);

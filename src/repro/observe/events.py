@@ -63,13 +63,6 @@ EVENT_FIELDS: Dict[str, FrozenSet[str]] = {
     "trace_exec": frozenset({"component", "label", "fast", "injected", "cycles"}),
     "trace_build": frozenset({"component", "label", "ops"}),
     "fastpath_compile": frozenset({"component", "label", "ops"}),
-    # -- cluster supervision (node-level lifecycle) ----------------------
-    "node_kill": frozenset({"node", "unit"}),
-    "unit_failover": frozenset({"unit", "from_node", "to_node"}),
-    "node_evict": frozenset({"node", "unit", "reason"}),
-    "node_reboot": frozenset({"node", "unit", "cost_cycles", "epoch"}),
-    "node_rejoin": frozenset({"node", "unit"}),
-    "unit_done": frozenset({"node", "unit", "outcome", "cycles"}),
 }
 
 #: Per-event optional fields (present only when known at emit time).

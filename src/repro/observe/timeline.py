@@ -132,27 +132,6 @@ def _describe(event: Dict[str, object]) -> str:
         return f"trace-build   {d['component']}/{d['label']} ({d['ops']} ops)"
     if name == "fastpath_compile":
         return f"fast-compile  {d['component']}/{d['label']} ({d['ops']} ops)"
-    if name == "node_kill":
-        return f"NODE KILL     {d['node']} lost at unit {d['unit']} (correlated failure)"
-    if name == "unit_failover":
-        return (
-            f"failover      unit {d['unit']}: {d['from_node']} -> "
-            f"{d['to_node']}"
-        )
-    if name == "node_evict":
-        return f"evict         {d['node']} at unit {d['unit']} (reason: {d['reason']})"
-    if name == "node_reboot":
-        return (
-            f"node-reboot   {d['node']} -> epoch {d['epoch']} "
-            f"({d['cost_cycles']} cyc whole-node restore)"
-        )
-    if name == "node_rejoin":
-        return f"rejoin        {d['node']} back in rotation at unit {d['unit']}"
-    if name == "unit_done":
-        return (
-            f"unit-done     unit {d['unit']} on {d['node']} "
-            f"outcome={d['outcome']} ({d['cycles']} cyc)"
-        )
     return f"{name}  {d}"
 
 
@@ -259,11 +238,6 @@ RECOVERY_EVENTS = {
     "scrub_detection",
     "upcall",
     "throughput_dip",
-    "node_kill",
-    "unit_failover",
-    "node_evict",
-    "node_reboot",
-    "node_rejoin",
 }
 
 

@@ -211,19 +211,18 @@ def _campaign_system(ft_mode: str, recovery_mode: str, prepare=None, at=None):
     return system
 
 
-def warm_up(spec: RunSpec, instance=None):
+def warm_up(spec: RunSpec):
     """Boot and seal the spec's pooled system and build its ladder.
 
     A campaign's per-process setup, so its first run pays neither.
     Returns ``(snapshot, ladder)`` (see :func:`ladder_start`) for
-    :func:`_drive_run`'s ``start``; None without pooling.  ``instance``
-    warms a private snapshot, as each cluster node does.
+    :func:`_drive_run`'s ``start``; None without pooling.
     """
     return ladder_start(
         spec, ("ladder", spec.service, spec.iterations,
                spec.fault_class == "idl"),
         MAX_STEPS, _install_workload, _watch_eligible,
-        lambda spec, roots: roots[0].check(), instance=instance,
+        lambda spec, roots: roots[0].check(),
     )
 
 
@@ -270,9 +269,9 @@ class Ladder(NamedTuple):
         return self.rungs[bisect.bisect_right(self.eligible, point) - 1]
 
 
-def ladder_start(spec, key, max_steps, install, watch, clean, **pool):
+def ladder_start(spec, key, max_steps, install, watch, clean, prepare=None):
     """A pooled campaign's start, ``(snapshot, ladder)``: the pooled
-    system's snapshot (``pool`` selects it, see
+    system's snapshot (with the pool's ``prepare`` hook, see
     :meth:`SystemPool.snapshot_for`) and the spec's ladder, built once
     on it under ``key`` (see :func:`_build_ladder`).  None without
     pooling: a rung is a snapshot of the pooled system itself, so
@@ -284,7 +283,7 @@ def ladder_start(spec, key, max_steps, install, watch, clean, **pool):
     if not _pooled():
         return None
     snapshot = GLOBAL_POOL.snapshot_for(
-        ft_mode=spec.ft_mode, recovery_mode=spec.recovery_mode, **pool
+        spec.ft_mode, spec.recovery_mode, prepare
     )
     if key not in snapshot.starts:
         snapshot.starts[key] = _build_ladder(
@@ -463,9 +462,9 @@ def run_prefix(system, steps: int) -> None:
 def run_system(system, max_steps: int):
     """Run one campaign system to its end; returns ``(crash, steps)``.
 
-    The one place a campaign run executes: Table II runs, cluster
-    units, Fig. 7 runs (campaign and CLI), and the clean passes and
-    prefixes that snapshot ladders are sealed from.  Each kind installs
+    The one place a campaign run executes: Table II runs, Fig. 7 runs
+    (campaign and CLI), and the clean passes and prefixes that snapshot
+    ladders are sealed from.  Each kind installs
     (or restores) and arms before the call and maps ``crash`` onto its
     own outcome vocabulary after it.
 
@@ -495,16 +494,15 @@ def _drive_run(spec: RunSpec, run_seed: int, start=None, counters=None):
     """Restore (or boot) a system, inject per the spec, run it.
 
     Returns ``(outcome, system, swifi, steps, handle)``.  ``start`` is
-    :func:`warm_up`'s ``(snapshot, ladder)``, which a campaign or a
-    cluster node looks up once instead of once per run; without one
-    the run warms the shared pool itself, or builds fresh when
-    unpooled or traced.  With a ladder the run restores the last rung
-    at or before its injection point (:func:`rung_start`), whose prefix
-    already ran the workload's install and first steps and began the
-    next: the fault arms the rest of the countdown, and the run
-    finishes that step and gets the rest of the step budget.  Its
-    ``steps`` count from boot either way.  ``counters`` sums the ladder
-    work counts (:data:`LADDER_KEYS`).
+    :func:`warm_up`'s ``(snapshot, ladder)``, which a campaign looks
+    up once instead of once per run; without one the run warms the
+    shared pool itself, or builds fresh when unpooled or traced.  With
+    a ladder the run restores the last rung at or before its injection
+    point (:func:`rung_start`), whose prefix already ran the workload's
+    install and first steps and began the next: the fault arms the rest
+    of the countdown, and the run finishes that step and gets the rest
+    of the step budget.  Its ``steps`` count from boot either way.
+    ``counters`` sums the ladder work counts (:data:`LADDER_KEYS`).
     """
     if start is None:
         # Warm *before* the final acquire: the ladder's clean passes

@@ -1,11 +1,11 @@
 """The seeded-campaign core: parallel, resumable, traced campaigns.
 
-Table II SWIFI campaigns, Fig. 7 web-server campaigns and cluster
-scenario campaigns are one discipline applied three times: many seeded
-runs, each a pure function of ``(spec, seed)`` sharing nothing but the
-spec, merged in seed order.  :func:`run_seeded` implements it once.  A
-campaign kind supplies only what differs — a per-process ``setup`` and a
-per-seed ``run`` — and the core owns the rest:
+Table II SWIFI campaigns and Fig. 7 web-server campaigns are one
+discipline applied twice: many seeded runs, each a pure function of
+``(spec, seed)`` sharing nothing but the spec, merged in seed order.
+:func:`run_seeded` implements it once.  A campaign kind supplies only
+what differs — a per-process ``setup`` and a per-seed ``run`` — and the
+core owns the rest:
 
 * one initializer per process (IDL compile plus the kind's setup: pool
   boot and snapshot ladder), run in the parent for serial and ``fork``
@@ -87,8 +87,8 @@ def worker_start_method() -> str:
 def seed_schedule(seed: int, n_runs: int) -> List[int]:
     """A campaign's run seeds: the ``i``-th of ``n_runs`` is ``seed *
     1_000_003 + i``, so the schedules of nearby campaign seeds do not
-    overlap.  Every campaign kind draws its seeds here: Table II runs,
-    Fig. 7 runs, cluster scenarios and a scenario's units."""
+    overlap.  Both campaign kinds draw their seeds here: Table II runs
+    and Fig. 7 runs."""
     return [seed * 1_000_003 + i for i in range(n_runs)]
 
 
@@ -138,8 +138,8 @@ def _init_worker(setup, run, spec, trace: bool, config=None) -> None:
     whatever its own environment says.  Each process compiles the IDL
     interfaces once (the ``compile_all_interfaces`` cache is
     per-process and starts cold), then ``setup(spec, trace)`` warms
-    whatever the kind's runs share — pooled systems, snapshot ladders,
-    a cluster cell — and returns the state handed to every ``run``
+    whatever the kind's runs share — the pooled system and the spec's
+    snapshot ladder — and returns the state handed to every ``run``
     call.
     """
     global _CAMPAIGN

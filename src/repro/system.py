@@ -717,20 +717,6 @@ def system_snapshot(system: System, prepare=None) -> SystemSnapshot:
     return SystemSnapshot(system, prepare=prepare)
 
 
-def _pool_key(ft_mode, apps, recovery_mode, prepare, instance) -> tuple:
-    """A pooled system's identity: its build parameters, the ``prepare``
-    hook by qualified name, and the private ``instance`` (if any)."""
-    return (
-        ft_mode,
-        tuple(apps),
-        recovery_mode,
-        None
-        if prepare is None
-        else f"{prepare.__module__}.{prepare.__qualname__}",
-        instance,
-    )
-
-
 class SystemPool:
     """Per-process pool of sealed systems, keyed by build parameters.
 
@@ -738,11 +724,6 @@ class SystemPool:
     sealed snapshot on every call.  With ``REPRO_POOL_DEBUG=1`` each
     restore is verified against a fresh build via
     :func:`system_fingerprint` — any structural divergence raises.
-
-    ``instance`` distinguishes otherwise-identical systems that must
-    coexist live in one process — e.g. the simulated nodes of a cluster
-    cell each pass their node id, so each node owns a private snapshot
-    instead of all nodes sharing (and clobbering) one pooled image.
     """
 
     def __init__(self):
@@ -752,10 +733,8 @@ class SystemPool:
     def acquire(
         self,
         ft_mode: str = "superglue",
-        apps=DEFAULT_APPS,
         recovery_mode: str = "ondemand",
         prepare: Optional[Callable[[System], None]] = None,
-        instance: Optional[object] = None,
         at: Optional[SystemSnapshot] = None,
     ) -> System:
         """Restore a sealed system, building and sealing it on first use.
@@ -766,9 +745,7 @@ class SystemPool:
         run (a ladder rung).
         """
         if at is None:
-            at = self.snapshot_for(
-                ft_mode, apps, recovery_mode, prepare, instance
-            )
+            at = self.snapshot_for(ft_mode, recovery_mode, prepare)
         system = at.restore()
         self.stats["restores"] += 1
         if CONFIG.pool_debug:
@@ -784,21 +761,24 @@ class SystemPool:
     def snapshot_for(
         self,
         ft_mode: str = "superglue",
-        apps=DEFAULT_APPS,
         recovery_mode: str = "ondemand",
         prepare: Optional[Callable[[System], None]] = None,
-        instance: Optional[object] = None,
     ) -> SystemSnapshot:
         """The sealed snapshot for these parameters, building on first
         use, without restoring it: campaigns look it up once and hang
         the run starts they derive from it on :attr:`SystemSnapshot.starts`.
+        The key names ``prepare`` by qualified name.
         """
-        key = _pool_key(ft_mode, apps, recovery_mode, prepare, instance)
+        key = (
+            ft_mode,
+            recovery_mode,
+            None
+            if prepare is None
+            else f"{prepare.__module__}.{prepare.__qualname__}",
+        )
         snapshot = self._snapshots.get(key)
         if snapshot is None:
-            system = build_system(
-                ft_mode, apps=apps, recovery_mode=recovery_mode
-            )
+            system = build_system(ft_mode, recovery_mode=recovery_mode)
             if prepare is not None:
                 prepare(system)
             snapshot = self._snapshots[key] = SystemSnapshot(

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.__main__ import main
-from repro.cluster import ClusterSpec, cluster_run_seeds, run_cluster_campaign
 from repro.observe import EventSchemaError
+from repro.observe.events import EVENT_FIELDS
 from repro.observe.export import (
     load_runs,
     read_trace,
@@ -13,6 +13,7 @@ from repro.observe.export import (
 )
 from repro.observe.timeline import (
     RECOVERY_EVENTS,
+    _describe,
     pick_default_run,
     render_rollup,
     render_run_timeline,
@@ -45,6 +46,16 @@ def _table2_traced(path, workers):
     return counter.counts
 
 
+def _table2_c3_idl_traced(path, workers):
+    runner = CampaignRunner(
+        "event", ft_mode="c3", n_faults=6, seed=2, fault_class="idl"
+    )
+    counter, __ = run_campaign(
+        runner.spec(), runner.run_seeds(), workers=workers, trace=path
+    )
+    return counter.counts
+
+
 def _fig7_traced(path, workers):
     return run_webserver_campaign(
         web_run_seeds(2, 4), WebRunSpec(n_requests=40, n_faults=2),
@@ -52,18 +63,20 @@ def _fig7_traced(path, workers):
     ).to_json_dict()
 
 
-def _cluster_traced(path, workers):
-    spec = ClusterSpec(n_nodes=3, units=4, horizon=17)
-    return run_cluster_campaign(
-        cluster_run_seeds(2, 4), spec, workers=workers, trace=path
+def _fig7_open_traced(path, workers):
+    spec = WebRunSpec(n_requests=40, n_faults=2, arrivals="open", load=2.0,
+                      phases="burst", slo_us=500)
+    return run_webserver_campaign(
+        web_run_seeds(2, 4), spec, workers=workers, trace=path,
     ).to_json_dict()
 
 
 #: One traced campaign per kind: ``(path, workers) -> artifact``.
 _TRACED_CAMPAIGNS = {
     "table2": _table2_traced,
+    "table2-c3-idl": _table2_c3_idl_traced,
     "fig7": _fig7_traced,
-    "cluster": _cluster_traced,
+    "fig7-open": _fig7_open_traced,
 }
 
 
@@ -71,8 +84,8 @@ class TestOutcomeInvariance:
     def test_tracing_does_not_change_run_outcomes(self):
         """A traced run is the plain run under the flight recorder: the
         same outcome (Fig. 7: the same row), and a header true to the
-        spec and to the kernel's step count, also when the run raised
-        (the lock idl seeds do)."""
+        spec and to the kernel's step count, which counts a run's steps
+        also when the run raised (the lock idl seeds do)."""
         cases = [
             (_table2_run, execute_run, spec, lambda outcome: outcome.value)
             for spec in (
@@ -96,9 +109,9 @@ class TestOutcomeInvariance:
                 assert header["fault_class"] == spec.fault_class
                 assert header["steps"] == (
                     record["metrics"]["counters"]["steps"]
-                )
+                ) > 0
 
-    @pytest.mark.parametrize("kind", ["table2", "fig7", "cluster"])
+    @pytest.mark.parametrize("kind", list(_TRACED_CAMPAIGNS))
     def test_serial_and_parallel_traces_byte_identical(self, tmp_path, kind):
         serial = str(tmp_path / "serial.jsonl")
         pooled = str(tmp_path / "pooled.jsonl")
@@ -202,6 +215,16 @@ class TestRecoveryArc:
         rollup = render_rollup(runs, summaries)
         assert "campaign lock/" in rollup
         assert "recovered" in rollup
+
+    def test_every_event_type_renders_its_own_line(self):
+        # The schema and the timeline change together: each event type
+        # has its own line (not the generic fallback), and the focused
+        # timeline names only event types the schema has.
+        for name, fields in EVENT_FIELDS.items():
+            data = dict.fromkeys(fields, 1)
+            line = _describe({"event": name, "data": data})
+            assert line != f"{name}  {data}", name
+        assert RECOVERY_EVENTS <= set(EVENT_FIELDS)
 
 
 class TestCliTrace:

@@ -48,6 +48,12 @@ class TestFig7Command:
 
 
 class TestParser:
-    def test_requires_command(self):
+    def test_requires_command(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+        # The commands are the paper's experiments and their tools; the
+        # removed multi-node ``cluster`` campaign is not one of them.
+        with pytest.raises(SystemExit) as exit_:
+            main(["cluster"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'cluster'" in capsys.readouterr().err

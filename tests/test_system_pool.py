@@ -16,24 +16,41 @@ from repro.swifi.campaign import (
     CampaignRunner,
     _campaign_system,
     execute_run,
+    warm_up,
 )
+from repro.idl_specs import SERVICES
 from repro.system import (
-    DEFAULT_APPS,
     GLOBAL_POOL,
     SystemPool,
     SystemSnapshot,
+    _flatten,
     build_system,
     system_fingerprint,
     system_snapshot,
 )
 from repro.errors import ReproError
-from repro.webserver.campaign import WebRunSpec, _web_recording
+from repro.webserver.campaign import (
+    WebRunSpec,
+    _install,
+    _web_recording,
+    _web_warm_up,
+    prepare_webserver,
+)
+from repro.workloads import workload_for
 
 
 def _lock_spec(seed=3, iterations=4):
     runner = CampaignRunner("lock", n_faults=0, seed=seed,
                             iterations=iterations)
     return runner.spec()
+
+
+#: Fig. 7's closed and open installs, by test id.
+_WEB_SPECS = {
+    "fig7-closed": WebRunSpec(n_requests=40),
+    "fig7-open": WebRunSpec(n_requests=40, arrivals="open", load=2.0,
+                            phases="burst", slo_us=500),
+}
 
 
 class TestRestoreEqualsFresh:
@@ -46,7 +63,6 @@ class TestRestoreEqualsFresh:
     def test_restore_after_faulty_runs_matches_fresh(self):
         spec = _lock_spec()
         from repro.swifi.injector import SwifiController
-        from repro.workloads import workload_for
 
         # Also with a service and a client stub that carry an attribute
         # no declaration names: the state model covers it everywhere.
@@ -92,6 +108,25 @@ class TestRestoreEqualsFresh:
         with pytest.raises(ReproError, match="cursor"):
             SystemSnapshot(system)
 
+    @pytest.mark.parametrize("install", list(SERVICES) + list(_WEB_SPECS))
+    def test_body_factories_make_new_bodies(self, install):
+        # A snapshot seals a thread's body only once the thread started,
+        # so every body factory must make a new body in its initial
+        # state: one handing out the same object would start the next
+        # run where the last one ended.  Sealed right after install, run
+        # to the end and restored: the six Table II workloads, and
+        # Fig. 7's closed and open installs.
+        spec = _WEB_SPECS.get(install)
+        if spec is None:
+            system = build_system("superglue")
+            roots = (workload_for(install).install(system, iterations=4),)
+        else:
+            system = build_system(spec.ft_mode,
+                                  recovery_mode=spec.recovery_mode)
+            prepare_webserver(system)
+            roots = _install(spec, system)
+        assert _unfit_body_factories(system, roots) == []
+
     def test_fingerprint_detects_divergence(self):
         # The debug diff must actually have teeth: rig the sealed system
         # and check the fingerprint comparison catches it.
@@ -124,17 +159,15 @@ class TestRestoreEqualsFresh:
         ]
 
     def test_pool_debug_mode_raises_on_divergence(self, engine):
-        from repro.workloads import workload_for
-
         engine(pool_debug=True)
-        key = ("superglue", DEFAULT_APPS, "ondemand", None, None)
         pool = SystemPool()
         system = pool.acquire(ft_mode="superglue")
         # First acquire builds; poison durable state that a restore will
         # not repair (the snapshot's sealed storage copy), touch storage
         # so the restore copies it back, then re-acquire.
         storage = system.kernel.component("storage")
-        pool._snapshots[key].state[storage]["_data"][("rigged", "key")] = 1
+        snapshot = pool.snapshot_for(ft_mode="superglue")
+        snapshot.state[storage]["_data"][("rigged", "key")] = 1
         storage._ran = True
         with pytest.raises(ReproError, match="diverged"):
             pool.acquire(ft_mode="superglue")
@@ -150,6 +183,42 @@ class TestRestoreEqualsFresh:
         storage._ran = False
         with pytest.raises(ReproError, match=r"storage\._data"):
             pool.acquire(ft_mode="superglue")
+
+
+def _body_state(body) -> dict:
+    state = {}
+    _flatten(body, "body", state)
+    return state
+
+
+def _unfit_body_factories(system, roots) -> list:
+    """Seal ``system`` right after an install, run it to the end and
+    restore it: the names of the unstarted threads whose body factory
+    then returns an object it returned before, or a body whose state
+    differs from the one it made before the run."""
+    snapshot = SystemSnapshot(system, roots=roots)
+    kernel = system.kernel
+    made = {
+        thread.tid: thread.body_factory(system, thread)
+        for thread in kernel.threads.values()
+    }
+    initial = {tid: _body_state(body) for tid, body in made.items()}
+    system.run(max_steps=60_000)
+    assert kernel.crashed is None and not kernel.budget_exhausted
+    snapshot.restore()
+    unfit = []
+    for thread in kernel.threads.values():
+        if thread.body is not None:
+            continue
+        first = thread.body_factory(system, thread)
+        second = thread.body_factory(system, thread)
+        if (
+            first is second
+            or made[thread.tid] in (first, second)
+            or _body_state(first) != initial[thread.tid]
+        ):
+            unfit.append(thread.name)
+    return unfit
 
 
 def _count_lock_calls(system) -> None:
@@ -185,7 +254,6 @@ class TestDirtyUnderFaults:
         system = pool.acquire(ft_mode=spec.ft_mode,
                               recovery_mode=spec.recovery_mode)
         from repro.swifi.injector import SwifiController
-        from repro.workloads import workload_for
 
         swifi = SwifiController(system.kernel, seed=5)
         workload_for("lock").install(system, iterations=4)
@@ -216,6 +284,57 @@ class TestDirtyUnderFaults:
             assert snapshot.restore() is system
             assert image.dirty_page_count == 0
             assert image.is_pristine()
+
+
+class TestPoolKey:
+    @pytest.mark.parametrize(
+        "axis, value",
+        [("ft_mode", "c3"), ("recovery_mode", "eager"),
+         ("prepare", _count_lock_calls)],
+        ids=["ft_mode", "recovery_mode", "prepare"],
+    )
+    def test_each_axis_keys_its_own_snapshot(self, axis, value):
+        # The pool keys on the three values its callers pass: a request
+        # that differs in one of them gets its own system, built with
+        # that value, and a repeated request gets the same sealed
+        # snapshot back without a rebuild.
+        pool = SystemPool()
+        base = pool.snapshot_for()
+        other = pool.snapshot_for(**{axis: value})
+        assert other is not base
+        assert pool.snapshot_for(**{axis: value}) is other
+        assert pool.snapshot_for() is base
+        assert pool.stats["builds"] == 2
+        assert pool.acquire(**{axis: value}) is other.system
+        want = {"ft_mode": "superglue", "recovery_mode": "ondemand",
+                "prepare": None, axis: value}
+        ft_mode, __, recovery_mode = other.params
+        assert (ft_mode, recovery_mode, other.prepare) == (
+            want["ft_mode"], want["recovery_mode"], want["prepare"]
+        )
+        lock = other.system.kernel.component("lock")
+        assert hasattr(lock, "calls") == (axis == "prepare")
+
+    @pytest.mark.parametrize("kind", ["table2", "fig7"])
+    def test_campaign_start_hangs_on_its_pool_snapshot(self, kind):
+        # Table II starts on the plain pooled system, Fig. 7 on the one
+        # the web server's prepare hook registered its components with;
+        # each spec's ladder is built once, on that snapshot's system.
+        if kind == "table2":
+            spec = CampaignRunner("lock", n_faults=4, seed=1).spec()
+            warm, prepare = warm_up, None
+        else:
+            spec = WebRunSpec(n_requests=40, n_faults=2)
+            warm, prepare = _web_warm_up, prepare_webserver
+        snapshot, ladder = warm(spec)
+        assert snapshot is GLOBAL_POOL.snapshot_for(
+            spec.ft_mode, spec.recovery_mode, prepare
+        )
+        assert ladder.rungs
+        for rung in ladder.rungs:
+            assert rung.snapshot.system is snapshot.system
+        again = warm(spec)
+        assert again[0] is snapshot and again[1] is ladder
 
 
 class TestPoolGate:

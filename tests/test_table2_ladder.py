@@ -187,6 +187,35 @@ class TestWarmPasses:
             assert passes[1] == passes[0], fault_class
             assert passes[0][1]["rung_restores"] == len(seeds)
 
+    @pytest.mark.parametrize("fault_class", ["reg", "mem", "idl", "burst"])
+    def test_interleaved_specs_end_as_from_boot(self, fault_class):
+        # Two services' runs alternate on the one pooled system, twice
+        # over: each run restores a rung of its own ladder after a
+        # faulted run on the other's, and ends exactly as from boot.
+        (lock, lock_seeds), (ramfs, ramfs_seeds) = (
+            _spec(service, fault_class=fault_class, n_faults=6)
+            for service in ("lock", "ramfs")
+        )
+        runs = [
+            run for pair in zip(
+                [(lock, seed) for seed in lock_seeds],
+                [(ramfs, seed) for seed in ramfs_seeds],
+            )
+            for run in pair
+        ] * 2
+        ends, counters = {}, {}
+        for pooled in (False, True):
+            with override(system_pool=pooled):
+                ends[pooled] = [
+                    (outcome, _end_state(system, swifi, steps))
+                    for outcome, system, swifi, steps, __ in (
+                        _drive_run(spec, seed, counters=counters)
+                        for spec, seed in runs
+                    )
+                ]
+        assert ends[True] == ends[False]
+        assert counters["rung_restores"] == len(runs)
+
     def test_faulted_runs_restore_rungs_clean(self, engine):
         # Every rung restore after a faulted run (reboots, recovery,
         # taint) is diffed against a fresh build driven through the

@@ -92,13 +92,16 @@ class TestSnapshotRows:
     def test_faulted_rows_match_from_boot(self, fault_class, arrivals):
         seeds = web_run_seeds(1, 3)
         for ft_mode in ("superglue", "c3"):
+            # A budget far above any run's steps but far below the
+            # default: a start that livelocks fails in seconds.
             spec = WebRunSpec(
                 ft_mode=ft_mode, n_requests=120, n_faults=3,
-                fault_class=fault_class,
+                fault_class=fault_class, max_steps=20_000,
                 **(OPEN if arrivals == "open" else {}),
             )
             with override(system_pool=False):
                 boot = [_run(spec, seed, None) for seed in seeds]
+            assert all(row["crashed"] != "exhausted" for row, __ in boot)
             zero, ladder = web_campaign._web_warm_up(spec)
             assert ladder.eligible == (0,)
             rung = ladder.rungs[0].snapshot
