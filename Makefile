@@ -4,7 +4,7 @@ PY ?= python3
 # Worker-pool size for the SWIFI campaign (0 = all CPUs).
 WORKERS ?= 0
 
-.PHONY: install test lint bench perf throughput profile campaign fault-classes fig7 fig7-campaign fig7-openloop examples clean
+.PHONY: install test lint bench perf throughput exactness profile campaign fig7 fig7-campaign examples clean
 
 install:
 	pip install -e . --no-build-isolation || $(PY) setup.py develop
@@ -18,18 +18,19 @@ lint:
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only -s
 
-# Interpreter + campaign throughput, each gated against its committed
-# baseline (absolute rates with a wide tolerance plus a machine-
-# independent ratio floor).
+# Interpreter, campaign and web-campaign throughput, each gated against
+# its committed baseline (absolute rates with a wide tolerance plus
+# machine-independent ratio floors).
 perf:
 	$(PY) benchmarks/bench_interp_throughput.py --json /tmp/interp_throughput.json
-	$(PY) scripts/check_interp_baseline.py /tmp/interp_throughput.json
+	$(PY) scripts/check_perf_baseline.py /tmp/interp_throughput.json \
+		benchmarks/baselines/interp_throughput.json
 	$(PY) benchmarks/bench_campaign_throughput.py --json /tmp/campaign_throughput.json
-	$(PY) scripts/check_campaign_baseline.py /tmp/campaign_throughput.json
+	$(PY) scripts/check_perf_baseline.py /tmp/campaign_throughput.json \
+		benchmarks/baselines/campaign_throughput.json
 	$(PY) benchmarks/bench_fig7_webserver.py --json /tmp/fig7_webserver.json
-	$(PY) scripts/check_fig7_baseline.py /tmp/fig7_webserver.json
-	$(PY) benchmarks/bench_fig7_webserver.py --openloop --json /tmp/fig7_openloop.json
-	$(PY) scripts/check_fig7_openloop.py /tmp/fig7_openloop.json
+	$(PY) scripts/check_perf_baseline.py /tmp/fig7_webserver.json \
+		benchmarks/baselines/fig7_webserver.json
 
 # The campaign-throughput trajectory in one command: fresh -> pooled
 # from boot -> pooled from ladder rungs (the three sweeps of
@@ -37,7 +38,16 @@ perf:
 # against the committed baseline's runs/s ratio floors.
 throughput:
 	$(PY) benchmarks/bench_campaign_throughput.py --json /tmp/campaign_throughput.json
-	$(PY) scripts/check_campaign_baseline.py /tmp/campaign_throughput.json
+	$(PY) scripts/check_perf_baseline.py /tmp/campaign_throughput.json \
+		benchmarks/baselines/campaign_throughput.json
+
+# The exactness matrix: every Table II and Fig. 7 campaign across
+# workers, spawned workers, pooling, interpreter-only, pool-debug and
+# traced runs, byte-identical to its serial reference, and the 50-fault
+# Table II and open-loop sweep artifacts equal to their committed
+# baselines (see scripts/exactness.py; the same run as CI's).
+exactness:
+	$(PY) scripts/exactness.py
 
 # cProfile over a small campaign; SERVICE/FAULTS/SORT overridable.
 SERVICE ?= lock
@@ -56,20 +66,6 @@ campaign:
 		$(PY) -m pytest \
 		benchmarks/bench_table2_campaign.py --benchmark-only -s
 
-# One 50-fault smoke column per fault class, each checked against its
-# committed baseline — the local equivalent of the nightly
-# `fault-classes` CI job.
-fault-classes:
-	workers=$(WORKERS); [ "$$workers" = "0" ] && workers=$$(nproc); \
-	for fc in reg mem idl burst; do \
-		PYTHONPATH=src $(PY) -m repro table2 --fault-class $$fc \
-			--faults 50 --seed 1 --workers $$workers \
-			--json /tmp/table2_$${fc}_smoke.json || exit 1; \
-		$(PY) scripts/check_table2_baseline.py \
-			/tmp/table2_$${fc}_smoke.json \
-			benchmarks/baselines/table2_$${fc}_smoke.json || exit 1; \
-	done
-
 fig7:
 	$(PY) -m repro fig7 --requests 2000
 
@@ -77,13 +73,6 @@ fig7:
 SEEDS ?= 16
 fig7-campaign:
 	$(PY) -m repro fig7 --seeds $(SEEDS) --workers $(WORKERS)
-
-# Deterministic open-loop offered-load sweep (goodput / p99 / p999 with
-# faults at every load point), checked exactly against the committed
-# baseline — the local equivalent of the `fig7-openloop` CI job.
-fig7-openloop:
-	$(PY) benchmarks/bench_fig7_webserver.py --openloop --json /tmp/fig7_openloop.json
-	$(PY) scripts/check_fig7_openloop.py /tmp/fig7_openloop.json
 
 examples:
 	$(PY) examples/quickstart.py

@@ -19,7 +19,7 @@ Two measurements:
   memcpy).
 
 Standalone: ``python benchmarks/bench_campaign_throughput.py --json out.json``.
-``scripts/check_campaign_baseline.py`` gates CI on the committed baseline
+``scripts/check_perf_baseline.py`` gates CI on the committed baseline
 in ``benchmarks/baselines/campaign_throughput.json``.
 """
 

@@ -11,7 +11,7 @@ Standalone mode (``python benchmarks/bench_fig7_webserver.py --json
 out.json``) measures the *campaign engine* instead: wall-clock runs/sec
 of a multi-seed faulted web-server sweep through ``execute_web_run``,
 pooled vs fresh-build-per-seed, with rows asserted identical between the
-two.  ``scripts/check_fig7_baseline.py`` gates CI on the committed
+two.  ``scripts/check_perf_baseline.py`` gates CI on the committed
 baseline in ``benchmarks/baselines/fig7_webserver.json``.  The sweep
 uses deliberately short runs (a few dozen requests): per-run fixed costs
 — system boot, trace-cache and fast-path warmup — are what pooling
@@ -23,8 +23,8 @@ against goodput and tail latency: the same heavy-tailed burst arrival
 schedule replayed at multipliers of the service's estimated capacity,
 with SWIFI faults injected mid-stream at every point.  Unlike the
 wall-clock gates above, every number here is a virtual-time outcome —
-a pure function of (spec, seed) — so ``scripts/check_fig7_openloop.py``
-compares the committed baseline in
+a pure function of (spec, seed) — so ``scripts/exactness.py`` compares
+it with the committed baseline in
 ``benchmarks/baselines/fig7_openloop.json`` exactly (integers) or to a
 last-ulp epsilon (floats).
 """

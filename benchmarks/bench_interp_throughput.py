@@ -17,7 +17,7 @@ SWIFI run and webserver request funnels through:
   campaign throughput scales with.
 
 Standalone: ``python benchmarks/bench_interp_throughput.py --json out.json``.
-``scripts/check_interp_baseline.py`` gates CI on the committed baseline in
+``scripts/check_perf_baseline.py`` gates CI on the committed baseline in
 ``benchmarks/baselines/interp_throughput.json``.
 """
 

@@ -119,7 +119,7 @@ class SeededRun:
     exec_wall: float = 0.0
 
 
-#: The per-process campaign, ``(run, spec, trace, state)``, set once by
+#: The per-process campaign, ``(run, spec, state)``, set once by
 #: :func:`_init_worker`.  Chunks then carry only seed lists: the spec
 #: crosses the process boundary exactly once per worker (spawn) or zero
 #: times (fork — the parent runs the initializer and workers inherit
@@ -130,24 +130,23 @@ _CAMPAIGN: Optional[tuple] = None
 _WORKER_CONFIG = ExitStack()
 
 
-def _init_worker(setup, run, spec, trace: bool, config=None) -> None:
+def _init_worker(setup, run, spec, config=None) -> None:
     """Pay a campaign's per-process setup once, before any chunk runs.
 
     A spawned worker first takes on ``config``, its parent's engine
     configuration, so it runs the campaign the parent configured
     whatever its own environment says.  Each process compiles the IDL
     interfaces once (the ``compile_all_interfaces`` cache is
-    per-process and starts cold), then ``setup(spec, trace)`` warms
-    whatever the kind's runs share — the pooled system and the spec's
-    snapshot ladder — and returns the state handed to every ``run``
-    call.
+    per-process and starts cold), then ``setup(spec)`` warms whatever
+    the kind's runs share — the pooled system and the spec's snapshot
+    ladder — and returns the state handed to every ``run`` call.
     """
     global _CAMPAIGN
     if config is not None:
         _WORKER_CONFIG.enter_context(override(**config))
     if spec.ft_mode == "superglue":
         compile_all_interfaces()
-    _CAMPAIGN = (run, spec, trace, setup(spec, trace))
+    _CAMPAIGN = (run, spec, setup(spec))
 
 
 def _execute_chunk(seeds: List[int]):
@@ -156,11 +155,9 @@ def _execute_chunk(seeds: List[int]):
     Returns ``(triples, counters)``: a ``(seed, result, record_or_None)``
     triple per seed, plus the engine counters the chunk's runs added.
     """
-    run, spec, trace, state = _CAMPAIGN
+    run, spec, state = _CAMPAIGN
     counters: Dict[str, int] = {}
-    triples = [
-        (seed, *run(spec, seed, trace, state, counters)) for seed in seeds
-    ]
+    triples = [(seed, *run(spec, seed, state, counters)) for seed in seeds]
     return triples, counters
 
 
@@ -176,12 +173,16 @@ def run_seeded(
 ) -> SeededRun:
     """Run ``spec``'s campaign over ``seeds`` — the shared campaign core.
 
-    ``setup(spec, trace)`` runs once per process (see
-    :func:`_init_worker`); ``run(spec, seed, trace, state, counters)``
-    executes one seed, adds its engine counters to ``counters`` and
-    returns ``(result, record_or_None)``, the record being the seed's
-    flight-recorder export when ``trace`` is set.  Both must be
-    picklable module-level functions.
+    ``setup(spec)`` runs once per process (see :func:`_init_worker`);
+    ``run(spec, seed, state, counters)`` executes one seed, adds its
+    engine counters to ``counters`` and returns ``(result,
+    record_or_None)``, the record being the seed's flight-recorder
+    export when the configuration traces.  Both must be picklable
+    module-level functions.  A ``trace`` campaign runs entirely under
+    ``override(trace=True)``, its setup included: that configuration
+    reaches spawned workers as their parent's and forked ones by
+    inheritance, and it is what makes its runs build fresh and start
+    from boot (see :func:`repro.swifi.campaign._pooled`).
 
     ``workers=None`` uses one worker per CPU; with ``workers <= 1`` or
     at most one seed everything runs in-process, seed by seed, with no
@@ -195,6 +196,10 @@ def run_seeded(
     seed fire in the parent as each chunk completes (completion order;
     results are keyed by seed, so the merge is order-free).
     """
+    if trace:
+        with override(trace=True):
+            return run_seeded(setup, run, spec, seeds, workers,
+                              progress=progress, on_batch=on_batch)
     if workers is None:
         workers = default_workers()
     campaign = SeededRun()
@@ -215,7 +220,7 @@ def run_seeded(
             if progress is not None:
                 progress(len(campaign.results), len(seeds), result)
 
-    initargs = (setup, run, spec, trace)
+    initargs = (setup, run, spec)
     start = time.perf_counter()
     if workers <= 1 or len(seeds) <= 1:
         _init_worker(*initargs)
@@ -334,37 +339,28 @@ class CampaignJournal:
             handle.flush()
 
 
-def _table2_setup(spec: RunSpec, trace: bool):
-    """Table II per-process setup: the pooled system's snapshot and the
-    spec's snapshot ladder, looked up once for every run (None when
-    traced, since traced runs build fresh, or unpooled)."""
-    return None if trace else warm_up(spec)
+def _table2_run(spec: RunSpec, seed: int, start, counters):
+    """One Table II injection run from :func:`warm_up`'s ``start``:
+    ``(outcome, record_or_None)``.
 
-
-def _table2_run(spec: RunSpec, seed: int, trace: bool, start, counters):
-    """One Table II injection run: ``(outcome, record_or_None)``.
-
-    A traced run is the same :func:`_drive_run` under the flight
-    recorder.  Event emission never feeds back into execution, so its
-    outcome is the untraced one; tracing is switched on for the run
-    only, so workers trace whether or not ``REPRO_TRACE`` is set.
+    Under a tracing configuration the run carries the flight recorder
+    and returns its record.  Event emission never feeds back into
+    execution, so its outcome is the untraced one.
     """
-    if not trace:
-        outcome = _drive_run(spec, seed, start=start, counters=counters)[0]
+    outcome, system, __, steps, __ = _drive_run(
+        spec, seed, start=start, counters=counters
+    )
+    if not CONFIG.trace:
         return outcome, None
-    with override(trace=True):
-        outcome, system, __, steps, __ = _drive_run(spec, seed)
-        system.kernel.recorder.metrics.counter(
-            f"outcome_{outcome.value}"
-        ).inc()
-        return outcome, run_record(
-            spec, seed, system,
-            service=spec.service,
-            injection_point=injection_point(seed, spec.horizon),
-            horizon=spec.horizon,
-            outcome=outcome.value,
-            steps=steps,
-        )
+    system.kernel.recorder.metrics.counter(f"outcome_{outcome.value}").inc()
+    return outcome, run_record(
+        spec, seed, system,
+        service=spec.service,
+        injection_point=injection_point(seed, spec.horizon),
+        horizon=spec.horizon,
+        outcome=outcome.value,
+        steps=steps,
+    )
 
 
 def run_campaign(
@@ -411,7 +407,7 @@ def run_campaign(
             progress(replayed + done, len(run_seeds), outcome)
 
     campaign = run_seeded(
-        _table2_setup, _table2_run, spec, pending, workers,
+        warm_up, _table2_run, spec, pending, workers,
         trace=trace is not None, progress=report, on_batch=on_batch,
     )
     outcomes.update(campaign.results)

@@ -98,7 +98,6 @@ def _make_services():
 
 def build_system(
     ft_mode: str = "superglue",
-    apps=DEFAULT_APPS,
     recovery_mode: str = "ondemand",
 ) -> System:
     """Build a system in one of three fault-tolerance modes.
@@ -111,7 +110,7 @@ def build_system(
     if ft_mode not in ("none", "c3", "superglue"):
         raise ConfigurationError(f"unknown ft_mode {ft_mode!r}")
     kernel = Kernel(ft_mode=ft_mode)
-    for app in apps:
+    for app in DEFAULT_APPS:
         kernel.register_component(AppComponent(app))
     for service in _make_services():
         kernel.register_component(service)
@@ -121,7 +120,7 @@ def build_system(
     booter = Booter(kernel)
 
     system = System(
-        kernel=kernel, booter=booter, ft_mode=ft_mode, apps=list(apps)
+        kernel=kernel, booter=booter, ft_mode=ft_mode, apps=list(DEFAULT_APPS)
     )
 
     if ft_mode == "none":
@@ -138,7 +137,7 @@ def build_system(
             manager.register_interface(interface.ir)
             server_stub = interface.make_server_stub(kernel.component(name))
             kernel.register_server_stub(name, server_stub)
-            for app in apps:
+            for app in DEFAULT_APPS:
                 stub = interface.make_client_stub(app)
                 kernel.register_stub(app, name, stub)
                 system.client_stubs[(app, name)] = stub
@@ -151,7 +150,7 @@ def build_system(
             server_stub = server_factory(name, kernel.component(name), irs[name])
             if server_stub is not None:
                 kernel.register_server_stub(name, server_stub)
-            for app in apps:
+            for app in DEFAULT_APPS:
                 stub = client_factory(name, app, irs[name])
                 kernel.register_stub(app, name, stub)
                 system.client_stubs[(app, name)] = stub
@@ -528,9 +527,8 @@ class SystemSnapshot:
         self.system = system
         self.prepare = prepare
         self.prefix = prefix
-        self.params: Tuple[str, tuple, str] = (
+        self.params: Tuple[str, str] = (
             system.ft_mode,
-            tuple(system.apps),
             system.recovery_manager.mode
             if system.recovery_manager is not None
             else "ondemand",
@@ -648,8 +646,8 @@ class SystemSnapshot:
         """Structural differences between this system and a fresh build
         driven through the same ``prepare`` and ``prefix``; engine
         counters (:data:`ENGINE_STATS`) are left out after a prefix."""
-        ft_mode, apps, recovery_mode = self.params
-        fresh = build_system(ft_mode, apps=apps, recovery_mode=recovery_mode)
+        ft_mode, recovery_mode = self.params
+        fresh = build_system(ft_mode, recovery_mode=recovery_mode)
         if self.prepare is not None:
             self.prepare(fresh)
         roots = tuple(self.prefix(fresh)) if self.prefix is not None else ()
@@ -710,11 +708,6 @@ def _touched(group: tuple) -> bool:
     return getattr(owner, flag) or (
         image is not None and not image.is_pristine(sealed)
     )
-
-
-def system_snapshot(system: System, prepare=None) -> SystemSnapshot:
-    """Seal ``system``'s current (post-boot) state for later restores."""
-    return SystemSnapshot(system, prepare=prepare)
 
 
 class SystemPool:

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.composite.scheduler import CYCLES_PER_US
-from repro.config import override
+from repro.config import CONFIG
 from repro.observe.metrics import (
     MetricsRegistry,
     bucket_bounds,
@@ -400,38 +400,31 @@ def execute_web_run(spec: WebRunSpec, run_seed: int) -> Dict[str, object]:
     return _drive_web_run(spec, run_seed, _web_warm_up(spec))[0]
 
 
-def _web_setup(spec: WebRunSpec, trace: bool):
-    """Per-process setup: boot + seal the prepared pooled system and
-    build the spec's ladder; returns :func:`_web_warm_up`'s start, which
-    every untraced run starts from (None when traced or unpooled, since
-    such runs start from boot)."""
-    return None if trace else _web_warm_up(spec)
+def _web_run(spec: WebRunSpec, seed: int, start, counters):
+    """One campaign run from :func:`_web_warm_up`'s ``start``: ``(row,
+    record_or_None)``.
 
-
-def _web_run(spec: WebRunSpec, seed: int, trace: bool, start, counters):
-    """One campaign run: ``(row, record_or_None)``.
-
-    A traced run is the same run under the flight recorder; its record
-    carries the request-path arcs (``request_start`` / ``request_done``
-    / ``throughput_dip``) interleaved with the injection/reboot
-    events.  Event emission never feeds back into execution, so
-    requesting a trace never changes the campaign artifact.
+    Under a tracing configuration the run carries the flight recorder,
+    and its record holds the request-path arcs (``request_start`` /
+    ``request_done`` / ``throughput_dip``) interleaved with the
+    injection/reboot events.  Event emission never feeds back into
+    execution, so requesting a trace never changes the campaign
+    artifact.
     """
-    if not trace:
-        return _drive_web_run(spec, seed, start, counters)[0], None
-    with override(trace=True):
-        row, system = _drive_web_run(spec, seed, None)
-        return row, run_record(
-            spec, seed, system,
-            service="webserver",
-            # Web-server faults are armed on serving progress, not at a
-            # seed-drawn trace execution; the horizon is the request
-            # stream itself.
-            injection_point=0,
-            horizon=spec.n_requests,
-            outcome=row["outcome"],
-            steps=row["steps"],
-        )
+    row, system = _drive_web_run(spec, seed, start, counters)
+    if not CONFIG.trace:
+        return row, None
+    return row, run_record(
+        spec, seed, system,
+        service="webserver",
+        # Web-server faults are armed on serving progress, not at a
+        # seed-drawn trace execution; the horizon is the request stream
+        # itself.
+        injection_point=0,
+        horizon=spec.n_requests,
+        outcome=row["outcome"],
+        steps=row["steps"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +554,7 @@ def run_webserver_campaign(
     spec = spec or WebRunSpec()
     seeds = list(seeds)
     campaign = run_seeded(
-        _web_setup, _web_run, spec, seeds, workers,
+        _web_warm_up, _web_run, spec, seeds, workers,
         trace=trace is not None, progress=progress,
     )
     rows = [campaign.results[seed] for seed in seeds]

@@ -43,8 +43,10 @@ HOUSEKEEPING_PERIOD = 400_000
 #: as a throughput dip.  Fault-free serving (two workers pipelining
 #: ~11.6k-cycle requests, plus housekeeping) peaks at ~23k-cycle gaps;
 #: a micro-reboot plus descriptor recovery stretches a gap past 26k.
-#: Dips are recorded on the server (:attr:`WebServer.dips`) and, when
-#: tracing is on, emitted as ``throughput_dip`` flight-recorder events.
+#: Campaign rows count dips from a run's served-count samples (see
+#: :func:`repro.webserver.campaign._row_from_result`); when tracing is
+#: on, each is also emitted as a ``throughput_dip`` flight-recorder
+#: event.
 DIP_THRESHOLD_CYCLES = 24_000
 
 
@@ -81,8 +83,8 @@ class WebServer:
     __slots__ = (
         "system", "home", "n_workers", "pending", "responses", "submitted",
         "served", "errors", "evt_conn", "stats_lock", "file_fds",
-        "stopping", "samples", "submit_samples", "latencies", "dips",
-        "peak_outstanding", "_last_done_clock", "on_served",
+        "stopping", "samples", "latencies", "peak_outstanding",
+        "_last_done_clock", "on_served",
     )
 
     def __init__(self, system, home: str = "app0", n_workers: int = 2):
@@ -104,20 +106,14 @@ class WebServer:
         self.stopping = False
         #: (virtual clock, served count) samples for the time series.
         self.samples: List[tuple] = []
-        #: (virtual clock, submitted count) samples — with
-        #: :attr:`samples` this reconstructs the outstanding-request
-        #: count at every instant of the run.
-        self.submit_samples: List[tuple] = []
         #: Per-request latency in virtual cycles (submit -> response),
         #: in completion order.
         self.latencies: List[int] = []
-        #: (clock, gap_cycles) for every completion-to-completion gap
-        #: above :data:`DIP_THRESHOLD_CYCLES`.
-        self.dips: List[Tuple[int, int]] = []
         #: High-water mark of :attr:`outstanding` (open-loop runs grow
         #: this without bound under overload; closed-loop runs cap it at
         #: the generator's concurrency).
         self.peak_outstanding = 0
+        #: The previous completion's clock, for ``throughput_dip`` events.
         self._last_done_clock: Optional[int] = None
         #: Optional hook invoked with the served count after each request
         #: (used by the fault-injection variant of the load generator).
@@ -155,14 +151,10 @@ class WebServer:
     def _note_completion(
         self, kernel, rid: int, status: int, now: int, submitted_at: int
     ) -> None:
-        """Record latency and throughput-dip bookkeeping for one response."""
+        """Record one response's latency and, when tracing, its events."""
         latency = now - submitted_at
         self.latencies.append(latency)
-        gap = None
-        if self._last_done_clock is not None:
-            gap = now - self._last_done_clock
-            if gap > DIP_THRESHOLD_CYCLES:
-                self.dips.append((now, gap))
+        last = self._last_done_clock
         self._last_done_clock = now
         recorder = kernel.recorder
         if recorder.enabled:
@@ -172,7 +164,8 @@ class WebServer:
             recorder.metrics.histogram("request_latency_cycles").observe(
                 latency
             )
-            if gap is not None and gap > DIP_THRESHOLD_CYCLES:
+            gap = 0 if last is None else now - last
+            if gap > DIP_THRESHOLD_CYCLES:
                 recorder.emit(
                     "throughput_dip", gap_cycles=gap, served=self.served
                 )
@@ -195,7 +188,6 @@ class WebServer:
         submitted_at = now if at is None else at
         self.pending.append((rid, submitted_at, raw))
         self.submitted += 1
-        self.submit_samples.append((now, self.submitted))
         if self.outstanding > self.peak_outstanding:
             self.peak_outstanding = self.outstanding
         recorder = self.system.kernel.recorder

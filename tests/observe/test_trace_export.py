@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main
+from repro.config import override
 from repro.observe import EventSchemaError
 from repro.observe.events import EVENT_FIELDS
 from repro.observe.export import (
@@ -82,10 +83,11 @@ _TRACED_CAMPAIGNS = {
 
 class TestOutcomeInvariance:
     def test_tracing_does_not_change_run_outcomes(self):
-        """A traced run is the plain run under the flight recorder: the
-        same outcome (Fig. 7: the same row), and a header true to the
-        spec and to the kernel's step count, which counts a run's steps
-        also when the run raised (the lock idl seeds do)."""
+        """A traced run is the plain run under the flight recorder (a
+        traced campaign's configuration): the same outcome (Fig. 7: the
+        same row), and a header true to the spec and to the kernel's
+        step count, which counts a run's steps also when the run raised
+        (the lock idl seeds do)."""
         cases = [
             (_table2_run, execute_run, spec, lambda outcome: outcome.value)
             for spec in (
@@ -102,7 +104,8 @@ class TestOutcomeInvariance:
         ))
         for traced_run, plain_run, spec, outcome_of in cases:
             for seed in (1_000_003, 1_000_004, 12345):
-                result, record = traced_run(spec, seed, True, None, {})
+                with override(trace=True):
+                    result, record = traced_run(spec, seed, None, {})
                 assert result == plain_run(spec, seed)
                 header = run_header(record)
                 assert header["outcome"] == outcome_of(result)

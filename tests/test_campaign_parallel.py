@@ -1,8 +1,11 @@
 """Tests for the parallel deterministic SWIFI campaign engine."""
 
+import importlib.util
 import json
 import multiprocessing
 import pickle
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,8 +155,70 @@ class TestArtifacts:
         assert json.loads(path.read_text()) == [r.row() for r in results]
 
 
+def _cell(command="table2", mode="superglue", fault_class="reg",
+          arrivals="closed", workers=1, traced=False, env=()):
+    """A campaign cell, sizes aside: ``(command, stub mode, fault
+    class, arrivals, workers, traced, REPRO_* variables)``."""
+    return (command, mode, fault_class, arrivals, workers, traced,
+            tuple(sorted(env)))
+
+
+_OFF, _SPAWN = ("REPRO_SYSTEM_POOL", "0"), ("REPRO_WORKER_START", "spawn")
+_INTERP, _DEBUG = ("REPRO_FAST_INTERP", "0"), ("REPRO_POOL_DEBUG", "1")
+_FIG7 = {"command": "fig7"}
+_OPEN = {"command": "fig7", "arrivals": "open"}
+
+
+def _deleted_cmp_pairs():
+    """The cells each artifact ``cmp`` line of the CI workflows compared
+    before ``scripts/exactness.py`` replaced them, sizes and open-loop
+    loads aside.  Their forked workers were the Linux default, and
+    their ``REPRO_TRACE=1`` next to ``--trace`` is implied by it."""
+    # campaign.yml, job `campaign`
+    pairs = [({}, {"env": [_OFF]}), ({}, {"workers": 2})]
+    for kind in ({}, {"mode": "c3"}):
+        pairs += [(kind, {**kind, "env": [_DEBUG]}),
+                  ({**kind, "workers": 2},
+                   {**kind, "workers": 2, "env": [_OFF]})]
+    pairs += [({"workers": 2}, {"workers": 2, "env": env})
+              for env in ([_SPAWN], [_OFF, _SPAWN], [_INTERP])]
+    # jobs `fault-classes` and, in its loop, `fig7-openloop`
+    for fault_class in ("mem", "idl", "burst"):
+        kind = {"fault_class": fault_class}
+        pairs += [(kind, {**kind, "env": [_OFF]}),
+                  (kind, {**kind, "workers": 2}),
+                  (kind, {**kind, "env": [_DEBUG]}),
+                  ({**_OPEN, **kind}, {**_OPEN, **kind, "env": [_OFF]})]
+    # jobs `fig7-campaign` and `fig7-openloop`
+    pairs += [(_FIG7, {**_FIG7, "workers": 2}),
+              (_FIG7, {**_FIG7, "workers": 2, "env": [_SPAWN]}),
+              (_FIG7, {**_FIG7, "env": [_INTERP]}),
+              (_OPEN, {**_OPEN, "workers": 2})]
+    for kind in (_FIG7, {**_FIG7, "mode": "c3"}, _OPEN):
+        pairs += [(kind, {**kind, "env": [_OFF]}),
+                  (kind, {**kind, "env": [_DEBUG]})]
+    # ci.yml, job `trace-smoke`
+    traced = {"traced": True}
+    for kind in ({}, _FIG7, _OPEN):
+        pairs += [({**kind, **traced}, {**kind, **traced, "workers": 2}),
+                  ({**kind, "workers": 2}, {**kind, **traced, "workers": 2})]
+    for kind in ({"fault_class": "idl"}, {**_FIG7, "fault_class": "idl"}):
+        pairs.append(({**kind, **traced}, {**kind, **traced, "workers": 2}))
+    return pairs
+
+
+def _exactness_script(monkeypatch):
+    """``scripts/exactness.py``, imported from its path."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "exactness.py"
+    spec = importlib.util.spec_from_file_location("exactness", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "exactness", module)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestCli:
-    def test_table2_workers_and_json(self, tmp_path, capsys):
+    def test_table2_workers_and_json(self, tmp_path, capsys, monkeypatch):
         artifact = str(tmp_path / "out.json")
         assert (
             main(
@@ -180,6 +245,74 @@ class TestCli:
             "event",
             "timer",
         }
+
+        # The exactness script runs such campaigns at CI scale under
+        # every engine axis.  With its runner faked, it still runs every
+        # cell of its table: each cell the deleted CI `cmp` lines
+        # compared is one, in one row, so the script compares it with
+        # that row's reference; and each traced row's trace validates.
+        exactness = _exactness_script(monkeypatch)
+        calls = []
+        done = type("Done", (), {"returncode": 0})()
+
+        def fake_run(argv, env, cwd, **kwargs):
+            calls.append((argv, env))
+            return done
+
+        monkeypatch.setattr(exactness.subprocess, "run", fake_run)
+        assert exactness.main(["--out", str(tmp_path / "matrix")]) == 1
+        capsys.readouterr()  # every output is missing, and reported
+        planned = set()
+        for argv, env in calls:
+            words = argv[argv.index("repro") + 1:] if "repro" in argv else []
+            if words[:1] not in (["table2"], ["fig7"]):
+                continue
+            flags = dict(zip(words[1::2], words[2::2]))
+            traced = "--trace" in flags
+            planned.add(_cell(
+                words[0], flags.get("--mode", "superglue"),
+                flags.get("--fault-class", "reg"),
+                flags.get("--arrivals", "closed"),
+                int(flags["--workers"]), traced,
+                [(key, value) for key, value in env.items()
+                 if key.startswith("REPRO_")
+                 and not (traced and key == "REPRO_TRACE")],
+            ))
+        pairs = _deleted_cmp_pairs()
+        assert len(pairs) == 39  # 31 lines, three of them in 3-way loops
+        for left, right in pairs:
+            assert _cell(**left) in planned, left
+            assert _cell(**right) in planned, right
+        rows = [row for row in exactness.ROWS if row.campaign]
+        assert sum("--validate" in argv for argv, __ in calls) == len(rows)
+
+        # A difference is reported with its file and first JSON path,
+        # unless --expect declares it; a declaration that matches no
+        # difference fails.
+        got, want = tmp_path / "got.json", tmp_path / "want.json"
+        doc = {"rows": [{"metrics": {"dips": 3, "runs": 1}}], "seeds": [1]}
+        want.write_text(json.dumps(doc))
+        doc["rows"][0]["metrics"]["dips"] = 4
+        got.write_text(json.dumps(doc))
+        report = exactness.Report()
+        report.compare(got, want, "fig7/w2/out.json", "fig7/w1/out.json")
+        assert report.failures == [
+            "fig7/w2/out.json differs from fig7/w1/out.json at "
+            "rows[0].metrics.dips: 4 != 3"
+        ]
+        expect = tmp_path / "expect.txt"
+        expect.write_text("fig7/*/out.json  rows[*].dips\n"
+                          "# a comment\n"
+                          "fig7/*  rows[*].metrics.dips  # on purpose\n")
+        report = exactness.Report(exactness.load_expect(expect))
+        report.compare(got, want, "fig7/w2/out.json", "ref/out.json",
+                       declared=True)
+        assert report.failures == []
+        report.undeclared()
+        assert report.failures == [
+            "declared difference did not occur: fig7/*/out.json  rows[*].dips"
+        ]
+        capsys.readouterr()
 
     def test_table2_resume_journal(self, tmp_path, capsys):
         journal = str(tmp_path / "journal.jsonl")
@@ -224,16 +357,14 @@ class TestZeroCopyWorkers:
         calls, batches = [], []
         spec = CampaignRunner("lock", n_faults=12, seed=1).spec()
         campaign = parallel.run_seeded(
-            lambda spec, trace: calls.append((spec, trace)) or "state",
-            lambda spec, seed, trace, state, counters: (
-                (seed, state), None
-            ),
+            lambda spec: calls.append(spec) or "state",
+            lambda spec, seed, state, counters: ((seed, state), None),
             spec,
             [1, 2, 3],
             workers=1,
             on_batch=batches.append,
         )
-        assert calls == [(spec, False)]
+        assert calls == [spec]
         assert batches == [[(1, (1, "state"), None)],
                            [(2, (2, "state"), None)],
                            [(3, (3, "state"), None)]]

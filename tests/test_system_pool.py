@@ -26,7 +26,6 @@ from repro.system import (
     _flatten,
     build_system,
     system_fingerprint,
-    system_snapshot,
 )
 from repro.errors import ReproError
 from repro.webserver.campaign import (
@@ -274,7 +273,7 @@ class TestDirtyUnderFaults:
 
     def test_restore_cost_tracks_dirtiness(self):
         system = build_system("superglue")
-        snapshot = system_snapshot(system)
+        snapshot = SystemSnapshot(system)
         for name in ("lock", "ramfs"):
             image = system.kernel.component(name).image
             image.write_word(image.base + 40, 7)
@@ -308,7 +307,7 @@ class TestPoolKey:
         assert pool.acquire(**{axis: value}) is other.system
         want = {"ft_mode": "superglue", "recovery_mode": "ondemand",
                 "prepare": None, axis: value}
-        ft_mode, __, recovery_mode = other.params
+        ft_mode, recovery_mode = other.params
         assert (ft_mode, recovery_mode, other.prepare) == (
             want["ft_mode"], want["recovery_mode"], want["prepare"]
         )

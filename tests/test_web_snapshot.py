@@ -486,7 +486,7 @@ def _drive(make, environment, steps=2000):
             shown, system.kernel.clock.now, list(system.kernel.charged),
             server.submitted, server.served, server.errors,
             list(server.responses), list(server.samples),
-            list(server.latencies), list(server.dips), list(served),
+            list(server.latencies), list(served),
             dict(server.file_fds), server.stats_lock, server.evt_conn,
             server.stopping, list(server.pending),
         ))
