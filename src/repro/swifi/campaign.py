@@ -51,6 +51,12 @@ DEFAULT_ITERATIONS = 4
 #: Step budget per run; exceeding it means the system livelocked.
 MAX_STEPS = 60_000
 
+#: Clean steps between the checkpoints a ladder's clean pass seals
+#: until its first noted step: a Fig. 7 seal costs about as much as 20
+#: steps, and the replay runs at most this many steps before its first
+#: rung.  Table II clean runs are shorter, so they seal none.
+CHECKPOINT_STRIDE = 256
+
 #: Sidecar work counts of the snapshot ladders the runs started from:
 #: the rungs of a ladder, the runs that started at a rung, and the
 #: clean-prefix steps those runs skipped.  Engine statistics, so they
@@ -322,37 +328,56 @@ def _build_ladder(spec, snapshot, max_steps, install, watch, clean):
     count and returns the ``(owner, attribute)`` it sits on; and
     ``clean(spec, roots)``, its own check of a clean run.
 
-    Two watched clean passes.  The first notes the steps that raise the
-    count.  The second runs to each, begins it (a woken thread's stub
-    tracking runs, as it does before any fault of the step can land),
-    seals a rung there with the noter detached (a snapshot seals
-    neither a controller nor a closure), and runs on to its end: every
-    clean trace has then run twice, so its compiled program is attached
-    before the first timed run.  No rung re-runs its prefix.  A crash,
-    a failed check, an exhausted budget, a reboot or no noted step
-    gives None: the spec's runs then start from ``snapshot``.
+    One watched clean pass, then a replay from its last checkpoint.
+    The pass runs the clean run to its end and notes the steps that
+    raise the count.  Until the first of them, it seals a checkpoint
+    every :data:`CHECKPOINT_STRIDE` steps, with the noter detached (a
+    snapshot seals neither a controller nor a closure).  The replay
+    restores the last checkpoint (``snapshot`` plus the install when
+    the first note falls inside the first stride), where the count is
+    still 0, and runs to each noted step.  It begins that step (a
+    woken thread's stub tracking runs, as it does before any fault of
+    the step can land), seals a rung there, and stops after the last
+    rung.  No rung re-runs its prefix.  A crash, a failed check, an
+    exhausted budget, a reboot or no noted step gives None: the spec's
+    runs then start from ``snapshot``.
     """
     system = GLOBAL_POOL.acquire(at=snapshot)
+    kernel = system.kernel
     roots = install(spec, system)
-    notes = _StepNotes(system.kernel)
-    watch(spec, system, roots, notes)
-    crash, __ = run_system(system, max_steps)
+    notes = _StepNotes(kernel)
+    owner, attribute = watch(spec, system, roots, notes)
+    checkpoint = snapshot
+    ran = 0
+    while not notes.points and ran + CHECKPOINT_STRIDE < max_steps:
+        crash, steps = _run_stride(system, CHECKPOINT_STRIDE)
+        ran += steps
+        if crash is not None or steps < CHECKPOINT_STRIDE:
+            break  # the pass ended inside the stride
+        if not notes.points:
+            checkpoint = _seal_detached(
+                system, owner, attribute, snapshot.prepare, roots,
+                functools.partial(
+                    _ladder_prefix, install, spec, ran, begin=False
+                ),
+            )
+    else:  # a note came, or the budget is near: finish the pass
+        crash, __ = run_system(system, max_steps - ran)
     if (
         crash is not None
         or not clean(spec, roots)
-        or system.kernel.budget_exhausted
+        or kernel.budget_exhausted
         or system.booter.reboots
         or not notes.points
     ):
         return None
-    system = GLOBAL_POOL.acquire(at=snapshot)
-    kernel = system.kernel
-    roots = install(spec, system)
+    system = GLOBAL_POOL.acquire(at=checkpoint)
+    # The pooled snapshot has no roots: its replay installs the run.
+    roots = checkpoint.roots or install(spec, system)
     counter = _StepNotes(kernel)
     owner, attribute = watch(spec, system, roots, counter)
-    noter = getattr(owner, attribute)
     rungs = []
-    ran = 0
+    ran = checkpoint.steps
     for steps, count in notes.points:
         run_prefix(system, steps - ran)
         ran = steps
@@ -362,25 +387,33 @@ def _build_ladder(spec, snapshot, max_steps, install, watch, clean):
                 f"beginning step {steps} of {spec.fingerprint()} moved "
                 f"its count past {count}"
             )
-        setattr(owner, attribute, None)
-        sealed = SystemSnapshot(
-            system, prepare=snapshot.prepare,
-            prefix=functools.partial(_ladder_prefix, install, spec, steps),
-            roots=roots,
+        sealed = _seal_detached(
+            system, owner, attribute, snapshot.prepare, roots,
+            functools.partial(_ladder_prefix, install, spec, steps),
         )
-        setattr(owner, attribute, noter)
         rungs.append(Rung(sealed, count))
-    run_system(system, max_steps - ran)
     return Ladder(tuple(rungs), tuple(rung.eligible for rung in rungs))
 
 
-def _ladder_prefix(install, spec, steps: int, system) -> tuple:
+def _seal_detached(system, owner, attribute, prepare, roots, prefix):
+    """Seal ``system`` where it stands with the noter on ``owner``'s
+    ``attribute`` detached for the seal."""
+    noter = getattr(owner, attribute)
+    setattr(owner, attribute, None)
+    sealed = SystemSnapshot(system, prepare=prepare, prefix=prefix, roots=roots)
+    setattr(owner, attribute, noter)
+    return sealed
+
+
+def _ladder_prefix(install, spec, steps: int, system, begin=True) -> tuple:
     """Install the spec's run on a booted ``system``, run its first
-    ``steps`` clean steps and begin the next: a rung's prefix, for the
-    debug diff's fresh build.  Returns the rung's roots."""
+    ``steps`` clean steps and begin the next: a rung's prefix (a
+    checkpoint's with ``begin`` false), for the debug diff's fresh
+    build.  Returns the run's roots."""
     roots = install(spec, system)
     run_prefix(system, steps)
-    system.kernel.begin_step()
+    if begin:
+        system.kernel.begin_step()
     return roots
 
 
@@ -445,26 +478,33 @@ def _watch_eligible(spec: RunSpec, system, roots: tuple, notes) -> tuple:
 def run_prefix(system, steps: int) -> None:
     """Run exactly ``steps`` clean steps of ``system``: the prefix of a
     snapshot sealed at that step boundary.  Raises if fewer ran or the
-    system crashed; stopping there is not an exhausted budget, so it
-    leaves no mark."""
-    crash, ran = run_system(system, steps)
-    kernel = system.kernel
+    system crashed."""
+    crash, ran = _run_stride(system, steps)
     if crash is not None or ran != steps:
         raise ReproError(
             f"a clean prefix stopped after {ran} of {steps} steps "
             f"({crash!r})"
         )
+
+
+def _run_stride(system, steps: int):
+    """:func:`run_system` for at most ``steps`` steps of a longer run:
+    stopping on that budget is not an exhausted one, so it leaves no
+    mark."""
+    crash, ran = run_system(system, steps)
+    kernel = system.kernel
     if kernel.last_run_exhausted:
         kernel.stats["budget_exhausted"] -= 1
         kernel.last_run_exhausted = False
+    return crash, ran
 
 
 def run_system(system, max_steps: int):
     """Run one campaign system to its end; returns ``(crash, steps)``.
 
     The one place a campaign run executes: Table II runs, Fig. 7 runs
-    (campaign and CLI), and the clean passes and prefixes that snapshot
-    ladders are sealed from.  Each kind installs
+    (campaign and CLI), and the clean pass, strides and replays that
+    snapshot ladders are sealed from.  Each kind installs
     (or restores) and arms before the call and maps ``crash`` onto its
     own outcome vocabulary after it.
 
@@ -505,9 +545,9 @@ def _drive_run(spec: RunSpec, run_seed: int, start=None, counters=None):
     ``counters`` sums the ladder work counts (:data:`LADDER_KEYS`).
     """
     if start is None:
-        # Warm *before* the final acquire: the ladder's clean passes
-        # run on the pooled system, and this run must start from a
-        # clean restore of it.
+        # Warm *before* the final acquire: the ladder's clean pass and
+        # replay run on the pooled system, and this run must start
+        # from a clean restore of it.
         start = warm_up(spec)
     point = injection_point(run_seed, spec.horizon)
     rung = None

@@ -34,6 +34,7 @@ actually landed.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import List, Optional, Tuple
 
@@ -49,6 +50,13 @@ FAULT_CLASSES = ("reg", "mem", "idl", "burst")
 #: window (cycles) within which the follow-up flips must land.
 BURST_K = 3
 BURST_WINDOW_CYCLES = 250_000
+
+
+@functools.lru_cache(maxsize=None)
+def _eligible_bits(mask: int) -> tuple:
+    """The bit positions ``mask`` selects, once per mask: every run's
+    controller draws its flipped bit from them."""
+    return tuple(b for b in range(32) if (mask >> b) & 1)
 
 
 class PlannedInjection:
@@ -133,9 +141,7 @@ class SwifiController:
         kernel.swifi = self
         self.rng = random.Random(seed)
         self.fault_mask = fault_mask & FULL_MASK
-        self._eligible_bits = [
-            b for b in range(32) if (self.fault_mask >> b) & 1
-        ]
+        self._eligible_bits = _eligible_bits(self.fault_mask)
         if not self._eligible_bits:
             raise ValueError("fault mask selects no bits")
         self.pending: Optional[PlannedInjection] = None

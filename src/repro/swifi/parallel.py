@@ -28,11 +28,10 @@ multi-service Table II campaign.
 
 from __future__ import annotations
 
+import functools
 import json
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -77,6 +76,8 @@ def worker_start_method() -> str:
     """
     if CONFIG.worker_start == "spawn":
         return "spawn"
+    import multiprocessing
+
     return (
         "fork"
         if "fork" in multiprocessing.get_all_start_methods()
@@ -176,13 +177,14 @@ def run_seeded(
     ``setup(spec)`` runs once per process (see :func:`_init_worker`);
     ``run(spec, seed, state, counters)`` executes one seed, adds its
     engine counters to ``counters`` and returns ``(result,
-    record_or_None)``, the record being the seed's flight-recorder
-    export when the configuration traces.  Both must be picklable
-    module-level functions.  A ``trace`` campaign runs entirely under
+    record_or_None)``.  Both must be picklable module-level functions.
+    A ``trace`` campaign calls ``run`` with ``trace=True``, which asks
+    for the seed's flight-recorder record, and runs entirely under
     ``override(trace=True)``, its setup included: that configuration
     reaches spawned workers as their parent's and forked ones by
     inheritance, and it is what makes its runs build fresh and start
-    from boot (see :func:`repro.swifi.campaign._pooled`).
+    from boot (see :func:`repro.swifi.campaign._pooled`).  Any other
+    campaign builds no record, whatever the configuration.
 
     ``workers=None`` uses one worker per CPU; with ``workers <= 1`` or
     at most one seed everything runs in-process, seed by seed, with no
@@ -198,7 +200,8 @@ def run_seeded(
     """
     if trace:
         with override(trace=True):
-            return run_seeded(setup, run, spec, seeds, workers,
+            return run_seeded(setup, functools.partial(run, trace=True),
+                              spec, seeds, workers,
                               progress=progress, on_batch=on_batch)
     if workers is None:
         workers = default_workers()
@@ -228,6 +231,10 @@ def run_seeded(
         for seed in seeds:
             note(_execute_chunk([seed]))
     else:
+        # Only parallel campaigns pay for importing the process pool.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         method = worker_start_method()
         pool_initializer = _init_worker
         pool_initargs = (*initargs, asdict(CONFIG))
@@ -339,18 +346,18 @@ class CampaignJournal:
             handle.flush()
 
 
-def _table2_run(spec: RunSpec, seed: int, start, counters):
+def _table2_run(spec: RunSpec, seed: int, start, counters, trace=False):
     """One Table II injection run from :func:`warm_up`'s ``start``:
     ``(outcome, record_or_None)``.
 
-    Under a tracing configuration the run carries the flight recorder
-    and returns its record.  Event emission never feeds back into
+    A traced campaign's run (``trace``) carries the flight recorder and
+    returns its record.  Event emission never feeds back into
     execution, so its outcome is the untraced one.
     """
     outcome, system, __, steps, __ = _drive_run(
         spec, seed, start=start, counters=counters
     )
-    if not CONFIG.trace:
+    if not trace:
         return outcome, None
     system.kernel.recorder.metrics.counter(f"outcome_{outcome.value}").inc()
     return outcome, run_record(

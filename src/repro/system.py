@@ -473,9 +473,11 @@ class SystemSnapshot:
     system stands: ``prefix(system)`` describes how a fresh build gets
     there (it installs threads, runs the system to the same point and
     returns the further roots its threads drive), and ``roots`` are
-    those roots on the sealed system.  Every rung of a snapshot ladder
-    (:func:`repro.swifi.campaign._build_ladder`) runs its prefix on the
-    pooled system first and is sealed there.
+    those roots on the sealed system.  A snapshot ladder's builder
+    (:func:`repro.swifi.campaign._build_ladder`) seals its checkpoints
+    where its clean pass stands on the pooled system, and each rung
+    where its replay from the last checkpoint stands.  Only the debug
+    diff drives a fresh build through a prefix.
 
     Sealing copies every pooled root's per-run state (each instance
     attribute its class does not declare, see :class:`StateModel`) into

@@ -34,7 +34,6 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.composite.scheduler import CYCLES_PER_US
-from repro.config import CONFIG
 from repro.observe.metrics import (
     MetricsRegistry,
     bucket_bounds,
@@ -395,16 +394,16 @@ def execute_web_run(spec: WebRunSpec, run_seed: int) -> Dict[str, object]:
     Module-level and pure (given the spec and seed), like the SWIFI
     ``execute_run``.  The run starts from the spec's ladder when
     pooled, built here on first use: *before* the run's acquire, since
-    its clean passes run on the pooled system.
+    its clean pass and replay run on the pooled system.
     """
     return _drive_web_run(spec, run_seed, _web_warm_up(spec))[0]
 
 
-def _web_run(spec: WebRunSpec, seed: int, start, counters):
+def _web_run(spec: WebRunSpec, seed: int, start, counters, trace=False):
     """One campaign run from :func:`_web_warm_up`'s ``start``: ``(row,
     record_or_None)``.
 
-    Under a tracing configuration the run carries the flight recorder,
+    A traced campaign's run (``trace``) carries the flight recorder,
     and its record holds the request-path arcs (``request_start`` /
     ``request_done`` / ``throughput_dip``) interleaved with the
     injection/reboot events.  Event emission never feeds back into
@@ -412,7 +411,7 @@ def _web_run(spec: WebRunSpec, seed: int, start, counters):
     artifact.
     """
     row, system = _drive_web_run(spec, seed, start, counters)
-    if not CONFIG.trace:
+    if not trace:
         return row, None
     return row, run_record(
         spec, seed, system,

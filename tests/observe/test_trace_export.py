@@ -87,7 +87,8 @@ class TestOutcomeInvariance:
         traced campaign's configuration): the same outcome (Fig. 7: the
         same row), and a header true to the spec and to the kernel's
         step count, which counts a run's steps also when the run raised
-        (the lock idl seeds do)."""
+        (the lock idl seeds do).  Only a traced campaign's run builds
+        a record, whatever the configuration."""
         cases = [
             (_table2_run, execute_run, spec, lambda outcome: outcome.value)
             for spec in (
@@ -105,7 +106,10 @@ class TestOutcomeInvariance:
         for traced_run, plain_run, spec, outcome_of in cases:
             for seed in (1_000_003, 1_000_004, 12345):
                 with override(trace=True):
-                    result, record = traced_run(spec, seed, None, {})
+                    result, record = traced_run(
+                        spec, seed, None, {}, trace=True
+                    )
+                    assert traced_run(spec, seed, None, {}) == (result, None)
                 assert result == plain_run(spec, seed)
                 header = run_header(record)
                 assert header["outcome"] == outcome_of(result)

@@ -347,9 +347,7 @@ class TestZeroCopyWorkers:
     def test_fork_unavailable_falls_back_to_spawn(self, monkeypatch, engine):
         engine(worker_start="fork")
         monkeypatch.setattr(
-            parallel.multiprocessing,
-            "get_all_start_methods",
-            lambda: ["spawn"],
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
         assert parallel.worker_start_method() == "spawn"
 

@@ -7,10 +7,11 @@ has one rung, sealed once that step began, and a pooled run restores it
 instead of executing the prefix; fresh (``REPRO_SYSTEM_POOL=0``) runs
 still start from boot and are the reference.  These tests check that
 rung-started runs, and runs started at a random clean step, end as runs
-from boot do, that the web thread bodies (resumable objects with
-explicit fields) behave exactly like the generator bodies they
-replaced, and that ``REPRO_POOL_DEBUG=1`` catches a rung that leaves
-part of a root out.
+from boot do, that a ladder costs one clean pass and a replay from its
+last checkpoint, whose restore the debug diff checks, that the web
+thread bodies (resumable objects with explicit fields) behave exactly
+like the generator bodies they replaced, and that
+``REPRO_POOL_DEBUG=1`` catches a rung that leaves part of a root out.
 """
 
 import functools
@@ -20,12 +21,18 @@ import random
 import pytest
 
 from repro.composite.component import export
+from repro.composite.kernel import Kernel
 from repro.composite.services.ramfs import RamFSService
 from repro.composite.thread import Invoke, Sleep, Yield
 from repro.config import override
 from repro.errors import ReproError
 from repro.observe import recorder_for
-from repro.swifi.campaign import Ladder, Rung, _ladder_prefix
+from repro.swifi.campaign import (
+    CHECKPOINT_STRIDE,
+    Ladder,
+    Rung,
+    _ladder_prefix,
+)
 from repro.system import (
     ENGINE_STATS,
     GLOBAL_POOL,
@@ -151,7 +158,7 @@ class TestSnapshotRows:
 
 
 class TestSnapshotPoint:
-    def test_sealed_before_the_first_arm(self):
+    def test_sealed_before_the_first_arm(self, monkeypatch, engine):
         # The benchmark's fig7-open spec: its first arm fires in step
         # 1,537, so its one rung holds 1,536 steps and has begun the
         # next, with no exhausted budget mark although its prefix
@@ -159,7 +166,37 @@ class TestSnapshotPoint:
         spec = WebRunSpec(
             n_requests=400, n_faults=3, arrival_seed=1, **OPEN
         )
-        ladder = web_campaign._web_recording(spec)
+        # One clean pass of the spec's 4,688 steps builds the ladder,
+        # and its rung replays at most a stride from the last
+        # checkpoint, not the prefix from boot.
+        ran = []
+        run = Kernel.run
+
+        def counted(kernel, *args, **kwargs):
+            ran.append(run(kernel, *args, **kwargs))
+            return ran[-1]
+
+        GLOBAL_POOL.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Kernel, "run", counted)
+            web_campaign._web_recording(spec)
+        assert 4688 <= sum(ran) <= 4688 + CHECKPOINT_STRIDE
+        # Built again under the debug gate, the ladder's restore of its
+        # last checkpoint is diffed against a fresh build driven
+        # through the checkpoint's prefix, as snapshot zero's is.
+        diffed = []
+        diff = SystemSnapshot.diff_against_fresh
+
+        def noted(snapshot):
+            diffed.append(snapshot.steps)
+            return diff(snapshot)
+
+        GLOBAL_POOL.clear()
+        engine(pool_debug=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(SystemSnapshot, "diff_against_fresh", noted)
+            ladder = web_campaign._web_recording(spec)
+        assert diffed == [0, 1536 // CHECKPOINT_STRIDE * CHECKPOINT_STRIDE]
         assert ladder.eligible == (0,)
         snapshot = ladder.rungs[0].snapshot
         assert snapshot.steps == 1536
