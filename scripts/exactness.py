@@ -167,8 +167,6 @@ INTERP_ONLY = (("REPRO_FAST_INTERP", "0"),)
 #: the cells compared with it.  Pooling off also runs in forked and in
 #: spawned workers, and interpreter-only runs also in parallel, since
 #: workers inherit or rebuild the state those gates change.
-#: ``traced-w2`` also sets ``REPRO_TRACE=1``, which must change nothing
-#: next to ``--trace``.
 AXES = (
     Axis("w1"),
     Axis("w2", workers=2),
@@ -181,8 +179,7 @@ AXES = (
     Axis("small", small=True),
     Axis("debug", small=True, env=(("REPRO_POOL_DEBUG", "1"),)),
     Axis("traced", small=True, traced=True),
-    Axis("traced-w2", workers=2, small=True, traced=True,
-         env=(("REPRO_TRACE", "1"),)),
+    Axis("traced-w2", workers=2, small=True, traced=True),
 )
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.composite.scheduler import RunQueue, VirtualClock
 from repro.composite.thread import Invoke, SimThread, Sleep, ThreadState, Yield
-from repro.observe import recorder_for
+from repro.observe import NULL_RECORDER
 from repro.errors import (
     BlockThread,
     CapabilityError,
@@ -86,11 +86,11 @@ class Kernel:
             raise ConfigurationError(f"unknown ft_mode {ft_mode!r}")
         self.ft_mode = ft_mode
         self.clock = VirtualClock()
-        #: Flight recorder (repro.observe): the shared no-op singleton
-        #: unless tracing is enabled, in which case a live ring-buffer
-        #: recorder stamped by this kernel's virtual clock.  Hot paths
-        #: guard every emission on ``recorder.enabled``.
-        self.recorder = recorder_for(self.clock)
+        #: Flight recorder (repro.observe): the shared no-op singleton,
+        #: unless a traced run attached a live ring-buffer recorder
+        #: stamped by this kernel's virtual clock.  Hot paths guard
+        #: every emission on ``recorder.enabled``.
+        self.recorder = NULL_RECORDER
         self.run_queue = RunQueue()
         self.components: Dict[str, object] = {}
         self.threads: Dict[int, SimThread] = {}
@@ -166,9 +166,10 @@ class Kernel:
         """Put back a :meth:`run_state`, in place.
 
         Containers are refilled rather than replaced (the run loop and
-        the compiled fast path bind them by identity), and the crash,
-        SWIFI and exhausted-budget marks are cleared.  Static wiring
-        (components, capabilities, stubs, the booter and
+        the compiled fast path bind them by identity), the crash, SWIFI
+        and exhausted-budget marks are cleared, and the recorder is the
+        no-op one (a traced run's kernel is never restored).  Static
+        wiring (components, capabilities, stubs, the booter and
         recovery-manager references) is left alone.
         """
         clock = self.clock
@@ -183,7 +184,7 @@ class Kernel:
         self.threads.update(table)
         self.stats.update(stats)
         self.fault_observers = list(observers)
-        self.recorder = recorder_for(clock)
+        self.recorder = NULL_RECORDER
         self.crashed = None
         self.swifi = None
         self.last_run_exhausted = False
@@ -540,7 +541,7 @@ class Kernel:
     # ------------------------------------------------------------------
     # The run loop
     # ------------------------------------------------------------------
-    def run(self, max_steps: int = 1_000_000, max_cycles: Optional[int] = None):
+    def run(self, max_steps: int = 1_000_000):
         """Run until all threads finish, the system crashes, or a budget ends.
 
         Returns the number of scheduling steps taken.  Exhausting
@@ -570,8 +571,6 @@ class Kernel:
                 steps += 1
             while steps < max_steps:
                 if self.crashed is not None:
-                    break
-                if max_cycles is not None and clock.now >= max_cycles:
                     break
                 if timers:
                     for callback in clock.pop_due():

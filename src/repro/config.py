@@ -1,4 +1,4 @@
-"""The engine configuration: its six ``REPRO_*`` gates, read once.
+"""The engine configuration: its four ``REPRO_*`` gates, read once.
 
 Every switch of the execution engine is a typed field of one
 :class:`EngineConfig`.  The process reads them from its environment
@@ -8,7 +8,6 @@ Each variable is named after its field (``system_pool`` is
 ``REPRO_SYSTEM_POOL``) and parsed by its field's type:
 
 * **boolean:** ``1``/``true``/``yes``/``on`` or ``0``/``false``/``no``/``off``;
-* **integer:** a positive integer;
 * **choice:** one of the field's listed values.
 
 Unset or empty means the field's default; any other value raises
@@ -32,11 +31,6 @@ from typing import Mapping
 
 from repro.errors import ConfigurationError
 
-#: Default flight-recorder ring capacity.  A single SWIFI run emits a
-#: few hundred events; 4096 keeps whole runs (and generous webserver
-#: windows) while bounding worst-case memory at well under a megabyte.
-DEFAULT_TRACE_CAPACITY = 4096
-
 #: The values ``worker_start`` accepts.
 WORKER_STARTS = ("auto", "fork", "spawn")
 
@@ -56,10 +50,6 @@ class EngineConfig:
     #: through the same prefix for a mid-run snapshot), and negative
     #: histogram observations raise instead of clamping.
     pool_debug: bool = False
-    #: New kernels carry a live flight recorder.
-    trace: bool = False
-    #: The live recorders' ring capacity.
-    trace_capacity: int = DEFAULT_TRACE_CAPACITY
     #: Process-pool start method (``auto``: fork where available).
     worker_start: str = "auto"
 
@@ -91,10 +81,6 @@ def _parse(name: str, raw: str):
         if text in _TRUE or text in _FALSE:
             return text in _TRUE
         expected = "1/true/yes/on or 0/false/no/off"
-    elif isinstance(default, int):
-        if text.isdecimal() and int(text) > 0:
-            return int(text)
-        expected = "a positive integer"
     else:
         if text in WORKER_STARTS:
             return text
@@ -107,11 +93,7 @@ def _check(name: str, value) -> None:
     if name not in _DEFAULTS:
         raise ConfigurationError(f"EngineConfig has no field {name!r}")
     kind = type(_DEFAULTS[name])
-    if (
-        type(value) is not kind
-        or (kind is int and value < 1)
-        or (kind is str and value not in WORKER_STARTS)
-    ):
+    if type(value) is not kind or (kind is str and value not in WORKER_STARTS):
         raise ConfigurationError(f"invalid {name}: {value!r}")
 
 

@@ -8,25 +8,24 @@ which descriptors were replayed, how long recovery took.  See
 
 Enabling
 --------
-Tracing is **off by default** and costs ~nothing when off: every kernel
-then shares the process-wide :data:`~repro.observe.recorder.NULL_RECORDER`
-singleton, and all emit sites guard on ``recorder.enabled`` before
-building any event.  It is the engine configuration's ``trace`` field
-(:mod:`repro.config`): with it on, any new kernel gets a live
-:class:`~repro.observe.recorder.FlightRecorder` bound to its virtual
-clock, with a ring of ``trace_capacity`` events.  Set it with
-``REPRO_TRACE=1`` (and ``REPRO_TRACE_CAPACITY``) for a whole process,
-or with ``repro.config.override(trace=True)`` for a ``with`` block, as
-the traced campaign path (``table2 --trace``/``run_full_campaign(trace=)``)
-does so that worker processes trace their runs whatever their
-environment.
+Tracing is **off by default** and costs ~nothing when off: every kernel,
+built or restored, carries the process-wide
+:data:`~repro.observe.recorder.NULL_RECORDER` singleton, and all emit
+sites guard on ``recorder.enabled`` before building any event.  Tracing
+is an argument of the traced campaign (``table2 --trace``,
+``run_full_campaign(trace=)``, :func:`repro.swifi.parallel.run_seeded`'s
+``trace``), not an engine gate: its runs build fresh systems and start
+from boot, and each run's driver attaches a live
+:class:`~repro.observe.recorder.FlightRecorder`, bound to the kernel's
+virtual clock, before anything is installed or armed.  Building a
+system emits no event, so to trace an ad-hoc run do the same::
+
+    system = build_system()
+    system.kernel.recorder = FlightRecorder(system.kernel.clock)
 """
 
 from __future__ import annotations
 
-from typing import Union
-
-from repro.config import CONFIG
 from repro.observe.events import (  # noqa: F401 (re-exported)
     EVENT_FIELDS,
     EventSchemaError,
@@ -45,16 +44,3 @@ from repro.observe.recorder import (  # noqa: F401
     NullRecorder,
     scalar,
 )
-
-
-def recorder_for(clock=None) -> Union[FlightRecorder, NullRecorder]:
-    """The recorder a new kernel should carry.
-
-    Returns the shared no-op singleton when tracing is disabled — no
-    allocation at all — or a fresh :class:`FlightRecorder` of the
-    configured capacity, bound to the kernel's virtual clock, when
-    enabled.
-    """
-    if not CONFIG.trace:
-        return NULL_RECORDER
-    return FlightRecorder(clock=clock, capacity=CONFIG.trace_capacity)

@@ -3,11 +3,11 @@
 Two implementations share one interface:
 
 * :class:`NullRecorder` — the disabled-mode recorder.  A single shared
-  instance (:data:`NULL_RECORDER`) is handed to every kernel when
-  tracing is off: no ring is allocated, ``emit`` is a constant no-op,
-  and hot paths guard on the class attribute ``enabled`` (a plain
-  attribute load + truth test) so they never even build the event's
-  keyword arguments.
+  instance (:data:`NULL_RECORDER`) is what every kernel carries unless
+  a traced run attaches a live one: no ring is allocated, ``emit`` is a
+  constant no-op, and hot paths guard on the class attribute
+  ``enabled`` (a plain attribute load + truth test) so they never even
+  build the event's keyword arguments.
 * :class:`FlightRecorder` — the live recorder.  Events append into a
   ``deque(maxlen=capacity)``; when the ring is full the oldest events
   fall off (``dropped`` counts them) so a runaway workload can never
@@ -26,8 +26,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List
 
-from repro.config import DEFAULT_TRACE_CAPACITY as DEFAULT_CAPACITY
 from repro.observe.metrics import MetricsRegistry
+
+#: Default ring capacity.  A single SWIFI run emits a few hundred
+#: events; 4096 keeps whole runs (and generous webserver windows) while
+#: bounding worst-case memory at well under a megabyte.
+DEFAULT_CAPACITY = 4096
 
 
 def scalar(value) -> object:
@@ -44,8 +48,8 @@ def scalar(value) -> object:
 class NullRecorder:
     """Disabled-mode recorder: every operation is a no-op.
 
-    Shared as the process-wide :data:`NULL_RECORDER` singleton — kernels
-    built with tracing off allocate nothing.
+    Shared as the process-wide :data:`NULL_RECORDER` singleton — an
+    untraced kernel allocates nothing.
     """
 
     __slots__ = ()

@@ -39,6 +39,7 @@ from typing import Dict, List, NamedTuple, Optional
 
 from repro.config import CONFIG
 from repro.errors import ReproError, SimulatedFault
+from repro.observe import FlightRecorder
 from repro.swifi.classify import Outcome, OutcomeCounter
 from repro.swifi.injector import FAULT_CLASSES, SwifiController
 from repro.system import GLOBAL_POOL, SystemSnapshot, build_system
@@ -157,13 +158,13 @@ def run_record(spec, run_seed: int, system, **fields) -> dict:
     """One traced run's record, ready for
     :func:`repro.observe.export.write_run`.
 
-    A traced run is the plain run under ``override(trace=True)``; this
-    folds the kernel's whole-run :data:`RUN_STATS` counters into the
-    run's metrics registry, so campaign aggregation sees engine and
-    recovery statistics in one deterministic place.  The spec gives
-    the header's fingerprint, ft_mode and fault class; ``fields`` carry
-    the campaign kind's own header fields (service, outcome, steps,
-    ...).
+    A traced run is the plain run from boot with a live recorder (see
+    :func:`attach_recorder`); this folds the kernel's whole-run
+    :data:`RUN_STATS` counters into the run's metrics registry, so
+    campaign aggregation sees engine and recovery statistics in one
+    deterministic place.  The spec gives the header's fingerprint,
+    ft_mode and fault class; ``fields`` carry the campaign kind's own
+    header fields (service, outcome, steps, ...).
     """
     kernel = system.kernel
     recorder = kernel.recorder
@@ -183,15 +184,18 @@ def run_record(spec, run_seed: int, system, **fields) -> dict:
     }
 
 
-def _pooled() -> bool:
-    """Do campaign runs execute on pooled systems right now?
+def attach_recorder(system) -> None:
+    """Give a traced run's fresh ``system`` a live flight recorder, bound
+    to its kernel's clock, before anything is installed or armed.
 
-    The one place that decides "traced ⇒ fresh": warm trace caches shift
-    cache-hit counters that the flight recorder folds into per-run
-    metrics, and trace artifacts must stay byte-identical serial vs
-    parallel, so traced runs build fresh and start from boot.
+    Building a system emits no event, so the run records what it would
+    on a kernel built traced.  A pooled system (one with an
+    :attr:`~repro.system.System.origin`) raises: its run could start at
+    a rung and silently lose its prefix's events.
     """
-    return CONFIG.system_pool and not CONFIG.trace
+    if system.origin is not None:
+        raise ReproError("a traced run needs a fresh system, not a pooled one")
+    system.kernel.recorder = FlightRecorder(system.kernel.clock)
 
 
 def _campaign_system(ft_mode: str, recovery_mode: str, prepare=None, at=None):
@@ -206,7 +210,7 @@ def _campaign_system(ft_mode: str, recovery_mode: str, prepare=None, at=None):
     the pooled system instead (see
     :meth:`repro.system.SystemPool.acquire`).
     """
-    if _pooled():
+    if CONFIG.system_pool:
         return GLOBAL_POOL.acquire(
             ft_mode=ft_mode, recovery_mode=recovery_mode, prepare=prepare,
             at=at,
@@ -279,23 +283,24 @@ def ladder_start(spec, key, max_steps, install, watch, clean, prepare=None):
     """A pooled campaign's start, ``(snapshot, ladder)``: the pooled
     system's snapshot (with the pool's ``prepare`` hook, see
     :meth:`SystemPool.snapshot_for`) and the spec's ladder, built once
-    on it under ``key`` (see :func:`_build_ladder`).  None without
-    pooling: a rung is a snapshot of the pooled system itself, so
+    on it under ``key`` (see :func:`_build_ladder`), or no ladder for a
+    ``key`` of None.  None without pooling, as in a traced campaign: a
+    rung is a snapshot of the pooled system itself, so
     fresh-per-run and flight-recorder runs always start from boot,
     which is what makes their artifacts byte-identical to pooled ones
     by construction.  The ladder lives and dies with the snapshot, so a
     pool rebuild drops it.
     """
-    if not _pooled():
+    if not CONFIG.system_pool:
         return None
     snapshot = GLOBAL_POOL.snapshot_for(
         spec.ft_mode, spec.recovery_mode, prepare
     )
-    if key not in snapshot.starts:
+    if key is not None and key not in snapshot.starts:
         snapshot.starts[key] = _build_ladder(
             spec, snapshot, max_steps, install, watch, clean
         )
-    return snapshot, snapshot.starts[key]
+    return snapshot, snapshot.starts.get(key)
 
 
 class _StepNotes:
@@ -530,19 +535,23 @@ def run_system(system, max_steps: int):
     return crash, kernel.stats["steps"] - steps
 
 
-def _drive_run(spec: RunSpec, run_seed: int, start=None, counters=None):
+def _drive_run(
+    spec: RunSpec, run_seed: int, start=None, counters=None, trace=False
+):
     """Restore (or boot) a system, inject per the spec, run it.
 
     Returns ``(outcome, system, swifi, steps, handle)``.  ``start`` is
     :func:`warm_up`'s ``(snapshot, ladder)``, which a campaign looks
     up once instead of once per run; without one the run warms the
-    shared pool itself, or builds fresh when unpooled or traced.  With
+    shared pool itself, or builds fresh when unpooled.  With
     a ladder the run restores the last rung at or before its injection
     point (:func:`rung_start`), whose prefix already ran the workload's
     install and first steps and began the next: the fault arms the rest
     of the countdown, and the run finishes that step and gets the rest
     of the step budget.  Its ``steps`` count from boot either way.
     ``counters`` sums the ladder work counts (:data:`LADDER_KEYS`).
+    A ``trace`` run carries a live flight recorder
+    (:func:`attach_recorder`), so it must build fresh.
     """
     if start is None:
         # Warm *before* the final acquire: the ladder's clean pass and
@@ -556,6 +565,8 @@ def _drive_run(spec: RunSpec, run_seed: int, start=None, counters=None):
     else:
         at, rung = rung_start(start, point, counters)
         system = GLOBAL_POOL.acquire(at=at)
+    if trace:
+        attach_recorder(system)
     swifi = SwifiController(system.kernel, seed=run_seed)
     if rung is None:
         skipped = 0

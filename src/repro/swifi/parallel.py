@@ -180,11 +180,12 @@ def run_seeded(
     record_or_None)``.  Both must be picklable module-level functions.
     A ``trace`` campaign calls ``run`` with ``trace=True``, which asks
     for the seed's flight-recorder record, and runs entirely under
-    ``override(trace=True)``, its setup included: that configuration
+    ``override(system_pool=False)``, its setup included, so its runs
+    build fresh and start from boot (their drivers attach the recorder
+    to the fresh kernel, see
+    :func:`repro.swifi.campaign.attach_recorder`).  That configuration
     reaches spawned workers as their parent's and forked ones by
-    inheritance, and it is what makes its runs build fresh and start
-    from boot (see :func:`repro.swifi.campaign._pooled`).  Any other
-    campaign builds no record, whatever the configuration.
+    inheritance.  Any other campaign builds no record.
 
     ``workers=None`` uses one worker per CPU; with ``workers <= 1`` or
     at most one seed everything runs in-process, seed by seed, with no
@@ -199,7 +200,7 @@ def run_seeded(
     results are keyed by seed, so the merge is order-free).
     """
     if trace:
-        with override(trace=True):
+        with override(system_pool=False):
             return run_seeded(setup, functools.partial(run, trace=True),
                               spec, seeds, workers,
                               progress=progress, on_batch=on_batch)
@@ -355,7 +356,7 @@ def _table2_run(spec: RunSpec, seed: int, start, counters, trace=False):
     execution, so its outcome is the untraced one.
     """
     outcome, system, __, steps, __ = _drive_run(
-        spec, seed, start=start, counters=counters
+        spec, seed, start=start, counters=counters, trace=trace
     )
     if not trace:
         return outcome, None

@@ -535,7 +535,6 @@ class SystemSnapshot:
             if system.recovery_manager is not None
             else "ondemand",
         )
-        self.restores = 0
         #: Run starts derived from this snapshot, by key: the snapshot
         #: ladders of the campaign specs run on it.  They live and die
         #: with it, so a pool rebuild drops them.
@@ -641,7 +640,6 @@ class SystemSnapshot:
             setattr(owner, flag, False)
         _put_back(self._always)
         system.origin = self
-        self.restores += 1
         return system
 
     def diff_against_fresh(self) -> List[str]:

@@ -43,6 +43,7 @@ from repro.observe.metrics import (
 from repro.swifi.campaign import (
     Ladder,
     _campaign_system,
+    attach_recorder,
     ladder_counts,
     ladder_start,
     run_record,
@@ -184,11 +185,13 @@ def _web_warm_up(spec: WebRunSpec):
     prefix up to the step whose ``on_served`` arms, and the spec's
     ladder has one rung, sealed once that step began; a pooled run
     restores it instead of executing the prefix.  A spec whose clean
-    run is not clean, or which arms nothing (fault-free), gets no
-    ladder, and its runs start from the pooled snapshot.
+    run is not clean gets no ladder, and a fault-free one, which arms
+    nothing, builds none: their runs start from the pooled snapshot.
     """
     return ladder_start(
-        spec, ("ladder", spec.fingerprint(), spec.max_steps),
+        spec,
+        ("ladder", spec.fingerprint(), spec.max_steps)
+        if spec.n_faults else None,
         spec.max_steps, _install, _watch_first_arm,
         lambda spec, roots: roots[0].served >= spec.n_requests,
         prepare=prepare_webserver,
@@ -220,7 +223,7 @@ def _watch_first_arm(spec: WebRunSpec, system, roots: tuple, notes) -> tuple:
     gap = injection_gap(spec.n_requests, spec.n_faults)
 
     def note(served: int) -> None:
-        if spec.n_faults and not notes.count and served >= gap:
+        if not notes.count and served >= gap:
             notes.note()
 
     server.on_served = note
@@ -369,18 +372,24 @@ def _row_from_result(run_seed: int, result: LoadResult) -> Dict[str, object]:
     return row
 
 
-def _drive_web_run(spec: WebRunSpec, run_seed: int, start, counters=None):
+def _drive_web_run(
+    spec: WebRunSpec, run_seed: int, start, counters=None, trace=False
+):
     """Serve one run on a prepared system.  ``start`` is
     :func:`_web_warm_up`'s ``(snapshot, ladder)``: the run restores the
     ladder's one rung (:func:`~repro.swifi.campaign.rung_start`) and
     resumes its server, or without a ladder restores the snapshot;
     without a start it boots (restored to boot when pooled).
-    ``counters`` sums the ladder work counts.  Returns ``(row,
-    system)``."""
+    ``counters`` sums the ladder work counts.  A ``trace`` run carries
+    a live flight recorder
+    (:func:`~repro.swifi.campaign.attach_recorder`), so it must build
+    fresh.  Returns ``(row, system)``."""
     at = rung = None
     if start is not None:
         at, rung = rung_start(start, 0, counters)
     system = _web_system(spec, at=at)
+    if trace:
+        attach_recorder(system)
     result = _serve(
         spec, system, run_seed, spec.n_faults > 0,
         None if rung is None else rung.snapshot.roots[0],
@@ -410,7 +419,7 @@ def _web_run(spec: WebRunSpec, seed: int, start, counters, trace=False):
     execution, so requesting a trace never changes the campaign
     artifact.
     """
-    row, system = _drive_web_run(spec, seed, start, counters)
+    row, system = _drive_web_run(spec, seed, start, counters, trace)
     if not trace:
         return row, None
     return row, run_record(
@@ -547,7 +556,7 @@ def run_webserver_campaign(
     is byte-identical across worker counts, and — because rows derive
     from virtual-time outcomes only — across pooling modes.  ``trace``
     names a flight-recorder JSONL artifact: every run then executes
-    traced (bypassing the pool) and the parent writes run records in
+    traced (unpooled, from boot) and the parent writes run records in
     seed order plus one summary line.
     """
     spec = spec or WebRunSpec()

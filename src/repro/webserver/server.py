@@ -83,8 +83,7 @@ class WebServer:
     __slots__ = (
         "system", "home", "n_workers", "pending", "responses", "submitted",
         "served", "errors", "evt_conn", "stats_lock", "file_fds",
-        "stopping", "samples", "latencies", "peak_outstanding",
-        "_last_done_clock", "on_served",
+        "stopping", "samples", "latencies", "peak_outstanding", "on_served",
     )
 
     def __init__(self, system, home: str = "app0", n_workers: int = 2):
@@ -113,8 +112,6 @@ class WebServer:
         #: this without bound under overload; closed-loop runs cap it at
         #: the generator's concurrency).
         self.peak_outstanding = 0
-        #: The previous completion's clock, for ``throughput_dip`` events.
-        self._last_done_clock: Optional[int] = None
         #: Optional hook invoked with the served count after each request
         #: (used by the fault-injection variant of the load generator).
         self.on_served = None
@@ -154,8 +151,6 @@ class WebServer:
         """Record one response's latency and, when tracing, its events."""
         latency = now - submitted_at
         self.latencies.append(latency)
-        last = self._last_done_clock
-        self._last_done_clock = now
         recorder = kernel.recorder
         if recorder.enabled:
             recorder.emit(
@@ -164,7 +159,9 @@ class WebServer:
             recorder.metrics.histogram("request_latency_cycles").observe(
                 latency
             )
-            gap = 0 if last is None else now - last
+            # ``_respond`` took this completion's sample already.
+            samples = self.samples
+            gap = now - samples[-2][0] if len(samples) > 1 else 0
             if gap > DIP_THRESHOLD_CYCLES:
                 recorder.emit(
                     "throughput_dip", gap_cycles=gap, served=self.served

@@ -325,17 +325,6 @@ class TestUpcalls:
 
 
 class TestRunLoop:
-    def test_max_cycles_budget(self):
-        kernel = make_kernel()
-
-        def body(system, thread):
-            while True:
-                yield Invoke("echo", "echo", 1)
-
-        kernel.create_thread("t", prio=1, home="app0", body_factory=body)
-        kernel.run(max_cycles=5_000)
-        assert kernel.clock.now >= 5_000
-
     def test_max_steps_budget(self):
         kernel = make_kernel()
 

@@ -7,7 +7,6 @@ import pytest
 from repro.config import CONFIG, EngineConfig, override
 from repro.errors import ConfigurationError
 from repro.observe import (
-    DEFAULT_CAPACITY,
     NULL_RECORDER,
     EventSchemaError,
     FlightRecorder,
@@ -15,11 +14,11 @@ from repro.observe import (
     NullRecorder,
     canonical_metrics,
     merge_metrics,
-    recorder_for,
     scalar,
     validate_event,
 )
-from repro.system import build_system
+from repro.swifi.campaign import CampaignRunner, _drive_run
+from repro.system import GLOBAL_POOL, build_system
 
 
 class FakeClock:
@@ -31,8 +30,8 @@ class TestDisabledMode:
     def test_disabled_returns_shared_singleton(self):
         # No allocation when tracing is off: every kernel shares the one
         # process-wide NullRecorder instance.
-        assert recorder_for() is NULL_RECORDER
-        assert recorder_for(clock=FakeClock()) is NULL_RECORDER
+        assert build_system("none").kernel.recorder is NULL_RECORDER
+        assert build_system("c3").kernel.recorder is NULL_RECORDER
 
     def test_null_recorder_is_inert(self):
         NULL_RECORDER.emit("invoke", tid=1, client="a", server="b", fn="f")
@@ -68,12 +67,6 @@ VALID_GATES = (
     ("REPRO_FAST_INTERP", "", "fast_interp", True),
     ("REPRO_POOL_DEBUG", "true", "pool_debug", True),
     ("REPRO_POOL_DEBUG", "yes", "pool_debug", True),
-    ("REPRO_TRACE", "on", "trace", True),
-    ("REPRO_TRACE", "1", "trace", True),
-    ("REPRO_TRACE", "off", "trace", False),
-    ("REPRO_TRACE", "0", "trace", False),
-    ("REPRO_TRACE_CAPACITY", "64", "trace_capacity", 64),
-    ("REPRO_TRACE_CAPACITY", "", "trace_capacity", DEFAULT_CAPACITY),
     ("REPRO_WORKER_START", "spawn", "worker_start", "spawn"),
     ("REPRO_WORKER_START", "fork", "worker_start", "fork"),
     ("REPRO_WORKER_START", "auto", "worker_start", "auto"),
@@ -83,10 +76,6 @@ VALID_GATES = (
 INVALID_GATES = (
     ("REPRO_SYSTEM_POOL", "2"),
     ("REPRO_POOL_DEBUG", "enabled"),
-    ("REPRO_TRACE", "-1"),
-    ("REPRO_TRACE_CAPACITY", "junk"),
-    ("REPRO_TRACE_CAPACITY", "0"),
-    ("REPRO_TRACE_CAPACITY", "-64"),
     ("REPRO_WORKER_START", "spwan"),
 )
 
@@ -96,7 +85,7 @@ class TestGating:
         default = EngineConfig()
         assert EngineConfig.from_env({}) == default
         assert (default.system_pool, default.fast_interp) == (True, True)
-        assert (default.pool_debug, default.trace) == (False, False)
+        assert default.pool_debug is False
         assert default.worker_start == "auto"
         for variable, raw, name, parsed in VALID_GATES:
             assert EngineConfig.from_env({variable: raw}) == (
@@ -105,45 +94,43 @@ class TestGating:
         for variable, raw in INVALID_GATES:
             with pytest.raises(ConfigurationError, match=variable):
                 EngineConfig.from_env({variable: raw})
-        # The trace gate decides what recorder a new kernel gets.
-        assert recorder_for() is NULL_RECORDER
-        with override(trace=True):
-            assert isinstance(recorder_for(), FlightRecorder)
+        # Tracing is no gate: a leftover variable is inert.
+        assert EngineConfig.from_env({"REPRO_TRACE": "1"}) == default
 
     def test_context_manager_overrides_and_restores(self):
-        with override(trace=True):
-            assert CONFIG.trace is True
-            with override(trace=False):
-                assert CONFIG.trace is False
-            assert CONFIG.trace is True
-        assert CONFIG.trace is False
+        with override(pool_debug=True):
+            assert CONFIG.pool_debug is True
+            with override(pool_debug=False):
+                assert CONFIG.pool_debug is False
+            assert CONFIG.pool_debug is True
+        assert CONFIG.pool_debug is False
         # Override values are typed and checked like the environment's.
         for bad in (
-            {"trace": "1"}, {"trace_capacity": 0}, {"trace_capacity": True},
-            {"worker_start": "spwan"}, {"tracing": True},
+            {"pool_debug": "1"}, {"system_pool": 0},
+            {"worker_start": "spwan"}, {"trace": True},
         ):
             with pytest.raises(ConfigurationError):
                 with override(**bad):
                     pass
         assert CONFIG == EngineConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            CONFIG.trace = True
+            CONFIG.pool_debug = True
 
-    def test_traced_kernel_gets_live_recorder_bound_to_its_clock(self):
-        with override(trace=True):
-            system = build_system(ft_mode="superglue")
+    def test_traced_kernel_gets_live_recorder_bound_to_its_clock(
+        self, engine
+    ):
+        # A traced run's kernel carries a recorder bound to its clock;
+        # a restored kernel never does.
+        spec = CampaignRunner("lock", n_faults=1, seed=1).spec()
+        pooled = GLOBAL_POOL.acquire()
+        pooled.kernel.recorder = FlightRecorder(pooled.kernel.clock)
+        assert GLOBAL_POOL.acquire().kernel.recorder is NULL_RECORDER
+        engine(system_pool=False)
+        __, system, __, __, __ = _drive_run(spec, 1_000_003, trace=True)
         recorder = system.kernel.recorder
         assert isinstance(recorder, FlightRecorder)
         assert recorder.clock is system.kernel.clock
-
-    def test_capacity_env_override(self):
-        assert CONFIG.trace_capacity == DEFAULT_CAPACITY
-        capacity = EngineConfig.from_env({"REPRO_TRACE_CAPACITY": "64"})
-        assert capacity.trace_capacity == 64
-        with pytest.raises(ConfigurationError, match="REPRO_TRACE_CAPACITY"):
-            EngineConfig.from_env({"REPRO_TRACE_CAPACITY": "junk"})
-        with override(trace=True, trace_capacity=64):
-            assert recorder_for().capacity == 64
+        assert len(recorder) > 0
 
 
 class TestRing:

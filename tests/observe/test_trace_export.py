@@ -3,7 +3,7 @@
 import pytest
 
 from repro.__main__ import main
-from repro.config import override
+from repro.errors import ReproError
 from repro.observe import EventSchemaError
 from repro.observe.events import EVENT_FIELDS
 from repro.observe.export import (
@@ -19,11 +19,12 @@ from repro.observe.timeline import (
     render_rollup,
     render_run_timeline,
 )
-from repro.swifi.campaign import CampaignRunner, execute_run
+from repro.swifi.campaign import CampaignRunner, execute_run, warm_up
 from repro.swifi.parallel import _table2_run, run_campaign
 from repro.webserver.campaign import (
     WebRunSpec,
     _web_run,
+    _web_warm_up,
     execute_web_run,
     run_webserver_campaign,
     web_run_seeds,
@@ -81,42 +82,67 @@ _TRACED_CAMPAIGNS = {
 }
 
 
+def _traced_cases():
+    """``(traced_run, plain_run, warm_up, spec, outcome_of)`` per run
+    kind: Table II reg and idl, and a Fig. 7 run."""
+    cases = [
+        (
+            _table2_run, execute_run, warm_up, spec,
+            lambda outcome: outcome.value,
+        )
+        for spec in (
+            CampaignRunner("lock", n_faults=1, seed=1).spec(),
+            CampaignRunner(
+                "lock", n_faults=1, seed=1, fault_class="idl"
+            ).spec(),
+        )
+    ]
+    cases.append((
+        _web_run, execute_web_run, _web_warm_up,
+        WebRunSpec(n_requests=40, n_faults=2, fault_class="mem"),
+        lambda row: row["outcome"],
+    ))
+    return cases
+
+
 class TestOutcomeInvariance:
-    def test_tracing_does_not_change_run_outcomes(self):
-        """A traced run is the plain run under the flight recorder (a
-        traced campaign's configuration): the same outcome (Fig. 7: the
-        same row), and a header true to the spec and to the kernel's
-        step count, which counts a run's steps also when the run raised
-        (the lock idl seeds do).  Only a traced campaign's run builds
-        a record, whatever the configuration."""
-        cases = [
-            (_table2_run, execute_run, spec, lambda outcome: outcome.value)
-            for spec in (
-                CampaignRunner("lock", n_faults=1, seed=1).spec(),
-                CampaignRunner(
-                    "lock", n_faults=1, seed=1, fault_class="idl"
-                ).spec(),
-            )
-        ]
-        cases.append((
-            _web_run, execute_web_run,
-            WebRunSpec(n_requests=40, n_faults=2, fault_class="mem"),
-            lambda row: row["outcome"],
-        ))
-        for traced_run, plain_run, spec, outcome_of in cases:
+    def test_tracing_does_not_change_run_outcomes(self, engine):
+        """A traced run is the plain run under the flight recorder, from
+        boot (a traced campaign runs unpooled): the same outcome (Fig.
+        7: the same row), and a header true to the spec and to the
+        kernel's step count, which counts a run's steps also when the
+        run raised (the lock idl seeds do).  Only a traced run builds a
+        record."""
+        cases = _traced_cases()
+        plain = {
+            (spec, seed): plain_run(spec, seed)
+            for __, plain_run, __, spec, __ in cases
+            for seed in (1_000_003, 1_000_004, 12345)
+        }
+        engine(system_pool=False)
+        for traced_run, plain_run, __, spec, outcome_of in cases:
             for seed in (1_000_003, 1_000_004, 12345):
-                with override(trace=True):
-                    result, record = traced_run(
-                        spec, seed, None, {}, trace=True
-                    )
-                    assert traced_run(spec, seed, None, {}) == (result, None)
-                assert result == plain_run(spec, seed)
+                result, record = traced_run(spec, seed, None, {}, trace=True)
+                assert traced_run(spec, seed, None, {}) == (result, None)
+                assert result == plain[spec, seed]
                 header = run_header(record)
                 assert header["outcome"] == outcome_of(result)
                 assert header["fault_class"] == spec.fault_class
                 assert header["steps"] == (
                     record["metrics"]["counters"]["steps"]
                 ) > 0
+
+    def test_tracing_a_pooled_system_raises(self):
+        # A pooled run, from the pooled boot or from its campaign's
+        # start, could begin at a rung and lose its prefix's events:
+        # tracing it raises instead of recording part of a run.
+        for traced_run, plain_run, warm_up_of, spec, __ in _traced_cases():
+            for start in (None, warm_up_of(spec)):
+                with pytest.raises(ReproError, match="fresh system"):
+                    traced_run(spec, 1_000_003, start, {}, trace=True)
+            assert traced_run(spec, 1_000_003, None, {}) == (
+                plain_run(spec, 1_000_003), None
+            )
 
     @pytest.mark.parametrize("kind", list(_TRACED_CAMPAIGNS))
     def test_serial_and_parallel_traces_byte_identical(self, tmp_path, kind):

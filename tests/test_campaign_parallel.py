@@ -172,8 +172,7 @@ _OPEN = {"command": "fig7", "arrivals": "open"}
 def _deleted_cmp_pairs():
     """The cells each artifact ``cmp`` line of the CI workflows compared
     before ``scripts/exactness.py`` replaced them, sizes and open-loop
-    loads aside.  Their forked workers were the Linux default, and
-    their ``REPRO_TRACE=1`` next to ``--trace`` is implied by it."""
+    loads aside.  Their forked workers were the Linux default."""
     # campaign.yml, job `campaign`
     pairs = [({}, {"env": [_OFF]}), ({}, {"workers": 2})]
     for kind in ({}, {"mode": "c3"}):
@@ -275,8 +274,7 @@ class TestCli:
                 flags.get("--arrivals", "closed"),
                 int(flags["--workers"]), traced,
                 [(key, value) for key, value in env.items()
-                 if key.startswith("REPRO_")
-                 and not (traced and key == "REPRO_TRACE")],
+                 if key.startswith("REPRO_")],
             ))
         pairs = _deleted_cmp_pairs()
         assert len(pairs) == 39  # 31 lines, three of them in 3-way loops

@@ -28,12 +28,16 @@ from repro.system import (
     system_fingerprint,
 )
 from repro.errors import ReproError
+from repro.swifi.parallel import run_seeded
 from repro.webserver.campaign import (
     WebRunSpec,
     _install,
     _web_recording,
+    _web_run,
     _web_warm_up,
+    execute_web_run,
     prepare_webserver,
+    web_run_seeds,
 )
 from repro.workloads import workload_for
 
@@ -362,12 +366,23 @@ class TestPoolGate:
     def test_traced_runs_bypass_pool(self):
         # Warm trace caches change cache-hit counters that traced runs
         # fold into their per-run metrics; trace artifacts must stay
-        # byte-identical serial vs parallel, so tracing forces a fresh
-        # build.
-        pooled = _campaign_system("superglue", "ondemand")
-        with override(trace=True):
-            traced = _campaign_system("superglue", "ondemand")
-        assert traced is not pooled
+        # byte-identical serial vs parallel, so a traced campaign runs
+        # unpooled: on an empty pool it builds and restores nothing (no
+        # ladder, no rung), its rows are the pooled runs' rows, and its
+        # override ends with it.
+        spec = WebRunSpec(n_requests=40, n_faults=2)
+        seeds = web_run_seeds(1, 3)
+        pooled = [execute_web_run(spec, seed) for seed in seeds]
+        GLOBAL_POOL.clear()
+        stats = dict(GLOBAL_POOL.stats)
+        traced = run_seeded(
+            _web_warm_up, _web_run, spec, seeds, workers=1, trace=True
+        )
+        assert GLOBAL_POOL.stats == stats
+        assert traced.counters == {}
+        assert [traced.results[seed] for seed in seeds] == pooled
+        assert sorted(traced.records) == seeds
+        assert CONFIG == EngineConfig()
 
 
 class TestOutcomeInvariance:

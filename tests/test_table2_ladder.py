@@ -22,7 +22,7 @@ import pytest
 from repro.composite.kernel import Kernel
 from repro.composite.memory import PAGE_WORDS, MemoryImage
 from repro.composite.thread import Invoke, Yield
-from repro.config import override
+from repro.config import CONFIG, EngineConfig, override
 from repro.errors import ReproError
 from repro.idl_specs import SERVICES
 from repro.swifi import campaign as swifi_campaign
@@ -35,6 +35,7 @@ from repro.swifi.campaign import (
     write_table2_json,
 )
 from repro.swifi.injector import SwifiController
+from repro.swifi.parallel import _table2_run, run_seeded
 from repro.system import (
     ENGINE_STATS,
     GLOBAL_POOL,
@@ -108,22 +109,36 @@ class TestStartsFromBoot:
     """Runs that get no ladder start from boot and end as rung-started
     runs do."""
 
-    @pytest.mark.parametrize(
-        "gate", [{"system_pool": False}, {"trace": True}],
-        ids=["unpooled", "traced"],
-    )
-    def test_gated_runs_start_from_boot(self, engine, gate):
-        # Unpooled and traced runs are the reference: no ladder is
-        # built for them and none of them restores a rung.
+    @pytest.mark.parametrize("start", ["unpooled", "traced"])
+    def test_gated_runs_start_from_boot(self, engine, start):
+        # Unpooled runs and a traced campaign's are the reference: no
+        # ladder is built for them and none of them restores a rung.
+        # The traced campaign runs unpooled for its own duration only.
         spec, seeds = _spec("event", fault_class="idl")
         counters = {}
         rung_started = _outcomes(spec, seeds, counters)
         assert counters["rung_restores"] == len(seeds)
-        engine(**gate)
-        assert swifi_campaign.warm_up(spec) is None
-        assert swifi_campaign._campaign_recording(spec) is None
-        counters = {}
-        assert _outcomes(spec, seeds, counters) == rung_started
+        if start == "traced":
+            GLOBAL_POOL.clear()
+            stats = dict(GLOBAL_POOL.stats)
+            campaign = run_seeded(
+                swifi_campaign.warm_up, _table2_run, spec, seeds,
+                workers=1, trace=True,
+            )
+            assert GLOBAL_POOL.stats == stats
+            assert CONFIG == EngineConfig()
+            counters = campaign.counters
+            ends = [
+                (campaign.results[seed], campaign.records[seed]["steps"])
+                for seed in seeds
+            ]
+        else:
+            engine(system_pool=False)
+            assert swifi_campaign.warm_up(spec) is None
+            assert swifi_campaign._campaign_recording(spec) is None
+            counters = {}
+            ends = _outcomes(spec, seeds, counters)
+        assert ends == rung_started
         assert counters == {}
 
     def test_pooled_boot_start_matches_rung_start(self):

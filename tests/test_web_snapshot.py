@@ -26,7 +26,7 @@ from repro.composite.services.ramfs import RamFSService
 from repro.composite.thread import Invoke, Sleep, Yield
 from repro.config import override
 from repro.errors import ReproError
-from repro.observe import recorder_for
+from repro.observe import NULL_RECORDER
 from repro.swifi.campaign import (
     CHECKPOINT_STRIDE,
     Ladder,
@@ -135,10 +135,11 @@ class TestSnapshotRows:
             start = (zero, Ladder((Rung(sealed, 0),), (0,)))
             assert [_run(spec, seed, start) for seed in seeds] == boot, steps
 
-    def test_fault_free_rows_match_from_boot(self):
-        # A fault-free spec arms nothing, so it notes no step and gets
-        # no ladder: its pooled runs start from the pooled snapshot,
-        # count no ladder work, and end as runs from boot do.
+    def test_fault_free_rows_match_from_boot(self, monkeypatch):
+        # A fault-free spec arms nothing, so it builds no ladder and
+        # runs no step looking for one: its pooled runs start from the
+        # pooled snapshot, count no ladder work, and end as runs from
+        # boot do.
         seeds = web_run_seeds(2, 2)
         for arrivals in ("closed", "open"):
             spec = WebRunSpec(
@@ -148,8 +149,11 @@ class TestSnapshotRows:
             with override(system_pool=False):
                 boot = [_run(spec, seed, None) for seed in seeds]
             assert {row["outcome"] for row, __ in boot} == {"ok"}
-            start = web_campaign._web_warm_up(spec)
-            assert start[1] is None, arrivals
+            ran = []
+            with monkeypatch.context() as patch:
+                patch.setattr(Kernel, "run", lambda *a, **k: ran.append(a))
+                start = web_campaign._web_warm_up(spec)
+            assert start[1] is None and ran == [], arrivals
             counters = {}
             assert [
                 _run(spec, seed, start, counters) for seed in seeds
@@ -449,7 +453,7 @@ class _Kernel:
     def __init__(self):
         self.clock = _Clock()
         self.current = "thread"
-        self.recorder = recorder_for(self.clock)
+        self.recorder = NULL_RECORDER
         self.charged = []
 
     def charge(self, thread, cycles):

@@ -287,6 +287,29 @@ class TestTrace:
             for e in events
         )
 
+    def test_dip_events_are_the_rows_dips(self, engine):
+        # A traced run emits one throughput_dip per completion gap that
+        # its row counts as a dip, measured from the previous
+        # completion's sample: the recorder's dip histogram is the
+        # row's.
+        spec = WebRunSpec(n_requests=120, n_faults=3)
+        engine(system_pool=False)
+        for seed in web_run_seeds(1, 2):
+            row, system = web_campaign._drive_web_run(
+                spec, seed, None, trace=True
+            )
+            recorder = system.kernel.recorder
+            gaps = [
+                event["data"]["gap_cycles"] for event in recorder.events()
+                if event["event"] == "throughput_dip"
+            ]
+            assert len(gaps) == row["dips"] > 0
+            assert max(gaps) == row["dip_max_cycles"]
+            histograms = recorder.metrics.to_dict()["histograms"]
+            assert histograms["dip_gap_cycles"] == (
+                row["metrics"]["histograms"]["dip_gap_cycles"]
+            )
+
 
 class TestArtifacts:
     def test_write_json_and_timing_sidecar(self, tmp_path):
